@@ -249,7 +249,12 @@ def _print(e, parent_prec: int) -> str:
 
 
 def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate on broadcastable coordinate arrays keyed 'x1'.. 'yn'."""
+    """Evaluate on broadcastable coordinate arrays keyed 'x1'.. 'yn'.
+
+    Raises ExprDomainError at the first point where a subexpression leaves
+    its domain or is not finite (overflow in exp or ^, division by a
+    subnormal, a literal too large for a double).
+    """
     shape = np.broadcast_shapes(*(np.shape(v) for v in coords.values()))
 
     def fail(message, bad_mask):
@@ -260,6 +265,13 @@ def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
         raise ExprDomainError(message, point)
 
     def ev(node):
+        value = ev_node(node)
+        finite = np.isfinite(value)
+        if not np.all(finite):
+            fail(f"non-finite value of {to_source(node)!r}", ~finite)
+        return value
+
+    def ev_node(node):
         if isinstance(node, Num):
             return np.asarray(node.value, dtype=float)
         if isinstance(node, Var):
@@ -294,7 +306,8 @@ def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
             return FUNCTIONS[node.func](arg)
         raise TypeError(f"not an expression node: {node!r}")
 
-    return np.broadcast_to(ev(e), shape)
+    with np.errstate(over="ignore"):
+        return np.broadcast_to(ev(e), shape)
 
 
 def evaluate(e, grid):

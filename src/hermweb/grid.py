@@ -166,19 +166,28 @@ def _z_symbols(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
     return tuple(syms)
 
 
+@lru_cache(maxsize=32)
+def _hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
+    """Multipliers of d^2/dz_i dzbar_j stacked as [i * n + j, *grid.shape]."""
+    syms = _z_symbols(grid)
+    # d/dzbar_j multiplier is -conj of the d/dz_j one
+    mult = np.stack(
+        [np.broadcast_to(-si * np.conj(sj), grid.shape) for si in syms for sj in syms]
+    )
+    mult.setflags(write=False)
+    return mult
+
+
 def hessian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j, spectral.
 
-    One forward FFT over the active axes, one inverse per (i, j) entry.
+    One forward FFT over the active axes and one inverse FFT batched over
+    the n^2 entries.
     """
     n = grid.n
     axes = grid.active_axes
     fhat = np.fft.fftn(values, axes=axes)
-    syms = _z_symbols(grid)
-    H = np.empty(grid.shape + (n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            # d/dzbar_j multiplier is -conj of the d/dz_j one
-            mult = -syms[i] * np.conj(syms[j])
-            H[..., i, j] = np.fft.ifftn(mult * fhat, axes=axes)
-    return H
+    H = _hessian_multipliers(grid) * fhat
+    # in place: a fresh n^2-field output costs more than the transform on 16^3
+    np.fft.ifftn(H, axes=[a + 1 for a in axes], out=H)
+    return np.moveaxis(H, 0, -1).reshape(grid.shape + (n, n))

@@ -19,9 +19,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from . import smallmat
 from .grid import PeriodicGrid, ScalarField, hessian_values, _z_symbols
-from .forms import FormField, basis_keys, wedge, wedge_power, zero_form, merge_sign
-from .metric import HermitianMetricField, MetricError, classify, is_positive_definite
+from .forms import FormField, basis_keys, d_max_norm, wedge, wedge_power, zero_form, merge_sign
+from .metric import HermitianMetricField, MetricError, is_positive_definite
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
 
@@ -139,11 +140,15 @@ def hodge_root(phi: FormField) -> HermitianMetricField:
     n = phi.grid.n
     lam = form_to_matrix(phi)
     lam = 0.5 * (lam + np.conj(np.swapaxes(lam, -1, -2)))
+    if not np.isfinite(lam).all():
+        raise MetricError("(n-1, n-1)-form has non-finite coefficients")
     if not is_positive_definite(lam):
         raise MetricError("(n-1, n-1)-form is not positive at some grid point")
-    det = np.linalg.det(lam).real
-    G = det[..., None, None] ** (1.0 / (n - 1)) * np.linalg.inv(lam)
-    return HermitianMetricField(phi.grid, G)
+    det = smallmat.det(lam)
+    # a positive multiple of inv(lam) is Hermitian to round-off and
+    # positive definite, as lam is
+    G = det[..., None, None] ** (1.0 / (n - 1)) * smallmat.inverse(lam)
+    return HermitianMetricField._unchecked(phi.grid, G)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +188,14 @@ def _make_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray):
     return LinearOperator((npts + 1, npts + 1), matvec=apply, dtype=np.float64)
 
 
-def _newton_loop(grid, cfg, residual_fn, operator_fn, initial_phi, initial_b, precond_c_fn):
+def _newton_loop(grid, cfg, residual_fn, operator_fn, initial_phi, initial_b):
     """Damped Newton iteration over (phi, b) for residual_fn(phi, b).
 
     residual_fn returns (R, state) where R is the pointwise equation residual
     and state is whatever operator_fn needs; it raises SolverError (positivity)
     for inadmissible iterates.  operator_fn(state) returns the Jacobian action
-    (dphi, db) -> field and the b-column weight field.
+    (dphi, db) -> field, the b-column weight field and the flat-Laplacian
+    scale c of the preconditioner.
     """
     npts = grid.num_points
     phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
@@ -203,7 +209,7 @@ def _newton_loop(grid, cfg, residual_fn, operator_fn, initial_phi, initial_b, pr
     for _ in range(cfg.max_iterations):
         if res <= cfg.tolerance:
             return phi, b, history, state, trace
-        apply_A, bcol = operator_fn(state)
+        apply_A, bcol, c = operator_fn(state)
 
         def matvec(v):
             dphi = v[:-1].reshape(grid.shape)
@@ -212,7 +218,7 @@ def _newton_loop(grid, cfg, residual_fn, operator_fn, initial_phi, initial_b, pr
             return np.concatenate([row.ravel(), [dphi.mean()]])
 
         A_op = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
-        M = _make_preconditioner(grid, precond_c_fn(state), bcol)
+        M = _make_preconditioner(grid, c, bcol)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = max(cfg.linear_rtol, min(1e-3, 1e-3 * res))
         sol, info = gmres(A_op, rhs, M=M, rtol=rtol, atol=0.0, maxiter=cfg.linear_maxiter)
@@ -271,32 +277,30 @@ def solve_ma2(
         gt = 0.5 * (gt + np.conj(np.swapaxes(gt, -1, -2)))
         if not is_positive_definite(gt):
             raise SolverError("positivity lost", [], phi, b)
-        detgt = np.linalg.det(gt).real
+        detgt = smallmat.det(gt)
         R = detgt - np.exp(b) * eF_detg
         return R, (gt, detgt)
 
     def operator(state):
         gt, detgt = state
-        inv_gt = np.linalg.inv(gt)
+        inv_gt = smallmat.inverse(gt)
 
         def apply_A(v):
             Hv = hessian_values(v.astype(np.complex128), grid)
             return (detgt * np.einsum("...ij,...ji->...", inv_gt, Hv)).real
 
-        return apply_A, detgt
-
-    def precond_c(state):
-        gt, detgt = state
-        return float(np.mean(detgt * np.einsum("...ii->...", np.linalg.inv(gt)).real) / grid.n)
+        c = float(np.mean(detgt * np.einsum("...ii->...", inv_gt).real) / grid.n)
+        return apply_A, detgt, c
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, operator, phi0, b0, precond_c)
+    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, operator, phi0, b0)
     return MASolution(
         ScalarField(grid, phi.astype(np.complex128)),
         b,
         history,
-        HermitianMetricField(grid, state[0]),
+        # residual() symmetrised gt and checked its positivity
+        HermitianMetricField._unchecked(grid, state[0]),
         trace,
     )
 
@@ -319,7 +323,7 @@ def solve_ma3(
     n = grid.n
     if n != 3:
         raise MetricError("the form-type solver is implemented for n = 3")
-    if classify(g0, kahler_tol).kahler_residual > kahler_tol:
+    if d_max_norm(g0.fundamental_form()) > kahler_tol:
         raise MetricError(f"reference metric is not Kahler at tolerance {kahler_tol:g}")
 
     omega = g.fundamental_form()
@@ -342,22 +346,10 @@ def solve_ma3(
         lam = lam_of(phi)
         if not is_positive_definite(lam):
             raise SolverError("(n-1)-positivity lost", [], phi, b)
-        detlam = np.linalg.det(lam).real
+        detlam = smallmat.det(lam)
         dets = detlam**root_exp  # = det of the root metric = omegat^n / omega_flat-normalization
         R = dets - np.exp(b) * eF_detg
         return R, (lam, dets)
-
-    def operator(state):
-        lam, dets = state
-        inv_lam = np.linalg.inv(lam)
-        scale = root_exp * dets
-
-        def apply_A(v):
-            dphi_form = wedge(hess_form(v), om0_pow)
-            dlam = form_to_matrix(dphi_form)
-            return (scale * np.einsum("...ij,...ji->...", inv_lam, dlam)).real
-
-        return apply_A, dets
 
     # identity-Hessian response fixes the preconditioner scale
     id_form = FormField(
@@ -365,15 +357,22 @@ def solve_ma3(
     )
     dlam_id = form_to_matrix(wedge(id_form, om0_pow))
 
-    def precond_c(state):
+    def operator(state):
         lam, dets = state
-        inv_lam = np.linalg.inv(lam)
+        inv_lam = smallmat.inverse(lam)
+        scale = root_exp * dets
+
+        def apply_A(v):
+            dphi_form = wedge(hess_form(v), om0_pow)
+            dlam = form_to_matrix(dphi_form)
+            return (scale * np.einsum("...ij,...ji->...", inv_lam, dlam)).real
+
         tr = np.einsum("...ij,...ji->...", inv_lam, dlam_id).real
-        return float(np.mean(root_exp * dets * tr) / n)
+        return apply_A, dets, float(np.mean(scale * tr) / n)
 
     b0 = float(np.log(np.mean(g.det()) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, operator, phi0, b0, precond_c)
+    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, operator, phi0, b0)
     lam, _ = state
     metric_out = hodge_root(matrix_to_form(grid, lam))
     return MASolution(ScalarField(grid, phi.astype(np.complex128)), b, history, metric_out, trace)

@@ -15,22 +15,23 @@ from .grid import (
     _z_symbols,
 )
 from .forms import FormField, basis_keys, d_max_norm, exterior_d, insert_sign, wedge_power
+from . import smallmat
 
 POSITIVITY_FLOOR = 1e-12
+HERMITIAN_TOL = 1e-10  # relative to max(1, max |g|)
 
 
 class MetricError(ValueError):
     pass
 
 
-def leading_minors(g: np.ndarray) -> list[np.ndarray]:
-    """Leading principal minors (real parts) of a (..., n, n) Hermitian field."""
-    n = g.shape[-1]
-    return [np.linalg.det(g[..., :k, :k]).real for k in range(1, n + 1)]
-
-
 def is_positive_definite(g: np.ndarray, floor: float = POSITIVITY_FLOOR) -> bool:
-    return all(np.min(m) > floor for m in leading_minors(g))
+    return all(np.min(m) > floor for m in smallmat.leading_minors(g))
+
+
+def hermitian_defect(g: np.ndarray) -> float:
+    """max |g - g^H| over the field."""
+    return float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
 
 
 @dataclass(frozen=True)
@@ -46,25 +47,43 @@ class HermitianMetricField:
         want = self.grid.shape + (n, n)
         if arr.shape != want:
             raise MetricError(f"metric shape {arr.shape} != {want}")
-        herm_defect = np.max(np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))))
-        if herm_defect > 1e-10 * max(1.0, np.max(np.abs(arr))):
-            raise MetricError(f"metric not Hermitian (defect {herm_defect:.3e})")
+        finite = np.isfinite(arr).all(axis=tuple(range(arr.ndim - 2)))
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise MetricError(f"metric entry g[{i + 1}][{j + 1}] is not finite at some grid point")
+        defect = hermitian_defect(arr)
+        if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(arr))):
+            raise MetricError(f"metric not Hermitian (defect {defect:.3e})")
         if not is_positive_definite(arr):
             raise MetricError("metric not positive definite at some grid point")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "g", arr)
 
+    @classmethod
+    def _unchecked(cls, grid: PeriodicGrid, g: np.ndarray) -> "HermitianMetricField":
+        """Wrap a complex128 field the caller has just shown to be Hermitian and
+        positive definite, without the re-check or the copy; g becomes read-only.
+
+        Internal to the solvers and the flow: every field arriving from outside
+        goes through the public constructor.
+        """
+        field = object.__new__(cls)
+        g.setflags(write=False)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "g", g)
+        return field
+
     @property
     def n(self) -> int:
         return self.grid.n
 
     def det(self) -> np.ndarray:
-        return np.linalg.det(self.g).real
+        return smallmat.det(self.g)
 
     def inverse(self) -> np.ndarray:
         """inv(g) as a plain matrix field: sum_j inv[i,j] g[j,k] = delta_ik."""
-        return np.linalg.inv(self.g)
+        return smallmat.inverse(self.g)
 
     def fundamental_form(self) -> FormField:
         """omega = sqrt(-1) sum g_{i jbar} dz_i wedge dzbar_j."""
@@ -148,7 +167,7 @@ def chern_connection(g: HermitianMetricField) -> ChernConnectionField:
             for l in range(n):
                 dg[..., i, j, l] = partial_z_values(g.g[..., j, l], g.grid, i + 1)
     # g^{k lbar}: sum_l up[k, l] g_{m lbar} = delta_km  =>  up = inv(g^T)
-    up = np.linalg.inv(np.swapaxes(g.g, -1, -2))
+    up = smallmat.inverse(np.swapaxes(g.g, -1, -2))
     gamma = np.einsum("...kl,...ijl->...kij", up, dg)
     return ChernConnectionField(g.grid, gamma)
 
@@ -173,7 +192,7 @@ def parallel_section_check(g: HermitianMetricField, ell: int) -> ParallelSection
     n = g.n
     eta2 = g.det() ** (-float(ell))
     # g^{i jbar} defined by g^{i jbar} g_{k jbar} = delta_ik
-    up = np.linalg.inv(np.swapaxes(g.g, -1, -2))
+    up = smallmat.inverse(np.swapaxes(g.g, -1, -2))
     H = hessian_values(eta2.astype(np.complex128), g.grid)
     lhs = np.einsum("...ij,...ij->...", up, H)
 

@@ -71,7 +71,10 @@ def dump_field(path, f: ScalarField) -> None:
 
 
 def load_field(path) -> ScalarField:
+    """Read a dump written by dump_field; ValueError on a malformed file."""
     blob = Path(path).read_bytes()
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"field dump is {len(blob)} bytes, shorter than its header")
     magic, version, n, *sizes = _HEADER.unpack(blob[: _HEADER.size])
     if magic != MAGIC:
         raise ValueError(f"bad field dump magic {magic!r}")
@@ -79,6 +82,13 @@ def load_field(path) -> ScalarField:
         raise ValueError(f"unsupported field dump version {version}")
     sizes = tuple(s for s in sizes if s > 0)
     grid = PeriodicGrid(n, sizes)
-    pairs = np.frombuffer(blob[_HEADER.size :], dtype="<f8")
+    payload = len(blob) - _HEADER.size
+    if payload != 16 * grid.num_points:
+        raise ValueError(
+            f"field dump payload is {payload} bytes; the header's grid {sizes} needs {16 * grid.num_points}"
+        )
+    pairs = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    if not np.isfinite(pairs).all():
+        raise ValueError("field dump holds non-finite values")
     values = (pairs[0::2] + 1j * pairs[1::2]).reshape(grid.shape)
     return ScalarField(grid, values)

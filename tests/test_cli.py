@@ -155,6 +155,29 @@ def test_flow_command(bump_spec, tmp_path, capsys):
     assert (outdir / "g_11.fld").exists()
 
 
+def test_flow_stops_with_exit_2_on_a_non_hermitian_step(tmp_path, capsys):
+    # g varies in x1 and x2: the spectral Hessian is not Hermitian at the
+    # Nyquist wavenumber, so the flow cannot go on; that is not an input error
+    p = tmp_path / "twoaxis.hwspec"
+    p.write_text(
+        BUMP.replace("sizes = 1 32 1 1", "sizes = 16 16 1 1").replace(
+            "g[2][2] = 1", "g[2][2] = 1 + 0.3*cos(2*pi*x1)"
+        ),
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "flow", "--spec", str(p), "--grid", "16,16,1,1")
+    assert code == 2
+    assert re.search(r"converged:\n\s+value: false", out)
+    assert "not Hermitian" in out
+
+
+def test_non_finite_metric_expression_exits_1(tmp_path, capsys):
+    p = tmp_path / "overflow.hwspec"
+    p.write_text(FLAT.replace("g[1][1] = 1", "g[1][1] = 1 + exp(1000)*x1"), encoding="utf-8")
+    assert main(["classify", "--spec", str(p)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_grid_override(bump_spec, capsys):
     code, out = run(capsys, "classify", "--spec", bump_spec, "--grid", "1,16,1,1")
     assert code == 0

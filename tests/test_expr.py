@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermweb.expr import (
@@ -176,6 +176,7 @@ def test_print_parse_round_trip_property(ast):
 
 @settings(max_examples=50, deadline=None)
 @given(_ast)
+@example(Call("sin", Pow(Num(2.225073858507e-311), -1.0)))  # 1/subnormal overflows, sin(inf) = nan
 def test_evaluate_is_pure(ast):
     grid = PeriodicGrid(2, (8, 8, 1, 1))
     try:
@@ -190,3 +191,20 @@ def test_evaluate_on_grid_shapes():
     grid = PeriodicGrid(2, (8, 1, 16, 1))
     f = evaluate(parse("cos(2 * pi * x1) + y1", 2), grid)
     assert f.values.shape == grid.shape
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exp(1000)",
+        "1e999",
+        "1 / 2.225073858507e-311",
+        "2.225073858507e-311^-1.0",
+        "(10^200)^2",
+        "sin(exp(800) * x1)",
+    ],
+)
+def test_evaluate_rejects_non_finite_values(text):
+    grid = PeriodicGrid(2, (8, 8, 1, 1))
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        evaluate(parse(text, 2), grid)

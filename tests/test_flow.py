@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermweb.flow import FlowError, flow_state, flow_step, run_flow
+from hermweb.flow import FlowError, FlowState, StepRejected, flow_state, flow_step, run_flow
 from hermweb.grid import PeriodicGrid
 from hermweb.ma import solve_ma2
 from hermweb.metric import (
@@ -10,6 +10,7 @@ from hermweb.metric import (
     chern_ricci,
     identity_metric,
     ricci_potential,
+    ricci_tensor,
 )
 
 from helpers import bump_metric
@@ -84,3 +85,41 @@ def test_run_flow_step_cap():
     g = bump_metric(GRID)
     with pytest.raises(FlowError):
         run_flow(g, tol=1e-12, dt0=default_dt(GRID), max_steps=3)
+
+
+def test_flow_step_computes_ricci_twice(monkeypatch):
+    # k1 comes from the state; k2 and the new state's tensor are the two calls
+    import hermweb.flow
+
+    state = flow_state(bump_metric(GRID))
+    calls = []
+    monkeypatch.setattr(hermweb.flow, "ricci_tensor", lambda g: calls.append(g) or ricci_tensor(g))
+    flow_step(state, default_dt(GRID))
+    assert len(calls) == 2
+    calls.clear()
+    final, history = run_flow(bump_metric(GRID), tol=1e-3, dt0=default_dt(GRID), max_steps=1000)
+    assert len(calls) == 1 + 2 * (len(history) - 1)
+
+
+def test_flow_state_carries_its_ricci_tensor():
+    g = bump_metric(GRID)
+    state = flow_state(g)
+    assert np.array_equal(state.ricci, ricci_tensor(g))
+    bare = FlowState(state.t, state.g, state.ricci_norm)
+    assert np.array_equal(flow_step(bare, 1e-3).g.g, flow_step(state, 1e-3).g.g)
+
+
+def test_non_hermitian_step_stops_the_flow_without_retry():
+    # The Hessian of a field varying in x1 and x2 is not Hermitian at the
+    # Nyquist wavenumber, so the first step leaves the Hermitian metrics.
+    g = np.zeros(GRID.shape + (2, 2), dtype=np.complex128)
+    x1 = GRID.coordinate(0)
+    x2 = GRID.coordinate(1)
+    g[..., 0, 0] = 1 + 0.3 * np.cos(2 * np.pi * x2)
+    g[..., 1, 1] = 1 + 0.3 * np.cos(2 * np.pi * x1)
+    g0 = HermitianMetricField(GRID, g)
+    with pytest.raises(FlowError, match="not Hermitian") as exc_info:
+        run_flow(g0, tol=1e-6, dt0=default_dt(GRID), max_steps=100)
+    assert not isinstance(exc_info.value, StepRejected)
+    assert exc_info.value.state.t == 0.0
+    assert exc_info.value.state.g is g0

@@ -41,6 +41,46 @@ def test_metric_validation():
         HermitianMetricField(grid, neg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_metric_rejects_non_finite_entries_by_name(bad):
+    grid = PeriodicGrid(2, (8, 1, 8, 1))
+    g = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
+    g[..., 0, 0] = g[..., 1, 1] = 1.0
+    g[3, 0, 5, 0, 0, 1] = bad  # also breaks the symmetry, which is checked later
+    with pytest.raises(MetricError, match=r"g\[1\]\[2\] is not finite"):
+        HermitianMetricField(grid, g)
+
+
+def test_unchecked_path_is_internal(monkeypatch):
+    """Fields from outside keep every check: the spec loader, the report
+    reader and the public constructors never take the unchecked path."""
+    import inspect
+
+    import hermweb.report
+    import hermweb.specfile
+
+    for module in (hermweb.specfile, hermweb.report):
+        assert "_unchecked" not in inspect.getsource(module)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unchecked path reached")
+
+    monkeypatch.setattr(HermitianMetricField, "_unchecked", classmethod(refuse))
+    g = bump_metric(GRID2)
+    identity_metric(GRID2)
+    metric_from_form(g.fundamental_form())
+    conformal_flatten(g)
+    spec = hermweb.specfile.loads(
+        "[manifold]\nname = t\nn = 2\nsizes = 8 8 1 1\n"
+        "[metric]\ng[1][1] = 1 + 0.5*cos(2*pi*x2)\ng[2][2] = 1\n"
+        "[reference]\ng[1][1] = 1\ng[2][2] = 1\n"
+    )
+    spec.build_metric()
+    spec.build_reference()
+    with pytest.raises(MetricError, match="positive definite"):
+        HermitianMetricField(GRID2, -g.g)
+
+
 def test_identity_metric_is_flat_and_kahler():
     g = identity_metric(GRID2)
     assert ricci_norm(g) < 1e-14

@@ -83,6 +83,31 @@ def test_load_field_rejects_bad_magic(tmp_path):
         load_field(path)
 
 
+def test_load_field_checks_payload_against_header(tmp_path):
+    grid = PeriodicGrid(2, (8, 1, 8, 1))
+    path = tmp_path / "f.fld"
+    dump_field(path, ScalarField(grid, np.ones(grid.shape)))
+    raw = path.read_bytes()
+    for blob, message in [
+        (raw[:-16], "payload is 1008 bytes"),
+        (raw + b"\x00" * 8, "payload is 1032 bytes"),
+        (raw[:20], "shorter than its header"),
+    ]:
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=message):
+            load_field(path)
+
+
+def test_load_field_rejects_non_finite_values(tmp_path):
+    grid = PeriodicGrid(2, (8, 1, 8, 1))
+    path = tmp_path / "f.fld"
+    vals = np.ones(grid.shape, dtype=np.complex128)
+    vals[2, 0, 3, 0] = complex(1.0, np.nan)
+    dump_field(path, ScalarField(grid, vals))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_field(path)
+
+
 def test_sha256_digest_format():
     d = sha256_digest(b"hello")
     assert d.startswith("sha256:")
