@@ -1,35 +1,45 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
-HERMWEB_THREADS caps the BLAS/FFT thread pool (must be read before numpy
-spins up, hence the deferred imports below).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 
-def _cap_threads():
-    cap = os.environ.get("HERMWEB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()
-
-
-VERSION = "0.1.0"
+from . import __version__
+from . import report as rpt
+from .flow import FlowError, run_flow
+from .grid import ScalarField
+from .ma import SolverConfig, SolverError, solve_ma2, solve_ma3
+from .metric import (
+    bott_chern_defect,
+    chern_ricci,
+    classify,
+    conformal_flatten,
+    ricci_norm,
+    ricci_potential,
+)
+from .models import (
+    flat_volume_descent_check,
+    hopf_check,
+    hopf_points,
+    nakamura_check,
+    nakamura_samples,
+    yoshihara_check,
+)
+from .specfile import SpecError, load_spec
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hermweb", description=__doc__)
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, spec=True):
@@ -68,13 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    import numpy as np
-
-    from . import report as rpt
-    from .specfile import SpecError, load_spec
-
     t_start = time.time()
-    out = {"version": VERSION, "command": args.command}
+    out = {"version": __version__, "command": args.command}
     rows_csv = None
     fields = {}
     exit_code = 0
@@ -86,7 +91,6 @@ def main(argv=None) -> int:
             with open(args.spec, "rb") as fh:
                 out["spec_digest"] = rpt.sha256_digest(fh.read())
             out["spec_name"] = spec.name
-        np.random.seed(args.seed)
         results, rows_csv, fields, exit_code = _dispatch(args, spec)
         out["results"] = results
     except (SpecError, FileNotFoundError, ValueError) as exc:
@@ -108,37 +112,12 @@ def main(argv=None) -> int:
 
 
 def _ensure_dir(path):
-    from pathlib import Path
-
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
 
 
 def _dispatch(args, spec):
-    import numpy as np
-
-    from .flow import FlowError, run_flow
-    from .grid import ScalarField
-    from .ma import SolverConfig, SolverError, solve_ma2, solve_ma3
-    from .metric import (
-        bott_chern_defect,
-        chern_ricci,
-        classify,
-        conformal_flatten,
-        ricci_norm,
-        ricci_potential,
-    )
-    from .specfile import SpecError
-    from .models import (
-        flat_volume_descent_check,
-        hopf_check,
-        hopf_points,
-        nakamura_check,
-        nakamura_samples,
-        yoshihara_check,
-    )
-
     cmd = args.command
 
     if cmd == "verify-example":
@@ -250,8 +229,6 @@ def _history_rows(history):
 
 
 def _default_dt(grid):
-    import numpy as np
-
     # explicit RK2 stability for the spectral complex Laplacian
     kmax2 = sum((grid.sizes[a] // 2) ** 2 for a in grid.active_axes)
     return 2.0 / (np.pi**2 * kmax2)

@@ -21,21 +21,22 @@ class FormError(ValueError):
     pass
 
 
-def merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
-    """Sort the concatenation of two increasing index tuples.
+def sort_sign(idx: tuple[int, ...]):
+    """Sort a tuple of indices: (sorted_tuple, parity sign of the sorting
+    permutation), or (None, 0) when an index repeats.
 
-    Returns (merged_tuple, sign) or (None, 0) when an index repeats.
+    The one parity routine of the package; every wedge sign comes from it.
     """
-    if set(a) & set(b):
+    if len(set(idx)) != len(idx):
         return None, 0
-    sign = 1
-    # count transpositions needed to interleave b into a
-    for pos, jb in enumerate(b):
-        crossings = sum(1 for ja in a if ja > jb) + sum(1 for jb2 in b[:pos] if jb2 > jb)
-        # jb moves left past `crossings` larger indices
-        sign *= -1 if crossings % 2 else 1
-    merged = tuple(sorted(a + b))
-    return merged, sign
+    inversions = sum(a > b for pos, a in enumerate(idx) for b in idx[pos + 1:])
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
+
+
+def merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
+    """Sort the concatenation of two index tuples: (merged_tuple, sign), or
+    (None, 0) when an index repeats."""
+    return sort_sign(a + b)
 
 
 def insert_sign(k: int, idx: tuple[int, ...]):
@@ -73,8 +74,8 @@ class FormField:
 
     def coefficient(self, I, J) -> np.ndarray:
         """Coefficient on dz^I wedge dzbar^J; I, J need not be sorted."""
-        sI, sgI = _sort_sign(tuple(I))
-        sJ, sgJ = _sort_sign(tuple(J))
+        sI, sgI = sort_sign(tuple(I))
+        sJ, sgJ = sort_sign(tuple(J))
         if sI is None or sJ is None:
             return np.zeros(self.grid.shape, dtype=np.complex128)
         arr = self.coeffs.get((sI, sJ))
@@ -114,26 +115,6 @@ class FormField:
     def is_real(self, tol: float = 1e-12) -> bool:
         scale = max(1.0, self.max_norm())
         return (self - self.conjugated()).max_norm() <= tol * scale
-
-
-def _sort_sign(idx: tuple[int, ...]):
-    if len(set(idx)) != len(idx):
-        return None, 0
-    s = tuple(sorted(idx))
-    perm = sorted(range(len(idx)), key=lambda t: idx[t])
-    sign = 1
-    seen = [False] * len(idx)
-    for start in range(len(idx)):
-        if seen[start]:
-            continue
-        cyc, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cyc += 1
-        if cyc % 2 == 0:
-            sign = -sign
-    return s, sign
 
 
 def zero_form(grid: PeriodicGrid, p: int, q: int) -> FormField:

@@ -6,9 +6,20 @@ solve_ma3 (n = 3, Kahler reference) finds (phi, b) with
     omegat^n = e^{F+b} omega^n,
 recovering omegat through the pointwise Michelsohn (n-1)-root.
 
-Both use damped Newton iterations; the linearized elliptic systems are
-solved by preconditioned GMRES with a flat-Laplacian Fourier preconditioner,
-with the constant b carried as an extra unknown in a bordered system.
+solve_ma3 works on matrix fields.  form_to_matrix sends omega_g^{n-1} to
+adj g, so for n = 3 the (n-1, n-1)-form above becomes
+    Lambda(phi) = adj g + 1/2 M(Hess phi, g0),
+with M(A, B) = adj(A + B) - adj A - adj B the polarised adjugate
+(smallmat.mixed_adjugate).  The form path (form_to_matrix, matrix_to_form,
+hodge_root) stays the public API and is the tests' oracle for this identity.
+
+Both use damped Newton iterations with one linearisation,
+    dR[v] = w Re tr(K Hess v),
+where K = gt^{-1}, w = det gt for solve_ma2 and, since
+tr(P M(H, B)) = tr(M(P, B) H), K = M(Lambda^{-1}, g0) / (2 (n-1)),
+w = det(Lambda)^{1/(n-1)} for solve_ma3.  The linear systems are solved by
+GMRES with a flat-Laplacian Fourier preconditioner, with the constant b
+carried as an extra unknown in a bordered system.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import smallmat
 from .grid import PeriodicGrid, ScalarField, hessian_values, _z_symbols
-from .forms import FormField, basis_keys, d_max_norm, wedge, wedge_power, zero_form, merge_sign
+from .forms import FormField, d_max_norm, merge_sign, sort_sign
 from .metric import HermitianMetricField, MetricError, is_positive_definite
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
@@ -77,36 +88,27 @@ def _duality_table(n: int) -> dict:
         s * dz^K wedge dzbar^L wedge (i dz_l wedge dzbar_k) = vol,
     where vol = prod_m (i dz_m wedge dzbar_m).
     """
-    # reference sign: vol as a coefficient on (dz^{0..n-1}, dzbar^{0..n-1})
-    # built by explicit wedge of the n factors i dz_m dzbar_m
     table = {}
     full = tuple(range(n))
+    vol = volume_coefficient(n)
     for k in range(n):
         for l in range(n):
             K = tuple(m for m in full if m != l)
             L = tuple(m for m in full if m != k)
-            # sign of dz^K dzbar^L wedge dz_l dzbar_k -> dz^full dzbar^full
+            # sign of dz^K dzbar^L wedge dz_l dzbar_k -> dz^full dzbar^full;
+            # dz_l moves left past the n - 1 factors of dzbar^L
             _, sI = merge_sign(K, (l,))
             _, sJ = merge_sign(L, (k,))
-            cross = -1.0 if (len(L) * 1) % 2 else 1.0  # dz_l past dzbar^L
-            pair_sign = sI * sJ * cross
-            vol_coeff = (1j**n) * _interleave_sign(n)
-            # s * pair_sign * i = vol_coeff
-            s = vol_coeff / (pair_sign * 1j)
-            table[(k, l)] = (K, L, s)
+            pair_sign = sI * sJ * (-1.0 if len(L) % 2 else 1.0)
+            table[(k, l)] = (K, L, vol / (pair_sign * 1j))
     return table
-
-
-def _interleave_sign(n: int) -> float:
-    """Sign relating dz_1 dzbar_1 ... dz_n dzbar_n to dz^{1..n} wedge dzbar^{1..n}."""
-    # moving dzbar_m left past (n - m) dz factors, m = 1..n (1-based)
-    swaps = sum(n - m for m in range(1, n + 1))
-    return -1.0 if swaps % 2 else 1.0
 
 
 def volume_coefficient(n: int) -> complex:
     """Coefficient of prod_m (i dz_m dzbar_m) on the (full, full) basis key."""
-    return (1j**n) * _interleave_sign(n)
+    # dzbar_m is generator n + m; sort dz_0 dzbar_0 ... dz_{n-1} dzbar_{n-1}
+    _, sign = sort_sign(tuple(gen for m in range(n) for gen in (m, n + m)))
+    return (1j**n) * sign
 
 
 def form_to_matrix(phi: FormField) -> np.ndarray:
@@ -137,8 +139,13 @@ def matrix_to_form(grid: PeriodicGrid, lam: np.ndarray) -> FormField:
 
 def hodge_root(phi: FormField) -> HermitianMetricField:
     """Michelsohn (n-1)-root: the metric G with omega_G^{n-1} = phi."""
-    n = phi.grid.n
-    lam = form_to_matrix(phi)
+    return _michelsohn_root(phi.grid, form_to_matrix(phi))
+
+
+def _michelsohn_root(grid: PeriodicGrid, lam: np.ndarray) -> HermitianMetricField:
+    """The metric G with form_to_matrix(omega_G^{n-1}) = lam, that is
+    adj G = lam: G = det(lam)^{1/(n-1)} lam^{-1}."""
+    n = grid.n
     lam = 0.5 * (lam + np.conj(np.swapaxes(lam, -1, -2)))
     if not np.isfinite(lam).all():
         raise MetricError("(n-1, n-1)-form has non-finite coefficients")
@@ -148,7 +155,7 @@ def hodge_root(phi: FormField) -> HermitianMetricField:
     # a positive multiple of inv(lam) is Hermitian to round-off and
     # positive definite, as lam is
     G = det[..., None, None] ** (1.0 / (n - 1)) * smallmat.inverse(lam)
-    return HermitianMetricField._unchecked(phi.grid, G)
+    return HermitianMetricField._unchecked(grid, G)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +195,16 @@ def _make_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray):
     return LinearOperator((npts + 1, npts + 1), matvec=apply, dtype=np.float64)
 
 
-def _newton_loop(grid, cfg, residual_fn, operator_fn, initial_phi, initial_b):
+def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
     """Damped Newton iteration over (phi, b) for residual_fn(phi, b).
 
     residual_fn returns (R, state) where R is the pointwise equation residual
-    and state is whatever operator_fn needs; it raises SolverError (positivity)
-    for inadmissible iterates.  operator_fn(state) returns the Jacobian action
-    (dphi, db) -> field, the b-column weight field and the flat-Laplacian
-    scale c of the preconditioner.
+    and state is whatever coefficients_fn needs; it raises SolverError
+    (positivity) for inadmissible iterates.  coefficients_fn(state) returns
+    the matrix field K and the weight field w of the linearised residual
+        (dphi, db) -> w Re tr(K Hess dphi) - db w;
+    the border column -w is exact at a solution, where e^b e^F det g = w.
+    The preconditioner inverts c times the flat Laplacian, c = mean(w tr K)/n.
     """
     npts = grid.num_points
     phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
@@ -209,16 +218,17 @@ def _newton_loop(grid, cfg, residual_fn, operator_fn, initial_phi, initial_b):
     for _ in range(cfg.max_iterations):
         if res <= cfg.tolerance:
             return phi, b, history, state, trace
-        apply_A, bcol, c = operator_fn(state)
+        K, w = coefficients_fn(state)
+        c = float(np.mean(w * np.einsum("...ii->...", K).real) / grid.n)
 
         def matvec(v):
             dphi = v[:-1].reshape(grid.shape)
-            db = v[-1]
-            row = apply_A(dphi) - db * bcol
+            Hv = hessian_values(dphi.astype(np.complex128), grid)
+            row = (w * np.einsum("...ij,...ji->...", K, Hv)).real - v[-1] * w
             return np.concatenate([row.ravel(), [dphi.mean()]])
 
         A_op = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
-        M = _make_preconditioner(grid, c, bcol)
+        M = _make_preconditioner(grid, c, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = max(cfg.linear_rtol, min(1e-3, 1e-3 * res))
         sol, info = gmres(A_op, rhs, M=M, rtol=rtol, atol=0.0, maxiter=cfg.linear_maxiter)
@@ -281,20 +291,13 @@ def solve_ma2(
         R = detgt - np.exp(b) * eF_detg
         return R, (gt, detgt)
 
-    def operator(state):
+    def coefficients(state):
         gt, detgt = state
-        inv_gt = smallmat.inverse(gt)
-
-        def apply_A(v):
-            Hv = hessian_values(v.astype(np.complex128), grid)
-            return (detgt * np.einsum("...ij,...ji->...", inv_gt, Hv)).real
-
-        c = float(np.mean(detgt * np.einsum("...ii->...", inv_gt).real) / grid.n)
-        return apply_A, detgt, c
+        return smallmat.inverse(gt), detgt
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, operator, phi0, b0)
+    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
     return MASolution(
         ScalarField(grid, phi.astype(np.complex128)),
         b,
@@ -326,55 +329,30 @@ def solve_ma3(
     if d_max_norm(g0.fundamental_form()) > kahler_tol:
         raise MetricError(f"reference metric is not Kahler at tolerance {kahler_tol:g}")
 
-    omega = g.fundamental_form()
-    phi_base = wedge_power(omega, n - 1)
-    om0_pow = wedge_power(g0.fundamental_form(), n - 2) if n - 2 >= 2 else g0.fundamental_form()
+    adj_g = 0.5 * smallmat.mixed_adjugate(g.g, g.g)  # M(g, g) = 2 adj g
     Fv = F.values.real
     eF_detg = np.exp(Fv) * g.det()
     root_exp = 1.0 / (n - 1)
 
-    def hess_form(v):
-        H = hessian_values(v.astype(np.complex128), grid)
-        coeffs = {((i,), (j,)): 1j * H[..., i, j] for i in range(n) for j in range(n)}
-        return FormField(grid, 1, 1, coeffs)
-
-    def lam_of(v):
-        lam = form_to_matrix(phi_base + wedge(hess_form(v), om0_pow))
-        return 0.5 * (lam + np.conj(np.swapaxes(lam, -1, -2)))
-
     def residual(phi, b):
-        lam = lam_of(phi)
+        H = hessian_values(phi.astype(np.complex128), grid)
+        lam = adj_g + 0.5 * smallmat.mixed_adjugate(H, g0.g)
+        lam = 0.5 * (lam + np.conj(np.swapaxes(lam, -1, -2)))
         if not is_positive_definite(lam):
             raise SolverError("(n-1)-positivity lost", [], phi, b)
-        detlam = smallmat.det(lam)
-        dets = detlam**root_exp  # = det of the root metric = omegat^n / omega_flat-normalization
+        dets = smallmat.det(lam) ** root_exp  # det of the root metric
         R = dets - np.exp(b) * eF_detg
         return R, (lam, dets)
 
-    # identity-Hessian response fixes the preconditioner scale
-    id_form = FormField(
-        grid, 1, 1, {((i,), (i,)): 1j * np.ones(grid.shape) for i in range(n)}
-    )
-    dlam_id = form_to_matrix(wedge(id_form, om0_pow))
-
-    def operator(state):
+    def coefficients(state):
         lam, dets = state
-        inv_lam = smallmat.inverse(lam)
-        scale = root_exp * dets
-
-        def apply_A(v):
-            dphi_form = wedge(hess_form(v), om0_pow)
-            dlam = form_to_matrix(dphi_form)
-            return (scale * np.einsum("...ij,...ji->...", inv_lam, dlam)).real
-
-        tr = np.einsum("...ij,...ji->...", inv_lam, dlam_id).real
-        return apply_A, dets, float(np.mean(scale * tr) / n)
+        K = (0.5 * root_exp) * smallmat.mixed_adjugate(smallmat.inverse(lam), g0.g)
+        return K, dets
 
     b0 = float(np.log(np.mean(g.det()) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, operator, phi0, b0)
-    lam, _ = state
-    metric_out = hodge_root(matrix_to_form(grid, lam))
+    phi, b, history, state, trace = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
+    metric_out = _michelsohn_root(grid, state[0])
     return MASolution(ScalarField(grid, phi.astype(np.complex128)), b, history, metric_out, trace)
 
 

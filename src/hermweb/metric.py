@@ -10,7 +10,6 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     hessian_values,
-    mean,
     partial_z_values,
     _z_symbols,
 )
@@ -150,16 +149,9 @@ def conformal_flatten(g: HermitianMetricField) -> HermitianMetricField:
     return HermitianMetricField(g.grid, scale[..., None, None] * g.g)
 
 
-@dataclass(frozen=True)
-class ChernConnectionField:
-    """Connection coefficients Gamma[..., k, i, j] = Gamma^k_{ij}."""
-
-    grid: PeriodicGrid
-    gamma: np.ndarray
-
-
-def chern_connection(g: HermitianMetricField) -> ChernConnectionField:
-    """Gamma^k_{ij} = g^{k lbar} d g_{j lbar} / dz_i."""
+def chern_connection(g: HermitianMetricField) -> np.ndarray:
+    """Connection coefficients Gamma[..., k, i, j] = Gamma^k_{ij}
+    = g^{k lbar} d g_{j lbar} / dz_i."""
     n = g.n
     dg = np.empty(g.grid.shape + (n, n, n), dtype=np.complex128)  # [i, j, l]
     for i in range(n):
@@ -168,8 +160,7 @@ def chern_connection(g: HermitianMetricField) -> ChernConnectionField:
                 dg[..., i, j, l] = partial_z_values(g.g[..., j, l], g.grid, i + 1)
     # g^{k lbar}: sum_l up[k, l] g_{m lbar} = delta_km  =>  up = inv(g^T)
     up = smallmat.inverse(np.swapaxes(g.g, -1, -2))
-    gamma = np.einsum("...kl,...ijl->...kij", up, dg)
-    return ChernConnectionField(g.grid, gamma)
+    return np.einsum("...kl,...ijl->...kij", up, dg)
 
 
 @dataclass(frozen=True)
@@ -196,7 +187,7 @@ def parallel_section_check(g: HermitianMetricField, ell: int) -> ParallelSection
     H = hessian_values(eta2.astype(np.complex128), g.grid)
     lhs = np.einsum("...ij,...ij->...", up, H)
 
-    gamma = chern_connection(g).gamma
+    gamma = chern_connection(g)
     a = np.einsum("...jij->...i", gamma)  # trace Gamma^j_{ij}, a (1,0)-form
     grad2 = (ell**2) * np.einsum("...ij,...i,...j->...", up, a, np.conj(a)).real * eta2
     R = ricci_tensor(g)

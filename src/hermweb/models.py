@@ -12,10 +12,11 @@ yoshihara_check / flat_volume_descent_check
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 import sympy
+
+from .forms import merge_sign, sort_sign
 
 DEGREE1_FD = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 DEGREE2_FD = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -174,13 +175,9 @@ def _elem_wedge(a: dict, b: dict) -> dict:
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            if set(ka) & set(kb):
-                continue
-            merged = tuple(sorted(ka + kb))
-            sign = 1
-            for pos, j in enumerate(kb):
-                sign *= -1 if (sum(1 for i in ka if i > j) + sum(1 for i in kb[:pos] if i > j)) % 2 else 1
-            out[merged] = out.get(merged, 0.0) + sign * va * vb
+            merged, sign = merge_sign(ka, kb)
+            if merged is not None:
+                out[merged] = out.get(merged, 0.0) + sign * va * vb
     return out
 
 
@@ -209,24 +206,8 @@ def nakamura_top_coefficient(z1: complex, t: complex) -> complex:
     cubed = _elem_wedge(_elem_wedge(omega, omega), omega)
     raw = cubed.get((0, 1, 2, 3, 4, 5), 0.0)
     # reorder sorted generators to dz_1 dzbar_1 dz_2 dzbar_2 dz_3 dzbar_3
-    sign = _permutation_sign((0, 3, 1, 4, 2, 5))
+    _, sign = sort_sign((0, 3, 1, 4, 2, 5))
     return complex(raw * sign)
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        length, j = 0, s
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def nakamura_samples(num: int, t_values, seed: int = 0) -> list[tuple[complex, complex]]:

@@ -1,5 +1,5 @@
 """Closed-form determinant, inverse and leading minors of Hermitian matrix
-fields (..., n, n) with n <= 3.
+fields (..., n, n) with n <= 3, and the polarised adjugate of 3x3 fields.
 
 Metrics here are 2x2 or 3x3 at every grid point.  Cofactor expansion costs a
 few whole-field array operations per entry, where a batched LAPACK call pays
@@ -20,9 +20,10 @@ def _entries(a: np.ndarray) -> list[list[np.ndarray]]:
     return [[a[..., i, j] for j in range(n)] for i in range(n)]
 
 
-def _cofactor3(e, i: int, j: int) -> np.ndarray:
+def _cofactor3(e, f, i: int, j: int) -> np.ndarray:
+    """Cofactor C[i, j] with its first factors from e, its second from f."""
     i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    return e[i1][j1] * e[i2][j2] - e[i1][j2] * e[i2][j1]
+    return e[i1][j1] * f[i2][j2] - e[i1][j2] * f[i2][j1]
 
 
 def _det(e) -> np.ndarray:
@@ -31,7 +32,7 @@ def _det(e) -> np.ndarray:
         return e[0][0].real
     if n == 2:
         return (e[0][0] * e[1][1] - e[0][1] * e[1][0]).real
-    c = [_cofactor3(e, 0, j) for j in range(3)]
+    c = [_cofactor3(e, e, 0, j) for j in range(3)]
     return (e[0][0] * c[0] + e[0][1] * c[1] + e[0][2] * c[2]).real
 
 
@@ -55,9 +56,26 @@ def inverse(a: np.ndarray) -> np.ndarray:
     else:
         for i in range(3):
             for j in range(3):
-                adj[..., j, i] = _cofactor3(e, i, j)
+                adj[..., j, i] = _cofactor3(e, e, i, j)
     adj /= _det(e)[..., None, None]
     return adj
+
+
+def mixed_adjugate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Polarised adjugate M(a, b) = adj(a + b) - adj a - adj b of 3x3 fields.
+
+    M is symmetric and bilinear, M(a, a) = 2 adj a, and
+    M(a, b) = (tr a tr b - tr ab) I - tr a b - tr b a + ab + ba.  Each cofactor
+    takes one factor from each field.
+    """
+    e, f = _entries(a), _entries(b)
+    if len(e) != 3 or len(f) != 3:
+        raise ValueError(f"need (..., 3, 3) fields, got shapes {a.shape} and {b.shape}")
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b, 1.0))
+    for i in range(3):
+        for j in range(3):
+            out[..., j, i] = _cofactor3(e, f, i, j) + _cofactor3(f, e, i, j)
+    return out
 
 
 def leading_minors(a: np.ndarray) -> list[np.ndarray]:

@@ -26,6 +26,8 @@ from hermweb.ma import (
     volume_coefficient,
 )
 
+from hermweb.smallmat import mixed_adjugate
+
 from helpers import (
     brute_wedge,
     form_to_generators,
@@ -214,8 +216,8 @@ def test_solve_ma2_flat_input_trivial():
 GRID3 = PeriodicGrid(3, (16, 16, 1, 1, 1, 1))
 
 
-def ma3_manufactured(grid, rng, amp=0.04):
-    g0 = identity_metric(grid)
+def ma3_manufactured(grid, rng, amp=0.04, g0=None):
+    g0 = identity_metric(grid) if g0 is None else g0
     g = random_metric(grid, rng, amp=amp, kmax=1)
     n = grid.n
     phi_star = random_bandlimited(grid, rng, amp=amp / 10.0, kmax=1).real
@@ -235,6 +237,34 @@ def test_solve_ma3_manufactured():
     sol = solve_ma3(g, g0, F)
     assert np.max(np.abs(sol.phi.values.real - phi_star)) < 1e-9
     assert abs(sol.b - b_star) < 1e-9
+
+
+def test_solve_ma3_manufactured_non_identity_reference():
+    # a constant Hermitian reference is Kahler; off-diagonal entries exercise
+    # every slot of the polarised adjugate against the form-path oracle
+    G0 = np.array(
+        [[1.3, 0.2 - 0.1j, 0.05j], [0.2 + 0.1j, 0.9, -0.15], [-0.05j, -0.15, 1.1]]
+    )
+    rng = np.random.default_rng(8)
+    g, g0, F, phi_star, b_star = ma3_manufactured(GRID3, rng, g0=constant_metric(GRID3, G0))
+    sol = solve_ma3(g, g0, F)
+    assert np.max(np.abs(sol.phi.values.real - phi_star)) < 1e-9
+    assert abs(sol.b - b_star) < 1e-9
+
+
+def test_lambda_matches_form_path():
+    # adj g + M(Hess phi, g0) / 2 is the matrix of omega^2 + i ddbar phi ^ omega_0
+    grid = PeriodicGrid(3, (8, 8, 1, 1, 8, 1))
+    rng = np.random.default_rng(9)
+    g = random_metric(grid, rng, amp=0.1, kmax=1)
+    g0 = random_metric(grid, rng, amp=0.1, kmax=1)
+    phi = random_bandlimited(grid, rng, amp=0.05, kmax=2).real.astype(np.complex128)
+    H = hessian_values(phi, grid)
+    lam = mixed_adjugate(g.g, g.g) / 2 + mixed_adjugate(H, g0.g) / 2
+    oracle = form_to_matrix(
+        wedge_power(g.fundamental_form(), 2) + wedge(ddbar(ScalarField(grid, phi)), g0.fundamental_form())
+    )
+    assert np.max(np.abs(lam - oracle)) < 1e-13 * np.max(np.abs(oracle))
 
 
 def test_solve_ma3_ricci_flat_output():

@@ -186,7 +186,7 @@ def test_ricci_potential_properties():
 def test_chern_connection_trace_is_dlogdet():
     rng = np.random.default_rng(6)
     g = random_metric(GRID2, rng, amp=0.05, kmax=1)
-    gamma = chern_connection(g).gamma
+    gamma = chern_connection(g)
     trace = np.einsum("...jij->...i", gamma)
     ld = log_det(g)
     for i in range(2):
@@ -196,7 +196,7 @@ def test_chern_connection_trace_is_dlogdet():
 
 def test_chern_connection_vanishes_for_flat():
     g = identity_metric(GRID2)
-    assert np.max(np.abs(chern_connection(g).gamma)) < 1e-14
+    assert np.max(np.abs(chern_connection(g))) < 1e-14
 
 
 @pytest.mark.parametrize("ell", [1, 2])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hermweb.smallmat import det, inverse, leading_minors
+from hermweb.smallmat import det, inverse, leading_minors, mixed_adjugate
 
 RTOL = 1e-12
 
@@ -51,6 +51,47 @@ def test_inverse_of_hermitian_is_hermitian_and_inverts(n):
     assert defect <= 1e-15 * np.max(np.abs(inv))
     eye = np.einsum("...ij,...jk->...ik", inv, a)
     assert np.max(np.abs(eye - np.eye(n))) < 1e-13
+
+
+def lapack_adjugate(a):
+    return np.linalg.inv(a) * np.linalg.det(a)[..., None, None]
+
+
+@pytest.mark.parametrize("kind", ["positive", "indefinite"])
+def test_mixed_adjugate_is_polarised_adjugate(kind):
+    rng = np.random.default_rng(30 + len(kind))
+    a = hermitian_field(rng, 3, kind)
+    b = hermitian_field(rng, 3, "positive")
+    expected = lapack_adjugate(a + b) - lapack_adjugate(a) - lapack_adjugate(b)
+    scale = np.max(np.abs(a), axis=(-1, -2)) * np.max(np.abs(b), axis=(-1, -2))
+    got = mixed_adjugate(a, b)
+    assert np.all(np.max(np.abs(got - expected), axis=(-1, -2)) <= 1e-12 * scale)
+    assert np.array_equal(got, mixed_adjugate(b, a))
+    # the trace form (tr a tr b - tr ab) I - tr a b - tr b a + ab + ba
+    tr = lambda m: np.einsum("...ii->...", m)[..., None, None]
+    ab, ba = a @ b, b @ a
+    trace_form = (tr(a) * tr(b) - tr(ab)) * np.eye(3) - tr(a) * b - tr(b) * a + ab + ba
+    assert np.all(np.max(np.abs(got - trace_form), axis=(-1, -2)) <= 1e-12 * scale)
+
+
+def test_mixed_adjugate_trace_adjoint():
+    # tr(P M(H, B)) = tr(M(P, B) H): the form-type solver's Jacobian rests on it
+    rng = np.random.default_rng(40)
+    p, h, b = (hermitian_field(rng, 3, kind) for kind in ("positive", "indefinite", "positive"))
+    lhs = np.einsum("...ij,...ji->...", p, mixed_adjugate(h, b))
+    rhs = np.einsum("...ij,...ji->...", mixed_adjugate(p, b), h)
+    scale = np.prod([np.max(np.abs(m), axis=(-1, -2)) for m in (p, h, b)], axis=0)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+
+
+def test_mixed_adjugate_broadcasts_and_rejects_2x2():
+    a = hermitian_field(np.random.default_rng(50), 3, "positive")
+    eye = np.eye(3)
+    # M(a, I) = tr(a) I - a
+    expected = np.einsum("...ii->...", a)[..., None, None] * eye - a
+    assert np.max(np.abs(mixed_adjugate(a, eye) - expected)) < 1e-12
+    with pytest.raises(ValueError):
+        mixed_adjugate(np.eye(2), np.eye(2))
 
 
 def test_kernels_reject_larger_fields():
