@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=40)
     p.add_argument("--random-init", action="store_true")
     p = add_common(sub.add_parser("flow", help="Chern-Ricci flow integration"))
-    p.add_argument("--dt", type=float, default=None, help="initial/max time step")
+    p.add_argument("--dt", type=float, default=None, help="initial time step")
     p.add_argument("--max-steps", type=int, default=100_000)
     p = sub.add_parser("verify-example", help="machine-check a built-in worked example")
     p.add_argument("--name", required=True, choices=["hopf", "nakamura", "yoshihara"])
@@ -210,10 +210,14 @@ def _dispatch(args, spec):
         results = {
             "converged": {"value": True, "tolerance": flow_tol},
             "steps": {"value": len(history) - 1},
+            "rejected_steps": {"value": sum(h.rejected for h in history)},
             "final_time": {"value": final.t},
             "final_ricci_max_norm": {"value": final.ricci_norm, "tolerance": flow_tol},
         }
-        rows = (["t", "dt", "ricci_norm"], [(h.t, h.dt, h.ricci_norm) for h in history])
+        rows = (
+            ["t", "dt", "ricci_norm", "rejected"],
+            [(h.t, h.dt, h.ricci_norm, h.rejected) for h in history],
+        )
         fields = {
             f"g_{i + 1}{j + 1}": ScalarField(grid, final.g.g[..., i, j])
             for i in range(grid.n)
@@ -229,7 +233,8 @@ def _history_rows(history):
 
 
 def _default_dt(grid):
-    # explicit RK2 stability for the spectral complex Laplacian
+    # the explicit RK2 stability limit of the spectral complex Laplacian: a
+    # safe first step, which run_flow then grows under its error control
     kmax2 = sum((grid.sizes[a] // 2) ** 2 for a in grid.active_axes)
     return 2.0 / (np.pi**2 * kmax2)
 

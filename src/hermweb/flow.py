@@ -1,18 +1,35 @@
-"""Chern-Ricci flow d omega / dt = -Ric(omega) with adaptive RK2 stepping."""
+"""Chern-Ricci flow d omega / dt = -Ric(omega) with error-controlled
+exponential RK2 steps.
+
+On the torus Ric(omega) = -i del dbar log det g is del-dbar-exact, so the
+flow stays in the class of omega_0 and reduces to a scalar parabolic
+Monge-Ampere equation (Tosatti-Weinkove, JDG 2015):
+    g(t) = g0 + Hess psi(t),   d psi / dt = log det(g0 + Hess psi) - mean.
+The state is the spectrum of the real potential psi.  The right-hand side
+splits into the stiff constant-coefficient part L psi = c Lap psi, with
+c = mean(tr g0^{-1}) / n the flat linearisation of log det at g0 (the scale
+of ma's preconditioner), and the rest N(psi).  Each step is one ETDRK2 step
+(Cox-Matthews 2002), exact for the linear part in Fourier space:
+    a       = e^{hL} psi + h phi1(hL) N(psi),
+    psi_new = a + h phi2(hL) (N(a) - N(psi)).
+The correction psi_new - a is the step's embedded error estimate; its
+Hessian is g_new - g_predictor, so it costs no transform.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
-from .metric import (
-    HERMITIAN_TOL,
-    HermitianMetricField,
-    hermitian_defect,
-    is_positive_definite,
-    ricci_tensor,
-)
+from . import smallmat
+from .grid import PeriodicGrid, hessian_from_spectrum, laplacian_symbol
+from .metric import HERMITIAN_TOL, HermitianMetricField, hermitian_defect, is_positive_definite
+
+# run_flow rejects a step whose correction moves g by more than this
+# fraction of the step's change of g
+STEP_ERROR_FRACTION = 0.1
 
 
 class FlowError(RuntimeError):
@@ -28,12 +45,24 @@ class StepRejected(FlowError):
 
 
 @dataclass(frozen=True)
+class _Potential:
+    """g = g0 + Hess psi, with the spectra the next step starts from."""
+
+    g0: np.ndarray
+    linear: np.ndarray  # Fourier symbol of L = c Lap
+    psi_hat: np.ndarray
+    logdet_hat: np.ndarray  # spectrum of log det g, mean removed
+
+
+@dataclass(frozen=True)
 class FlowState:
     t: float
     g: HermitianMetricField
     ricci_norm: float
-    # Ric(g): the norm's source and -k1 of the next step
-    ricci: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # max |g - g_predictor| of the step that made this state
+    correction: float = 0.0
+    # a state built without it restarts the potential at g0 = g
+    potential: _Potential | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -41,33 +70,79 @@ class FlowHistoryRow:
     t: float
     dt: float
     ricci_norm: float
+    rejected: int = 0  # attempts rejected before this step
+    reason: str = ""  # why the last of them was: positivity, ricci increase or step error
+
+
+def _logdet_spectrum(g: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    L = np.fft.fftn(np.log(smallmat.det(g)), axes=grid.active_axes)
+    L[(0,) * L.ndim] = 0.0
+    return L
+
+
+def _state(
+    t: float, g: HermitianMetricField, potential: _Potential, correction: float = 0.0
+) -> FlowState:
+    # Ric = -Hess log det g
+    ricci = hessian_from_spectrum(potential.logdet_hat, g.grid)
+    return FlowState(t, g, float(np.max(np.abs(ricci))), correction, potential)
 
 
 def flow_state(g: HermitianMetricField, t: float = 0.0) -> FlowState:
-    R = ricci_tensor(g)
-    R.setflags(write=False)
-    return FlowState(t, g, float(np.max(np.abs(R))), R)
+    """The flow state at g, with g as the reference g0 and psi = 0."""
+    grid = g.grid
+    c = float(np.mean(np.einsum("...ii->...", smallmat.inverse(g.g)).real)) / grid.n
+    potential = _Potential(
+        g.g,
+        c * laplacian_symbol(grid),
+        np.zeros(grid.shape, dtype=np.complex128),
+        _logdet_spectrum(g.g, grid),
+    )
+    return _state(t, g, potential)
+
+
+def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi1(z) = (e^z - 1) / z and phi2(z) = (e^z - 1 - z) / z^2, with their
+    Taylor series near 0, where e^z - 1 - z cancels."""
+    small = np.abs(z) < 0.1
+    w = np.where(small, -1.0, z)
+    em1 = np.expm1(w)
+    phi1 = em1 / w
+    phi2 = (em1 - w) / (w * w)
+    zs = z[small]
+    s1 = s2 = np.zeros_like(zs)
+    for k in range(10, -1, -1):
+        s1 = s1 * zs + 1.0 / factorial(k + 1)
+        s2 = s2 * zs + 1.0 / factorial(k + 2)
+    phi1[small] = s1
+    phi2[small] = s2
+    return phi1, phi2
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
-    """One explicit midpoint (RK2) step.
+    """One ETDRK2 step of the potential.
 
-    Raises StepRejected when the midpoint or the new metric loses positivity,
-    and FlowError when the new metric is not Hermitian, which a smaller step
-    does not cure.  Having checked them here, it wraps the midpoint (which
-    only feeds ricci_tensor) and the new metric without the constructor's
-    re-check and copy.
+    Raises StepRejected when the predictor or the new metric loses
+    positivity, and FlowError when the new metric is not Hermitian, which a
+    smaller step does not cure.  Having checked it here, it wraps the new
+    metric without the constructor's re-check and copy.
     """
     if dt <= 0:
         raise FlowError("dt must be positive", state)
+    if state.potential is None:
+        state = flow_state(state.g, state.t)
+    p = state.potential
     grid = state.g.grid
-    g = state.g.g
-    k1 = -(ricci_tensor(state.g) if state.ricci is None else state.ricci)
-    g_mid = g + (0.5 * dt) * k1
-    if not is_positive_definite(g_mid):
-        raise StepRejected(f"positivity violated at midpoint; halve dt ({dt:g})", state)
-    k2 = -ricci_tensor(HermitianMetricField._unchecked(grid, g_mid))
-    g_new = g + dt * k2
+    z = dt * p.linear
+    phi1, phi2 = _phi_functions(z)
+    N = p.logdet_hat - p.linear * p.psi_hat
+    a_hat = np.exp(z) * p.psi_hat + dt * phi1 * N
+    g_pred = p.g0 + hessian_from_spectrum(a_hat, grid)
+    if not is_positive_definite(g_pred):
+        raise StepRejected(f"positivity violated at the predictor; halve dt ({dt:g})", state)
+    N_pred = _logdet_spectrum(g_pred, grid) - p.linear * a_hat
+    psi_hat = a_hat + dt * phi2 * (N_pred - N)
+    g_new = p.g0 + hessian_from_spectrum(psi_hat, grid)
     defect = hermitian_defect(g_new)
     if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(g_new))):
         raise FlowError(
@@ -75,7 +150,18 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
         )
     if not is_positive_definite(g_new):
         raise StepRejected(f"positivity violated; halve dt ({dt:g})", state)
-    return flow_state(HermitianMetricField._unchecked(grid, g_new), state.t + dt)
+    correction = float(np.max(np.abs(g_new - g_pred)))
+    potential = _Potential(p.g0, p.linear, psi_hat, _logdet_spectrum(g_new, grid))
+    return _state(state.t + dt, HermitianMetricField._unchecked(grid, g_new), potential, correction)
+
+
+def _rejection(state: FlowState, new: FlowState) -> str:
+    """Why run_flow rejects the step from state to new, or "" if it does not."""
+    if new.ricci_norm > state.ricci_norm:
+        return "ricci increase"
+    if new.correction > STEP_ERROR_FRACTION * np.max(np.abs(new.g.g - state.g.g)):
+        return "step error"
+    return ""
 
 
 def run_flow(
@@ -85,11 +171,12 @@ def run_flow(
     max_steps: int,
     min_dt: float = 1e-12,
 ) -> tuple[FlowState, list[FlowHistoryRow]]:
-    """Iterate until the max-norm of Ric drops below tol.
+    """Iterate from the initial step dt0 until the max-norm of Ric drops below tol.
 
-    dt halves on a rejected step (positivity loss or Ricci-norm increase) and
-    grows by 1.1x on success, capped at dt0.  Any other FlowError, such as a
-    step that is not Hermitian, stops the flow; it carries the last state.
+    dt halves on a rejected step (positivity loss, Ricci-norm increase or a
+    correction above STEP_ERROR_FRACTION of the step's change of g) and
+    grows by 1.1x on success.  Any other FlowError, such as a step that is
+    not Hermitian, stops the flow; it carries the last state.
     """
     if tol <= 0:
         raise FlowError("tol must be positive")
@@ -97,6 +184,7 @@ def run_flow(
     history = [FlowHistoryRow(state.t, 0.0, state.ricci_norm)]
     dt = dt0
     steps = 0
+    rejected, reason = 0, ""
     while state.ricci_norm > tol:
         if steps >= max_steps:
             raise FlowError(
@@ -104,15 +192,18 @@ def run_flow(
             )
         try:
             new = flow_step(state, dt)
+            why = _rejection(state, new)
         except StepRejected:
-            new = None
-        if new is None or new.ricci_norm > state.ricci_norm:
+            why = "positivity"
+        if why:
+            rejected, reason = rejected + 1, why
             dt *= 0.5
             if dt < min_dt:
                 raise FlowError("dt underflow; flow is not contracting", state)
             continue
         state = new
         steps += 1
-        history.append(FlowHistoryRow(state.t, dt, state.ricci_norm))
-        dt = min(dt * 1.1, dt0)
+        history.append(FlowHistoryRow(state.t, dt, state.ricci_norm, rejected, reason))
+        rejected, reason = 0, ""
+        dt *= 1.1
     return state, history

@@ -178,16 +178,29 @@ def _hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
     return mult
 
 
-def hessian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j, spectral.
+@lru_cache(maxsize=32)
+def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
+    """Fourier symbol of the flat complex Laplacian sum_i d^2 / dz_i dzbar_i."""
+    syms = _z_symbols(grid)
+    out = np.zeros(grid.shape)
+    for s in syms:
+        out = out - np.broadcast_to(np.abs(s) ** 2, grid.shape)
+    out.setflags(write=False)
+    return out
 
-    One forward FFT over the active axes and one inverse FFT batched over
-    the n^2 entries.
-    """
+
+def hessian_from_spectrum(fhat: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j of the field whose
+    FFT over the active axes is fhat: one inverse FFT batched over the n^2
+    entries."""
     n = grid.n
     axes = grid.active_axes
-    fhat = np.fft.fftn(values, axes=axes)
     H = _hessian_multipliers(grid) * fhat
     # in place: a fresh n^2-field output costs more than the transform on 16^3
     np.fft.ifftn(H, axes=[a + 1 for a in axes], out=H)
     return np.moveaxis(H, 0, -1).reshape(grid.shape + (n, n))
+
+
+def hessian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j, spectral."""
+    return hessian_from_spectrum(np.fft.fftn(values, axes=grid.active_axes), grid)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import smallmat
-from .grid import PeriodicGrid, ScalarField, hessian_values, _z_symbols
+from .grid import PeriodicGrid, ScalarField, hessian_values, laplacian_symbol
 from .forms import FormField, d_max_norm, merge_sign, sort_sign
 from .metric import HermitianMetricField, MetricError, is_positive_definite
 
@@ -162,20 +162,10 @@ def _michelsohn_root(grid: PeriodicGrid, lam: np.ndarray) -> HermitianMetricFiel
 # shared Newton-Krylov plumbing
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _flat_laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
-    """Fourier symbol of the flat complex Laplacian sum_i d_i d_ibar."""
-    syms = _z_symbols(grid)
-    out = np.zeros(grid.shape)
-    for s in syms:
-        out = out - np.broadcast_to(np.abs(s) ** 2, grid.shape)
-    return out
-
-
 def _make_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray):
     """Approximate inverse of the bordered system: flat-Laplacian solve for
     the field block, mean bookkeeping for the border."""
-    sym = _flat_laplacian_symbol(grid)
+    sym = laplacian_symbol(grid)
     axes = grid.active_axes
     npts = grid.num_points
     wmean = float(np.mean(rhs_weight))

@@ -8,11 +8,13 @@ finite differences on the periodic grid.
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 
 from hermweb.forms import FormField
 from hermweb.grid import PeriodicGrid, ScalarField
-from hermweb.metric import HermitianMetricField
+from hermweb.metric import HermitianMetricField, ricci_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,18 @@ def bump_metric(grid: PeriodicGrid) -> HermitianMetricField:
         g[..., i, i] = 1.0
     g[..., 0, 0] = 1.0 + 0.5 * np.cos(2.0 * np.pi * x2)
     return HermitianMetricField(grid, g)
+
+
+def rk2_flow(g: HermitianMetricField, dt: float):
+    """The flow's oracle: explicit midpoint steps of dg/dt = -Ric(g) on the
+    metric itself, stable for dt up to 2 / (pi^2 sum of kmax^2).  Yields
+    (t, g, Ric g) from t = 0 on, one step at a time."""
+    R = ricci_tensor(g)
+    for step in count():
+        yield step * dt, g, R
+        mid = HermitianMetricField(g.grid, g.g - (0.5 * dt) * R)
+        g = HermitianMetricField(g.grid, g.g - dt * ricci_tensor(mid))
+        R = ricci_tensor(g)
 
 
 def field(grid: PeriodicGrid, values) -> ScalarField:

@@ -1,18 +1,24 @@
-"""The names the benchmark's traced run wraps must exist in hermweb.
+"""The benchmark's contract with hermweb.
 
-bench/tracing.py rebinds these attributes by name; a rename or a removed
-`np` would make `bench/run.py --trace 1` fail or silently record nothing.
+bench/tracing.py rebinds attributes by name; a rename or a removed `np`
+would make `bench/run.py --trace 1` fail or silently record nothing.  The
+workloads' own oracles (bench/oracles.py) must accept hermweb's output.
 """
 
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hermweb
+import hermweb.cli  # noqa: F401  (the inspect workload calls hw.cli.main)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 # run_path compiles from source, so nothing is written under bench/
-TRACING = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+TRACING = runpy.run_path(str(BENCH / "tracing.py"))
 
 
 @pytest.mark.parametrize("module_name, attr", sorted(TRACING["FUNCTIONS"].values()))
@@ -29,3 +35,27 @@ def test_traced_constructor_validates_in_post_init(module_name, attr):
 @pytest.mark.parametrize("module_name", TRACING["NUMPY_USERS"])
 def test_numpy_user_exposes_np(module_name):
     assert importlib.import_module(module_name).np is np
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """bench/workloads.py and the oracles it imports, with no bytecode
+    written under bench/."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        try:
+            yield runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+        finally:
+            sys.modules.pop("oracles", None)
+
+
+# index 0 of ma2/ma3 is a Ricci-flat case, index 1 a manufactured one
+@pytest.mark.parametrize(
+    "name, index", [("flow", 0), ("ma2", 0), ("ma2", 1), ("ma3", 0), ("ma3", 1), ("inspect", 0)]
+)
+def test_workload_output_passes_its_oracle(workloads, name, index, tmp_path):
+    workload = workloads[name]
+    inp = workload.make_inputs(1, tmp_path)[index]
+    problems, _ = workload.check(inp, workload.run(hermweb, inp))
+    assert problems == []

@@ -151,7 +151,7 @@ def test_flow_command(bump_spec, tmp_path, capsys):
     assert code == 0
     assert "final_ricci_max_norm" in out
     csv_lines = (outdir / "history.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == "t,dt,ricci_norm"
+    assert csv_lines[0] == "t,dt,ricci_norm,rejected"
     assert (outdir / "g_11.fld").exists()
 
 

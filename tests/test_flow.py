@@ -1,7 +1,17 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from hermweb.flow import FlowError, FlowState, StepRejected, flow_state, flow_step, run_flow
+from hermweb.flow import (
+    FlowError,
+    FlowState,
+    StepRejected,
+    _phi_functions,
+    flow_state,
+    flow_step,
+    run_flow,
+)
 from hermweb.grid import PeriodicGrid
 from hermweb.ma import solve_ma2
 from hermweb.metric import (
@@ -10,10 +20,9 @@ from hermweb.metric import (
     chern_ricci,
     identity_metric,
     ricci_potential,
-    ricci_tensor,
 )
 
-from helpers import bump_metric
+from helpers import bump_metric, rk2_flow
 
 
 GRID = PeriodicGrid(2, (16, 16, 1, 1))
@@ -87,26 +96,96 @@ def test_run_flow_step_cap():
         run_flow(g, tol=1e-12, dt0=default_dt(GRID), max_steps=3)
 
 
-def test_flow_step_computes_ricci_twice(monkeypatch):
-    # k1 comes from the state; k2 and the new state's tensor are the two calls
-    import hermweb.flow
-
+def test_flow_step_fft_calls_per_attempt(monkeypatch):
+    # an accepted attempt transforms log det g twice (predictor and new
+    # state) and makes three batched inverse transforms: the predictor's and
+    # the new metric's Hessians and the new state's Ricci tensor
     state = flow_state(bump_metric(GRID))
     calls = []
-    monkeypatch.setattr(hermweb.flow, "ricci_tensor", lambda g: calls.append(g) or ricci_tensor(g))
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
     flow_step(state, default_dt(GRID))
-    assert len(calls) == 2
+    assert sorted(calls) == ["fftn", "fftn", "ifftn", "ifftn", "ifftn"]
     calls.clear()
-    final, history = run_flow(bump_metric(GRID), tol=1e-3, dt0=default_dt(GRID), max_steps=1000)
-    assert len(calls) == 1 + 2 * (len(history) - 1)
+    flow_state(bump_metric(GRID))
+    assert sorted(calls) == ["fftn", "ifftn"]
 
 
-def test_flow_state_carries_its_ricci_tensor():
+def test_bare_flow_state_restarts_the_potential_at_its_metric():
     g = bump_metric(GRID)
     state = flow_state(g)
-    assert np.array_equal(state.ricci, ricci_tensor(g))
     bare = FlowState(state.t, state.g, state.ricci_norm)
+    assert bare.potential is None
     assert np.array_equal(flow_step(bare, 1e-3).g.g, flow_step(state, 1e-3).g.g)
+
+
+def test_phi_functions_against_high_precision():
+    # either side of the switch to the Taylor series at |z| = 0.1
+    mpmath = pytest.importorskip("mpmath")
+    z = -np.concatenate([[0.0], np.logspace(-12, 4, 200), [0.1, np.nextafter(0.1, 1.0)]])
+    phi1, phi2 = _phi_functions(z)
+    with mpmath.workdps(40):
+        for zi, p1, p2 in zip(z, phi1, phi2):
+            if zi == 0.0:
+                w1, w2 = 1.0, 0.5
+            else:
+                m = mpmath.mpf(zi)
+                w1 = float(mpmath.expm1(m) / m)
+                w2 = float((mpmath.expm1(m) - m) / m**2)
+            assert p1 == pytest.approx(w1, rel=1e-14)
+            assert p2 == pytest.approx(w2, rel=1e-14)
+
+
+def test_history_records_rejections_and_their_reason(monkeypatch):
+    # every attempt is one flow_step call, so the rejected counts add up
+    import hermweb.flow
+
+    calls = []
+    monkeypatch.setattr(hermweb.flow, "flow_step", lambda s, dt: calls.append(dt) or flow_step(s, dt))
+    g = bump_metric(GRID)
+    final, history = run_flow(g, tol=1e-4, dt0=50.0 * default_dt(GRID), max_steps=50_000)
+    assert len(calls) == len(history) - 1 + sum(row.rejected for row in history)
+    assert history[0].rejected == 0 and history[0].reason == ""
+    assert all((row.rejected == 0) == (row.reason == "") for row in history)
+    assert "step error" in {row.reason for row in history}
+    assert {row.reason for row in history} <= {"", "positivity", "ricci increase", "step error"}
+
+
+def test_flow_is_second_order_in_time():
+    # g(t = 0.5) from fixed-dt ETDRK2 steps against the explicit midpoint
+    # oracle at a quarter of its stability limit
+    T = 0.5
+    k = int(np.ceil(T / (default_dt(GRID) / 4)))
+    _, ref, _ = next(islice(rk2_flow(bump_metric(GRID), T / k), k, None))
+    errors = []
+    for dt in (0.05, 0.025, 0.0125):
+        state = flow_state(bump_metric(GRID))
+        for _ in range(round(T / dt)):
+            state = flow_step(state, dt)
+        assert state.t == pytest.approx(T)
+        errors.append(np.max(np.abs(state.g.g - ref.g)))
+    orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.5, (errors, orders)
+
+
+def test_time_to_tolerance_matches_the_oracle():
+    # run_flow's error control keeps it a flow in time, not only a route to
+    # the limit: it reaches each tolerance when the explicit oracle does
+    dt0 = default_dt(GRID)
+    oracle_t = {}
+    for step, (t, _, R) in enumerate(rk2_flow(bump_metric(GRID), dt0)):
+        norm = np.max(np.abs(R))
+        for tol in (1e-4, 1e-7):
+            if norm <= tol:
+                oracle_t.setdefault(tol, t)
+        if norm <= 1e-7 or step > 10_000:
+            break
+    assert set(oracle_t) == {1e-4, 1e-7}
+    _, history = run_flow(bump_metric(GRID), tol=1e-7, dt0=dt0, max_steps=10_000)
+    for tol, t in oracle_t.items():
+        flow_t = next(row.t for row in history if row.ricci_norm <= tol)
+        assert abs(flow_t - t) <= 0.05 * t, (tol, flow_t, t)
 
 
 def test_non_hermitian_step_stops_the_flow_without_retry():
