@@ -12,7 +12,7 @@ from hermweb.flow import (
     flow_step,
     run_flow,
 )
-from hermweb.grid import PeriodicGrid
+from hermweb.grid import PeriodicGrid, hessian_from_spectrum
 from hermweb.ma import solve_ma2
 from hermweb.metric import (
     HermitianMetricField,
@@ -20,6 +20,7 @@ from hermweb.metric import (
     chern_ricci,
     identity_metric,
     ricci_potential,
+    ricci_tensor,
 )
 
 from helpers import bump_metric, rk2_flow
@@ -112,12 +113,36 @@ def test_flow_step_fft_calls_per_attempt(monkeypatch):
     assert sorted(calls) == ["fftn", "ifftn"]
 
 
-def test_bare_flow_state_restarts_the_potential_at_its_metric():
+def test_flow_step_computes_ricci_twice(monkeypatch):
+    # Ric = -Hess log det g.  k1 comes from the state; the predictor's and
+    # the new state's log det g are the two evaluations
+    import hermweb.flow
+
+    state = flow_state(bump_metric(GRID))
+    calls = []
+    logdet = hermweb.flow._logdet_spectrum
+    monkeypatch.setattr(hermweb.flow, "_logdet_spectrum", lambda g, grid: calls.append(g) or logdet(g, grid))
+    flow_step(state, default_dt(GRID))
+    assert len(calls) == 2
+    calls.clear()
+    final, history = run_flow(bump_metric(GRID), tol=1e-3, dt0=default_dt(GRID), max_steps=1000)
+    # an attempt rejected after the step evaluated both; none lost positivity
+    assert {row.reason for row in history} <= {"", "step error", "ricci increase"}
+    attempts = len(history) - 1 + sum(row.rejected for row in history)
+    assert len(calls) == 1 + 2 * attempts
+
+
+def test_flow_state_carries_its_ricci_tensor():
     g = bump_metric(GRID)
     state = flow_state(g)
+    assert np.array_equal(-hessian_from_spectrum(state.potential.logdet_hat, GRID), ricci_tensor(g))
+    assert state.ricci_norm == np.max(np.abs(ricci_tensor(g)))
+    new = flow_step(state, 1e-3)
+    assert np.array_equal(-hessian_from_spectrum(new.potential.logdet_hat, GRID), ricci_tensor(new.g))
+    # a bare state restarts the potential at its metric
     bare = FlowState(state.t, state.g, state.ricci_norm)
     assert bare.potential is None
-    assert np.array_equal(flow_step(bare, 1e-3).g.g, flow_step(state, 1e-3).g.g)
+    assert np.array_equal(flow_step(bare, 1e-3).g.g, new.g.g)
 
 
 def test_phi_functions_against_high_precision():
