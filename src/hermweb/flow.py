@@ -30,6 +30,9 @@ from .metric import HERMITIAN_TOL, HermitianMetricField, hermitian_defect, is_po
 # run_flow rejects a step whose correction moves g by more than this
 # fraction of the step's change of g
 STEP_ERROR_FRACTION = 0.1
+# run_flow grows dt no further than this fraction of the decay time of the
+# slowest mode of the flat unit Laplacian on the torus
+MAX_STEP_DECAY = 0.1
 
 
 class FlowError(RuntimeError):
@@ -164,6 +167,22 @@ def _rejection(state: FlowState, new: FlowState) -> str:
     return ""
 
 
+def max_dt(grid: PeriodicGrid) -> float:
+    """The longest step run_flow grows to: MAX_STEP_DECAY / lambda_1, with
+    lambda_1 the decay rate of the slowest nonzero mode of the flat unit
+    Laplacian (no limit on a grid without active axes).
+
+    ETDRK2 takes N(psi) as linear in time over a step, and N follows the
+    slow modes, so the step stays a fixed fraction of their time scale.  It
+    is read from the grid alone, like the default first step, so the flows
+    of different metrics on one grid share their time steps once grown, and
+    the cost of a flow does not hinge on where the step-error test cuts in.
+    """
+    rates = -laplacian_symbol(grid)
+    rates = rates[rates > 0]
+    return MAX_STEP_DECAY / float(np.min(rates)) if rates.size else np.inf
+
+
 def run_flow(
     g0: HermitianMetricField,
     tol: float,
@@ -175,14 +194,16 @@ def run_flow(
 
     dt halves on a rejected step (positivity loss, Ricci-norm increase or a
     correction above STEP_ERROR_FRACTION of the step's change of g) and
-    grows by 1.1x on success.  Any other FlowError, such as a step that is
-    not Hermitian, stops the flow; it carries the last state.
+    grows by 1.1x on success, up to max_dt(grid); dt0 itself may exceed
+    that.  Any other FlowError, such as a step that is not Hermitian, stops
+    the flow; it carries the last state.
     """
     if tol <= 0:
         raise FlowError("tol must be positive")
     state = flow_state(g0)
     history = [FlowHistoryRow(state.t, 0.0, state.ricci_norm)]
     dt = dt0
+    dt_max = max_dt(g0.grid)
     steps = 0
     rejected, reason = 0, ""
     while state.ricci_norm > tol:
@@ -205,5 +226,5 @@ def run_flow(
         steps += 1
         history.append(FlowHistoryRow(state.t, dt, state.ricci_norm, rejected, reason))
         rejected, reason = 0, ""
-        dt *= 1.1
+        dt = min(1.1 * dt, dt_max)
     return state, history

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from .forms import merge_sign, sort_sign
 
@@ -286,6 +285,10 @@ def yoshihara_roots() -> YoshiharaData:
 
 def cyclotomic_indices_up_to_degree(d: int) -> list[int]:
     """All k with Euler phi(k) <= d (exhaustive: phi(k) > d for k > d^2 + d)."""
+    # imported here: sympy is half of `import hermweb` and only this
+    # arithmetic uses it
+    import sympy
+
     return [k for k in range(1, d * d + d + 1) if sympy.totient(k) <= d]
 
 
@@ -314,6 +317,8 @@ def yoshihara_check(bound: int, tol: float = 1e-12) -> ExampleReport:
     report.add("lambda_modulus", abs(lam), 1.0, 1e-12, abs(abs(lam) - 1.0))
 
     # exhaustive refutation: the quartic matches no cyclotomic polynomial
+    import sympy
+
     matches = []
     for k in cyclotomic_indices_up_to_degree(4):
         coeffs = np.array(sympy.Poly(sympy.cyclotomic_poly(k, sympy.Symbol("x"))).all_coeffs(), dtype=float)

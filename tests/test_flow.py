@@ -10,6 +10,7 @@ from hermweb.flow import (
     _phi_functions,
     flow_state,
     flow_step,
+    max_dt,
     run_flow,
 )
 from hermweb.grid import PeriodicGrid, hessian_from_spectrum
@@ -84,6 +85,26 @@ def test_flow_adaptive_recovers_from_big_dt():
     assert final.ricci_norm <= 1e-4
     # at least one step ran at less than the requested dt0
     assert min(row.dt for row in history[1:]) < 50.0 * default_dt(GRID)
+
+
+def test_step_growth_stops_at_max_dt():
+    # a tenth of the decay time 1 / pi^2 of the slowest flat mode on the
+    # unit torus; no limit without an active axis
+    assert max_dt(GRID) == pytest.approx(0.1 / np.pi**2, rel=1e-14)
+    assert max_dt(PeriodicGrid(2, (1, 1, 1, 1))) == np.inf
+    # bumps of amplitude 1/4 and 1/2 grow through the same steps to the
+    # limit and take no rejected step on the way
+    g = bump_metric(GRID).g.copy()
+    g[..., 0, 0] = 1.0 + 0.5 * (g[..., 0, 0] - 1.0)
+    runs = [
+        run_flow(g0, tol=1e-4, dt0=default_dt(GRID), max_steps=1000)[1]
+        for g0 in (HermitianMetricField(GRID, g), bump_metric(GRID))
+    ]
+    for history in runs:
+        assert max(row.dt for row in history) == max_dt(GRID)
+        assert sum(row.rejected for row in history) == 0
+    steps = min(len(h) for h in runs)
+    assert [row.dt for row in runs[0][:steps]] == [row.dt for row in runs[1][:steps]]
 
 
 def test_run_flow_rejects_bad_tol():
@@ -168,8 +189,9 @@ def test_history_records_rejections_and_their_reason(monkeypatch):
 
     calls = []
     monkeypatch.setattr(hermweb.flow, "flow_step", lambda s, dt: calls.append(dt) or flow_step(s, dt))
+    # a first step far above max_step fails the step-error test
     g = bump_metric(GRID)
-    final, history = run_flow(g, tol=1e-4, dt0=50.0 * default_dt(GRID), max_steps=50_000)
+    final, history = run_flow(g, tol=1e-4, dt0=1000.0 * default_dt(GRID), max_steps=50_000)
     assert len(calls) == len(history) - 1 + sum(row.rejected for row in history)
     assert history[0].rejected == 0 and history[0].reason == ""
     assert all((row.rejected == 0) == (row.reason == "") for row in history)
