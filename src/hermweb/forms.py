@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import PeriodicGrid, ScalarField, hessian_values, partial_z_values, partial_zbar_values
+from .grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
 
 
 class FormError(ValueError):
@@ -170,28 +170,33 @@ def ddbar(f: ScalarField) -> FormField:
 
 
 def exterior_d(a: FormField) -> tuple[FormField, FormField]:
-    """(del a, dbar a); d = del + dbar and d of d vanishes spectrally."""
+    """(del a, dbar a); d = del + dbar and d of d vanishes spectrally.
+
+    One FFT batched over a's coefficients, signed sums of the _z_symbols
+    multipliers times those spectra, one inverse FFT batched over the sums."""
     grid, n = a.grid, a.grid.n
-    del_c: dict = {}
-    dbar_c: dict = {}
-    for (I, J), v in a.coeffs.items():
+    syms = _z_symbols(grid)
+    cross = -1.0 if a.p % 2 else 1.0  # dzbar_k crosses the p dz factors first
+    del_terms: dict = {}
+    dbar_terms: dict = {}
+    for c, (I, J) in enumerate(a.coeffs):
         for k in range(n):
-            dzk = partial_z_values(v, grid, k + 1)
-            dzbk = partial_zbar_values(v, grid, k + 1)
-            if a.p + 1 <= n:
-                In, sI = insert_sign(k, I)
-                if In is not None:
-                    key = (In, J)
-                    term = sI * dzk
-                    del_c[key] = del_c[key] + term if key in del_c else term
-            if a.q + 1 <= n:
-                Jn, sJ = insert_sign(k, J)
-                if Jn is not None:
-                    # dzbar_k crosses the p dz factors first
-                    cross = -1.0 if a.p % 2 else 1.0
-                    key = (I, Jn)
-                    term = cross * sJ * dzbk
-                    dbar_c[key] = dbar_c[key] + term if key in dbar_c else term
+            In, sI = insert_sign(k, I)
+            if In is not None:
+                del_terms.setdefault((In, J), []).append((c, sI * syms[k]))
+            Jn, sJ = insert_sign(k, J)
+            if Jn is not None:
+                dbar_terms.setdefault((I, Jn), []).append((c, -cross * sJ * np.conj(syms[k])))
+    sums = list(del_terms.values()) + list(dbar_terms.values())
+    spectra = np.empty((len(sums),) + grid.shape, dtype=np.complex128)
+    if sums:
+        axes = [ax + 1 for ax in grid.active_axes]
+        fhat = np.fft.fftn(np.stack(list(a.coeffs.values())), axes=axes)
+        for r, terms in enumerate(sums):
+            spectra[r] = sum(m * fhat[c] for c, m in terms)
+        np.fft.ifftn(spectra, axes=axes, out=spectra)
+    del_c = dict(zip(del_terms, spectra))
+    dbar_c = dict(zip(dbar_terms, spectra[len(del_terms):]))
     del_a = FormField(grid, a.p + 1, a.q, del_c) if a.p + 1 <= n else zero_form(grid, a.p, a.q)
     dbar_a = FormField(grid, a.p, a.q + 1, dbar_c) if a.q + 1 <= n else zero_form(grid, a.p, a.q)
     return del_a, dbar_a

@@ -4,6 +4,10 @@ Coordinates are x_1..x_n, y_1..y_n in [0,1) with z_j = x_j + i y_j.  The
 value array axis order is (x_1, ..., x_n, y_1, ..., y_n).  Axes with size 1
 are "collapsed": fields do not vary along them and derivatives there are
 identically zero.
+
+Every spectral derivative is ifftn(symbol * fftn(f)) over the active axes,
+with the multipliers of _z_symbols alone: s_i for d/dz_i and -conj(s_i) for
+d/dzbar_i, Nyquist bins included.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-TWO_PI = 2.0 * np.pi
 
 
 class GridError(ValueError):
@@ -119,25 +121,21 @@ def from_function(grid: PeriodicGrid, fn) -> ScalarField:
     return ScalarField(grid, np.array(vals, dtype=np.complex128))
 
 
-def _deriv_axis(values: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
-    if grid.sizes[axis] == 1:
-        return np.zeros_like(values)
-    k = grid.wavenumbers(axis)
-    return np.fft.ifft(TWO_PI * 1j * k * np.fft.fft(values, axis=axis), axis=axis)
+def _derivative(values: np.ndarray, grid: PeriodicGrid, symbol: np.ndarray) -> np.ndarray:
+    axes = grid.active_axes
+    return np.fft.ifftn(symbol * np.fft.fftn(values, axes=axes), axes=axes)
+
+
+def _z_symbol(grid: PeriodicGrid, i: int) -> np.ndarray:
+    # checked here: _z_symbols(grid)[i - 1] would wrap round at i = 0
+    if not 1 <= i <= grid.n:
+        raise GridError(f"holomorphic index {i} out of range 1..{grid.n}")
+    return _z_symbols(grid)[i - 1]
 
 
 def partial_z_values(values: np.ndarray, grid: PeriodicGrid, i: int) -> np.ndarray:
     """d/dz_i = (d/dx_i - i d/dy_i)/2, spectral, on a raw value array."""
-    dx = _deriv_axis(values, grid, grid.axis_of("x", i))
-    dy = _deriv_axis(values, grid, grid.axis_of("y", i))
-    return 0.5 * (dx - 1j * dy)
-
-
-def partial_zbar_values(values: np.ndarray, grid: PeriodicGrid, i: int) -> np.ndarray:
-    """d/dzbar_i = (d/dx_i + i d/dy_i)/2, spectral, on a raw value array."""
-    dx = _deriv_axis(values, grid, grid.axis_of("x", i))
-    dy = _deriv_axis(values, grid, grid.axis_of("y", i))
-    return 0.5 * (dx + 1j * dy)
+    return _derivative(values, grid, _z_symbol(grid, i))
 
 
 def partial_z(f: ScalarField, i: int) -> ScalarField:
@@ -146,8 +144,8 @@ def partial_z(f: ScalarField, i: int) -> ScalarField:
 
 
 def partial_zbar(f: ScalarField, i: int) -> ScalarField:
-    """Antiholomorphic derivative d f / dzbar_i (1-based, i <= n)."""
-    return ScalarField(f.grid, partial_zbar_values(f.values, f.grid, i))
+    """Antiholomorphic derivative d f / dzbar_i = (d/dx_i + i d/dy_i)/2 (1-based, i <= n)."""
+    return ScalarField(f.grid, _derivative(f.values, f.grid, -np.conj(_z_symbol(f.grid, i))))
 
 
 def mean(f: ScalarField) -> complex:

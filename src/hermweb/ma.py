@@ -33,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from . import smallmat
 from .grid import PeriodicGrid, ScalarField, hessian_values, laplacian_symbol
 from .forms import FormField, d_max_norm, merge_sign, sort_sign
-from .metric import HermitianMetricField, MetricError, is_positive_definite
+from .metric import HermitianMetricField, MetricError, hermitian_part, is_positive_definite
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
 
@@ -48,20 +48,24 @@ class SolverError(RuntimeError):
         self.b = b
 
 
+# line search: the shortest step and the Armijo sufficient-decrease constant;
+# GMRES: the floor of its relative tolerance and its cap per Newton step
+MIN_STEP = 1e-6
+ARMIJO = 1e-4
+LINEAR_RTOL = 1e-10
+LINEAR_MAXITER = 400
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-11
     max_iterations: int = 40
-    min_step: float = 1e-6
-    armijo: float = 1e-4
-    linear_rtol: float = 1e-10
-    linear_maxiter: int = 400
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1 or self.linear_maxiter < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("iteration cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def _michelsohn_root(grid: PeriodicGrid, lam: np.ndarray) -> HermitianMetricFiel
     """The metric G with form_to_matrix(omega_G^{n-1}) = lam, that is
     adj G = lam: G = det(lam)^{1/(n-1)} lam^{-1}."""
     n = grid.n
-    lam = 0.5 * (lam + np.conj(np.swapaxes(lam, -1, -2)))
+    lam = hermitian_part(lam)
     if not np.isfinite(lam).all():
         raise MetricError("(n-1, n-1)-form has non-finite coefficients")
     if not is_positive_definite(lam):
@@ -220,8 +224,8 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
         A_op = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
         M = _make_preconditioner(grid, c, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
-        rtol = max(cfg.linear_rtol, min(1e-3, 1e-3 * res))
-        sol, info = gmres(A_op, rhs, M=M, rtol=rtol, atol=0.0, maxiter=cfg.linear_maxiter)
+        rtol = max(LINEAR_RTOL, min(1e-3, 1e-3 * res))
+        sol, info = gmres(A_op, rhs, M=M, rtol=rtol, atol=0.0, maxiter=LINEAR_MAXITER)
         if info != 0:
             raise SolverError(f"linear solve failed (gmres info={info})", history, phi, b)
         dphi = sol[:-1].reshape(grid.shape)
@@ -236,10 +240,10 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
                 R_new = None
             if R_new is not None:
                 res_new = float(np.max(np.abs(R_new)))
-                if res_new < res * (1.0 - cfg.armijo * step):
+                if res_new < res * (1.0 - ARMIJO * step):
                     break
             step *= 0.5
-            if step < cfg.min_step:
+            if step < MIN_STEP:
                 raise SolverError(
                     "line search stalled (positivity or descent loss)", history, phi, b
                 )
@@ -274,7 +278,7 @@ def solve_ma2(
 
     def residual(phi, b):
         gt = g.g + hessian_values(phi.astype(np.complex128), grid)
-        gt = 0.5 * (gt + np.conj(np.swapaxes(gt, -1, -2)))
+        gt = hermitian_part(gt)
         if not is_positive_definite(gt):
             raise SolverError("positivity lost", [], phi, b)
         detgt = smallmat.det(gt)
@@ -327,7 +331,7 @@ def solve_ma3(
     def residual(phi, b):
         H = hessian_values(phi.astype(np.complex128), grid)
         lam = adj_g + 0.5 * smallmat.mixed_adjugate(H, g0.g)
-        lam = 0.5 * (lam + np.conj(np.swapaxes(lam, -1, -2)))
+        lam = hermitian_part(lam)
         if not is_positive_definite(lam):
             raise SolverError("(n-1)-positivity lost", [], phi, b)
         dets = smallmat.det(lam) ** root_exp  # det of the root metric

@@ -6,14 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    PeriodicGrid,
-    ScalarField,
-    hessian_values,
-    partial_z_values,
-    _z_symbols,
-)
-from .forms import FormField, basis_keys, d_max_norm, exterior_d, insert_sign, wedge_power
+from .grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
+from .forms import FormField, d_max_norm, exterior_d, insert_sign, wedge_power
 from . import smallmat
 
 POSITIVITY_FLOOR = 1e-12
@@ -31,6 +25,11 @@ def is_positive_definite(g: np.ndarray, floor: float = POSITIVITY_FLOOR) -> bool
 def hermitian_defect(g: np.ndarray) -> float:
     """max |g - g^H| over the field."""
     return float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^H) / 2 of a matrix field."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,7 @@ def metric_from_form(omega: FormField) -> HermitianMetricField:
     for i in range(n):
         for j in range(n):
             g[..., i, j] = omega.coefficient((i,), (j,)) / 1j
-    g = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
-    return HermitianMetricField(omega.grid, g)
+    return HermitianMetricField(omega.grid, hermitian_part(g))
 
 
 def log_det(g: HermitianMetricField) -> np.ndarray:
@@ -152,12 +150,12 @@ def conformal_flatten(g: HermitianMetricField) -> HermitianMetricField:
 def chern_connection(g: HermitianMetricField) -> np.ndarray:
     """Connection coefficients Gamma[..., k, i, j] = Gamma^k_{ij}
     = g^{k lbar} d g_{j lbar} / dz_i."""
-    n = g.n
-    dg = np.empty(g.grid.shape + (n, n, n), dtype=np.complex128)  # [i, j, l]
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                dg[..., i, j, l] = partial_z_values(g.g[..., j, l], g.grid, i + 1)
+    axes = g.grid.active_axes
+    ghat = np.fft.fftn(g.g, axes=axes)
+    # dg[..., i, j, l] = d g_{j lbar} / dz_i
+    dg = np.fft.ifftn(
+        np.stack([s[..., None, None] * ghat for s in _z_symbols(g.grid)], axis=-3), axes=axes
+    )
     # g^{k lbar}: sum_l up[k, l] g_{m lbar} = delta_km  =>  up = inv(g^T)
     up = smallmat.inverse(np.swapaxes(g.g, -1, -2))
     return np.einsum("...kl,...ijl->...kij", up, dg)
@@ -253,37 +251,33 @@ class ClassReport:
 def ddbar_of(form: FormField) -> float:
     """Max-norm of del dbar applied to a form."""
     _, dbar = exterior_d(form)
-    if dbar.q > form.grid.n:
-        return 0.0
     dd, _ = exterior_d(dbar)
     return dd.max_norm()
 
 
 def _sg_defect(omega_pow: FormField) -> float:
-    """Least-squares defect of solving del beta = dbar(omega^{n-1}) in Fourier space."""
+    """Least-squares defect of solving del beta = dbar(omega^{n-1}) in Fourier space.
+
+    del sends the target's coefficient t_m on dz^{I_m} dzbar^{1..n}, I_m =
+    (1..n) without m, to top degree with the symbol sigma_m = +-s_m.  At k != 0
+    the del symbols form an exact (Koszul) complex, so the residual is the
+    projection conj(sigma) (sigma . t^) / |sigma|^2 of t^; at k = 0 it is t^.
+    """
     grid = omega_pow.grid
     n = grid.n
     _, target = exterior_d(omega_pow)  # (n-1, n)-form
-    t_keys = list(basis_keys(n, n - 1, n))
-    b_keys = list(basis_keys(n, n - 2, n))
-    axes = grid.active_axes
-    that = np.stack(
-        [np.fft.fftn(target.coefficient(I, J), axes=axes) for I, J in t_keys], axis=-1
-    )  # shape grid + (dimT,)
+    full = tuple(range(n))
+    t_keys = [full[:m] + full[m + 1:] for m in range(n)]
     syms = _z_symbols(grid)
-    sym_grid = [np.broadcast_to(s, grid.shape) for s in syms]
-    A = np.zeros(grid.shape + (len(t_keys), len(b_keys)), dtype=np.complex128)
-    t_index = {k: r for r, k in enumerate(t_keys)}
-    for c, (K, J) in enumerate(b_keys):
-        for k in range(n):
-            Kn, s = insert_sign(k, K)
-            if Kn is None:
-                continue
-            A[..., t_index[(Kn, J)], c] += s * sym_grid[k]
-    beta = np.einsum("...ij,...j->...i", np.linalg.pinv(A), that)
-    res_hat = that - np.einsum("...ij,...j->...i", A, beta)
-    res_phys = np.fft.ifftn(np.moveaxis(res_hat, -1, 0), axes=[a + 1 for a in axes])
-    return float(np.max(np.abs(res_phys)))
+    sigma = np.stack(
+        [np.broadcast_to(insert_sign(m, I)[1] * syms[m], grid.shape) for m, I in enumerate(t_keys)]
+    )
+    axes = [a + 1 for a in grid.active_axes]
+    that = np.fft.fftn(np.stack([target.coefficient(I, full) for I in t_keys]), axes=axes)
+    norm2 = -laplacian_symbol(grid)  # |sigma|^2, zero only at k = 0
+    proj = np.sum(sigma * that, axis=0) / np.where(norm2 > 0, norm2, 1.0)
+    res_hat = np.where(norm2 > 0, np.conj(sigma) * proj, that)
+    return float(np.max(np.abs(np.fft.ifftn(res_hat, axes=axes))))
 
 
 def classify(g: HermitianMetricField, tol: float) -> ClassReport:

@@ -3,7 +3,10 @@
 The oracles here are deliberately independent of the package internals:
 the wedge oracle expands products over totally antisymmetric generator
 tuples by brute force, and the derivative oracle uses 4th-order centered
-finite differences on the periodic grid.
+finite differences on the periodic grid.  The strongly-Gauduchon oracle
+shares the package's exterior_d and d/dz symbols, but solves its
+least-squares problem by a pseudo-inverse at every wavenumber instead of
+the package's closed-form projection.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from itertools import count
 
 import numpy as np
 
-from hermweb.forms import FormField
-from hermweb.grid import PeriodicGrid, ScalarField
+from hermweb.forms import FormField, basis_keys, exterior_d, insert_sign
+from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols
 from hermweb.metric import HermitianMetricField, ricci_tensor
 
 
@@ -97,6 +100,54 @@ def fd_partial_zbar(values: np.ndarray, grid: PeriodicGrid, i: int) -> np.ndarra
     dx = fd_partial_axis(values, grid, grid.axis_of("x", i))
     dy = fd_partial_axis(values, grid, grid.axis_of("y", i))
     return 0.5 * (dx + 1j * dy)
+
+
+def fd_exterior_d(a: FormField) -> tuple[dict, dict]:
+    """(del a, dbar a) as generator-keyed dicts: each coefficient's
+    finite-difference d/dz_k (d/dzbar_k) times dz^k (dzbar^k) wedged on the
+    left of its generator tuple, signs by bubble sort."""
+    n = a.grid.n
+    del_a: dict = {}
+    dbar_a: dict = {}
+    for key, c in form_to_generators(a).items():
+        for k in range(n):
+            for out, gen, fd in ((del_a, k, fd_partial_z), (dbar_a, n + k, fd_partial_zbar)):
+                sign, new = sort_parity((gen,) + key)
+                if sign:
+                    out[new] = out.get(new, 0) + sign * fd(c, a.grid, k + 1)
+    return del_a, dbar_a
+
+
+# ---------------------------------------------------------------------------
+# Strongly-Gauduchon defect by a pointwise pseudo-inverse in Fourier space
+# ---------------------------------------------------------------------------
+
+def sg_defect_pinv(omega_pow: FormField) -> float:
+    """Max-norm of the least-squares residual of del beta = dbar(omega^{n-1}):
+    at each wavenumber, the matrix of del from (n-2, n)- to (n-1, n)-forms
+    is assembled from the d/dz symbols and inverted by np.linalg.pinv."""
+    grid = omega_pow.grid
+    n = grid.n
+    _, target = exterior_d(omega_pow)  # (n-1, n)-form
+    t_keys = list(basis_keys(n, n - 1, n))
+    b_keys = list(basis_keys(n, n - 2, n))
+    axes = grid.active_axes
+    that = np.stack(
+        [np.fft.fftn(target.coefficient(I, J), axes=axes) for I, J in t_keys], axis=-1
+    )  # shape grid + (dimT,)
+    sym_grid = [np.broadcast_to(s, grid.shape) for s in _z_symbols(grid)]
+    A = np.zeros(grid.shape + (len(t_keys), len(b_keys)), dtype=np.complex128)
+    t_index = {k: r for r, k in enumerate(t_keys)}
+    for c, (K, J) in enumerate(b_keys):
+        for k in range(n):
+            Kn, s = insert_sign(k, K)
+            if Kn is None:
+                continue
+            A[..., t_index[(Kn, J)], c] += s * sym_grid[k]
+    beta = np.einsum("...ij,...j->...i", np.linalg.pinv(A), that)
+    res_hat = that - np.einsum("...ij,...j->...i", A, beta)
+    res_phys = np.fft.ifftn(np.moveaxis(res_hat, -1, 0), axes=[a + 1 for a in axes])
+    return float(np.max(np.abs(res_phys)))
 
 
 # ---------------------------------------------------------------------------

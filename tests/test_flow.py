@@ -6,7 +6,6 @@ import pytest
 from hermweb.flow import (
     FlowError,
     FlowState,
-    StepRejected,
     _phi_functions,
     flow_state,
     flow_step,
@@ -19,6 +18,7 @@ from hermweb.metric import (
     HermitianMetricField,
     bott_chern_defect,
     chern_ricci,
+    hermitian_defect,
     identity_metric,
     ricci_potential,
     ricci_tensor,
@@ -235,17 +235,35 @@ def test_time_to_tolerance_matches_the_oracle():
         assert abs(flow_t - t) <= 0.05 * t, (tol, flow_t, t)
 
 
-def test_non_hermitian_step_stops_the_flow_without_retry():
+def axis_bump_metric(grid, axes):
+    # g_ii = 1 + 0.3 cos(2 pi x_a) with a = axes[i], off-diagonal entries 0
+    n = grid.n
+    g = np.zeros(grid.shape + (n, n), dtype=np.complex128)
+    for i, a in enumerate(axes):
+        g[..., i, i] = 1 + 0.3 * np.cos(2 * np.pi * grid.coordinate(a))
+    return HermitianMetricField(grid, g)
+
+
+def test_two_axis_metric_flows_to_convergence():
     # The Hessian of a field varying in x1 and x2 is not Hermitian at the
-    # Nyquist wavenumber, so the first step leaves the Hermitian metrics.
-    g = np.zeros(GRID.shape + (2, 2), dtype=np.complex128)
-    x1 = GRID.coordinate(0)
-    x2 = GRID.coordinate(1)
-    g[..., 0, 0] = 1 + 0.3 * np.cos(2 * np.pi * x2)
-    g[..., 1, 1] = 1 + 0.3 * np.cos(2 * np.pi * x1)
-    g0 = HermitianMetricField(GRID, g)
-    with pytest.raises(FlowError, match="not Hermitian") as exc_info:
-        run_flow(g0, tol=1e-6, dt0=default_dt(GRID), max_steps=100)
-    assert not isinstance(exc_info.value, StepRejected)
-    assert exc_info.value.state.t == 0.0
-    assert exc_info.value.state.g is g0
+    # Nyquist wavenumber; the flow's metrics are its Hermitian part, so the
+    # flow goes on to the Monge-Ampere solution
+    g0 = axis_bump_metric(GRID, (1, 0))
+    final, history = run_flow(g0, tol=1e-7, dt0=default_dt(GRID), max_steps=1000)
+    assert final.ricci_norm <= 1e-7
+    assert sum(row.rejected for row in history) == 0
+    assert hermitian_defect(final.g.g) == 0.0
+    sol = solve_ma2(g0, ricci_potential(g0))
+    assert np.max(np.abs(final.g.g - sol.metric_out.g)) < 1e-7
+
+
+def test_three_axis_metric_flows_to_convergence():
+    # n = 3, each g_ii varying along another axis
+    grid = PeriodicGrid(3, (8, 8, 8, 1, 1, 1))
+    g0 = axis_bump_metric(grid, (1, 2, 0))
+    final, history = run_flow(g0, tol=1e-7, dt0=default_dt(grid), max_steps=1000)
+    assert final.ricci_norm <= 1e-7
+    assert sum(row.rejected for row in history) == 0
+    assert hermitian_defect(final.g.g) == 0.0
+    sol = solve_ma2(g0, ricci_potential(g0))
+    assert np.max(np.abs(final.g.g - sol.metric_out.g)) < 1e-7

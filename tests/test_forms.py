@@ -21,6 +21,7 @@ from hermweb.grid import PeriodicGrid, ScalarField
 
 from helpers import (
     brute_wedge,
+    fd_exterior_d,
     form_to_generators,
     max_diff_generators,
     random_bandlimited,
@@ -266,6 +267,34 @@ def test_top_degree_wedge_is_scalar_multiple_of_volume():
     # (i dz1^dzbar1)^(i dz2^dzbar2) = i^2 dz1^dzbar1^dz2^dzbar2
     #                              = -(-1) dz1 dz2 dzbar1 dzbar2 = dz^{12}^dzbar^{12}
     assert np.allclose(top.coefficient((0, 1), (0, 1)), 1.0)
+
+
+@pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])
+def test_exterior_d_matches_finite_differences(p, q):
+    # every x and y axis active, where d/dz and d/dzbar differ
+    grid = PeriodicGrid(2, (16, 16, 16, 16))
+    rng = np.random.default_rng(8)
+    a = FormField(grid, p, q, {
+        key: random_bandlimited(grid, rng, kmax=1, terms=2, complex_valued=True)
+        for key in basis_keys(2, p, q)
+    })
+    for got, want in zip(exterior_d(a), fd_exterior_d(a)):
+        scale = max(1.0, max((float(np.max(np.abs(v))) for v in want.values()), default=0.0))
+        assert max_diff_generators(form_to_generators(got), want) / scale < 5e-3
+
+
+def test_exterior_d_makes_two_fft_calls(monkeypatch):
+    # one forward transform batched over the coefficients and one inverse
+    # transform batched over the coefficients of del a and dbar a
+    grid = PeriodicGrid(3, (8, 8, 1, 8, 1, 1))
+    a = random_form(grid, 1, 1, np.random.default_rng(4))
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    da, dba = exterior_d(a)
+    assert sorted(calls) == ["fftn", "ifftn"]
+    assert len(da.coeffs) == len(dba.coeffs) == 9
 
 
 def test_zero_form_and_max_norm():

@@ -111,6 +111,15 @@ def test_partial_z_matches_finite_differences(n, sizes):
         assert np.max(np.abs(specb - fdb)) / scale < 5e-3
 
 
+def test_derivative_index_out_of_range():
+    grid = PeriodicGrid(2, (8, 1, 8, 1))
+    f = constant_field(grid, 1.0)
+    with pytest.raises(GridError):
+        partial_z(f, 0)
+    with pytest.raises(GridError):
+        partial_zbar(f, 3)
+
+
 def test_conjugation_identity():
     # For real f: partial_zbar f = conj(partial_z f).
     grid = PeriodicGrid(2, (16, 16, 16, 1))

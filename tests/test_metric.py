@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hermweb.forms import FormField, ddbar
+from hermweb.forms import FormField, ddbar, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, mean, partial_z_values
 from hermweb.metric import (
     HermitianMetricField,
     MetricError,
+    _sg_defect,
     bott_chern_defect,
     chern_connection,
     chern_ricci,
@@ -20,7 +21,7 @@ from hermweb.metric import (
     ricci_tensor,
 )
 
-from helpers import bump_metric, random_bandlimited, random_metric
+from helpers import bump_metric, fd_partial_z, random_bandlimited, random_metric, sg_defect_pinv
 
 
 GRID2 = PeriodicGrid(2, (32, 32, 1, 1))
@@ -194,6 +195,17 @@ def test_chern_connection_trace_is_dlogdet():
         assert np.max(np.abs(trace[..., i] - expected)) < 1e-10
 
 
+def test_chern_connection_matches_finite_differences():
+    # every x and y axis active, where d/dz and d/dzbar differ
+    grid = PeriodicGrid(2, (16, 16, 16, 16))
+    g = random_metric(grid, np.random.default_rng(9), amp=0.1, kmax=1).g
+    dg = np.empty(grid.shape + (2, 2, 2), dtype=np.complex128)  # d g_{j lbar} / dz_i
+    for i, j, l in np.ndindex(2, 2, 2):
+        dg[..., i, j, l] = fd_partial_z(g[..., j, l], grid, i + 1)
+    want = np.einsum("...kl,...ijl->...kij", np.linalg.inv(np.swapaxes(g, -1, -2)), dg)
+    assert np.max(np.abs(chern_connection(HermitianMetricField(grid, g)) - want)) < 5e-3
+
+
 def test_chern_connection_vanishes_for_flat():
     g = identity_metric(GRID2)
     assert np.max(np.abs(chern_connection(g))) < 1e-14
@@ -229,6 +241,18 @@ def test_classify_bump_is_non_kahler():
     d = rep.as_dict()
     assert d["kahler"]["flag"] is False
     assert d["astheno_kahler"]["vacuous"] is True
+
+
+@pytest.mark.parametrize("n,sizes", [(2, (16, 16, 8, 8)), (3, (8, 8, 8, 8, 1, 8))])
+def test_sg_defect_matches_the_pinv_oracle(n, sizes):
+    # the closed-form projection against a pseudo-inverse at every
+    # wavenumber, on non-Kahler metrics varying along x and y axes
+    grid = PeriodicGrid(n, sizes)
+    omega = random_metric(grid, np.random.default_rng(21), amp=0.1).fundamental_form()
+    omega_pow = wedge_power(omega, n - 1)
+    want = sg_defect_pinv(omega_pow)
+    assert want > 1e-2
+    assert _sg_defect(omega_pow) == pytest.approx(want, rel=1e-12)
 
 
 def test_classify_gauduchon_conformal_metric_n2():
