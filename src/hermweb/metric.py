@@ -248,24 +248,22 @@ class ClassReport:
         return out
 
 
-def ddbar_of(form: FormField) -> float:
-    """Max-norm of del dbar applied to a form."""
-    _, dbar = exterior_d(form)
-    dd, _ = exterior_d(dbar)
-    return dd.max_norm()
+def _del_norm(a: FormField) -> float:
+    """Max-norm of del a; on a = dbar b it is the max-norm of del dbar b."""
+    return exterior_d(a)[0].max_norm()
 
 
-def _sg_defect(omega_pow: FormField) -> float:
-    """Least-squares defect of solving del beta = dbar(omega^{n-1}) in Fourier space.
+def _sg_defect(target: FormField) -> float:
+    """Least-squares defect of solving del beta = target = dbar(omega^{n-1})
+    in Fourier space.
 
     del sends the target's coefficient t_m on dz^{I_m} dzbar^{1..n}, I_m =
     (1..n) without m, to top degree with the symbol sigma_m = +-s_m.  At k != 0
     the del symbols form an exact (Koszul) complex, so the residual is the
     projection conj(sigma) (sigma . t^) / |sigma|^2 of t^; at k = 0 it is t^.
     """
-    grid = omega_pow.grid
+    grid = target.grid
     n = grid.n
-    _, target = exterior_d(omega_pow)  # (n-1, n)-form
     full = tuple(range(n))
     t_keys = [full[:m] + full[m + 1:] for m in range(n)]
     syms = _z_symbols(grid)
@@ -281,17 +279,21 @@ def _sg_defect(omega_pow: FormField) -> float:
 
 
 def classify(g: HermitianMetricField, tol: float) -> ClassReport:
-    """Kahler / balanced / Gauduchon / strongly Gauduchon / astheno flags."""
+    """Kahler / balanced / Gauduchon / strongly Gauduchon / astheno flags.
+
+    exterior_d of omega and of omega^{n-1} (the same form for n = 2) is taken
+    once and shared by the residuals."""
     if tol <= 0:
         raise MetricError("tolerance must be positive")
     n = g.n
     omega = g.fundamental_form()
-    omega_pow = wedge_power(omega, n - 1) if n > 1 else omega
-    kahler = d_max_norm(omega)
-    balanced = d_max_norm(omega_pow)
-    gauduchon = ddbar_of(omega_pow)
-    sg = _sg_defect(omega_pow)
-    astheno = ddbar_of(wedge_power(omega, n - 2) if n - 2 >= 2 else omega) if n >= 3 else None
+    d_omega = exterior_d(omega)
+    d_pow = exterior_d(wedge_power(omega, n - 1)) if n == 3 else d_omega
+    kahler, balanced = (max(part.max_norm() for part in d) for d in (d_omega, d_pow))
+    gauduchon = _del_norm(d_pow[1])
+    sg = _sg_defect(d_pow[1])
+    # astheno-Kahler: del dbar omega^{n-2} = 0, with omega^{n-2} = omega for n = 3
+    astheno = _del_norm(d_omega[1]) if n == 3 else None
     return ClassReport(tol, kahler, balanced, gauduchon, sg, astheno)
 
 

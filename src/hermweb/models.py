@@ -12,6 +12,8 @@ yoshihara_check / flat_volume_descent_check
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .forms import merge_sign, sort_sign
 DEGREE1_FD = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 DEGREE2_FD = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 OFFSETS = np.array([-2, -1, 0, 1, 2])
+FD_BLOCK = 256  # sample points per batched finite-difference stencil array
 
 
 class ExampleError(ValueError):
@@ -68,52 +71,50 @@ class ExampleReport:
 # ---------------------------------------------------------------------------
 
 def hopf_metric_matrix(z: np.ndarray) -> np.ndarray:
-    """g_{i jbar} = delta_ij / |z|^2."""
-    return np.eye(len(z)) / float(np.sum(np.abs(z) ** 2))
+    """g_{i jbar} = delta_ij / |z|^2, for one point or a stack of points."""
+    r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None]
+    return np.eye(z.shape[-1]) / r2
 
 
 def hopf_ricci_closed_form(z: np.ndarray) -> np.ndarray:
-    """Ric coefficient matrix (n/|z|^2)(delta_ij - zbar_i z_j / |z|^2)."""
-    n = len(z)
-    r2 = float(np.sum(np.abs(z) ** 2))
-    return (n / r2) * (np.eye(n) - np.outer(np.conj(z), z) / r2)
+    """Ric coefficient matrix (n/|z|^2)(delta_ij - zbar_i z_j / |z|^2),
+    for one point or a stack of points."""
+    n = z.shape[-1]
+    r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None]
+    return (n / r2) * (np.eye(n) - np.conj(z)[..., :, None] * z[..., None, :] / r2)
 
 
-def _mixed_partial(fn, point: np.ndarray, axis_a: int, axis_b: int, h: float) -> float:
-    """4th-order centered finite difference of d^2 fn / dr_a dr_b at point."""
-    if axis_a == axis_b:
-        vals = np.array([fn(_shift(point, axis_a, o * h)) for o in OFFSETS])
-        return float(DEGREE2_FD @ vals) / h**2
-    vals = np.array(
-        [[fn(_shift(_shift(point, axis_a, oa * h), axis_b, ob * h)) for ob in OFFSETS] for oa in OFFSETS]
-    )
-    return float(DEGREE1_FD @ vals @ DEGREE1_FD) / h**2
+def _fd_ricci(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """-d^2 log det g / dz_i dzbar_j at each row of z (P, n) by 4th-order
+    centered finite differences in R^{2n} with step h (P,).
 
-
-def _shift(point: np.ndarray, axis: int, delta: float) -> np.ndarray:
-    p = point.copy()
-    p[axis] += delta
-    return p
-
-
-def _fd_ricci(z: np.ndarray, h: float) -> np.ndarray:
-    """-d^2 log det g / dz_i dzbar_j by finite differences in R^{2n}."""
-    n = len(z)
-    point = np.concatenate([z.real, z.imag])  # (x_1..x_n, y_1..y_n)
-
-    def u(p):
-        w = p[:n] + 1j * p[n:]
-        return float(-np.log(np.linalg.det(hopf_metric_matrix(w)).real))
-
-    ric = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            # d_i d_jbar = ((dx_i - i dy_i)(dx_j + i dy_j)) / 4
-            xx = _mixed_partial(u, point, i, j, h)
-            xy = _mixed_partial(u, point, i, n + j, h)
-            yx = _mixed_partial(u, point, n + i, j, h)
-            yy = _mixed_partial(u, point, n + i, n + j, h)
-            ric[i, j] = 0.25 * (xx + 1j * xy - 1j * yx + yy)
+    The potential u = -log det g is evaluated on every stencil point of a
+    block of sample points at once: point + h (OFFSETS[s] e_a + OFFSETS[t] e_b)
+    for all axes a, b of R^{2n} and offsets s, t."""
+    num, n = z.shape
+    m = 2 * n
+    eye = np.eye(m)
+    shift = (
+        eye[:, None, None, None, :] * OFFSETS[None, None, :, None, None]
+        + eye[None, :, None, None, :] * OFFSETS[None, None, None, :, None]
+    )  # (2n, 2n, 5, 5, 2n)
+    diag = np.arange(m)
+    ric = np.empty((num, n, n), dtype=np.complex128)
+    for start in range(0, num, FD_BLOCK):
+        blk = slice(start, start + FD_BLOCK)
+        point = np.concatenate([z[blk].real, z[blk].imag], axis=1)  # (x_1..x_n, y_1..y_n)
+        hb = h[blk, None, None, None, None, None]
+        p = point[:, None, None, None, None, :] + hb * shift  # (P, 2n, 2n, 5, 5, 2n)
+        u = -np.log(np.linalg.det(hopf_metric_matrix(p[..., :n] + 1j * p[..., n:])))
+        # d^2 u / dr_a dr_b: DEGREE1_FD on both offsets off the diagonal,
+        # DEGREE2_FD along the one shifted axis on it
+        d2 = np.einsum("pabst,s,t->pab", u, DEGREE1_FD, DEGREE1_FD)
+        d2[:, diag, diag] = u[..., 2][:, diag, diag] @ DEGREE2_FD
+        d2 /= h[blk, None, None] ** 2
+        # d_i d_jbar = ((dx_i - i dy_i)(dx_j + i dy_j)) / 4
+        xx, xy = d2[:, :n, :n], d2[:, :n, n:]
+        yx, yy = d2[:, n:, :n], d2[:, n:, n:]
+        ric[blk] = 0.25 * (xx + 1j * xy - 1j * yx + yy)
     return ric
 
 
@@ -133,24 +134,24 @@ def hopf_points(num: int, n: int, seed: int = 0) -> list[np.ndarray]:
 def hopf_check(points: list[np.ndarray], n: int, tol_fd: float = 1e-6) -> ExampleReport:
     """Closed-form Ric vs local finite differences, plus the semipositivity
     witness that the first Bott-Chern class cannot vanish."""
+    z = [np.asarray(p, dtype=np.complex128) for p in points]
+    if not z:
+        raise ExampleError("no sample points")
+    if any(p.shape != (n,) for p in z):
+        raise ExampleError(f"every point needs {n} coordinates")
+    z = np.stack(z)
+    r = np.linalg.norm(z, axis=1)
+    bad = ~(r >= 0.1)  # also catches non-finite points
+    if bad.any():
+        raise ExampleError(f"point {z[bad][0]} too close to the origin or not finite")
+    closed = hopf_ricci_closed_form(z)
+    fd = _fd_ricci(z, 0.01 * r)
+    worst_fd = float(np.max(np.abs(closed - fd)))
+    eig = np.linalg.eigvalsh(closed)
+    min_eig = float(np.min(eig[:, 0]))
+    max_zero_eig = float(np.max(np.abs(eig[:, 0])))
+    min_top_margin = float(np.min(eig[:, -1] - n / (2 * r**2)))
     report = ExampleReport("hopf")
-    worst_fd = 0.0
-    min_eig = np.inf
-    max_zero_eig = 0.0
-    min_top_margin = np.inf
-    for z in points:
-        z = np.asarray(z, dtype=np.complex128)
-        if np.linalg.norm(z) < 0.1:
-            raise ExampleError(f"point {z} too close to the origin")
-        closed = hopf_ricci_closed_form(z)
-        h = 0.01 * float(np.linalg.norm(z))
-        fd = _fd_ricci(z, h)
-        worst_fd = max(worst_fd, float(np.max(np.abs(closed - fd))))
-        eig = np.linalg.eigvalsh(closed)
-        min_eig = min(min_eig, float(eig[0]))
-        max_zero_eig = max(max_zero_eig, abs(float(eig[0])))
-        r2 = float(np.sum(np.abs(z) ** 2))
-        min_top_margin = min(min_top_margin, float(eig[-1]) - n / (2 * r2))
     report.add("closed_form_vs_finite_differences", worst_fd, 0.0, tol_fd, worst_fd)
     report.add("semipositive", min_eig, ">= -1e-10", 1e-10, max(0.0, -min_eig))
     report.add("kernel_direction", max_zero_eig, 0.0, 1e-10, max_zero_eig)
@@ -180,8 +181,9 @@ def _elem_wedge(a: dict, b: dict) -> dict:
     return out
 
 
-def nakamura_top_coefficient(z1: complex, t: complex) -> complex:
-    """Coefficient of omega^3 on dz_1^dzbar_1^dz_2^dzbar_2^dz_3^dzbar_3.
+def nakamura_top_coefficient(z1, t):
+    """Coefficient of omega^3 on dz_1^dzbar_1^dz_2^dzbar_2^dz_3^dzbar_3, a
+    complex for scalar (z_1, t) and an array for arrays of samples.
 
     omega = i sum theta_k wedge conj(theta_k) for the deformed coframe
     theta_1 = dz_1 - t e^{z_1} dzbar_3, theta_2 = e^{-z_1} dz_2,
@@ -206,7 +208,8 @@ def nakamura_top_coefficient(z1: complex, t: complex) -> complex:
     raw = cubed.get((0, 1, 2, 3, 4, 5), 0.0)
     # reorder sorted generators to dz_1 dzbar_1 dz_2 dzbar_2 dz_3 dzbar_3
     _, sign = sort_sign((0, 3, 1, 4, 2, 5))
-    return complex(raw * sign)
+    coeff = raw * sign
+    return complex(coeff) if np.ndim(coeff) == 0 else coeff
 
 
 def nakamura_samples(num: int, t_values, seed: int = 0) -> list[tuple[complex, complex]]:
@@ -221,17 +224,18 @@ def nakamura_samples(num: int, t_values, seed: int = 0) -> list[tuple[complex, c
 
 def nakamura_check(samples: list[tuple[complex, complex]], tol: float = 1e-12) -> ExampleReport:
     """Constancy of the omega^3 coefficient across (z_1, t) samples."""
+    if not samples:
+        raise ExampleError("no samples")
+    z1, t = (np.array(v, dtype=np.complex128) for v in zip(*samples))
+    too_big = np.abs(t) > 0.5
+    if too_big.any():
+        raise ExampleError(f"|t| = {abs(t[too_big][0]):g} exceeds the deformation bound 0.5")
     report = ExampleReport("nakamura")
-    for _, t in samples:
-        if abs(t) > 0.5:
-            raise ExampleError(f"|t| = {abs(t):g} exceeds the deformation bound 0.5")
     reference = nakamura_top_coefficient(0.0, 0.0)
     expected = 6.0 * (1j**3)
     err_ref = abs(reference - expected) / abs(expected)
     report.add("undeformed_top_coefficient", reference, expected, tol, err_ref)
-    spread = max(
-        abs(nakamura_top_coefficient(z1, t) - reference) / abs(reference) for z1, t in samples
-    )
+    spread = float(np.max(np.abs(nakamura_top_coefficient(z1, t) - reference))) / abs(reference)
     report.add("coefficient_spread", spread, 0.0, tol, spread)
     return report
 
@@ -283,13 +287,32 @@ def yoshihara_roots() -> YoshiharaData:
     return YoshiharaData(complex(alpha), complex(beta))
 
 
+def euler_phi(k: int) -> int:
+    """Euler's totient: the count of 1 <= j <= k coprime to k."""
+    return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coefficients(k: int) -> tuple[int, ...]:
+    """Integer coefficients of the k-th cyclotomic polynomial, highest degree
+    first: Phi_k = (x^k - 1) / prod_{d | k, d < k} Phi_d by exact division."""
+    quotient = [1] + [0] * (k - 1) + [-1]
+    for d in range(1, k):
+        if k % d:
+            continue
+        divisor = cyclotomic_coefficients(d)  # monic
+        rest, quotient = quotient, []
+        for i in range(len(rest) - len(divisor) + 1):
+            c = rest[i]
+            quotient.append(c)
+            for j, dj in enumerate(divisor):
+                rest[i + j] -= c * dj
+    return tuple(quotient)
+
+
 def cyclotomic_indices_up_to_degree(d: int) -> list[int]:
     """All k with Euler phi(k) <= d (exhaustive: phi(k) > d for k > d^2 + d)."""
-    # imported here: sympy is half of `import hermweb` and only this
-    # arithmetic uses it
-    import sympy
-
-    return [k for k in range(1, d * d + d + 1) if sympy.totient(k) <= d]
+    return [k for k in range(1, d * d + d + 1) if euler_phi(k) <= d]
 
 
 def yoshihara_check(bound: int, tol: float = 1e-12) -> ExampleReport:
@@ -317,11 +340,9 @@ def yoshihara_check(bound: int, tol: float = 1e-12) -> ExampleReport:
     report.add("lambda_modulus", abs(lam), 1.0, 1e-12, abs(abs(lam) - 1.0))
 
     # exhaustive refutation: the quartic matches no cyclotomic polynomial
-    import sympy
-
     matches = []
     for k in cyclotomic_indices_up_to_degree(4):
-        coeffs = np.array(sympy.Poly(sympy.cyclotomic_poly(k, sympy.Symbol("x"))).all_coeffs(), dtype=float)
+        coeffs = np.array(cyclotomic_coefficients(k), dtype=float)
         if len(coeffs) == len(QUARTIC) and np.array_equal(coeffs, QUARTIC):
             matches.append(k)
     report.add("no_cyclotomic_match", matches, [], 0.5, float(len(matches)))

@@ -6,7 +6,9 @@ tuples by brute force, and the derivative oracle uses 4th-order centered
 finite differences on the periodic grid.  The strongly-Gauduchon oracle
 shares the package's exterior_d and d/dz symbols, but solves its
 least-squares problem by a pseudo-inverse at every wavenumber instead of
-the package's closed-form projection.
+the package's closed-form projection.  The Hopf finite-difference oracle
+evaluates its potential one stencil point at a time, where the package
+evaluates every stencil point of a block of sample points in one array.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from hermweb.forms import FormField, basis_keys, exterior_d, insert_sign
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols
 from hermweb.metric import HermitianMetricField, ricci_tensor
+from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,49 @@ def sg_defect_pinv(omega_pow: FormField) -> float:
     res_hat = that - np.einsum("...ij,...j->...i", A, beta)
     res_phys = np.fft.ifftn(np.moveaxis(res_hat, -1, 0), axes=[a + 1 for a in axes])
     return float(np.max(np.abs(res_phys)))
+
+
+# ---------------------------------------------------------------------------
+# Hopf Chern-Ricci form by finite differences, one stencil point at a time
+# ---------------------------------------------------------------------------
+
+def _shift(point: np.ndarray, axis: int, delta: float) -> np.ndarray:
+    p = point.copy()
+    p[axis] += delta
+    return p
+
+
+def _mixed_partial(fn, point: np.ndarray, axis_a: int, axis_b: int, h: float) -> float:
+    """4th-order centered finite difference of d^2 fn / dr_a dr_b at point."""
+    if axis_a == axis_b:
+        vals = np.array([fn(_shift(point, axis_a, o * h)) for o in OFFSETS])
+        return float(DEGREE2_FD @ vals) / h**2
+    vals = np.array(
+        [[fn(_shift(_shift(point, axis_a, oa * h), axis_b, ob * h)) for ob in OFFSETS] for oa in OFFSETS]
+    )
+    return float(DEGREE1_FD @ vals @ DEGREE1_FD) / h**2
+
+
+def fd_ricci_pointwise(z: np.ndarray, h: float) -> np.ndarray:
+    """-d^2 log det g / dz_i dzbar_j at one point z by finite differences in
+    R^{2n}: one Python call and one np.linalg.det per stencil point."""
+    n = len(z)
+    point = np.concatenate([z.real, z.imag])  # (x_1..x_n, y_1..y_n)
+
+    def u(p):
+        w = p[:n] + 1j * p[n:]
+        return float(-np.log(np.linalg.det(hopf_metric_matrix(w)).real))
+
+    ric = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            # d_i d_jbar = ((dx_i - i dy_i)(dx_j + i dy_j)) / 4
+            xx = _mixed_partial(u, point, i, j, h)
+            xy = _mixed_partial(u, point, i, n + j, h)
+            yx = _mixed_partial(u, point, n + i, j, h)
+            yy = _mixed_partial(u, point, n + i, n + j, h)
+            ric[i, j] = 0.25 * (xx + 1j * xy - 1j * yx + yy)
+    return ric
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,13 @@ def test_verify_example_commands(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_verify_example_hopf_without_points_exits_1(points, capsys):
+    # a check over no points proves nothing, so it must not pass
+    assert main(["verify-example", "--name", "hopf", "--points", points]) == 1
+    assert "no sample points" in capsys.readouterr().err
+
+
 def test_reports_are_deterministic(flat_spec, capsys):
     _, out1 = run(capsys, "classify", "--spec", flat_spec)
     _, out2 = run(capsys, "classify", "--spec", flat_spec)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermweb.forms import FormField, ddbar, wedge_power
+from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, mean, partial_z_values
 from hermweb.metric import (
     HermitianMetricField,
@@ -252,7 +252,32 @@ def test_sg_defect_matches_the_pinv_oracle(n, sizes):
     omega_pow = wedge_power(omega, n - 1)
     want = sg_defect_pinv(omega_pow)
     assert want > 1e-2
-    assert _sg_defect(omega_pow) == pytest.approx(want, rel=1e-12)
+    assert _sg_defect(exterior_d(omega_pow)[1]) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,sizes,ffts", [(2, (32, 32, 1, 1), 6), (3, (16, 16, 16, 1, 1, 1), 10)])
+def test_classify_takes_each_exterior_d_once(n, sizes, ffts, monkeypatch):
+    # the residuals share exterior_d of omega and omega^{n-1} and keep the
+    # values of separate evaluations
+    g = random_metric(PeriodicGrid(n, sizes), np.random.default_rng(8), amp=0.1)
+    omega = g.fundamental_form()
+    omega_pow = wedge_power(omega, n - 1)
+    want = [
+        d_max_norm(omega),
+        d_max_norm(omega_pow),
+        exterior_d(exterior_d(omega_pow)[1])[0].max_norm(),
+        sg_defect_pinv(omega_pow),
+    ] + ([exterior_d(exterior_d(omega)[1])[0].max_norm()] if n == 3 else [])
+    calls = []
+    for name in ("fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    rep = classify(g, 1e-8)
+    assert len(calls) == ffts
+    got = [rep.kahler_residual, rep.balanced_residual, rep.gauduchon_residual, rep.strongly_gauduchon_residual]
+    got += [rep.astheno_residual] if n == 3 else []
+    assert min(want) > 1e-3
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_classify_gauduchon_conformal_metric_n2():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from hermweb import models
 from hermweb.models import (
     QUARTIC,
     RECURRENCE,
     ExampleError,
     YoshiharaData,
+    cyclotomic_coefficients,
     cyclotomic_indices_up_to_degree,
+    euler_phi,
     flat_volume_descent_check,
     hopf_check,
     hopf_metric_matrix,
@@ -18,6 +21,8 @@ from hermweb.models import (
     yoshihara_check,
     yoshihara_roots,
 )
+
+from helpers import fd_ricci_pointwise
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +64,45 @@ def test_hopf_closed_form_matches_finite_differences(n):
     assert "closed_form_vs_finite_differences" in names
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_fd_ricci_matches_the_pointwise_oracle(n, monkeypatch):
+    # blocks of 16 split the 50 points into four stencil arrays, so block
+    # boundaries are crossed
+    monkeypatch.setattr(models, "FD_BLOCK", 16)
+    points = hopf_points(50, n, seed=1)
+    z = np.stack(points)
+    got = models._fd_ricci(z, 0.01 * np.linalg.norm(z, axis=1))
+    want = np.stack([fd_ricci_pointwise(p, 0.01 * float(np.linalg.norm(p))) for p in points])
+    assert got.shape == (50, n, n)
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_hopf_closed_form_is_batched():
+    z = np.stack(hopf_points(5, 3, seed=4))
+    stacked = hopf_ricci_closed_form(z)
+    assert all(np.allclose(stacked[k], hopf_ricci_closed_form(z[k]), rtol=0, atol=1e-14) for k in range(5))
+    assert np.allclose(hopf_metric_matrix(z)[2], hopf_metric_matrix(z[2]), rtol=0, atol=1e-15)
+
+
+def test_hopf_check_rejects_an_empty_point_set():
+    with pytest.raises(ExampleError, match="no sample points"):
+        hopf_check([], 2)
+
+
+@pytest.mark.parametrize("point", [np.array([1.0 + 0j]), np.array([1.0, 0.5, 0.2 + 1j])])
+def test_hopf_check_rejects_points_of_the_wrong_length(point):
+    with pytest.raises(ExampleError, match="needs 2 coordinates"):
+        hopf_check([np.array([1.0, 0.5j]), point], 2)
+
+
+@pytest.mark.parametrize("bad", [np.array([0.05, 0.0j]), np.array([np.nan, 1.0])])
+def test_hopf_check_rejects_points_near_the_origin_or_not_finite(bad, monkeypatch):
+    # rejected before any stencil is built
+    monkeypatch.setattr(models, "_fd_ricci", lambda *a: pytest.fail("stencil built"))
+    with pytest.raises(ExampleError, match="too close to the origin"):
+        hopf_check([np.array([1.0, 0.5j]), bad], 2)
+
+
 def test_hopf_points_respect_radius_window():
     for z in hopf_points(100, 2, seed=2):
         r = np.linalg.norm(z)
@@ -92,6 +136,24 @@ def test_nakamura_coefficient_independent_of_z1_and_t():
     ]
     ref = vals[0]
     assert all(abs(v - ref) < 1e-12 for v in vals)
+
+
+def test_nakamura_coefficient_on_arrays_matches_scalar_calls():
+    samples = nakamura_samples(30, [0.05, 0.1 + 0.1j, 0.3], seed=5)
+    z1, t = (np.array(v) for v in zip(*samples))
+    got = nakamura_top_coefficient(z1, t)
+    assert got.shape == (30,)
+    want = [nakamura_top_coefficient(a, b) for a, b in samples]
+    assert all(isinstance(w, complex) for w in want)
+    assert np.max(np.abs(got - np.array(want))) < 1e-13
+
+
+def test_nakamura_check_rejects_large_t_before_evaluating(monkeypatch):
+    monkeypatch.setattr(models, "nakamura_top_coefficient", lambda *a: pytest.fail("evaluated"))
+    with pytest.raises(ExampleError, match="deformation bound"):
+        nakamura_check([(0.1 + 0j, 0.2 + 0j), (0.0j, 0.6 + 0j)])
+    with pytest.raises(ExampleError, match="no samples"):
+        nakamura_check([])
 
 
 def test_nakamura_check_passes():
@@ -156,6 +218,15 @@ def test_yoshihara_data_validation():
 def test_cyclotomic_indices():
     assert cyclotomic_indices_up_to_degree(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
     assert cyclotomic_indices_up_to_degree(1) == [1, 2]
+
+
+def test_cyclotomic_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for k in range(1, 61):
+        want = [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(k, x)).all_coeffs()]
+        assert list(cyclotomic_coefficients(k)) == want, k
+        assert euler_phi(k) == sympy.totient(k), k
 
 
 def test_yoshihara_check_full_certificate():
