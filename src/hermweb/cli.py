@@ -128,7 +128,7 @@ def _dispatch(args, spec):
             if args.t:
                 re_s, im_s = args.t.split(",")
                 ts.append(complex(float(re_s), float(im_s)))
-            report = nakamura_check(nakamura_samples(max(args.points, 100), ts, seed=args.seed))
+            report = nakamura_check(nakamura_samples(args.points, ts, seed=args.seed))
         else:
             reports = [yoshihara_check(args.bound), flat_volume_descent_check()]
             results = {r.example: r.as_dict() for r in reports}

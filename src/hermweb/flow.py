@@ -1,5 +1,5 @@
 """Chern-Ricci flow d omega / dt = -Ric(omega) with error-controlled
-exponential RK2 steps.
+fourth-order exponential (ETDRK4) steps.
 
 On the torus Ric(omega) = -i del dbar log det g is del-dbar-exact, so the
 flow stays in the class of omega_0 and reduces to a scalar parabolic
@@ -8,12 +8,21 @@ Monge-Ampere equation (Tosatti-Weinkove, JDG 2015):
 The state is the spectrum of the real potential psi.  The right-hand side
 splits into the stiff constant-coefficient part L psi = c Lap psi, with
 c = mean(tr g0^{-1}) / n the flat linearisation of log det at g0 (the scale
-of ma's preconditioner), and the rest N(psi).  Each step is one ETDRK2 step
-(Cox-Matthews 2002), exact for the linear part in Fourier space:
-    a       = e^{hL} psi + h phi1(hL) N(psi),
-    psi_new = a + h phi2(hL) (N(a) - N(psi)).
-The correction psi_new - a is the step's embedded error estimate; its
-Hessian is g_new - g_predictor, so it costs no transform.
+of ma's preconditioner), and the rest N(psi) = log det g - L psi.  Each step
+is one ETDRK4 step (Cox-Matthews 2002), exact for the linear part in
+Fourier space; with E = e^{hL}, E2 = e^{hL/2} and Q = (E2 - 1) / L,
+    a       = E2 psi + Q N(psi),
+    b       = E2 psi + Q N(a),
+    c       = E2 a + Q (2 N(b) - N(psi)),
+    psi_new = E psi + f1 N(psi) + f2 (N(a) + N(b)) + f3 N(c),
+where, with phi_k at z = hL,
+    f1 = h (phi1 - 3 phi2 + 4 phi3),  f2 = 2h (phi2 - 2 phi3),
+    f3 = h (4 phi3 - phi2).
+Stage c is already a full-step approximation, so the correction
+g_new - g_c is the step's embedded error estimate; it costs no transform.
+The coefficients depend on dt alone: they are evaluated once per distinct
+value of L, and the potential carries the last set to the next step of the
+same dt.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .metric import HermitianMetricField, hermitian_part, is_positive_definite
 STEP_ERROR_FRACTION = 0.1
 # run_flow grows dt no further than this fraction of the decay time of the
 # slowest mode of the flat unit Laplacian on the torus
-MAX_STEP_DECAY = 0.1
+MAX_STEP_DECAY = 0.4
 
 
 class FlowError(RuntimeError):
@@ -55,6 +64,8 @@ class _Potential:
     linear: np.ndarray  # Fourier symbol of L = c Lap
     psi_hat: np.ndarray
     logdet_hat: np.ndarray  # spectrum of log det g, mean removed
+    # the (dt, _coefficients) of the step that made it, for the next step
+    coefficients: tuple[float, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,7 @@ class FlowState:
     t: float
     g: HermitianMetricField
     ricci_norm: float
-    # max |g - g_predictor| of the step that made this state
+    # max |g - g_c| of the step that made this state
     correction: float = 0.0
     # a state built without it restarts the potential at g0 = g
     potential: _Potential | None = field(default=None, repr=False, compare=False)
@@ -104,31 +115,63 @@ def flow_state(g: HermitianMetricField, t: float = 0.0) -> FlowState:
     return _state(t, g, potential)
 
 
-def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi1(z) = (e^z - 1) / z and phi2(z) = (e^z - 1 - z) / z^2, with their
-    Taylor series near 0, where e^z - 1 - z cancels."""
-    small = np.abs(z) < 0.1
-    w = np.where(small, -1.0, z)
-    em1 = np.expm1(w)
-    phi1 = em1 / w
-    phi2 = (em1 - w) / (w * w)
-    zs = z[small]
-    s1 = s2 = np.zeros_like(zs)
-    for k in range(10, -1, -1):
-        s1 = s1 * zs + 1.0 / factorial(k + 1)
-        s2 = s2 * zs + 1.0 / factorial(k + 2)
-    phi1[small] = s1
-    phi2[small] = s2
-    return phi1, phi2
+# phi_k(z) = sum_j z^j / (j + k)!, j < 18, for k = 1, 2, 3
+_PHI_SERIES = np.array([[1.0 / factorial(j + k) for k in (1, 2, 3)] for j in range(18)])
+
+
+def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi1(z) = (e^z - 1) / z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z for
+    k = 1, 2, from their Taylor series for |z| < 1, where the recurrence
+    cancels."""
+    small = np.abs(z) < 1.0
+    w = np.where(small, 1.0, z)
+    phi1 = np.expm1(w) / w
+    phi2 = (phi1 - 1.0) / w
+    phi3 = (phi2 - 0.5) / w
+    terms = np.vander(z[small], 18, increasing=True)[..., None] * _PHI_SERIES
+    phi1[small], phi2[small], phi3[small] = terms.sum(axis=1).T
+    return phi1, phi2, phi3
+
+
+def _coefficients(linear: np.ndarray, dt: float) -> np.ndarray:
+    """The ETDRK4 multipliers E, E2, Q, f1, f2 and f3 at z = dt L, stacked on
+    a first axis; they are evaluated on the distinct values of the symbol
+    of L (43 on a 16^2 grid) and spread over the grid."""
+    values, index = np.unique(linear, return_inverse=True)
+    z = dt * values
+    # the phi functions at z and z / 2 in one call
+    phi1, phi2, phi3 = _phi_functions(np.outer([1.0, 0.5], z))
+    sets = np.stack([
+        np.exp(z),
+        np.exp(0.5 * z),
+        0.5 * dt * phi1[1],
+        dt * (phi1[0] - 3.0 * phi2[0] + 4.0 * phi3[0]),
+        2.0 * dt * (phi2[0] - 2.0 * phi3[0]),
+        dt * (4.0 * phi3[0] - phi2[0]),
+    ])
+    return sets[:, index].reshape((6,) + linear.shape)
+
+
+def _stage(
+    state: FlowState, dt: float, stage_hat: np.ndarray, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The metric g = Herm(g0 + Hess stage) of a stage and N(stage) =
+    logdet_hat - L stage; raises StepRejected when g is not positive."""
+    p = state.potential
+    grid = state.g.grid
+    g = hermitian_part(p.g0 + hessian_from_spectrum(stage_hat, grid))
+    if not is_positive_definite(g):
+        raise StepRejected(f"positivity violated at stage {name}; halve dt ({dt:g})", state)
+    return g, _logdet_spectrum(g, grid) - p.linear * stage_hat
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
-    """One ETDRK2 step of the potential.
+    """One ETDRK4 step of the potential.
 
-    The predictor and the new metric are the Hermitian parts of
+    The stage metrics and the new metric are the Hermitian parts of
     g0 + Hess psi: at the Nyquist wavenumber the spectral Hessian of a field
-    varying along two axes is not Hermitian.  Raises StepRejected when
-    either loses positivity.  Having checked that here, it wraps the new
+    varying along two axes is not Hermitian.  Raises StepRejected when any
+    of them loses positivity.  Having checked that here, it wraps the new
     metric without the constructor's re-check and copy.
     """
     if dt <= 0:
@@ -137,20 +180,27 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
         state = flow_state(state.g, state.t)
     p = state.potential
     grid = state.g.grid
-    z = dt * p.linear
-    phi1, phi2 = _phi_functions(z)
-    N = p.logdet_hat - p.linear * p.psi_hat
-    a_hat = np.exp(z) * p.psi_hat + dt * phi1 * N
-    g_pred = hermitian_part(p.g0 + hessian_from_spectrum(a_hat, grid))
-    if not is_positive_definite(g_pred):
-        raise StepRejected(f"positivity violated at the predictor; halve dt ({dt:g})", state)
-    N_pred = _logdet_spectrum(g_pred, grid) - p.linear * a_hat
-    psi_hat = a_hat + dt * phi2 * (N_pred - N)
+    if p.coefficients is not None and p.coefficients[0] == dt:
+        coefficients = p.coefficients
+    else:
+        coefficients = (dt, _coefficients(p.linear, dt))
+    E, E2, Q, f1, f2, f3 = coefficients[1]
+    psi = p.psi_hat
+    N = p.logdet_hat - p.linear * psi
+    E2_psi = E2 * psi
+    a = E2_psi + Q * N
+    _, N_a = _stage(state, dt, a, "a")
+    b = E2_psi + Q * N_a
+    _, N_b = _stage(state, dt, b, "b")
+    c = E2 * a + Q * (2.0 * N_b - N)
+    g_c, N_c = _stage(state, dt, c, "c")
+    psi_hat = E * psi + f1 * N + f2 * (N_a + N_b) + f3 * N_c
     g_new = hermitian_part(p.g0 + hessian_from_spectrum(psi_hat, grid))
     if not is_positive_definite(g_new):
         raise StepRejected(f"positivity violated; halve dt ({dt:g})", state)
-    correction = float(np.max(np.abs(g_new - g_pred)))
-    potential = _Potential(p.g0, p.linear, psi_hat, _logdet_spectrum(g_new, grid))
+    correction = float(np.max(np.abs(g_new - g_c)))
+    logdet_hat = _logdet_spectrum(g_new, grid)
+    potential = _Potential(p.g0, p.linear, psi_hat, logdet_hat, coefficients)
     return _state(state.t + dt, HermitianMetricField._unchecked(grid, g_new), potential, correction)
 
 
@@ -168,11 +218,11 @@ def max_dt(grid: PeriodicGrid) -> float:
     lambda_1 the decay rate of the slowest nonzero mode of the flat unit
     Laplacian (no limit on a grid without active axes).
 
-    ETDRK2 takes N(psi) as linear in time over a step, and N follows the
-    slow modes, so the step stays a fixed fraction of their time scale.  It
-    is read from the grid alone, like the default first step, so the flows
-    of different metrics on one grid share their time steps once grown, and
-    the cost of a flow does not hinge on where the step-error test cuts in.
+    N(psi) follows the slow modes, so the step stays a fixed fraction of
+    their time scale.  It is read from the grid alone, like the default
+    first step, so the flows of different metrics on one grid share their
+    time steps, and with them their coefficients, once grown, and the cost
+    of a flow does not hinge on where the step-error test cuts in.
     """
     rates = -laplacian_symbol(grid)
     rates = rates[rates > 0]

@@ -227,6 +227,8 @@ def nakamura_check(samples: list[tuple[complex, complex]], tol: float = 1e-12) -
     if not samples:
         raise ExampleError("no samples")
     z1, t = (np.array(v, dtype=np.complex128) for v in zip(*samples))
+    if not (np.isfinite(z1).all() and np.isfinite(t).all()):
+        raise ExampleError("samples must be finite")
     too_big = np.abs(t) > 0.5
     if too_big.any():
         raise ExampleError(f"|t| = {abs(t[too_big][0]):g} exceeds the deformation bound 0.5")

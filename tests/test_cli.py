@@ -201,6 +201,13 @@ def test_verify_example_hopf_without_points_exits_1(points, capsys):
     assert "no sample points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_verify_example_nakamura_without_points_exits_1(points, capsys):
+    # --points is the sample count here too, not raised to a floor
+    assert main(["verify-example", "--name", "nakamura", "--points", points]) == 1
+    assert "no samples" in capsys.readouterr().err
+
+
 def test_reports_are_deterministic(flat_spec, capsys):
     _, out1 = run(capsys, "classify", "--spec", flat_spec)
     _, out2 = run(capsys, "classify", "--spec", flat_spec)

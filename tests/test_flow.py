@@ -1,4 +1,5 @@
 from itertools import islice
+from math import factorial
 
 import numpy as np
 import pytest
@@ -88,9 +89,9 @@ def test_flow_adaptive_recovers_from_big_dt():
 
 
 def test_step_growth_stops_at_max_dt():
-    # a tenth of the decay time 1 / pi^2 of the slowest flat mode on the
-    # unit torus; no limit without an active axis
-    assert max_dt(GRID) == pytest.approx(0.1 / np.pi**2, rel=1e-14)
+    # 0.4 of the decay time 1 / pi^2 of the slowest flat mode on the unit
+    # torus; no limit without an active axis
+    assert max_dt(GRID) == pytest.approx(0.4 / np.pi**2, rel=1e-14)
     assert max_dt(PeriodicGrid(2, (1, 1, 1, 1))) == np.inf
     # bumps of amplitude 1/4 and 1/2 grow through the same steps to the
     # limit and take no rejected step on the way
@@ -119,24 +120,25 @@ def test_run_flow_step_cap():
 
 
 def test_flow_step_fft_calls_per_attempt(monkeypatch):
-    # an accepted attempt transforms log det g twice (predictor and new
-    # state) and makes three batched inverse transforms: the predictor's and
-    # the new metric's Hessians and the new state's Ricci tensor
+    # an accepted attempt transforms log det g four times (stages a, b, c
+    # and the new state) and makes five batched inverse transforms: the
+    # Hessians of the three stages and the new metric, and the new state's
+    # Ricci tensor
     state = flow_state(bump_metric(GRID))
     calls = []
     for name in ("fft", "ifft", "fftn", "ifftn"):
         fn = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
     flow_step(state, default_dt(GRID))
-    assert sorted(calls) == ["fftn", "fftn", "ifftn", "ifftn", "ifftn"]
+    assert sorted(calls) == ["fftn"] * 4 + ["ifftn"] * 5
     calls.clear()
     flow_state(bump_metric(GRID))
     assert sorted(calls) == ["fftn", "ifftn"]
 
 
 def test_flow_step_computes_ricci_twice(monkeypatch):
-    # Ric = -Hess log det g.  k1 comes from the state; the predictor's and
-    # the new state's log det g are the two evaluations
+    # Ric = -Hess log det g.  N(psi) comes from the state; the log det g of
+    # stages a, b, c and of the new state are the four evaluations
     import hermweb.flow
 
     state = flow_state(bump_metric(GRID))
@@ -144,13 +146,13 @@ def test_flow_step_computes_ricci_twice(monkeypatch):
     logdet = hermweb.flow._logdet_spectrum
     monkeypatch.setattr(hermweb.flow, "_logdet_spectrum", lambda g, grid: calls.append(g) or logdet(g, grid))
     flow_step(state, default_dt(GRID))
-    assert len(calls) == 2
+    assert len(calls) == 4
     calls.clear()
     final, history = run_flow(bump_metric(GRID), tol=1e-3, dt0=default_dt(GRID), max_steps=1000)
-    # an attempt rejected after the step evaluated both; none lost positivity
+    # an attempt rejected after the step evaluated all four; none lost positivity
     assert {row.reason for row in history} <= {"", "step error", "ricci increase"}
     attempts = len(history) - 1 + sum(row.rejected for row in history)
-    assert len(calls) == 1 + 2 * attempts
+    assert len(calls) == 1 + 4 * attempts
 
 
 def test_flow_state_carries_its_ricci_tensor():
@@ -167,20 +169,44 @@ def test_flow_state_carries_its_ricci_tensor():
 
 
 def test_phi_functions_against_high_precision():
-    # either side of the switch to the Taylor series at |z| = 0.1
+    # phi1, phi2 and phi3 over the step's range of z, and either side of the
+    # switch to the Taylor series at |z| = 1
     mpmath = pytest.importorskip("mpmath")
-    z = -np.concatenate([[0.0], np.logspace(-12, 4, 200), [0.1, np.nextafter(0.1, 1.0)]])
-    phi1, phi2 = _phi_functions(z)
-    with mpmath.workdps(40):
-        for zi, p1, p2 in zip(z, phi1, phi2):
-            if zi == 0.0:
-                w1, w2 = 1.0, 0.5
-            else:
-                m = mpmath.mpf(zi)
-                w1 = float(mpmath.expm1(m) / m)
-                w2 = float((mpmath.expm1(m) - m) / m**2)
-            assert p1 == pytest.approx(w1, rel=1e-14)
-            assert p2 == pytest.approx(w2, rel=1e-14)
+    edges = [0.1, np.nextafter(0.1, 1.0), 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    z = -np.concatenate([[0.0], np.logspace(-12, 4, 200), edges])
+    phis = _phi_functions(z)
+    # e^z - sum_{j<3} z^j / j! cancels 36 digits at |z| = 1e-12
+    with mpmath.workdps(80):
+        for i, zi in enumerate(z):
+            m = mpmath.mpf(zi)
+            for k, phi in enumerate(phis, 1):
+                if zi == 0.0:
+                    want = 1.0 / factorial(k)
+                else:
+                    # phi_k(z) = (e^z - sum_{j<k} z^j / j!) / z^k
+                    tail = mpmath.exp(m) - sum(m**j / factorial(j) for j in range(k))
+                    want = float(tail / m**k)
+                assert phi[i] == pytest.approx(want, rel=1e-14), (k, zi)
+
+
+def test_coefficients_are_evaluated_once_per_step_size(monkeypatch):
+    # the potential carries the last (dt, coefficients) pair, so a flow
+    # evaluates a set for each new dt of its growth and each rejected attempt
+    # only, and none while dt stays at max_dt
+    import hermweb.flow
+
+    calls = []
+    coefficients = hermweb.flow._coefficients
+    monkeypatch.setattr(hermweb.flow, "_coefficients", lambda L, dt: calls.append(dt) or coefficients(L, dt))
+    state = flow_state(bump_metric(GRID))
+    state = flow_step(flow_step(state, 1e-3), 1e-3)
+    assert calls == [1e-3]
+    for dt0 in (default_dt(GRID), 1000.0 * default_dt(GRID)):
+        calls.clear()
+        _, history = run_flow(bump_metric(GRID), tol=1e-7, dt0=dt0, max_steps=1000)
+        distinct = len({row.dt for row in history[1:]})
+        assert len(calls) <= distinct + sum(row.rejected for row in history)
+        assert len(calls) < len(history) - 1
 
 
 def test_history_records_rejections_and_their_reason(monkeypatch):
@@ -200,7 +226,7 @@ def test_history_records_rejections_and_their_reason(monkeypatch):
 
 
 def test_flow_is_second_order_in_time():
-    # g(t = 0.5) from fixed-dt ETDRK2 steps against the explicit midpoint
+    # g(t = 0.5) from fixed-dt ETDRK4 steps against the explicit midpoint
     # oracle at a quarter of its stability limit
     T = 0.5
     k = int(np.ceil(T / (default_dt(GRID) / 4)))
@@ -213,7 +239,7 @@ def test_flow_is_second_order_in_time():
         assert state.t == pytest.approx(T)
         errors.append(np.max(np.abs(state.g.g - ref.g)))
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
-    assert min(orders) >= 1.5, (errors, orders)
+    assert min(orders) >= 2.0, (errors, orders)
 
 
 def test_time_to_tolerance_matches_the_oracle():

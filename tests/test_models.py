@@ -154,6 +154,10 @@ def test_nakamura_check_rejects_large_t_before_evaluating(monkeypatch):
         nakamura_check([(0.1 + 0j, 0.2 + 0j), (0.0j, 0.6 + 0j)])
     with pytest.raises(ExampleError, match="no samples"):
         nakamura_check([])
+    # a NaN t would pass the bound and fail only the spread check
+    for sample in [(0.1 + 0j, complex("nan")), (complex("inf"), 0.2 + 0j)]:
+        with pytest.raises(ExampleError, match="finite"):
+            nakamura_check([(0.1 + 0j, 0.2 + 0j), sample])
 
 
 def test_nakamura_check_passes():
