@@ -204,11 +204,23 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     return _state(state.t + dt, HermitianMetricField._unchecked(grid, g_new), potential, correction)
 
 
-def _rejection(state: FlowState, new: FlowState) -> str:
-    """Why run_flow rejects the step from state to new, or "" if it does not."""
+def _error_ratio(state: FlowState, new: FlowState) -> float:
+    """r = correction / (STEP_ERROR_FRACTION max|g_new - g|) of the step
+    from state to new: above 1 the step fails the step-error test.  On the
+    flows measured r grows about as dt^2, so the next step can be about
+    r^(-1/2) times longer.  r is 0 for a step without correction."""
+    if new.correction == 0.0:
+        return 0.0
+    change = STEP_ERROR_FRACTION * float(np.max(np.abs(new.g.g - state.g.g)))
+    return new.correction / change if change > 0.0 else np.inf
+
+
+def _rejection(state: FlowState, new: FlowState, ratio: float) -> str:
+    """Why run_flow rejects the step from state to new, of error ratio
+    `ratio`, or "" if it does not."""
     if new.ricci_norm > state.ricci_norm:
         return "ricci increase"
-    if new.correction > STEP_ERROR_FRACTION * np.max(np.abs(new.g.g - state.g.g)):
+    if ratio > 1.0:
         return "step error"
     return ""
 
@@ -238,11 +250,13 @@ def run_flow(
 ) -> tuple[FlowState, list[FlowHistoryRow]]:
     """Iterate from the initial step dt0 until the max-norm of Ric drops below tol.
 
-    dt halves on a rejected step (positivity loss, Ricci-norm increase or a
-    correction above STEP_ERROR_FRACTION of the step's change of g) and
-    grows by 1.1x on success, up to max_dt(grid); dt0 itself may exceed
-    that.  The flow stops with FlowError, carrying the last state, at the
-    step cap or when dt falls below min_dt.
+    dt halves on a rejected step: positivity loss, a Ricci-norm increase,
+    or an error ratio r = correction / (STEP_ERROR_FRACTION max|g_new - g|)
+    above 1.  After an accepted step dt is scaled by min(cap, 0.9 r^(-1/2))
+    (by cap at r = 0), up to max_dt(grid); cap is 2 until the flow's first
+    rejected attempt and 1.1 from then on.  dt0 itself may exceed max_dt.
+    The flow stops with FlowError, carrying the last state, at the step cap
+    or when dt falls below min_dt.
     """
     if tol <= 0:
         raise FlowError("tol must be positive")
@@ -250,6 +264,7 @@ def run_flow(
     history = [FlowHistoryRow(state.t, 0.0, state.ricci_norm)]
     dt = dt0
     dt_max = max_dt(g0.grid)
+    cap = 2.0
     steps = 0
     rejected, reason = 0, ""
     while state.ricci_norm > tol:
@@ -259,18 +274,23 @@ def run_flow(
             )
         try:
             new = flow_step(state, dt)
-            why = _rejection(state, new)
+            ratio = _error_ratio(state, new)
+            why = _rejection(state, new, ratio)
         except StepRejected:
             why = "positivity"
         if why:
             rejected, reason = rejected + 1, why
+            cap = 1.1
             dt *= 0.5
             if dt < min_dt:
-                raise FlowError("dt underflow; flow is not contracting", state)
+                raise FlowError(
+                    f"dt underflow after {rejected} rejected attempts (last: {reason})", state
+                )
             continue
         state = new
         steps += 1
         history.append(FlowHistoryRow(state.t, dt, state.ricci_norm, rejected, reason))
         rejected, reason = 0, ""
-        dt = min(1.1 * dt, dt_max)
+        growth = cap if ratio == 0.0 else min(cap, 0.9 / ratio**0.5)
+        dt = min(dt * growth, dt_max)
     return state, history

@@ -53,6 +53,9 @@ class ManifoldSpec:
     reference_exprs: dict | None = None
     F_expr: object | None = None
     source_text: str = ""
+    # the metric fields built so far, by (section, grid); their arrays are
+    # read-only, so a field is built, probed and validated once per grid
+    _fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def build_grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.n, self.sizes)
@@ -74,6 +77,12 @@ class ManifoldSpec:
 
     def _build(self, exprs: dict, grid: PeriodicGrid | None, section: str) -> HermitianMetricField:
         grid = grid or self.build_grid()
+        key = (section, grid)
+        if key not in self._fields:
+            self._fields[key] = self._evaluate(exprs, grid, section)
+        return self._fields[key]
+
+    def _evaluate(self, exprs: dict, grid: PeriodicGrid, section: str) -> HermitianMetricField:
         n = self.n
         g = np.zeros(grid.shape + (n, n), dtype=np.complex128)
         for (i, j), (re_ast, im_ast) in exprs.items():
@@ -201,7 +210,7 @@ def loads(text: str) -> ManifoldSpec:
         grid = spec.build_grid()
     except Exception as exc:
         raise SpecError(f"manifold.sizes: {exc}") from exc
-    spec.build_metric(grid)  # validates Hermitian positivity up front
+    spec.build_metric(grid)  # validates Hermitian positivity up front, kept for reuse
     if reference_exprs is not None:
         spec.build_reference(grid)
     return spec

@@ -184,6 +184,28 @@ def test_grid_override(bump_spec, capsys):
     assert code == 1
 
 
+def test_spec_fields_are_built_once_per_grid(bump_spec, capsys, monkeypatch):
+    # loads builds and validates the metric on the spec's grid; the command
+    # reuses that field, and a --grid override builds its own
+    import hermweb.specfile
+
+    probed = []
+    warn = hermweb.specfile._warn_if_aperiodic
+
+    def probe(ast, grid, path):
+        probed.append((path, grid.sizes))
+        warn(ast, grid, path)
+
+    monkeypatch.setattr(hermweb.specfile, "_warn_if_aperiodic", probe)
+    code, _ = run(capsys, "ricci", "--spec", bump_spec)
+    assert code == 0
+    assert sorted(probed) == [("metric.g[1][1]", (1, 32, 1, 1)), ("metric.g[2][2]", (1, 32, 1, 1))]
+    probed.clear()
+    code, _ = run(capsys, "ricci", "--spec", bump_spec, "--grid", "1,16,1,1")
+    assert code == 0
+    assert sorted(size for _, size in probed) == [(1, 16, 1, 1)] * 2 + [(1, 32, 1, 1)] * 2
+
+
 def test_verify_example_commands(capsys):
     code, out = run(capsys, "verify-example", "--name", "yoshihara", "--bound", "1000")
     assert code == 0

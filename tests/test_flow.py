@@ -94,7 +94,8 @@ def test_step_growth_stops_at_max_dt():
     assert max_dt(GRID) == pytest.approx(0.4 / np.pi**2, rel=1e-14)
     assert max_dt(PeriodicGrid(2, (1, 1, 1, 1))) == np.inf
     # bumps of amplitude 1/4 and 1/2 grow through the same steps to the
-    # limit and take no rejected step on the way
+    # limit, each doubling until the error ratio would cut it, and take no
+    # rejected step on the way
     g = bump_metric(GRID).g.copy()
     g[..., 0, 0] = 1.0 + 0.5 * (g[..., 0, 0] - 1.0)
     runs = [
@@ -106,6 +107,34 @@ def test_step_growth_stops_at_max_dt():
         assert sum(row.rejected for row in history) == 0
     steps = min(len(h) for h in runs)
     assert [row.dt for row in runs[0][:steps]] == [row.dt for row in runs[1][:steps]]
+
+
+def test_step_growth_follows_the_error_ratio():
+    # from the explicit-RK2 limit the error ratio stays far under 1, so dt
+    # doubles and reaches max_dt within 6 accepted steps
+    _, history = run_flow(bump_metric(GRID), tol=1e-7, dt0=default_dt(GRID), max_steps=1000)
+    assert sum(row.rejected for row in history) == 0
+    assert max_dt(GRID) in [row.dt for row in history[1:7]]
+
+
+def test_step_growth_is_capped_after_a_rejection():
+    # once an attempt is rejected the flow grows dt by at most 1.1x a step
+    _, history = run_flow(bump_metric(GRID), tol=1e-7, dt0=1000.0 * default_dt(GRID), max_steps=1000)
+    first = next(i for i, row in enumerate(history) if row.rejected)
+    dts = [row.dt for row in history[first:]]
+    assert all(b <= 1.1 * a for a, b in zip(dts, dts[1:])), dts
+
+
+def test_dt_underflow_names_its_cause(monkeypatch):
+    import hermweb.flow
+
+    monkeypatch.setattr(hermweb.flow, "_rejection", lambda *args: "ricci increase")
+    g = bump_metric(GRID)
+    message = r"dt underflow after \d+ rejected attempts \(last: ricci increase\)"
+    with pytest.raises(FlowError, match=message) as info:
+        run_flow(g, tol=1e-7, dt0=default_dt(GRID), max_steps=1000)
+    assert info.value.state.t == 0.0
+    assert np.array_equal(info.value.state.g.g, g.g)
 
 
 def test_run_flow_rejects_bad_tol():
@@ -192,7 +221,8 @@ def test_phi_functions_against_high_precision():
 def test_coefficients_are_evaluated_once_per_step_size(monkeypatch):
     # the potential carries the last (dt, coefficients) pair, so a flow
     # evaluates a set for each new dt of its growth and each rejected attempt
-    # only, and none while dt stays at max_dt
+    # only, and none while dt stays at max_dt; a flow from the default dt
+    # grows in a few steps
     import hermweb.flow
 
     calls = []
@@ -207,6 +237,8 @@ def test_coefficients_are_evaluated_once_per_step_size(monkeypatch):
         distinct = len({row.dt for row in history[1:]})
         assert len(calls) <= distinct + sum(row.rejected for row in history)
         assert len(calls) < len(history) - 1
+        if dt0 == default_dt(GRID):
+            assert len(calls) <= 8, calls
 
 
 def test_history_records_rejections_and_their_reason(monkeypatch):
