@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, then reused: parse_args fills a fresh
+    # namespace with the defaults on every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     t_start = time.time()
     out = {"version": __version__, "command": args.command}
     rows_csv = None

@@ -7,7 +7,11 @@ identically zero.
 
 Every spectral derivative is ifftn(symbol * fftn(f)) over the active axes,
 with the multipliers of _z_symbols alone: s_i for d/dz_i and -conj(s_i) for
-d/dzbar_i, Nyquist bins included.
+d/dzbar_i, Nyquist bins included.  The one exception is the Hermitian part of
+the complex Hessian of a real field (hermitian_hessian_stack), which the
+solvers use: it is irfftn(symbol * rfftn(f)), with the symbols of its n real
+diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
+entries, so every transform is a real one.
 """
 
 from __future__ import annotations
@@ -202,3 +206,78 @@ def hessian_from_spectrum(fhat: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 def hessian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j, spectral."""
     return hessian_from_spectrum(np.fft.fftn(values, axes=grid.active_axes), grid)
+
+
+def _reflect(a: np.ndarray, axes) -> np.ndarray:
+    """a at the reflected wavenumbers: index k -> -k mod N along each axis."""
+    for ax in axes:
+        a = np.roll(np.flip(a, ax), 1, ax)
+    return a
+
+
+def _half_spectrum(grid: PeriodicGrid) -> tuple:
+    """Index of the rfftn half spectrum: bins 0..N/2 of the last active axis."""
+    last = grid.active_axes[-1]
+    idx = [slice(None)] * len(grid.sizes)
+    idx[last] = slice(grid.sizes[last] // 2 + 1)
+    return tuple(idx)
+
+
+@lru_cache(maxsize=32)
+def _hermitian_hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
+    """Half-spectrum multipliers of the stack of hermitian_hessian_stack."""
+    n = grid.n
+    axes = [a + 2 for a in grid.active_axes]
+    m = _hessian_multipliers(grid).reshape((n, n) + grid.shape)
+    # (H + H^H)_ij / 2 of a real field has the symbol (m_ij(k) + conj m_ji(-k)) / 2,
+    # which differs from m_ij only at Nyquist bins
+    h = 0.5 * (m + np.conj(np.swapaxes(_reflect(m, axes), 0, 1)))
+    h_neg = np.conj(_reflect(h, axes))
+    d = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    # the Hermitian-even parts, whose inverse transforms are the real fields
+    # H_ii, Re H_ij and Im H_ij
+    mult = np.concatenate([h[d, d], 0.5 * (h + h_neg)[iu, ju], -0.5j * (h - h_neg)[iu, ju]])
+    mult = np.ascontiguousarray(mult[(slice(None),) + _half_spectrum(grid)])
+    mult.setflags(write=False)
+    return mult
+
+
+def hermitian_hessian_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """The Hermitian part H = (Hess f + Hess f^H)/2 of the complex Hessian of a
+    real field f as n^2 real fields, stacked on the first axis:
+        H_ii (i < n), Re H_ij (i < j), Im H_ij (i < j),
+    the pairs i < j in np.triu_indices order.  One rfftn and one irfftn batched
+    over the stack."""
+    axes = grid.active_axes
+    if not axes:  # one grid point: every derivative vanishes
+        return np.zeros((grid.n**2,) + grid.shape)
+    S = _hermitian_hessian_multipliers(grid) * np.fft.rfftn(values, axes=axes)
+    return np.fft.irfftn(S, s=[grid.sizes[a] for a in axes], axes=[a + 1 for a in axes])
+
+
+def hermitian_trace_weights(K: np.ndarray) -> np.ndarray:
+    """Real stack C of a Hermitian (..., n, n) field K, in the layout of
+    hermitian_hessian_stack, with sum_k C[k] S[k] = Re tr(K H) for S that
+    stack of a Hermitian field H:
+        K_ii (i < n), 2 Re K_ji (i < j), -2 Im K_ji (i < j)."""
+    n = K.shape[-1]
+    d = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    K_ji = K[..., ju, iu]
+    C = np.concatenate([K[..., d, d].real, 2.0 * K_ji.real, -2.0 * K_ji.imag], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(C, -1, 0))
+
+
+def hermitian_hessian(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """hermitian_hessian_stack assembled into an exactly Hermitian (..., n, n) field."""
+    n = grid.n
+    S = np.moveaxis(hermitian_hessian_stack(values, grid), 0, -1)
+    d = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    re, im = S[..., n : n + len(iu)], S[..., n + len(iu) :]
+    H = np.empty(grid.shape + (n, n), dtype=np.complex128)
+    H[..., d, d] = S[..., :n]
+    H[..., iu, ju] = re + 1j * im
+    H[..., ju, iu] = re - 1j * im
+    return H

@@ -20,6 +20,14 @@ tr(P M(H, B)) = tr(M(P, B) H), K = M(Lambda^{-1}, g0) / (2 (n-1)),
 w = det(Lambda)^{1/(n-1)} for solve_ma3.  The linear systems are solved by
 GMRES with a flat-Laplacian Fourier preconditioner, with the constant b
 carried as an extra unknown in a bordered system.
+
+For Hermitian K, Re tr(K H) does not see the anti-Hermitian part of H, so the
+residuals and the linearisation take only the Hermitian part of Hess phi, as
+the real stack of grid.hermitian_hessian_stack (real transforms only).  Each
+Newton step turns w K into the matching real coefficient stack
+(grid.hermitian_trace_weights)
+    w K_ii,  2 w Re K_ji,  -2 w Im K_ji   (i < j),
+so a matvec is one real transform pair and one contraction of two stacks.
 """
 
 from __future__ import annotations
@@ -31,7 +39,15 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import smallmat
-from .grid import PeriodicGrid, ScalarField, hessian_values, laplacian_symbol
+from .grid import (
+    PeriodicGrid,
+    ScalarField,
+    _half_spectrum,
+    hermitian_hessian,
+    hermitian_hessian_stack,
+    hermitian_trace_weights,
+    laplacian_symbol,
+)
 from .forms import FormField, d_max_norm, merge_sign, sort_sign
 from .metric import HermitianMetricField, MetricError, hermitian_part, is_positive_definite
 
@@ -168,25 +184,39 @@ def _michelsohn_root(grid: PeriodicGrid, lam: np.ndarray) -> HermitianMetricFiel
 
 def _make_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray):
     """Approximate inverse of the bordered system: flat-Laplacian solve for
-    the field block, mean bookkeeping for the border."""
-    sym = laplacian_symbol(grid)
+    the field block on the real half spectrum, mean bookkeeping for the border."""
+    sym = laplacian_symbol(grid)[_half_spectrum(grid)]
+    with np.errstate(divide="ignore"):
+        inv_sym = np.where(sym != 0.0, 1.0 / (c * sym), 0.0)
     axes = grid.active_axes
+    sizes = [grid.sizes[a] for a in axes]
+    zero = (0,) * len(grid.shape)
     npts = grid.num_points
     wmean = float(np.mean(rhs_weight))
 
     def apply(r: np.ndarray) -> np.ndarray:
-        rf = r[:-1].reshape(grid.shape)
-        rb = r[-1]
-        rhat = np.fft.fftn(rf, axes=axes)
-        zero = (0,) * len(grid.shape)
+        rhat = np.fft.rfftn(r[:-1].reshape(grid.shape), axes=axes)
         db = -rhat[zero].real / npts / wmean
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phat = np.where(sym != 0.0, rhat / (c * sym), 0.0)
-        phat[zero] = rb * npts
-        v = np.fft.ifftn(phat, axes=axes).real
+        rhat *= inv_sym
+        rhat[zero] = r[-1] * npts
+        v = np.fft.irfftn(rhat, s=sizes, axes=axes)
         return np.concatenate([v.ravel(), [db]])
 
     return LinearOperator((npts + 1, npts + 1), matvec=apply, dtype=np.float64)
+
+
+def _make_operator(grid: PeriodicGrid, K: np.ndarray, w: np.ndarray):
+    """The bordered Newton operator (dphi, db) -> (w Re tr(K Hess dphi) - db w,
+    mean dphi), as one contraction with the coefficient stack of w K."""
+    C = w * hermitian_trace_weights(K)
+    npts = grid.num_points
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        dphi = v[:-1].reshape(grid.shape)
+        row = np.einsum("k...,k...->...", C, hermitian_hessian_stack(dphi, grid)) - v[-1] * w
+        return np.concatenate([row.ravel(), [dphi.mean()]])
+
+    return LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
 
 
 def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
@@ -195,12 +225,15 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     residual_fn returns (R, state) where R is the pointwise equation residual
     and state is whatever coefficients_fn needs; it raises SolverError
     (positivity) for inadmissible iterates.  coefficients_fn(state) returns
-    the matrix field K and the weight field w of the linearised residual
+    the Hermitian matrix field K and the weight field w of the linearised
+    residual
         (dphi, db) -> w Re tr(K Hess dphi) - db w;
     the border column -w is exact at a solution, where e^b e^F det g = w.
+    Once per Newton step, w K becomes the real coefficient stack
+    C = w hermitian_trace_weights(K), so that w Re tr(K Hess dphi) is the
+    contraction of C with hermitian_hessian_stack(dphi) (_make_operator).
     The preconditioner inverts c times the flat Laplacian, c = mean(w tr K)/n.
     """
-    npts = grid.num_points
     phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
     phi = phi - phi.mean()
     b = float(initial_b)
@@ -214,14 +247,7 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
             return phi, b, history, state, trace
         K, w = coefficients_fn(state)
         c = float(np.mean(w * np.einsum("...ii->...", K).real) / grid.n)
-
-        def matvec(v):
-            dphi = v[:-1].reshape(grid.shape)
-            Hv = hessian_values(dphi.astype(np.complex128), grid)
-            row = (w * np.einsum("...ij,...ji->...", K, Hv)).real - v[-1] * w
-            return np.concatenate([row.ravel(), [dphi.mean()]])
-
-        A_op = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
+        A_op = _make_operator(grid, K, w)
         M = _make_preconditioner(grid, c, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = max(LINEAR_RTOL, min(1e-3, 1e-3 * res))
@@ -275,10 +301,11 @@ def solve_ma2(
     Fv = F.values.real
     detg = g.det()
     eF_detg = np.exp(Fv) * detg
+    g_h = hermitian_part(g.g)
 
     def residual(phi, b):
-        gt = g.g + hessian_values(phi.astype(np.complex128), grid)
-        gt = hermitian_part(gt)
+        # exactly Hermitian, as the sum of two exactly Hermitian fields
+        gt = g_h + hermitian_hessian(phi, grid)
         if not is_positive_definite(gt):
             raise SolverError("positivity lost", [], phi, b)
         detgt = smallmat.det(gt)
@@ -293,10 +320,10 @@ def solve_ma2(
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
     phi, b, history, state, trace = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
     return MASolution(
-        ScalarField(grid, phi.astype(np.complex128)),
+        ScalarField(grid, phi),
         b,
         history,
-        # residual() symmetrised gt and checked its positivity
+        # residual() built gt exactly Hermitian and checked its positivity
         HermitianMetricField._unchecked(grid, state[0]),
         trace,
     )
@@ -323,15 +350,13 @@ def solve_ma3(
     if d_max_norm(g0.fundamental_form()) > kahler_tol:
         raise MetricError(f"reference metric is not Kahler at tolerance {kahler_tol:g}")
 
-    adj_g = 0.5 * smallmat.mixed_adjugate(g.g, g.g)  # M(g, g) = 2 adj g
+    adj_g = hermitian_part(0.5 * smallmat.mixed_adjugate(g.g, g.g))  # M(g, g) = 2 adj g
     Fv = F.values.real
     eF_detg = np.exp(Fv) * g.det()
     root_exp = 1.0 / (n - 1)
 
     def residual(phi, b):
-        H = hessian_values(phi.astype(np.complex128), grid)
-        lam = adj_g + 0.5 * smallmat.mixed_adjugate(H, g0.g)
-        lam = hermitian_part(lam)
+        lam = adj_g + 0.5 * smallmat.mixed_adjugate(hermitian_hessian(phi, grid), g0.g)
         if not is_positive_definite(lam):
             raise SolverError("(n-1)-positivity lost", [], phi, b)
         dets = smallmat.det(lam) ** root_exp  # det of the root metric
@@ -347,7 +372,7 @@ def solve_ma3(
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
     phi, b, history, state, trace = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
     metric_out = _michelsohn_root(grid, state[0])
-    return MASolution(ScalarField(grid, phi.astype(np.complex128)), b, history, metric_out, trace)
+    return MASolution(ScalarField(grid, phi), b, history, metric_out, trace)
 
 
 def uniqueness_probe(solver, guess_a: np.ndarray, guess_b: np.ndarray) -> float:

@@ -9,6 +9,9 @@ least-squares problem by a pseudo-inverse at every wavenumber instead of
 the package's closed-form projection.  The Hopf finite-difference oracle
 evaluates its potential one stencil point at a time, where the package
 evaluates every stencil point of a block of sample points in one array.
+The Newton operator and preconditioner oracles are the solvers' complex
+forms: the full complex Hessian contracted with K, and the flat-Laplacian
+solve on complex spectra.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import count
 import numpy as np
 
 from hermweb.forms import FormField, basis_keys, exterior_d, insert_sign
-from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols
+from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
 from hermweb.metric import HermitianMetricField, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
 
@@ -256,3 +259,31 @@ def rk2_flow(g: HermitianMetricField, dt: float):
 
 def field(grid: PeriodicGrid, values) -> ScalarField:
     return ScalarField(grid, np.asarray(values, dtype=np.complex128))
+
+
+# ---------------------------------------------------------------------------
+# Complex forms of the Newton operator and its preconditioner
+# ---------------------------------------------------------------------------
+
+def complex_newton_row(grid: PeriodicGrid, K: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Field row of the bordered Newton operator, (w Re tr(K Hess dphi) - db w),
+    from the full complex Hessian of dphi = v[:-1] and db = v[-1]."""
+    dphi = v[:-1].reshape(grid.shape)
+    H = hessian_values(dphi.astype(np.complex128), grid)
+    return (w * np.einsum("...ij,...ji->...", K, H)).real - v[-1] * w
+
+
+def complex_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Flat-Laplacian solve of the field block on complex spectra, with the
+    mean bookkeeping of the border."""
+    sym = laplacian_symbol(grid)
+    axes = grid.active_axes
+    npts = grid.num_points
+    rhat = np.fft.fftn(r[:-1].reshape(grid.shape), axes=axes)
+    zero = (0,) * len(grid.shape)
+    db = -rhat[zero].real / npts / float(np.mean(rhs_weight))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phat = np.where(sym != 0.0, rhat / (c * sym), 0.0)
+    phat[zero] = r[-1] * npts
+    v = np.fft.ifftn(phat, axes=axes).real
+    return np.concatenate([v.ravel(), [db]])

@@ -246,3 +246,28 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+
+
+def test_parser_is_built_once_and_keeps_fresh_defaults(bump_spec, tmp_path, capsys, monkeypatch):
+    import hermweb.cli as cli
+
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["solve-ma2", "--spec", bump_spec, "--out"]
+    # a random start may lose positivity on this grid (exit 2); the CSV is written either way
+    assert main(argv + [str(first), "--random-init", "--csv", "--seed", "3"]) in (0, 2)
+    assert main(argv + [str(second)]) == 0
+    capsys.readouterr()
+    assert builds == [1]
+    assert (first / "history.csv").exists()
+    assert not (second / "history.csv").exists()
+    args = cli._parser().parse_args(argv + [str(second)])
+    assert (args.random_init, args.csv, args.seed) == (False, False, 0)
+    cli._parser.cache_clear()

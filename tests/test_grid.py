@@ -7,11 +7,15 @@ from hermweb.grid import (
     ScalarField,
     constant_field,
     from_function,
+    hermitian_hessian,
+    hermitian_hessian_stack,
     hessian_values,
     mean,
     partial_z,
     partial_zbar,
 )
+
+from hermweb.metric import hermitian_part
 
 from helpers import fd_partial_z, fd_partial_zbar, random_bandlimited
 
@@ -166,3 +170,33 @@ def test_mean_is_translation_invariant():
     m = mean(ScalarField(grid, vals))
     rolled = np.roll(vals, 5, axis=0)
     assert mean(ScalarField(grid, rolled)) == pytest.approx(complex(m), abs=1e-13)
+
+
+# white noise reaches the Nyquist bins, where the Hermitian-part symbol differs
+# from the Hessian's; (16, 1, 1, 16) and (8, 8, 8, 8, 1, 8) have collapsed axes,
+# and on (64, 64, 1, 1) and (16, 16, 16, 1, 1, 1) the last active axis is not
+# the last array axis
+@pytest.mark.parametrize(
+    "n, sizes",
+    [
+        (2, (64, 64, 1, 1)),
+        (3, (16, 16, 16, 1, 1, 1)),
+        (2, (16, 16, 8, 8)),
+        (3, (8, 8, 8, 8, 1, 8)),
+        (2, (16, 1, 1, 16)),
+    ],
+)
+def test_hermitian_hessian_is_hermitian_part_of_hessian(n, sizes):
+    grid = PeriodicGrid(n, sizes)
+    vals = np.random.default_rng(sum(sizes)).standard_normal(grid.shape)
+    expected = hermitian_part(hessian_values(vals, grid))
+    H = hermitian_hessian(vals, grid)
+    assert np.max(np.abs(H - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+    S = hermitian_hessian_stack(vals, grid)
+    assert S.dtype == np.float64 and S.shape == (n * n,) + grid.shape
+
+
+def test_hermitian_hessian_on_a_one_point_grid_vanishes():
+    grid = PeriodicGrid(2, (1, 1, 1, 1))
+    assert np.array_equal(hermitian_hessian(np.ones(grid.shape), grid), np.zeros(grid.shape + (2, 2)))

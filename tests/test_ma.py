@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from hermweb.forms import FormField, ddbar, wedge, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, hessian_values
@@ -12,6 +15,8 @@ from hermweb.metric import (
     ricci_norm,
     ricci_potential,
 )
+from hermweb import grid as grid_module
+from hermweb import ma as ma_module
 from hermweb.ma import (
     FACTORIAL,
     MASolution,
@@ -24,12 +29,16 @@ from hermweb.ma import (
     solve_ma3,
     uniqueness_probe,
     volume_coefficient,
+    _make_operator,
+    _make_preconditioner,
 )
 
 from hermweb.smallmat import mixed_adjugate
 
 from helpers import (
     brute_wedge,
+    complex_newton_row,
+    complex_preconditioner,
     form_to_generators,
     max_diff_generators,
     random_bandlimited,
@@ -307,3 +316,97 @@ def test_solve_ma3_preserves_balanced():
     rep_out = classify(sol.metric_out, 1e-6)
     assert rep_out.balanced
     assert rep_out.gauduchon
+
+
+# ---------------------------------------------------------------------------
+# the real-transform Newton operator and preconditioner
+# ---------------------------------------------------------------------------
+
+OPERATOR_GRIDS = [(2, (64, 64, 1, 1)), (2, (16, 1, 1, 16)), (3, (16, 16, 16, 1, 1, 1)), (3, (8, 8, 8, 8, 1, 8))]
+
+
+@pytest.mark.parametrize("n, sizes", OPERATOR_GRIDS)
+def test_newton_operator_matches_complex_form(n, sizes):
+    grid = PeriodicGrid(n, sizes)
+    rng = np.random.default_rng(sum(sizes))
+    A = rng.standard_normal(grid.shape + (n, n)) + 1j * rng.standard_normal(grid.shape + (n, n))
+    K = A + np.conj(np.swapaxes(A, -1, -2))
+    w = rng.uniform(0.5, 2.0, grid.shape)
+    v = rng.standard_normal(grid.num_points + 1)
+    out = _make_operator(grid, K, w).matvec(v)
+    expected = complex_newton_row(grid, K, w, v)
+    assert np.max(np.abs(out[:-1] - expected.ravel())) <= 1e-12 * np.max(np.abs(expected))
+    assert out[-1] == pytest.approx(v[:-1].mean(), abs=1e-15)
+
+
+@pytest.mark.parametrize("n, sizes", OPERATOR_GRIDS)
+def test_preconditioner_matches_complex_form(n, sizes):
+    grid = PeriodicGrid(n, sizes)
+    rng = np.random.default_rng(sum(sizes) + 1)
+    w = rng.uniform(0.5, 2.0, grid.shape)
+    r = rng.standard_normal(grid.num_points + 1)
+    out = _make_preconditioner(grid, 1.3, w).matvec(r)
+    expected = complex_preconditioner(grid, 1.3, w, r)
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+class _CountingFFT:
+    """numpy.fft with every call counted by function name."""
+
+    def __init__(self, counts: Counter):
+        self._counts = counts
+
+    def __getattr__(self, name):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            self._counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+class _NumpyView:
+    def __init__(self, fft):
+        self.fft = fft
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
+    rng = np.random.default_rng(0)
+    if solver == "ma2":
+        g, F, _, _ = manufactured_problem(PeriodicGrid(2, (16, 16, 1, 1)), rng)
+        solve = lambda: solve_ma2(g, F)
+    else:
+        g, g0, F, _, _ = ma3_manufactured(GRID3, rng)
+        solve = lambda: solve_ma3(g, g0, F)
+    counts = Counter()
+    view = _NumpyView(_CountingFFT(counts))
+    monkeypatch.setattr(grid_module, "np", view)
+    monkeypatch.setattr(ma_module, "np", view)
+    per_apply = {"matvec": [], "precond": []}
+    real_gmres = ma_module.gmres
+
+    def counted(kind, fn):
+        def apply(v):
+            before = counts.copy()
+            out = fn(v)
+            per_apply[kind].append(counts - before)
+            return out
+
+        return apply
+
+    def gmres(A, b, M=None, **kwargs):
+        A = LinearOperator(A.shape, matvec=counted("matvec", A.matvec), dtype=A.dtype)
+        M = LinearOperator(M.shape, matvec=counted("precond", M.matvec), dtype=M.dtype)
+        return real_gmres(A, b, M=M, **kwargs)
+
+    monkeypatch.setattr(ma_module, "gmres", gmres)
+    solve()
+    pair = Counter(rfftn=1, irfftn=1)
+    for kind in ("matvec", "precond"):
+        assert per_apply[kind] and all(c == pair for c in per_apply[kind])
+    assert counts["fftn"] == counts["ifftn"] == counts["fft"] == counts["ifft"] == 0
