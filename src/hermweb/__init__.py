@@ -17,7 +17,6 @@ from .metric import (
     classify,
     conformal_flatten,
     identity_metric,
-    metric_from_form,
     parallel_section_check,
     ricci_norm,
     ricci_potential,
@@ -32,7 +31,6 @@ from .ma import (
     matrix_to_form,
     solve_ma2,
     solve_ma3,
-    uniqueness_probe,
 )
 from .flow import FlowError, FlowState, flow_state, flow_step, run_flow
 from .models import (
@@ -65,7 +63,6 @@ __all__ = [
     "classify",
     "conformal_flatten",
     "identity_metric",
-    "metric_from_form",
     "parallel_section_check",
     "ricci_norm",
     "ricci_potential",
@@ -78,7 +75,6 @@ __all__ = [
     "matrix_to_form",
     "solve_ma2",
     "solve_ma3",
-    "uniqueness_probe",
     "FlowError",
     "FlowState",
     "flow_state",

@@ -178,10 +178,7 @@ def _dispatch(args, spec):
         if F is None:
             F = ricci_potential(g)
         cfg = SolverConfig(tolerance=tol or 1e-11, max_iterations=args.max_iter)
-        init = None
-        if args.random_init:
-            rng = np.random.default_rng(args.seed)
-            init = 1e-3 * rng.standard_normal(grid.shape)
+        init = _random_start(grid, args.seed) if args.random_init else None
         try:
             if cmd == "solve-ma2":
                 sol = solve_ma2(g, F, cfg, initial_phi=init)
@@ -202,10 +199,16 @@ def _dispatch(args, spec):
             "converged": {"value": True, "tolerance": cfg.tolerance},
             "b": {"value": sol.b},
             "iterations": {"value": sol.iterations},
+            "gmres_iterations": {"value": sum(sol.linear_iterations)},
             "final_residual": {"value": sol.residual_history[-1], "tolerance": cfg.tolerance},
             "output_ricci_max_norm": {"value": ricci_norm(sol.metric_out)},
         }
-        rows = (["iteration", "residual", "b", "step"], list(sol.trace))
+        # the Newton step that produced trace row i made linear_iterations[i - 1]
+        # GMRES iterations; row 0 is the initial guess
+        rows = (
+            ["iteration", "residual", "b", "step", "gmres_iters"],
+            [row + (its,) for row, its in zip(sol.trace, (0,) + sol.linear_iterations)],
+        )
         return results, rows, {"phi": sol.phi, "F": F}, 0
 
     if cmd == "flow":
@@ -238,6 +241,18 @@ def _dispatch(args, spec):
 
 def _history_rows(history):
     return ["iteration", "residual"], [(i, r) for i, r in enumerate(history)]
+
+
+def _random_start(grid, seed):
+    # noise with |k| <= 2 on each active axis, at max-norm 1e-3: white noise
+    # has a Hessian that grows like N^2 and loses positivity on fine grids
+    rng = np.random.default_rng(seed)
+    axes = grid.active_axes
+    keep = np.ones(grid.shape, dtype=bool)
+    for a in axes:
+        keep &= np.abs(grid.wavenumbers(a)) <= 2
+    noise = np.fft.ifftn(keep * np.fft.fftn(rng.standard_normal(grid.shape), axes=axes), axes=axes).real
+    return noise * (1e-3 / np.max(np.abs(noise)))
 
 
 def _default_dt(grid):

@@ -110,10 +110,6 @@ class ScalarField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.values.imag)) <= 1e-12 * max(1.0, np.max(np.abs(self.values))))
-
 
 def constant_field(grid: PeriodicGrid, value: complex) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, value, dtype=np.complex128))
@@ -150,11 +146,6 @@ def partial_z(f: ScalarField, i: int) -> ScalarField:
 def partial_zbar(f: ScalarField, i: int) -> ScalarField:
     """Antiholomorphic derivative d f / dzbar_i = (d/dx_i + i d/dy_i)/2 (1-based, i <= n)."""
     return ScalarField(f.grid, _derivative(f.values, f.grid, -np.conj(_z_symbol(f.grid, i))))
-
-
-def mean(f: ScalarField) -> complex:
-    """Arithmetic average over grid points (= torus integral, unit volume)."""
-    return complex(np.mean(f.values))
 
 
 @lru_cache(maxsize=32)

@@ -98,18 +98,6 @@ def identity_metric(grid: PeriodicGrid) -> HermitianMetricField:
     return HermitianMetricField(grid, g)
 
 
-def metric_from_form(omega: FormField) -> HermitianMetricField:
-    """Inverse of fundamental_form for a positive real (1,1)-form."""
-    if (omega.p, omega.q) != (1, 1):
-        raise MetricError("need a (1,1)-form")
-    n = omega.grid.n
-    g = np.empty(omega.grid.shape + (n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            g[..., i, j] = omega.coefficient((i,), (j,)) / 1j
-    return HermitianMetricField(omega.grid, hermitian_part(g))
-
-
 def log_det(g: HermitianMetricField) -> np.ndarray:
     d = g.det()
     if np.min(d) <= 0:

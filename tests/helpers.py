@@ -11,7 +11,9 @@ evaluates its potential one stencil point at a time, where the package
 evaluates every stencil point of a block of sample points in one array.
 The Newton operator and preconditioner oracles are the solvers' complex
 forms: the full complex Hessian contracted with K, and the flat-Laplacian
-solve on complex spectra.
+solve on complex spectra.  The last section holds small cross-checks that
+the package itself never calls: the grid mean, a realness test, the inverse
+of fundamental_form and a uniqueness probe for the Monge-Ampere solvers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from hermweb.forms import FormField, basis_keys, exterior_d, insert_sign
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
-from hermweb.metric import HermitianMetricField, ricci_tensor
+from hermweb.metric import HermitianMetricField, MetricError, hermitian_part, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
 
 
@@ -287,3 +289,40 @@ def complex_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray,
     phat[zero] = r[-1] * npts
     v = np.fft.ifftn(phat, axes=axes).real
     return np.concatenate([v.ravel(), [db]])
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks the package does not call
+# ---------------------------------------------------------------------------
+
+def mean(f: ScalarField) -> complex:
+    """Arithmetic average over grid points (= torus integral, unit volume)."""
+    return complex(np.mean(f.values))
+
+
+def is_real(f: ScalarField) -> bool:
+    return bool(np.max(np.abs(f.values.imag)) <= 1e-12 * max(1.0, np.max(np.abs(f.values))))
+
+
+def metric_from_form(omega: FormField) -> HermitianMetricField:
+    """Inverse of fundamental_form for a positive real (1,1)-form."""
+    if (omega.p, omega.q) != (1, 1):
+        raise MetricError("need a (1,1)-form")
+    n = omega.grid.n
+    g = np.empty(omega.grid.shape + (n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            g[..., i, j] = omega.coefficient((i,), (j,)) / 1j
+    return HermitianMetricField(omega.grid, hermitian_part(g))
+
+
+def uniqueness_probe(solver, guess_a: np.ndarray, guess_b: np.ndarray) -> float:
+    """Max |phi_a - phi_b| after mean-zero normalization of two solver runs.
+
+    solver is a callable mapping an initial guess to an MASolution.
+    """
+    sol_a = solver(guess_a)
+    sol_b = solver(guess_b)
+    pa = sol_a.phi.values.real
+    pb = sol_b.phi.values.real
+    return float(np.max(np.abs((pa - pa.mean()) - (pb - pb.mean()))))

@@ -12,13 +12,7 @@ import pytest
 from hermweb.flow import run_flow
 from hermweb.forms import FormField, basis_keys, d_max_norm, ddbar, exterior_d, wedge, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, from_function, hessian_values, partial_z
-from hermweb.ma import (
-    hodge_root,
-    matrix_to_form,
-    solve_ma2,
-    solve_ma3,
-    uniqueness_probe,
-)
+from hermweb.ma import hodge_root, matrix_to_form, solve_ma2, solve_ma3
 from hermweb.metric import (
     HermitianMetricField,
     chern_ricci,
@@ -45,6 +39,7 @@ from helpers import (
     max_diff_generators,
     random_bandlimited,
     random_metric,
+    uniqueness_probe,
 )
 
 

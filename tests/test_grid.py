@@ -10,14 +10,13 @@ from hermweb.grid import (
     hermitian_hessian,
     hermitian_hessian_stack,
     hessian_values,
-    mean,
     partial_z,
     partial_zbar,
 )
 
 from hermweb.metric import hermitian_part
 
-from helpers import fd_partial_z, fd_partial_zbar, random_bandlimited
+from helpers import fd_partial_z, fd_partial_zbar, is_real, mean, random_bandlimited
 
 
 def test_grid_basic_properties():
@@ -72,7 +71,7 @@ def test_scalar_field_is_read_only():
     with pytest.raises(ValueError):
         f.values[0, 0, 0, 0] = 3.0
     assert mean(f) == pytest.approx(2.0)
-    assert f.is_real
+    assert is_real(f)
 
 
 def test_partial_z_plane_wave_exact():

@@ -1,8 +1,13 @@
 from collections import Counter
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
+import scipy.sparse.linalg as scipy_linalg
 
 from hermweb.forms import FormField, ddbar, wedge, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, hessian_values
@@ -27,7 +32,6 @@ from hermweb.ma import (
     matrix_to_form,
     solve_ma2,
     solve_ma3,
-    uniqueness_probe,
     volume_coefficient,
     _make_operator,
     _make_preconditioner,
@@ -43,6 +47,7 @@ from helpers import (
     max_diff_generators,
     random_bandlimited,
     random_metric,
+    uniqueness_probe,
 )
 
 
@@ -400,8 +405,8 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
         return apply
 
     def gmres(A, b, M=None, **kwargs):
-        A = LinearOperator(A.shape, matvec=counted("matvec", A.matvec), dtype=A.dtype)
-        M = LinearOperator(M.shape, matvec=counted("precond", M.matvec), dtype=M.dtype)
+        A = ma_module.LinearOperator(A.shape, matvec=counted("matvec", A.matvec), dtype=A.dtype)
+        M = ma_module.LinearOperator(M.shape, matvec=counted("precond", M.matvec), dtype=M.dtype)
         return real_gmres(A, b, M=M, **kwargs)
 
     monkeypatch.setattr(ma_module, "gmres", gmres)
@@ -410,3 +415,140 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
     for kind in ("matvec", "precond"):
         assert per_apply[kind] and all(c == pair for c in per_apply[kind])
     assert counts["fftn"] == counts["ifftn"] == counts["fft"] == counts["ifft"] == 0
+
+
+# ---------------------------------------------------------------------------
+# GMRES against scipy's, the test-only oracle
+# ---------------------------------------------------------------------------
+
+def preconditioned_system(n, seed):
+    """A random non-symmetric A, a preconditioner M near A^{-1} and b."""
+    rng = np.random.default_rng(seed)
+    A = 2.0 * np.eye(n) + rng.normal(size=(n, n)) / np.sqrt(n)
+    M = np.linalg.inv(A + 0.5 * rng.normal(size=(n, n)) / np.sqrt(n))
+    return A, M, rng.normal(size=n)
+
+
+def test_givens_rotation_matches_lapack_lartg():
+    from scipy.linalg import get_lapack_funcs
+
+    lartg = get_lapack_funcs("lartg", dtype=np.float64)
+    rng = np.random.default_rng(0)
+    pairs = [(0.0, 0.0), (-2.0, 0.0), (0.0, -2.0), (3.0, -4.0), (-4.0, 3.0)]
+    pairs += [tuple(rng.normal(size=2) * 10.0 ** rng.uniform(-200, 200, size=2)) for _ in range(2000)]
+    for f, g in pairs:
+        want = tuple(float(t) for t in lartg(f, g))
+        got = ma_module._givens(float(f), float(g))
+        if all(ma_module._RTMIN < abs(t) < ma_module._RTMAX for t in (f, g)) or 0.0 in (f, g):
+            assert got == want
+        else:
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def both_gmres(A, M, b, **kwargs):
+    """(x, info, callback values) from hermweb's gmres and from scipy's."""
+    n = b.size
+    ours, theirs = [], []
+    x, info, iterations = ma_module.gmres(
+        ma_module.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=np.float64),
+        b,
+        M=ma_module.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
+        callback=ours.append,
+        callback_type="pr_norm",
+        **kwargs,
+    )
+    assert iterations == len(ours)
+    x_ref, info_ref = scipy_linalg.gmres(
+        scipy_linalg.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=np.float64),
+        b,
+        M=scipy_linalg.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
+        callback=theirs.append,
+        callback_type="pr_norm",
+        **kwargs,
+    )
+    return (x, info, np.array(ours)), (x_ref, info_ref, np.array(theirs))
+
+
+@pytest.mark.parametrize("n, seed", [(5, 0), (5, 1), (300, 2), (300, 3)])
+def test_gmres_matches_scipy(n, seed):
+    A, M, b = preconditioned_system(n, seed)
+    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, M, b, rtol=1e-12, atol=0.0, maxiter=400)
+    assert info == info_ref == 0
+    if n == 5:
+        # the Krylov space is the whole space after n steps: no restart
+        assert len(res) <= n
+    else:
+        assert len(res) > ma_module._LINEAR_RESTART
+    assert res.shape == res_ref.shape
+    assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
+    assert np.max(np.abs(x - x_ref)) < 1e-12 * np.max(np.abs(x_ref))
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_gmres_breakdown_gives_the_exact_solution():
+    # M A is the cyclic shift: the fifth Arnoldi vector is exactly zero
+    n = 5
+    A = 0.5 * np.roll(np.eye(n), 1, axis=0)
+    M = 2.0 * np.eye(n)
+    b = np.eye(n)[0]
+    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, M, b, rtol=1e-12, atol=0.0, maxiter=400)
+    assert info == info_ref == 0
+    assert res.tolist() == res_ref.tolist() == [2.0, 2.0, 2.0, 2.0, 0.0]
+    assert x.tolist() == x_ref.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0]
+
+
+def test_gmres_reports_maxiter_when_capped():
+    A, M, b = preconditioned_system(300, 4)
+    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, M, b, rtol=1e-14, atol=0.0, maxiter=1)
+    assert info == info_ref == 1
+    assert len(res) == len(res_ref) == ma_module._LINEAR_RESTART
+    assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
+    assert np.max(np.abs(x - x_ref)) < 1e-12 * np.max(np.abs(x_ref))
+
+
+def test_gmres_zero_rhs_returns_zero():
+    A, M, _ = preconditioned_system(5, 5)
+    op = ma_module.LinearOperator((5, 5), matvec=lambda v: A @ v, dtype=np.float64)
+    pre = ma_module.LinearOperator((5, 5), matvec=lambda v: M @ v, dtype=np.float64)
+    x, info, iterations = ma_module.gmres(op, np.zeros(5), M=pre, rtol=1e-10, maxiter=10)
+    assert (info, iterations) == (0, 0) and not x.any()
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_linear_iterations_count_each_newton_step(solver, monkeypatch):
+    rng = np.random.default_rng(1)
+    if solver == "ma2":
+        g, F, _, _ = manufactured_problem(PeriodicGrid(2, (16, 16, 1, 1)), rng)
+        solve = lambda: solve_ma2(g, F)
+    else:
+        g, g0, F, _, _ = ma3_manufactured(GRID3, rng)
+        solve = lambda: solve_ma3(g, g0, F)
+    per_call = []
+    real_gmres = ma_module.gmres
+
+    def gmres(A, b, **kwargs):
+        per_call.append(0)
+
+        def count(_):
+            per_call[-1] += 1
+
+        return real_gmres(A, b, callback=count, callback_type="pr_norm", **kwargs)
+
+    monkeypatch.setattr(ma_module, "gmres", gmres)
+    sol = solve()
+    assert len(sol.linear_iterations) == sol.iterations >= 1
+    assert list(sol.linear_iterations) == per_call
+    assert all(its >= 1 for its in per_call)
+
+
+def test_importing_hermweb_loads_no_scipy():
+    src = Path(ma_module.__file__).resolve().parents[1]
+    code = (
+        "import sys; import hermweb, hermweb.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=src, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.strip() == "[]"

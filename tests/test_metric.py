@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge_power
-from hermweb.grid import PeriodicGrid, ScalarField, mean, partial_z_values
+from hermweb.grid import PeriodicGrid, ScalarField, partial_z_values
 from hermweb.metric import (
     HermitianMetricField,
     MetricError,
@@ -14,14 +14,21 @@ from hermweb.metric import (
     conformal_flatten,
     identity_metric,
     log_det,
-    metric_from_form,
     parallel_section_check,
     ricci_norm,
     ricci_potential,
     ricci_tensor,
 )
 
-from helpers import bump_metric, fd_partial_z, random_bandlimited, random_metric, sg_defect_pinv
+from helpers import (
+    bump_metric,
+    fd_partial_z,
+    mean,
+    metric_from_form,
+    random_bandlimited,
+    random_metric,
+    sg_defect_pinv,
+)
 
 
 GRID2 = PeriodicGrid(2, (32, 32, 1, 1))
