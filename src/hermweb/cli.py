@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -93,6 +94,7 @@ def main(argv=None) -> int:
     exit_code = 0
 
     try:
+        _check_positive(args, "tol", "dt")
         spec = None
         if getattr(args, "spec", None) is not None:
             spec = load_spec(args.spec)
@@ -117,6 +119,15 @@ def main(argv=None) -> int:
         for name, f in fields.items():
             rpt.dump_field(outdir / f"{name}.fld", f)
     return exit_code
+
+
+def _check_positive(args, *names):
+    # argparse's own type errors exit 2, the code of a failed solve, so the
+    # finite positive floats are checked here, where a bad value exits 1
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"--{name} must be a finite positive number, got {value}")
 
 
 def _ensure_dir(path):
@@ -171,13 +182,13 @@ def _dispatch(args, spec):
         return results, None, {"ricci_potential": F}, 0
 
     if cmd == "classify":
-        return {"classify": classify(g, tol or 1e-8).as_dict()}, None, {}, 0
+        return {"classify": classify(g, 1e-8 if tol is None else tol).as_dict()}, None, {}, 0
 
     if cmd in ("solve-ma2", "solve-ma3"):
         F = spec.build_F(grid)
         if F is None:
             F = ricci_potential(g)
-        cfg = SolverConfig(tolerance=tol or 1e-11, max_iterations=args.max_iter)
+        cfg = SolverConfig(tolerance=1e-11 if tol is None else tol, max_iterations=args.max_iter)
         init = _random_start(grid, args.seed) if args.random_init else None
         try:
             if cmd == "solve-ma2":
@@ -212,8 +223,8 @@ def _dispatch(args, spec):
         return results, rows, {"phi": sol.phi, "F": F}, 0
 
     if cmd == "flow":
-        flow_tol = tol or 1e-6
-        dt0 = args.dt or _default_dt(grid)
+        flow_tol = 1e-6 if tol is None else tol
+        dt0 = _default_dt(grid) if args.dt is None else args.dt
         try:
             final, history = run_flow(g, flow_tol, dt0, args.max_steps)
         except FlowError as exc:
@@ -257,9 +268,11 @@ def _random_start(grid, seed):
 
 def _default_dt(grid):
     # the explicit RK2 stability limit of the spectral complex Laplacian: a
-    # safe first step, which run_flow then grows under its error control
+    # safe first step, which run_flow then grows under its error control.  A
+    # grid without active axes has no such limit; its metric is constant, so
+    # Ricci-flat, and the flow takes no step
     kmax2 = sum((grid.sizes[a] // 2) ** 2 for a in grid.active_axes)
-    return 2.0 / (np.pi**2 * kmax2)
+    return 2.0 / (np.pi**2 * kmax2) if kmax2 else 1.0
 
 
 if __name__ == "__main__":

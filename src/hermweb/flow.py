@@ -23,18 +23,37 @@ g_new - g_c is the step's embedded error estimate; it costs no transform.
 The coefficients depend on dt alone: they are evaluated once per distinct
 value of L, and the potential carries the last set to the next step of the
 same dt.
+
+A step computes on real arrays.  psi and log det g are carried as
+grid.rfft_active half spectra, and every metric is the real stack of
+grid.hermitian_hessian_stack (the n diagonal rows, then Re and then Im of the
+upper entries): a stage's metric is S0 + irfft_active(multipliers * stage),
+with S0 the stack of g0, and its positivity and log det come from the
+stack's leading minors (smallmat.stack_minors).  The correction, the step
+error ratio and the Ricci norm are max-moduli of stacks, and the Ricci norm
+is that of the Hermitian part of Ric = -Hess log det g, the part the solvers
+use.  The complex (n, n) metric is built once per attempt, for FlowState.g,
+after the new metric has passed the positivity check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 
 from . import smallmat
-from .grid import PeriodicGrid, hessian_from_spectrum, laplacian_symbol
-from .metric import HermitianMetricField, hermitian_part, is_positive_definite
+from .grid import (
+    PeriodicGrid,
+    _half_spectrum,
+    hermitian_from_stack,
+    hermitian_stack,
+    hessian_stack_from_spectrum,
+    laplacian_symbol,
+    rfft_active,
+)
+from .metric import POSITIVITY_FLOOR, HermitianMetricField
 
 # run_flow rejects a step whose correction moves g by more than this
 # fraction of the step's change of g
@@ -58,12 +77,14 @@ class StepRejected(FlowError):
 
 @dataclass(frozen=True)
 class _Potential:
-    """g = g0 + Hess psi, with the spectra the next step starts from."""
+    """g = g0 + Hess psi, with the stacks and half spectra the next step
+    starts from."""
 
-    g0: np.ndarray
-    linear: np.ndarray  # Fourier symbol of L = c Lap
+    S0: np.ndarray  # real stack of g0
+    linear: np.ndarray  # half-spectrum symbol of L = c Lap
     psi_hat: np.ndarray
-    logdet_hat: np.ndarray  # spectrum of log det g, mean removed
+    logdet_hat: np.ndarray  # half spectrum of log det g, mean removed
+    S: np.ndarray  # real stack of g
     # the (dt, _coefficients) of the step that made it, for the next step
     coefficients: tuple[float, np.ndarray] | None = None
 
@@ -88,35 +109,57 @@ class FlowHistoryRow:
     reason: str = ""  # why the last of them was: positivity, ricci increase or step error
 
 
-def _logdet_spectrum(g: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    L = np.fft.fftn(np.log(smallmat.det(g)), axes=grid.active_axes)
+def _logdet_spectrum(det: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Half spectrum of log det, with the mean removed."""
+    L = rfft_active(np.log(det), grid)
     L[(0,) * L.ndim] = 0.0
     return L
+
+
+def _max_modulus(S: np.ndarray, n: int) -> float:
+    """max |H_ij| of the Hermitian field with real stack S: |H_ii| on the n
+    diagonal rows, hypot(Re, Im) on the upper entries."""
+    k = (len(S) - n) // 2
+    return float(max(np.abs(S[:n]).max(), np.hypot(S[n : n + k], S[n + k :]).max()))
+
+
+def _positive_stack(
+    state: FlowState, dt: float, hat: np.ndarray, where: str = ""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stack S0 + Hess of the potential with half spectrum hat, and the
+    half spectrum of its log det; raises StepRejected when the metric is not
+    positive."""
+    grid = state.g.grid
+    S = state.potential.S0 + hessian_stack_from_spectrum(hat, grid)
+    minors = smallmat.stack_minors(S)
+    if not all(m.min() > POSITIVITY_FLOOR for m in minors):
+        raise StepRejected(f"positivity violated{where}; halve dt ({dt:g})", state)
+    return S, _logdet_spectrum(minors[-1], grid)
 
 
 def _state(
     t: float, g: HermitianMetricField, potential: _Potential, correction: float = 0.0
 ) -> FlowState:
-    # Ric = -Hess log det g
-    ricci = hessian_from_spectrum(potential.logdet_hat, g.grid)
-    return FlowState(t, g, float(np.max(np.abs(ricci))), correction, potential)
+    # the Hermitian part of Ric = -Hess log det g, whose sign leaves the norm as it is
+    ricci = hessian_stack_from_spectrum(potential.logdet_hat, g.grid)
+    return FlowState(t, g, _max_modulus(ricci, g.grid.n), correction, potential)
 
 
 def flow_state(g: HermitianMetricField, t: float = 0.0) -> FlowState:
     """The flow state at g, with g as the reference g0 and psi = 0."""
     grid = g.grid
     c = float(np.mean(np.einsum("...ii->...", smallmat.inverse(g.g)).real)) / grid.n
+    S = hermitian_stack(g.g)
+    linear = c * laplacian_symbol(grid)[_half_spectrum(grid)]
+    det = smallmat.stack_minors(S)[-1]
     potential = _Potential(
-        g.g,
-        c * laplacian_symbol(grid),
-        np.zeros(grid.shape, dtype=np.complex128),
-        _logdet_spectrum(g.g, grid),
+        S, linear, np.zeros(linear.shape, dtype=np.complex128), _logdet_spectrum(det, grid), S
     )
     return _state(t, g, potential)
 
 
 # phi_k(z) = sum_j z^j / (j + k)!, j < 18, for k = 1, 2, 3
-_PHI_SERIES = np.array([[1.0 / factorial(j + k) for k in (1, 2, 3)] for j in range(18)])
+_PHI_SERIES = np.array([[1.0 / math.factorial(j + k) for k in (1, 2, 3)] for j in range(18)])
 
 
 def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,24 +198,20 @@ def _coefficients(linear: np.ndarray, dt: float) -> np.ndarray:
 def _stage(
     state: FlowState, dt: float, stage_hat: np.ndarray, name: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The metric g = Herm(g0 + Hess stage) of a stage and N(stage) =
-    logdet_hat - L stage; raises StepRejected when g is not positive."""
-    p = state.potential
-    grid = state.g.grid
-    g = hermitian_part(p.g0 + hessian_from_spectrum(stage_hat, grid))
-    if not is_positive_definite(g):
-        raise StepRejected(f"positivity violated at stage {name}; halve dt ({dt:g})", state)
-    return g, _logdet_spectrum(g, grid) - p.linear * stage_hat
+    """The metric stack of a stage and N(stage) = logdet_hat - L stage;
+    raises StepRejected when the metric is not positive."""
+    S, logdet_hat = _positive_stack(state, dt, stage_hat, f" at stage {name}")
+    return S, logdet_hat - state.potential.linear * stage_hat
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
     """One ETDRK4 step of the potential.
 
     The stage metrics and the new metric are the Hermitian parts of
-    g0 + Hess psi: at the Nyquist wavenumber the spectral Hessian of a field
-    varying along two axes is not Hermitian.  Raises StepRejected when any
-    of them loses positivity.  Having checked that here, it wraps the new
-    metric without the constructor's re-check and copy.
+    g0 + Hess psi, as real stacks: at the Nyquist wavenumber the spectral
+    Hessian of a field varying along two axes is not Hermitian.  Raises
+    StepRejected when any of them loses positivity.  Having checked that
+    here, it wraps the new metric without the constructor's re-check and copy.
     """
     if dt <= 0:
         raise FlowError("dt must be positive", state)
@@ -193,15 +232,13 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     b = E2_psi + Q * N_a
     _, N_b = _stage(state, dt, b, "b")
     c = E2 * a + Q * (2.0 * N_b - N)
-    g_c, N_c = _stage(state, dt, c, "c")
+    S_c, N_c = _stage(state, dt, c, "c")
     psi_hat = E * psi + f1 * N + f2 * (N_a + N_b) + f3 * N_c
-    g_new = hermitian_part(p.g0 + hessian_from_spectrum(psi_hat, grid))
-    if not is_positive_definite(g_new):
-        raise StepRejected(f"positivity violated; halve dt ({dt:g})", state)
-    correction = float(np.max(np.abs(g_new - g_c)))
-    logdet_hat = _logdet_spectrum(g_new, grid)
-    potential = _Potential(p.g0, p.linear, psi_hat, logdet_hat, coefficients)
-    return _state(state.t + dt, HermitianMetricField._unchecked(grid, g_new), potential, correction)
+    S, logdet_hat = _positive_stack(state, dt, psi_hat)
+    correction = _max_modulus(S - S_c, grid.n)
+    potential = _Potential(p.S0, p.linear, psi_hat, logdet_hat, S, coefficients)
+    g = HermitianMetricField._unchecked(grid, hermitian_from_stack(S))
+    return _state(state.t + dt, g, potential, correction)
 
 
 def _error_ratio(state: FlowState, new: FlowState) -> float:
@@ -211,7 +248,7 @@ def _error_ratio(state: FlowState, new: FlowState) -> float:
     r^(-1/2) times longer.  r is 0 for a step without correction."""
     if new.correction == 0.0:
         return 0.0
-    change = STEP_ERROR_FRACTION * float(np.max(np.abs(new.g.g - state.g.g)))
+    change = STEP_ERROR_FRACTION * _max_modulus(new.potential.S - state.potential.S, new.g.n)
     return new.correction / change if change > 0.0 else np.inf
 
 
@@ -255,11 +292,13 @@ def run_flow(
     above 1.  After an accepted step dt is scaled by min(cap, 0.9 r^(-1/2))
     (by cap at r = 0), up to max_dt(grid); cap is 2 until the flow's first
     rejected attempt and 1.1 from then on.  dt0 itself may exceed max_dt.
-    The flow stops with FlowError, carrying the last state, at the step cap
-    or when dt falls below min_dt.
+    tol and dt0 must be finite and positive.  The flow stops with FlowError,
+    carrying the last state, at the step cap or when dt falls below min_dt.
     """
-    if tol <= 0:
-        raise FlowError("tol must be positive")
+    # a NaN or infinite dt never halves below min_dt, and a NaN tol would end
+    # the flow before its first step
+    if not (math.isfinite(tol) and tol > 0 and math.isfinite(dt0) and dt0 > 0):
+        raise FlowError(f"tol and dt0 must be finite and positive, got {tol!r} and {dt0!r}")
     state = flow_state(g0)
     history = [FlowHistoryRow(state.t, 0.0, state.ricci_norm)]
     dt = dt0

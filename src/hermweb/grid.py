@@ -5,13 +5,18 @@ value array axis order is (x_1, ..., x_n, y_1, ..., y_n).  Axes with size 1
 are "collapsed": fields do not vary along them and derivatives there are
 identically zero.
 
-Every spectral derivative is ifftn(symbol * fftn(f)) over the active axes,
-with the multipliers of _z_symbols alone: s_i for d/dz_i and -conj(s_i) for
-d/dzbar_i, Nyquist bins included.  The one exception is the Hermitian part of
-the complex Hessian of a real field (hermitian_hessian_stack), which the
-solvers use: it is irfftn(symbol * rfftn(f)), with the symbols of its n real
+Complex spectral derivatives (hessian_values, ricci_tensor, ddbar and the
+forms) are ifftn(symbol * fftn(f)) over the active axes, with the
+multipliers of _z_symbols alone: s_i for d/dz_i and -conj(s_i) for
+d/dzbar_i, Nyquist bins included.  Real fields that stay real go through one
+real transform pair instead, rfft_active/irfft_active: numpy's own 1-D
+rfft/fft and ifft/irfft calls in rfftn's and irfftn's order, so the results
+are theirs bit for bit, without their per-call argument handling.  The
+Hermitian part of the complex Hessian of a real field
+(hermitian_hessian_stack), which the solvers and the flow use, is
+irfft_active(symbol * rfft_active(f)), with the symbols of its n real
 diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
-entries, so every transform is a real one.
+entries.
 """
 
 from __future__ import annotations
@@ -182,21 +187,15 @@ def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
     return out
 
 
-def hessian_from_spectrum(fhat: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j of the field whose
-    FFT over the active axes is fhat: one inverse FFT batched over the n^2
-    entries."""
+def hessian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j, spectral: one
+    forward FFT and one inverse FFT batched over the n^2 entries."""
     n = grid.n
     axes = grid.active_axes
-    H = _hessian_multipliers(grid) * fhat
+    H = _hessian_multipliers(grid) * np.fft.fftn(values, axes=axes)
     # in place: a fresh n^2-field output costs more than the transform on 16^3
     np.fft.ifftn(H, axes=[a + 1 for a in axes], out=H)
     return np.moveaxis(H, 0, -1).reshape(grid.shape + (n, n))
-
-
-def hessian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j, spectral."""
-    return hessian_from_spectrum(np.fft.fftn(values, axes=grid.active_axes), grid)
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -207,11 +206,52 @@ def _reflect(a: np.ndarray, axes) -> np.ndarray:
 
 
 def _half_spectrum(grid: PeriodicGrid) -> tuple:
-    """Index of the rfftn half spectrum: bins 0..N/2 of the last active axis."""
-    last = grid.active_axes[-1]
+    """Index of the rfft_active half spectrum: bins 0..N/2 of the last active
+    axis (the whole array on a grid without active axes)."""
     idx = [slice(None)] * len(grid.sizes)
-    idx[last] = slice(grid.sizes[last] // 2 + 1)
+    if grid.active_axes:
+        last = grid.active_axes[-1]
+        idx[last] = slice(grid.sizes[last] // 2 + 1)
     return tuple(idx)
+
+
+@lru_cache(maxsize=64)
+def _transform_axes(grid: PeriodicGrid, offset: int) -> tuple[tuple[int, int], ...]:
+    """(array axis, size) of each active axis, behind `offset` leading axes."""
+    return tuple((a + offset, grid.sizes[a]) for a in grid.active_axes)
+
+
+def rfft_active(values: np.ndarray, grid: PeriodicGrid, offset: int = 0) -> np.ndarray:
+    """np.fft.rfftn of a real array over the active axes of grid, which sit
+    behind `offset` leading stack axes: rfft on the last active axis, then fft
+    over the others from last to first.  With no active axis, the values."""
+    axes = _transform_axes(grid, offset)
+    if not axes:
+        return values.astype(np.complex128)
+    axis, size = axes[-1]
+    out = np.fft.rfft(values, size, axis)
+    for axis, size in axes[-2::-1]:
+        out = np.fft.fft(out, size, axis)
+    return out
+
+
+def irfft_active(spectrum: np.ndarray, grid: PeriodicGrid, offset: int = 0) -> np.ndarray:
+    """The inverse of rfft_active, np.fft.irfftn with the active sizes: ifft
+    over the active axes but the last from first to last, then irfft."""
+    axes = _transform_axes(grid, offset)
+    if not axes:
+        return spectrum.real.copy()
+    for axis, size in axes[:-1]:
+        spectrum = np.fft.ifft(spectrum, size, axis)
+    axis, size = axes[-1]
+    return np.fft.irfft(spectrum, size, axis)
+
+
+@lru_cache(maxsize=4)
+def _stack_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal and the upper (i < j) index pairs of an n x n matrix, in
+    the order of the real stacks below."""
+    return (np.arange(n),) + np.triu_indices(n, 1)
 
 
 @lru_cache(maxsize=32)
@@ -224,8 +264,7 @@ def _hermitian_hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
     # which differs from m_ij only at Nyquist bins
     h = 0.5 * (m + np.conj(np.swapaxes(_reflect(m, axes), 0, 1)))
     h_neg = np.conj(_reflect(h, axes))
-    d = np.arange(n)
-    iu, ju = np.triu_indices(n, 1)
+    d, iu, ju = _stack_index(n)
     # the Hermitian-even parts, whose inverse transforms are the real fields
     # H_ii, Re H_ij and Im H_ij
     mult = np.concatenate([h[d, d], 0.5 * (h + h_neg)[iu, ju], -0.5j * (h - h_neg)[iu, ju]])
@@ -234,17 +273,44 @@ def _hermitian_hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
     return mult
 
 
+def hessian_stack_from_spectrum(fhat: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """hermitian_hessian_stack of the real field whose rfft_active half
+    spectrum is fhat: one batched irfft_active."""
+    return irfft_active(_hermitian_hessian_multipliers(grid) * fhat, grid, 1)
+
+
 def hermitian_hessian_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """The Hermitian part H = (Hess f + Hess f^H)/2 of the complex Hessian of a
     real field f as n^2 real fields, stacked on the first axis:
         H_ii (i < n), Re H_ij (i < j), Im H_ij (i < j),
-    the pairs i < j in np.triu_indices order.  One rfftn and one irfftn batched
-    over the stack."""
-    axes = grid.active_axes
-    if not axes:  # one grid point: every derivative vanishes
-        return np.zeros((grid.n**2,) + grid.shape)
-    S = _hermitian_hessian_multipliers(grid) * np.fft.rfftn(values, axes=axes)
-    return np.fft.irfftn(S, s=[grid.sizes[a] for a in axes], axes=[a + 1 for a in axes])
+    the pairs i < j in np.triu_indices order.  One rfft_active and one
+    irfft_active batched over the stack."""
+    return hessian_stack_from_spectrum(rfft_active(values, grid), grid)
+
+
+def hermitian_stack(a: np.ndarray) -> np.ndarray:
+    """The real stack, in the layout of hermitian_hessian_stack, of the
+    Hermitian part (a + a^H)/2 of a (..., n, n) field."""
+    d, iu, ju = _stack_index(a.shape[-1])
+    upper = 0.5 * (a[..., iu, ju] + np.conj(a[..., ju, iu]))
+    S = np.concatenate([a[..., d, d].real, upper.real, upper.imag], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(S, -1, 0))
+
+
+def hermitian_from_stack(S: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian (..., n, n) field of a real stack S in the layout
+    of hermitian_hessian_stack."""
+    n = round(len(S) ** 0.5)
+    d, iu, ju = _stack_index(n)
+    k = len(iu)
+    H = np.empty(S.shape[1:] + (n, n), dtype=np.complex128)
+    # written through a view with the matrix axes first, like the stack's
+    entries = H.transpose(-2, -1, *range(H.ndim - 2))
+    entries[d, d] = S[:n]
+    upper = S[n : n + k] + 1j * S[n + k :]
+    entries[iu, ju] = upper
+    entries[ju, iu] = upper.conj()
+    return H
 
 
 def hermitian_trace_weights(K: np.ndarray) -> np.ndarray:
@@ -252,9 +318,7 @@ def hermitian_trace_weights(K: np.ndarray) -> np.ndarray:
     hermitian_hessian_stack, with sum_k C[k] S[k] = Re tr(K H) for S that
     stack of a Hermitian field H:
         K_ii (i < n), 2 Re K_ji (i < j), -2 Im K_ji (i < j)."""
-    n = K.shape[-1]
-    d = np.arange(n)
-    iu, ju = np.triu_indices(n, 1)
+    d, iu, ju = _stack_index(K.shape[-1])
     K_ji = K[..., ju, iu]
     C = np.concatenate([K[..., d, d].real, 2.0 * K_ji.real, -2.0 * K_ji.imag], axis=-1)
     return np.ascontiguousarray(np.moveaxis(C, -1, 0))
@@ -262,13 +326,4 @@ def hermitian_trace_weights(K: np.ndarray) -> np.ndarray:
 
 def hermitian_hessian(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """hermitian_hessian_stack assembled into an exactly Hermitian (..., n, n) field."""
-    n = grid.n
-    S = np.moveaxis(hermitian_hessian_stack(values, grid), 0, -1)
-    d = np.arange(n)
-    iu, ju = np.triu_indices(n, 1)
-    re, im = S[..., n : n + len(iu)], S[..., n + len(iu) :]
-    H = np.empty(grid.shape + (n, n), dtype=np.complex128)
-    H[..., d, d] = S[..., :n]
-    H[..., iu, ju] = re + 1j * im
-    H[..., ju, iu] = re - 1j * im
-    return H
+    return hermitian_from_stack(hermitian_hessian_stack(values, grid))

@@ -54,7 +54,9 @@ from .grid import (
     hermitian_hessian,
     hermitian_hessian_stack,
     hermitian_trace_weights,
+    irfft_active,
     laplacian_symbol,
+    rfft_active,
 )
 from .forms import FormField, d_max_norm, merge_sign, sort_sign
 from .metric import HermitianMetricField, MetricError, hermitian_part, is_positive_definite
@@ -88,8 +90,8 @@ class SolverConfig:
     max_iterations: int = 40
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("iteration cap must be >= 1")
 
@@ -340,18 +342,16 @@ def _make_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray):
     sym = laplacian_symbol(grid)[_half_spectrum(grid)]
     with np.errstate(divide="ignore"):
         inv_sym = np.where(sym != 0.0, 1.0 / (c * sym), 0.0)
-    axes = grid.active_axes
-    sizes = [grid.sizes[a] for a in axes]
     zero = (0,) * len(grid.shape)
     npts = grid.num_points
     wmean = float(np.mean(rhs_weight))
 
     def apply(r: np.ndarray) -> np.ndarray:
-        rhat = np.fft.rfftn(r[:-1].reshape(grid.shape), axes=axes)
+        rhat = rfft_active(r[:-1].reshape(grid.shape), grid)
         db = -rhat[zero].real / npts / wmean
         rhat *= inv_sym
         rhat[zero] = r[-1] * npts
-        v = np.fft.irfftn(rhat, s=sizes, axes=axes)
+        v = irfft_active(rhat, grid)
         return np.concatenate([v.ravel(), [db]])
 
     return LinearOperator((npts + 1, npts + 1), matvec=apply, dtype=np.float64)

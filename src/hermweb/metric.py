@@ -271,8 +271,8 @@ def classify(g: HermitianMetricField, tol: float) -> ClassReport:
 
     exterior_d of omega and of omega^{n-1} (the same form for n = 2) is taken
     once and shared by the residuals."""
-    if tol <= 0:
-        raise MetricError("tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise MetricError(f"tolerance must be finite and positive, got {tol}")
     n = g.n
     omega = g.fundamental_form()
     d_omega = exterior_d(omega)

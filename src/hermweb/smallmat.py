@@ -1,5 +1,6 @@
 """Closed-form determinant, inverse and leading minors of Hermitian matrix
-fields (..., n, n) with n <= 3, and the polarised adjugate of 3x3 fields.
+fields (..., n, n) with n <= 3, the polarised adjugate of 3x3 fields, and
+the leading minors of Hermitian 2x2/3x3 fields held as real stacks.
 
 Metrics here are 2x2 or 3x3 at every grid point.  Cofactor expansion costs a
 few whole-field array operations per entry, where a batched LAPACK call pays
@@ -82,3 +83,21 @@ def leading_minors(a: np.ndarray) -> list[np.ndarray]:
     """Leading principal minors (real parts), orders 1..n."""
     e = _entries(a)
     return [_det([row[:k] for row in e[:k]]) for k in range(1, len(e) + 1)]
+
+
+def stack_minors(S: np.ndarray) -> list[np.ndarray]:
+    """Leading principal minors, orders 1..n, of the Hermitian 2x2 or 3x3
+    field whose real stack is S, in the layout of grid.hermitian_hessian_stack:
+    the n diagonal rows, then Re and then Im of the upper entries in
+    np.triu_indices order.  The last minor is the determinant."""
+    if len(S) == 4:
+        d0, d1, x01, y01 = S
+        return [d0, d0 * d1 - (x01 * x01 + y01 * y01)]
+    if len(S) != 9:
+        raise ValueError(f"need the 4- or 9-row stack of a 2x2 or 3x3 field, got {len(S)} rows")
+    d0, d1, d2, x01, x02, x12, y01, y02, y12 = S
+    minor2 = d0 * d1 - (x01 * x01 + y01 * y01)
+    # 2 Re(a01 a12 conj a02), the two cyclic products of the off-diagonal entries
+    cyclic = 2.0 * ((x01 * x12 - y01 * y12) * x02 + (x01 * y12 + y01 * x12) * y02)
+    det = d2 * minor2 - d0 * (x12 * x12 + y12 * y12) - d1 * (x02 * x02 + y02 * y02) + cyclic
+    return [d0, minor2, det]

@@ -174,6 +174,32 @@ def test_flow_converges_on_a_two_axis_metric(tmp_path, capsys):
     assert re.search(r"converged:\n\s+value: true", out)
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-0.001"),
+     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1")],
+)
+def test_flow_rejects_a_tol_or_dt_that_is_not_finite_and_positive(bump_spec, option, value, capsys):
+    # a NaN or infinite dt never ended the flow, a NaN tol converged at once,
+    # and 0 fell back to the default
+    assert main(["flow", "--spec", bump_spec, option, value]) == 1
+    assert f"{option} must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve-ma2", "classify"])
+def test_nan_tol_exits_1(bump_spec, command, capsys):
+    assert main([command, "--spec", bump_spec, "--tol", "nan"]) == 1
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
+
+
+def test_flow_on_a_one_point_grid_takes_no_step(bump_spec, capsys):
+    # a metric on a grid without active axes is constant, so Ricci-flat
+    code, out = run(capsys, "flow", "--spec", bump_spec, "--grid", "1,1,1,1")
+    assert code == 0
+    assert re.search(r"converged:\n\s+value: true", out)
+    assert re.search(r"steps:\n\s+value: 0\n", out)
+
+
 def test_non_finite_metric_expression_exits_1(tmp_path, capsys):
     p = tmp_path / "overflow.hwspec"
     p.write_text(FLAT.replace("g[1][1] = 1", "g[1][1] = 1 + exp(1000)*x1"), encoding="utf-8")

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import islice
 from math import factorial
 
@@ -13,7 +14,13 @@ from hermweb.flow import (
     max_dt,
     run_flow,
 )
-from hermweb.grid import PeriodicGrid, hessian_from_spectrum
+from hermweb.grid import (
+    PeriodicGrid,
+    hermitian_hessian_stack,
+    hermitian_stack,
+    hessian_stack_from_spectrum,
+)
+from hermweb.smallmat import stack_minors
 from hermweb.ma import solve_ma2
 from hermweb.metric import (
     HermitianMetricField,
@@ -142,6 +149,26 @@ def test_run_flow_rejects_bad_tol():
         run_flow(identity_metric(GRID), tol=0.0, dt0=1e-3, max_steps=10)
 
 
+@pytest.mark.parametrize("tol, dt0", [
+    (1e-7, np.nan), (1e-7, np.inf), (1e-7, -np.inf), (1e-7, 0.0), (1e-7, -1e-3),
+    (np.nan, 1e-3), (np.inf, 1e-3), (-1e-7, 1e-3),
+])
+def test_run_flow_rejects_non_finite_or_non_positive_tol_and_dt0(tol, dt0):
+    # halving a NaN or infinite dt never drops it below min_dt, so such a
+    # dt0 would never end the flow; a NaN tol would end it at once
+    with pytest.raises(FlowError, match="finite and positive"):
+        run_flow(bump_metric(GRID), tol=tol, dt0=dt0, max_steps=10)
+
+
+def test_flow_on_a_grid_without_active_axes_takes_no_step():
+    # a metric on one grid point is constant, so it is Chern-Ricci flat
+    grid = PeriodicGrid(2, (1, 1, 1, 1))
+    g = HermitianMetricField(grid, np.array([[[[[[2.0, 0.5j], [-0.5j, 1.0]]]]]]))
+    final, history = run_flow(g, tol=1e-7, dt0=1e-3, max_steps=10)
+    assert final.ricci_norm == 0.0 and len(history) == 1
+    assert np.array_equal(flow_step(final, 1e-3).g.g, g.g)
+
+
 def test_run_flow_step_cap():
     g = bump_metric(GRID)
     with pytest.raises(FlowError):
@@ -151,18 +178,20 @@ def test_run_flow_step_cap():
 def test_flow_step_fft_calls_per_attempt(monkeypatch):
     # an accepted attempt transforms log det g four times (stages a, b, c
     # and the new state) and makes five batched inverse transforms: the
-    # Hessians of the three stages and the new metric, and the new state's
-    # Ricci tensor
+    # Hessian stacks of the three stages and the new metric, and the new
+    # state's Ricci stack.  All are real transforms over the two active
+    # axes, each an rfft or irfft with one complex 1-D pass
     state = flow_state(bump_metric(GRID))
-    calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    calls = Counter()
+    names = ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn", "fftn", "ifftn")
+    for name in names:
         fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+        monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.update([_n]) or _f(*a, **k))
     flow_step(state, default_dt(GRID))
-    assert sorted(calls) == ["fftn"] * 4 + ["ifftn"] * 5
+    assert calls == Counter(rfft=4, fft=4, irfft=5, ifft=5)
     calls.clear()
     flow_state(bump_metric(GRID))
-    assert sorted(calls) == ["fftn", "ifftn"]
+    assert calls == Counter(rfft=1, fft=1, irfft=1, ifft=1)
 
 
 def test_flow_step_computes_ricci_twice(monkeypatch):
@@ -185,12 +214,18 @@ def test_flow_step_computes_ricci_twice(monkeypatch):
 
 
 def test_flow_state_carries_its_ricci_tensor():
+    # the state's Ricci stack, from the half spectrum of log det g it
+    # carries, is the Hermitian Hessian stack of -log det g, log det g taken
+    # from the metric's own stack; its max-modulus is ricci_tensor's up to
+    # round-off and the anti-Hermitian part, which vanishes on one-axis fields
     g = bump_metric(GRID)
     state = flow_state(g)
-    assert np.array_equal(-hessian_from_spectrum(state.potential.logdet_hat, GRID), ricci_tensor(g))
-    assert state.ricci_norm == np.max(np.abs(ricci_tensor(g)))
     new = flow_step(state, 1e-3)
-    assert np.array_equal(-hessian_from_spectrum(new.potential.logdet_hat, GRID), ricci_tensor(new.g))
+    for s in (state, new):
+        log_det = np.log(stack_minors(hermitian_stack(s.g.g))[-1])
+        ricci = -hessian_stack_from_spectrum(s.potential.logdet_hat, GRID)
+        assert np.array_equal(ricci, hermitian_hessian_stack(-log_det, GRID))
+        assert s.ricci_norm == pytest.approx(np.max(np.abs(ricci_tensor(s.g))), rel=1e-13, abs=0.0)
     # a bare state restarts the potential at its metric
     bare = FlowState(state.t, state.g, state.ricci_norm)
     assert bare.potential is None

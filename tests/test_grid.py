@@ -7,11 +7,15 @@ from hermweb.grid import (
     ScalarField,
     constant_field,
     from_function,
+    hermitian_from_stack,
     hermitian_hessian,
     hermitian_hessian_stack,
+    hermitian_stack,
     hessian_values,
+    irfft_active,
     partial_z,
     partial_zbar,
+    rfft_active,
 )
 
 from hermweb.metric import hermitian_part
@@ -171,20 +175,59 @@ def test_mean_is_translation_invariant():
     assert mean(ScalarField(grid, rolled)) == pytest.approx(complex(m), abs=1e-13)
 
 
+# the five grids of test_hermitian_hessian_is_hermitian_part_of_hessian
+HESSIAN_GRIDS = [
+    (2, (64, 64, 1, 1)),
+    (3, (16, 16, 16, 1, 1, 1)),
+    (2, (16, 16, 8, 8)),
+    (3, (8, 8, 8, 8, 1, 8)),
+    (2, (16, 1, 1, 16)),
+]
+
+
+@pytest.mark.parametrize("n, sizes", HESSIAN_GRIDS)
+@pytest.mark.parametrize("stack", [0, 3])
+def test_real_transform_pair_is_numpys_rfftn_bit_for_bit(n, sizes, stack):
+    # the same 1-D numpy calls in the same order, with and without a
+    # leading stack axis; the inverse also on a half spectrum that is not
+    # the transform of a real field
+    grid = PeriodicGrid(n, sizes)
+    rng = np.random.default_rng(sum(sizes) + stack)
+    lead = (stack,) if stack else ()
+    offset = len(lead)
+    axes = [a + offset for a in grid.active_axes]
+    s = [grid.sizes[a] for a in grid.active_axes]
+    vals = rng.standard_normal(lead + grid.shape)
+    spectrum = rfft_active(vals, grid, offset)
+    assert np.array_equal(spectrum, np.fft.rfftn(vals, axes=axes))
+    assert np.array_equal(irfft_active(spectrum, grid, offset), np.fft.irfftn(spectrum, s=s, axes=axes))
+    noise = rng.standard_normal(spectrum.shape) + 1j * rng.standard_normal(spectrum.shape)
+    assert np.array_equal(irfft_active(noise, grid, offset), np.fft.irfftn(noise, s=s, axes=axes))
+
+
+def test_real_transform_pair_without_active_axes_is_the_identity():
+    grid = PeriodicGrid(2, (1, 1, 1, 1))
+    vals = np.full(grid.shape, 2.5)
+    assert np.array_equal(rfft_active(vals, grid), vals.astype(np.complex128))
+    assert np.array_equal(irfft_active(rfft_active(vals, grid), grid), vals)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_stack_round_trip(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((8, 8, n, n)) + 1j * rng.standard_normal((8, 8, n, n))
+    h = hermitian_part(a)
+    S = hermitian_stack(a)
+    assert S.shape == (n * n, 8, 8) and S.dtype == np.float64
+    assert np.array_equal(hermitian_from_stack(S), h)
+    assert np.array_equal(hermitian_stack(hermitian_from_stack(S)), S)
+
+
 # white noise reaches the Nyquist bins, where the Hermitian-part symbol differs
 # from the Hessian's; (16, 1, 1, 16) and (8, 8, 8, 8, 1, 8) have collapsed axes,
 # and on (64, 64, 1, 1) and (16, 16, 16, 1, 1, 1) the last active axis is not
 # the last array axis
-@pytest.mark.parametrize(
-    "n, sizes",
-    [
-        (2, (64, 64, 1, 1)),
-        (3, (16, 16, 16, 1, 1, 1)),
-        (2, (16, 16, 8, 8)),
-        (3, (8, 8, 8, 8, 1, 8)),
-        (2, (16, 1, 1, 16)),
-    ],
-)
+@pytest.mark.parametrize("n, sizes", HESSIAN_GRIDS)
 def test_hermitian_hessian_is_hermitian_part_of_hessian(n, sizes):
     grid = PeriodicGrid(n, sizes)
     vals = np.random.default_rng(sum(sizes)).standard_normal(grid.shape)

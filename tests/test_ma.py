@@ -212,6 +212,10 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    # a NaN tolerance is never met: Newton would run to its round-off floor
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(tolerance=tol)
 
 
 def test_solve_ma2_flat_input_trivial():
@@ -411,10 +415,13 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
 
     monkeypatch.setattr(ma_module, "gmres", gmres)
     solve()
-    pair = Counter(rfftn=1, irfftn=1)
+    # one grid.rfft_active/irfft_active pair: on two active axes an rfft and
+    # an irfft, each with one complex 1-D pass
+    pair = Counter(rfft=1, fft=1, ifft=1, irfft=1)
     for kind in ("matvec", "precond"):
         assert per_apply[kind] and all(c == pair for c in per_apply[kind])
-    assert counts["fftn"] == counts["ifftn"] == counts["fft"] == counts["ifft"] == 0
+    assert counts["fftn"] == counts["ifftn"] == counts["rfftn"] == counts["irfftn"] == 0
+    assert counts["fft"] == counts["rfft"] and counts["ifft"] == counts["irfft"]
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,13 @@ def test_classify_takes_each_exterior_d_once(n, sizes, ffts, monkeypatch):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+def test_classify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a NaN tolerance would set every flag that is not vacuous to false
+    with pytest.raises(MetricError, match="finite and positive"):
+        classify(identity_metric(GRID2), tol)
+
+
 def test_classify_gauduchon_conformal_metric_n2():
     # for n = 2 every conformal factor e^u with harmonic-like correction is
     # not automatically Gauduchon; but the flat metric scaled by a constant is.

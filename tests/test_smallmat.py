@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hermweb.smallmat import det, inverse, leading_minors, mixed_adjugate
+from hermweb.grid import hermitian_stack
+from hermweb.smallmat import det, inverse, leading_minors, mixed_adjugate, stack_minors
 
 RTOL = 1e-12
 
@@ -99,3 +100,22 @@ def test_kernels_reject_larger_fields():
     for fn in (det, inverse, leading_minors):
         with pytest.raises(ValueError):
             fn(a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["positive", "indefinite", "ill_conditioned"])
+def test_stack_minors_match_leading_minors(n, kind):
+    # the minors of the real stack against those of the complex field; both
+    # expand in products of k entries, so the error scales with max|a|^k
+    rng = np.random.default_rng(60 + 10 * n + len(kind))
+    a = hermitian_field(rng, n, kind)
+    scale = np.max(np.abs(a), axis=(-1, -2))
+    got, want = stack_minors(hermitian_stack(a)), leading_minors(a)
+    assert len(got) == n
+    for k, (minor, ref) in enumerate(zip(got, want), start=1):
+        assert np.all(np.abs(minor - ref) <= 1e-13 * scale**k)
+
+
+def test_stack_minors_reject_other_stacks():
+    with pytest.raises(ValueError):
+        stack_minors(np.ones((16, 8)))
