@@ -44,26 +44,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="manifold spec file")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    def add_spec_command(name, summary, tol=True, csv=False):
+        # each command takes only the flags it reads
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--spec", required=True, help="manifold spec file")
         p.add_argument("--grid", default=None, help="override grid sizes, e.g. 64,64,1,1")
         p.add_argument("--out", default=None, help="output directory for report/CSV/field dumps")
-        p.add_argument("--csv", action="store_true", help="emit CSV time series")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized initial guesses")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        if csv:
+            p.add_argument("--csv", action="store_true", help="emit CSV time series")
         return p
 
-    add_common(sub.add_parser("ricci", help="Chern-Ricci form and Bott-Chern defect"))
-    add_common(sub.add_parser("flatten-conformal", help="conformal Chern-Ricci-flat rescaling"))
-    add_common(sub.add_parser("classify", help="metric class flags"))
-    p = add_common(sub.add_parser("solve-ma2", help="Monge-Ampere potential solver"))
-    p.add_argument("--max-iter", type=int, default=40)
-    p.add_argument("--random-init", action="store_true", help="random small initial guess")
-    p = add_common(sub.add_parser("solve-ma3", help="form-type solver (n=3, Kahler reference)"))
-    p.add_argument("--max-iter", type=int, default=40)
-    p.add_argument("--random-init", action="store_true")
-    p = add_common(sub.add_parser("flow", help="Chern-Ricci flow integration"))
+    add_spec_command("ricci", "Chern-Ricci form and Bott-Chern defect", tol=False)
+    add_spec_command("flatten-conformal", "conformal Chern-Ricci-flat rescaling", tol=False)
+    add_spec_command("classify", "metric class flags")
+    for name, summary in (
+        ("solve-ma2", "Monge-Ampere potential solver"),
+        ("solve-ma3", "form-type solver (n=3, Kahler reference)"),
+    ):
+        p = add_spec_command(name, summary, csv=True)
+        p.add_argument("--max-iter", type=int, default=40)
+        p.add_argument("--random-init", action="store_true", help="random small initial guess")
+        p.add_argument("--seed", type=int, default=0, help="seed of the random initial guess")
+    p = add_spec_command("flow", "Chern-Ricci flow integration", csv=True)
     p.add_argument("--dt", type=float, default=None, help="initial time step")
     p.add_argument("--max-steps", type=int, default=100_000)
     p = sub.add_parser("verify-example", help="machine-check a built-in worked example")
@@ -73,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=50, help="sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--tol", type=float, default=None)
     return parser
 
 
@@ -86,7 +88,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a failed solve here
+        raise SystemExit(1 if exc.code == 2 else exc.code) from None
     t_start = time.time()
     out = {"version": __version__, "command": args.command}
     rows_csv = None
@@ -94,7 +100,7 @@ def main(argv=None) -> int:
     exit_code = 0
 
     try:
-        _check_positive(args, "tol", "dt")
+        _check_positive(args, "tol", "dt", "max_steps")
         spec = None
         if getattr(args, "spec", None) is not None:
             spec = load_spec(args.spec)
@@ -113,7 +119,7 @@ def main(argv=None) -> int:
     if getattr(args, "out", None):
         outdir = _ensure_dir(args.out)
         (outdir / "report.txt").write_text(text, encoding="utf-8")
-        if args.csv and rows_csv is not None:
+        if getattr(args, "csv", False) and rows_csv is not None:
             header, rows = rows_csv
             rpt.write_csv(outdir / "history.csv", header, rows)
         for name, f in fields.items():
@@ -122,12 +128,12 @@ def main(argv=None) -> int:
 
 
 def _check_positive(args, *names):
-    # argparse's own type errors exit 2, the code of a failed solve, so the
-    # finite positive floats are checked here, where a bad value exits 1
+    # argparse checks only that a value parses as a number; a NaN, infinite,
+    # zero or negative one is an input error too, and exits 1 from here
     for name in names:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"--{name} must be a finite positive number, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be a finite positive number, got {value}")
 
 
 def _ensure_dir(path):
@@ -160,7 +166,7 @@ def _dispatch(args, spec):
         spec = replace(spec, sizes=sizes)
     grid = spec.build_grid()
     g = spec.build_metric(grid)
-    tol = args.tol
+    tol = getattr(args, "tol", None)
 
     if cmd == "ricci":
         ric = chern_ricci(g)

@@ -24,16 +24,17 @@ The coefficients depend on dt alone: they are evaluated once per distinct
 value of L, and the potential carries the last set to the next step of the
 same dt.
 
-A step computes on real arrays.  psi and log det g are carried as
-grid.rfft_active half spectra, and every metric is the real stack of
-grid.hermitian_hessian_stack (the n diagonal rows, then Re and then Im of the
-upper entries): a stage's metric is S0 + irfft_active(multipliers * stage),
-with S0 the stack of g0, and its positivity and log det come from the
-stack's leading minors (smallmat.stack_minors).  The correction, the step
-error ratio and the Ricci norm are max-moduli of stacks, and the Ricci norm
-is that of the Hermitian part of Ric = -Hess log det g, the part the solvers
-use.  The complex (n, n) metric is built once per attempt, for FlowState.g,
-after the new metric has passed the positivity check.
+A step computes on real arrays, like the Monge-Ampere solvers.  psi and
+log det g are carried as grid.rfft_active half spectra, and every metric is
+a real stack in the layout of smallmat (the n diagonal rows, then Re and
+then Im of the upper entries): a stage's metric is
+S0 + grid.hessian_stack_from_spectrum(stage), with S0 the stack of g0, and
+its positivity and log det come from the stack's leading minors
+(smallmat.stack_minors).  The correction, the step error ratio and the Ricci
+norm are max-moduli of stacks (smallmat.stack_max_modulus), and the Ricci
+norm is that of the Hermitian part of Ric = -Hess log det g, the part the
+solvers use.  The complex (n, n) metric is built once per attempt, for
+FlowState.g, after the new metric has passed the positivity check.
 """
 
 from __future__ import annotations
@@ -43,17 +44,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import smallmat
 from .grid import (
     PeriodicGrid,
     _half_spectrum,
-    hermitian_from_stack,
-    hermitian_stack,
     hessian_stack_from_spectrum,
     laplacian_symbol,
     rfft_active,
 )
-from .metric import POSITIVITY_FLOOR, HermitianMetricField
+from .metric import HermitianMetricField, minors_positive
+from .smallmat import (
+    hermitian_from_stack,
+    hermitian_stack,
+    stack_adjugate,
+    stack_max_modulus,
+    stack_minors,
+)
 
 # run_flow rejects a step whose correction moves g by more than this
 # fraction of the step's change of g
@@ -116,13 +121,6 @@ def _logdet_spectrum(det: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return L
 
 
-def _max_modulus(S: np.ndarray, n: int) -> float:
-    """max |H_ij| of the Hermitian field with real stack S: |H_ii| on the n
-    diagonal rows, hypot(Re, Im) on the upper entries."""
-    k = (len(S) - n) // 2
-    return float(max(np.abs(S[:n]).max(), np.hypot(S[n : n + k], S[n + k :]).max()))
-
-
 def _positive_stack(
     state: FlowState, dt: float, hat: np.ndarray, where: str = ""
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +129,8 @@ def _positive_stack(
     positive."""
     grid = state.g.grid
     S = state.potential.S0 + hessian_stack_from_spectrum(hat, grid)
-    minors = smallmat.stack_minors(S)
-    if not all(m.min() > POSITIVITY_FLOOR for m in minors):
+    minors = stack_minors(S)
+    if not minors_positive(minors):
         raise StepRejected(f"positivity violated{where}; halve dt ({dt:g})", state)
     return S, _logdet_spectrum(minors[-1], grid)
 
@@ -142,16 +140,17 @@ def _state(
 ) -> FlowState:
     # the Hermitian part of Ric = -Hess log det g, whose sign leaves the norm as it is
     ricci = hessian_stack_from_spectrum(potential.logdet_hat, g.grid)
-    return FlowState(t, g, _max_modulus(ricci, g.grid.n), correction, potential)
+    return FlowState(t, g, stack_max_modulus(ricci), correction, potential)
 
 
 def flow_state(g: HermitianMetricField, t: float = 0.0) -> FlowState:
     """The flow state at g, with g as the reference g0 and psi = 0."""
     grid = g.grid
-    c = float(np.mean(np.einsum("...ii->...", smallmat.inverse(g.g)).real)) / grid.n
     S = hermitian_stack(g.g)
+    det = stack_minors(S)[-1]
+    # c = mean(tr g^{-1}) / n, with g^{-1} = adj g / det g
+    c = float(np.mean(stack_adjugate(S)[: grid.n] / det))
     linear = c * laplacian_symbol(grid)[_half_spectrum(grid)]
-    det = smallmat.stack_minors(S)[-1]
     potential = _Potential(
         S, linear, np.zeros(linear.shape, dtype=np.complex128), _logdet_spectrum(det, grid), S
     )
@@ -235,7 +234,7 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     S_c, N_c = _stage(state, dt, c, "c")
     psi_hat = E * psi + f1 * N + f2 * (N_a + N_b) + f3 * N_c
     S, logdet_hat = _positive_stack(state, dt, psi_hat)
-    correction = _max_modulus(S - S_c, grid.n)
+    correction = stack_max_modulus(S - S_c)
     potential = _Potential(p.S0, p.linear, psi_hat, logdet_hat, S, coefficients)
     g = HermitianMetricField._unchecked(grid, hermitian_from_stack(S))
     return _state(state.t + dt, g, potential, correction)
@@ -248,7 +247,7 @@ def _error_ratio(state: FlowState, new: FlowState) -> float:
     r^(-1/2) times longer.  r is 0 for a step without correction."""
     if new.correction == 0.0:
         return 0.0
-    change = STEP_ERROR_FRACTION * _max_modulus(new.potential.S - state.potential.S, new.g.n)
+    change = STEP_ERROR_FRACTION * stack_max_modulus(new.potential.S - state.potential.S)
     return new.correction / change if change > 0.0 else np.inf
 
 

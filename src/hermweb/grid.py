@@ -16,7 +16,7 @@ Hermitian part of the complex Hessian of a real field
 (hermitian_hessian_stack), which the solvers and the flow use, is
 irfft_active(symbol * rfft_active(f)), with the symbols of its n real
 diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
-entries.
+entries: a real stack in the layout of smallmat, never a complex field.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .smallmat import _stack_index
 
 
 class GridError(ValueError):
@@ -247,13 +249,6 @@ def irfft_active(spectrum: np.ndarray, grid: PeriodicGrid, offset: int = 0) -> n
     return np.fft.irfft(spectrum, size, axis)
 
 
-@lru_cache(maxsize=4)
-def _stack_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagonal and the upper (i < j) index pairs of an n x n matrix, in
-    the order of the real stacks below."""
-    return (np.arange(n),) + np.triu_indices(n, 1)
-
-
 @lru_cache(maxsize=32)
 def _hermitian_hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
     """Half-spectrum multipliers of the stack of hermitian_hessian_stack."""
@@ -286,44 +281,3 @@ def hermitian_hessian_stack(values: np.ndarray, grid: PeriodicGrid) -> np.ndarra
     the pairs i < j in np.triu_indices order.  One rfft_active and one
     irfft_active batched over the stack."""
     return hessian_stack_from_spectrum(rfft_active(values, grid), grid)
-
-
-def hermitian_stack(a: np.ndarray) -> np.ndarray:
-    """The real stack, in the layout of hermitian_hessian_stack, of the
-    Hermitian part (a + a^H)/2 of a (..., n, n) field."""
-    d, iu, ju = _stack_index(a.shape[-1])
-    upper = 0.5 * (a[..., iu, ju] + np.conj(a[..., ju, iu]))
-    S = np.concatenate([a[..., d, d].real, upper.real, upper.imag], axis=-1)
-    return np.ascontiguousarray(np.moveaxis(S, -1, 0))
-
-
-def hermitian_from_stack(S: np.ndarray) -> np.ndarray:
-    """The exactly Hermitian (..., n, n) field of a real stack S in the layout
-    of hermitian_hessian_stack."""
-    n = round(len(S) ** 0.5)
-    d, iu, ju = _stack_index(n)
-    k = len(iu)
-    H = np.empty(S.shape[1:] + (n, n), dtype=np.complex128)
-    # written through a view with the matrix axes first, like the stack's
-    entries = H.transpose(-2, -1, *range(H.ndim - 2))
-    entries[d, d] = S[:n]
-    upper = S[n : n + k] + 1j * S[n + k :]
-    entries[iu, ju] = upper
-    entries[ju, iu] = upper.conj()
-    return H
-
-
-def hermitian_trace_weights(K: np.ndarray) -> np.ndarray:
-    """Real stack C of a Hermitian (..., n, n) field K, in the layout of
-    hermitian_hessian_stack, with sum_k C[k] S[k] = Re tr(K H) for S that
-    stack of a Hermitian field H:
-        K_ii (i < n), 2 Re K_ji (i < j), -2 Im K_ji (i < j)."""
-    d, iu, ju = _stack_index(K.shape[-1])
-    K_ji = K[..., ju, iu]
-    C = np.concatenate([K[..., d, d].real, 2.0 * K_ji.real, -2.0 * K_ji.imag], axis=-1)
-    return np.ascontiguousarray(np.moveaxis(C, -1, 0))
-
-
-def hermitian_hessian(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """hermitian_hessian_stack assembled into an exactly Hermitian (..., n, n) field."""
-    return hermitian_from_stack(hermitian_hessian_stack(values, grid))

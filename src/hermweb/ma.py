@@ -9,17 +9,18 @@ recovering omegat through the pointwise Michelsohn (n-1)-root.
 solve_ma3 works on matrix fields.  form_to_matrix sends omega_g^{n-1} to
 adj g, so for n = 3 the (n-1, n-1)-form above becomes
     Lambda(phi) = adj g + 1/2 M(Hess phi, g0),
-with M(A, B) = adj(A + B) - adj A - adj B the polarised adjugate
-(smallmat.mixed_adjugate).  The form path (form_to_matrix, matrix_to_form,
-hodge_root) stays the public API and is the tests' oracle for this identity.
+with M(A, B) = adj(A + B) - adj A - adj B the polarised adjugate, and the
+root metric is adj Lambda / det(Lambda)^{1/2}.  The form path
+(form_to_matrix, matrix_to_form, hodge_root) stays the public API and is the
+tests' oracle for this identity.
 
 Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
-where K = gt^{-1}, w = det gt for solve_ma2 and, since
-tr(P M(H, B)) = tr(M(P, B) H), K = M(Lambda^{-1}, g0) / (2 (n-1)),
-w = det(Lambda)^{1/(n-1)} for solve_ma3.  The linear systems are solved by
-GMRES with a flat-Laplacian Fourier preconditioner, with the constant b
-carried as an extra unknown in a bordered system.
+where w K = det(gt) gt^{-1} = adj gt for solve_ma2 and, since
+tr(P M(H, B)) = tr(M(P, B) H), w K = M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
+for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  The linear systems
+are solved by GMRES with a flat-Laplacian Fourier preconditioner, with the
+constant b carried as an extra unknown in a bordered system.
 
 The GMRES is restarted GMRES(20) with left preconditioning and modified
 Gram-Schmidt (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), the
@@ -28,13 +29,16 @@ counts are scipy's.  hermweb carries its own so that it needs only numpy at
 run time: on a 2-vCPU host, importing scipy.sparse.linalg took 0.35-0.4 s
 of hermweb's 0.45 s import and about 24 MB of every process's peak memory.
 
-For Hermitian K, Re tr(K H) does not see the anti-Hermitian part of H, so the
-residuals and the linearisation take only the Hermitian part of Hess phi, as
-the real stack of grid.hermitian_hessian_stack (real transforms only).  Each
-Newton step turns w K into the matching real coefficient stack
-(grid.hermitian_trace_weights)
-    w K_ii,  2 w Re K_ji,  -2 w Im K_ji   (i < j),
-so a matvec is one real transform pair and one contraction of two stacks.
+Every Hermitian field inside the solvers is a real stack in the layout of
+smallmat (the n diagonal rows, then Re and then Im of the upper entries).
+For Hermitian K, Re tr(K H) does not see the anti-Hermitian part of H, so
+the residuals and the linearisation take only the Hermitian part of
+Hess phi, as the stack of grid.hermitian_hessian_stack (real transforms
+only).  Positivity and det come from smallmat.stack_minors, adj and with it
+M from smallmat.stack_adjugate.  Re tr(K H) is the sum over the stack rows
+of w K times those of H, the off-diagonal rows counted twice, so a matvec is
+one real transform pair and one contraction of two stacks.  The complex
+(n, n) field is assembled once, for the output metric.
 """
 
 from __future__ import annotations
@@ -46,20 +50,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import smallmat
 from .grid import (
     PeriodicGrid,
     ScalarField,
     _half_spectrum,
-    hermitian_hessian,
     hermitian_hessian_stack,
-    hermitian_trace_weights,
     irfft_active,
     laplacian_symbol,
     rfft_active,
 )
 from .forms import FormField, d_max_norm, merge_sign, sort_sign
-from .metric import HermitianMetricField, MetricError, hermitian_part, is_positive_definite
+from .metric import HermitianMetricField, MetricError, minors_positive
+from .smallmat import hermitian_from_stack, hermitian_stack, stack_adjugate, stack_minors
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
 
@@ -171,24 +173,18 @@ def matrix_to_form(grid: PeriodicGrid, lam: np.ndarray) -> FormField:
 
 
 def hodge_root(phi: FormField) -> HermitianMetricField:
-    """Michelsohn (n-1)-root: the metric G with omega_G^{n-1} = phi."""
-    return _michelsohn_root(phi.grid, form_to_matrix(phi))
-
-
-def _michelsohn_root(grid: PeriodicGrid, lam: np.ndarray) -> HermitianMetricField:
-    """The metric G with form_to_matrix(omega_G^{n-1}) = lam, that is
-    adj G = lam: G = det(lam)^{1/(n-1)} lam^{-1}."""
-    n = grid.n
-    lam = hermitian_part(lam)
+    """Michelsohn (n-1)-root: the metric G with omega_G^{n-1} = phi, that is
+    adj G = Lambda = form_to_matrix(phi): G = det(Lambda)^{1/(n-1)} Lambda^{-1}."""
+    lam = form_to_matrix(phi)
     if not np.isfinite(lam).all():
         raise MetricError("(n-1, n-1)-form has non-finite coefficients")
-    if not is_positive_definite(lam):
+    S = hermitian_stack(lam)
+    minors = stack_minors(S)
+    if not minors_positive(minors):
         raise MetricError("(n-1, n-1)-form is not positive at some grid point")
-    det = smallmat.det(lam)
-    # a positive multiple of inv(lam) is Hermitian to round-off and
-    # positive definite, as lam is
-    G = det[..., None, None] ** (1.0 / (n - 1)) * smallmat.inverse(lam)
-    return HermitianMetricField._unchecked(grid, G)
+    # a positive multiple of adj Lambda, so positive definite, as Lambda is
+    G = stack_adjugate(S) * minors[-1] ** (1.0 / (phi.grid.n - 1) - 1.0)
+    return HermitianMetricField._unchecked(phi.grid, hermitian_from_stack(G))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +353,12 @@ def _make_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray):
     return LinearOperator((npts + 1, npts + 1), matvec=apply, dtype=np.float64)
 
 
-def _make_operator(grid: PeriodicGrid, K: np.ndarray, w: np.ndarray):
+def _make_operator(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
     """The bordered Newton operator (dphi, db) -> (w Re tr(K Hess dphi) - db w,
-    mean dphi), as one contraction with the coefficient stack of w K."""
-    C = w * hermitian_trace_weights(K)
+    mean dphi), as one contraction with the stack WK of w K, whose
+    off-diagonal rows count twice in the trace."""
+    C = WK.copy()
+    C[grid.n :] *= 2.0
     npts = grid.num_points
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -377,14 +375,12 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     residual_fn returns (R, state) where R is the pointwise equation residual
     and state is whatever coefficients_fn needs; it raises SolverError
     (positivity) for inadmissible iterates.  coefficients_fn(state) returns
-    the Hermitian matrix field K and the weight field w of the linearised
+    the real stack WK of w K and the weight field w of the linearised
     residual
         (dphi, db) -> w Re tr(K Hess dphi) - db w;
     the border column -w is exact at a solution, where e^b e^F det g = w.
-    Once per Newton step, w K becomes the real coefficient stack
-    C = w hermitian_trace_weights(K), so that w Re tr(K Hess dphi) is the
-    contraction of C with hermitian_hessian_stack(dphi) (_make_operator).
-    The preconditioner inverts c times the flat Laplacian, c = mean(w tr K)/n.
+    The preconditioner inverts c times the flat Laplacian, c = mean(w tr K)/n,
+    the mean of the n diagonal rows of WK.
     """
     phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
     phi = phi - phi.mean()
@@ -398,9 +394,9 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     for _ in range(cfg.max_iterations):
         if res <= cfg.tolerance:
             return phi, b, history, state, trace, tuple(linear_iterations)
-        K, w = coefficients_fn(state)
-        c = float(np.mean(w * np.einsum("...ii->...", K).real) / grid.n)
-        A_op = _make_operator(grid, K, w)
+        WK, w = coefficients_fn(state)
+        c = float(np.mean(WK[: grid.n]))
+        A_op = _make_operator(grid, WK, w)
         M = _make_preconditioner(grid, c, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = max(LINEAR_RTOL, min(1e-3, 1e-3 * res))
@@ -452,43 +448,41 @@ def solve_ma2(
 ) -> MASolution:
     """Solve (omega + i del dbar phi)^n = e^{F+b} omega^n, mean(phi) = 0."""
     grid = g.grid
-    Fv = F.values.real
-    detg = g.det()
-    eF_detg = np.exp(Fv) * detg
-    g_h = hermitian_part(g.g)
+    S_g = hermitian_stack(g.g)
+    detg = stack_minors(S_g)[-1]
+    eF_detg = np.exp(F.values.real) * detg
 
     def residual(phi, b):
-        # exactly Hermitian, as the sum of two exactly Hermitian fields
-        gt = g_h + hermitian_hessian(phi, grid)
-        if not is_positive_definite(gt):
+        S = S_g + hermitian_hessian_stack(phi, grid)
+        minors = stack_minors(S)
+        if not minors_positive(minors):
             raise SolverError("positivity lost", [], phi, b)
-        detgt = smallmat.det(gt)
-        R = detgt - np.exp(b) * eF_detg
-        return R, (gt, detgt)
+        R = minors[-1] - np.exp(b) * eF_detg
+        return R, (S, minors[-1])
 
     def coefficients(state):
-        gt, detgt = state
-        return smallmat.inverse(gt), detgt
+        S, detgt = state
+        return stack_adjugate(S), detgt
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
     phi, b, history, state, trace, linear_iterations = _newton_loop(
         grid, cfg, residual, coefficients, phi0, b0
     )
-    return MASolution(
-        ScalarField(grid, phi),
-        b,
-        history,
-        # residual() built gt exactly Hermitian and checked its positivity
-        HermitianMetricField._unchecked(grid, state[0]),
-        trace,
-        linear_iterations,
-    )
+    # residual() checked the positivity of the stack
+    metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(state[0]))
+    return MASolution(ScalarField(grid, phi), b, history, metric_out, trace, linear_iterations)
 
 
 # ---------------------------------------------------------------------------
 # Form-type route: equation on (n-1)-th wedge powers, Kahler reference
 # ---------------------------------------------------------------------------
+
+def _polarised_adjugate(X: np.ndarray, B: np.ndarray, adj_B: np.ndarray) -> np.ndarray:
+    """The stack of M(X, B) = adj(X + B) - adj X - adj B of 3x3 stacks, with
+    adj B given: symmetric and bilinear, M(X, X) = 2 adj X."""
+    return stack_adjugate(X + B) - stack_adjugate(X) - adj_B
+
 
 def solve_ma3(
     g: HermitianMetricField,
@@ -501,35 +495,35 @@ def solve_ma3(
     """Solve omegat^n = e^{F+b} omega^n with
     omegat^{n-1} = omega^{n-1} + i del dbar phi wedge omega0^{n-2}."""
     grid = g.grid
-    n = grid.n
-    if n != 3:
+    if grid.n != 3:
         raise MetricError("the form-type solver is implemented for n = 3")
     if d_max_norm(g0.fundamental_form()) > kahler_tol:
         raise MetricError(f"reference metric is not Kahler at tolerance {kahler_tol:g}")
 
-    adj_g = hermitian_part(0.5 * smallmat.mixed_adjugate(g.g, g.g))  # M(g, g) = 2 adj g
-    Fv = F.values.real
-    eF_detg = np.exp(Fv) * g.det()
-    root_exp = 1.0 / (n - 1)
+    S_g, S_g0 = hermitian_stack(g.g), hermitian_stack(g0.g)
+    adj_g, adj_g0 = stack_adjugate(S_g), stack_adjugate(S_g0)
+    detg = stack_minors(S_g)[-1]
+    eF_detg = np.exp(F.values.real) * detg
 
     def residual(phi, b):
-        lam = adj_g + 0.5 * smallmat.mixed_adjugate(hermitian_hessian(phi, grid), g0.g)
-        if not is_positive_definite(lam):
+        lam = adj_g + 0.5 * _polarised_adjugate(hermitian_hessian_stack(phi, grid), S_g0, adj_g0)
+        minors = stack_minors(lam)
+        if not minors_positive(minors):
             raise SolverError("(n-1)-positivity lost", [], phi, b)
-        dets = smallmat.det(lam) ** root_exp  # det of the root metric
+        dets = np.sqrt(minors[-1])  # det of the root metric
         R = dets - np.exp(b) * eF_detg
         return R, (lam, dets)
 
     def coefficients(state):
         lam, dets = state
-        K = (0.5 * root_exp) * smallmat.mixed_adjugate(smallmat.inverse(lam), g0.g)
-        return K, dets
+        return _polarised_adjugate(stack_adjugate(lam), S_g0, adj_g0) / (4.0 * dets), dets
 
-    b0 = float(np.log(np.mean(g.det()) / np.mean(eF_detg)))
+    b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
     phi, b, history, state, trace, linear_iterations = _newton_loop(
         grid, cfg, residual, coefficients, phi0, b0
     )
-    metric_out = _michelsohn_root(grid, state[0])
+    lam, dets = state
+    # adj Lambda / det(Lambda)^{1/2}, positive definite as Lambda is
+    metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(stack_adjugate(lam) / dets))
     return MASolution(ScalarField(grid, phi), b, history, metric_out, trace, linear_iterations)
-

@@ -18,18 +18,19 @@ class MetricError(ValueError):
     pass
 
 
+def minors_positive(minors: list[np.ndarray], floor: float = POSITIVITY_FLOOR) -> bool:
+    """Whether every leading principal minor exceeds floor at every point:
+    Sylvester's test of positive definiteness."""
+    return all(m.min() > floor for m in minors)
+
+
 def is_positive_definite(g: np.ndarray, floor: float = POSITIVITY_FLOOR) -> bool:
-    return all(np.min(m) > floor for m in smallmat.leading_minors(g))
+    return minors_positive(smallmat.stack_minors(smallmat.hermitian_stack(g)), floor)
 
 
 def hermitian_defect(g: np.ndarray) -> float:
     """max |g - g^H| over the field."""
     return float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
-
-
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^H) / 2 of a matrix field."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,12 @@ class HermitianMetricField:
         return self.grid.n
 
     def det(self) -> np.ndarray:
-        return smallmat.det(self.g)
+        return smallmat.stack_minors(smallmat.hermitian_stack(self.g))[-1]
 
     def inverse(self) -> np.ndarray:
-        """inv(g) as a plain matrix field: sum_j inv[i,j] g[j,k] = delta_ik."""
-        return smallmat.inverse(self.g)
+        """inv(g) = adj g / det g as a plain matrix field: sum_j inv[i,j] g[j,k] = delta_ik."""
+        S = smallmat.hermitian_stack(self.g)
+        return smallmat.hermitian_from_stack(smallmat.stack_adjugate(S) / smallmat.stack_minors(S)[-1])
 
     def fundamental_form(self) -> FormField:
         """omega = sqrt(-1) sum g_{i jbar} dz_i wedge dzbar_j."""
@@ -144,8 +146,8 @@ def chern_connection(g: HermitianMetricField) -> np.ndarray:
     dg = np.fft.ifftn(
         np.stack([s[..., None, None] * ghat for s in _z_symbols(g.grid)], axis=-3), axes=axes
     )
-    # g^{k lbar}: sum_l up[k, l] g_{m lbar} = delta_km  =>  up = inv(g^T)
-    up = smallmat.inverse(np.swapaxes(g.g, -1, -2))
+    # g^{k lbar}: sum_l up[k, l] g_{m lbar} = delta_km  =>  up = inv(g^T) = inv(g)^T
+    up = np.swapaxes(g.inverse(), -1, -2)
     return np.einsum("...kl,...ijl->...kij", up, dg)
 
 
@@ -169,7 +171,7 @@ def parallel_section_check(g: HermitianMetricField, ell: int) -> ParallelSection
     n = g.n
     eta2 = g.det() ** (-float(ell))
     # g^{i jbar} defined by g^{i jbar} g_{k jbar} = delta_ik
-    up = smallmat.inverse(np.swapaxes(g.g, -1, -2))
+    up = np.swapaxes(g.inverse(), -1, -2)
     H = hessian_values(eta2.astype(np.complex128), g.grid)
     lhs = np.einsum("...ij,...ij->...", up, H)
 

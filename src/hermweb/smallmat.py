@@ -1,103 +1,113 @@
-"""Closed-form determinant, inverse and leading minors of Hermitian matrix
-fields (..., n, n) with n <= 3, the polarised adjugate of 3x3 fields, and
-the leading minors of Hermitian 2x2/3x3 fields held as real stacks.
+"""Hermitian 2x2 and 3x3 matrix fields as real stacks, and their closed-form
+leading minors and adjugates.
+
+A Hermitian (..., n, n) field a is held as n^2 real fields stacked on a first
+axis: the n diagonal entries a_ii, then Re a_ij and then Im a_ij of the upper
+entries i < j in np.triu_indices order.  This module owns that layout:
+hermitian_stack and hermitian_from_stack convert at the complex API boundary,
+and the kernels work on the stack alone.  The inverse is adj a / det a and
+the polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.
 
 Metrics here are 2x2 or 3x3 at every grid point.  Cofactor expansion costs a
 few whole-field array operations per entry, where a batched LAPACK call pays
-an LU factorisation per point.  The 3x3 cofactors use cyclic indices,
-C[i, j] = a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1] (mod 3), which
-carry their own signs.
+an LU factorisation per point.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
-def _entries(a: np.ndarray) -> list[list[np.ndarray]]:
+@lru_cache(maxsize=4)
+def _stack_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal and the upper (i < j) index pairs of an n x n matrix, in
+    the order of the real stacks."""
+    return (np.arange(n),) + np.triu_indices(n, 1)
+
+
+def _order(S: np.ndarray) -> int:
+    """n of the n x n field whose stack is S, for the kernels' n = 2, 3."""
+    if len(S) not in (4, 9):
+        raise ValueError(f"need the 4- or 9-row stack of a 2x2 or 3x3 field, got {len(S)} rows")
+    return 2 if len(S) == 4 else 3
+
+
+def hermitian_stack(a: np.ndarray) -> np.ndarray:
+    """The real stack of the Hermitian part (a + a^H)/2 of a (..., n, n) field."""
     n = a.shape[-1]
-    if a.shape[-2] != n or not 1 <= n <= 3:
-        raise ValueError(f"need a (..., n, n) field with n <= 3, got shape {a.shape}")
-    return [[a[..., i, j] for j in range(n)] for i in range(n)]
+    _, iu, ju = _stack_index(n)
+    k = len(iu)
+    # Re and Im of each entry as float columns, one row per point: a
+    # strided column copy per stack row is cheaper than fancy indexing
+    e = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1, n, n, 2)
+    S = np.empty((n + 2 * k, len(e)))
+    for r in range(n):
+        S[r] = e[:, r, r, 0]
+    for r, (i, j) in enumerate(zip(iu, ju)):
+        np.add(e[:, i, j, 0], e[:, j, i, 0], out=S[n + r])
+        np.subtract(e[:, i, j, 1], e[:, j, i, 1], out=S[n + k + r])
+    S[n:] *= 0.5
+    return S.reshape(S.shape[:1] + a.shape[:-2])
 
 
-def _cofactor3(e, f, i: int, j: int) -> np.ndarray:
-    """Cofactor C[i, j] with its first factors from e, its second from f."""
-    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    return e[i1][j1] * f[i2][j2] - e[i1][j2] * f[i2][j1]
+def hermitian_from_stack(S: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian (..., n, n) field of a real stack S."""
+    n = round(len(S) ** 0.5)
+    d, iu, ju = _stack_index(n)
+    k = len(iu)
+    H = np.empty(S.shape[1:] + (n, n), dtype=np.complex128)
+    # written through a view with the matrix axes first, like the stack's
+    entries = H.transpose(-2, -1, *range(H.ndim - 2))
+    entries[d, d] = S[:n]
+    upper = S[n : n + k] + 1j * S[n + k :]
+    entries[iu, ju] = upper
+    entries[ju, iu] = upper.conj()
+    return H
 
 
-def _det(e) -> np.ndarray:
-    n = len(e)
-    if n == 1:
-        return e[0][0].real
-    if n == 2:
-        return (e[0][0] * e[1][1] - e[0][1] * e[1][0]).real
-    c = [_cofactor3(e, e, 0, j) for j in range(3)]
-    return (e[0][0] * c[0] + e[0][1] * c[1] + e[0][2] * c[2]).real
-
-
-def det(a: np.ndarray) -> np.ndarray:
-    """Real part of det a; the determinant of a Hermitian field is real."""
-    return _det(_entries(a))
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    """inv(a) as adjugate over determinant: sum_j inv[i, j] a[j, k] = delta_ik."""
-    e = _entries(a)
-    n = len(e)
-    adj = np.empty(a.shape, dtype=np.result_type(a, 1.0))
-    if n == 1:
-        adj[..., 0, 0] = 1.0
-    elif n == 2:
-        adj[..., 0, 0] = e[1][1]
-        adj[..., 0, 1] = -e[0][1]
-        adj[..., 1, 0] = -e[1][0]
-        adj[..., 1, 1] = e[0][0]
-    else:
-        for i in range(3):
-            for j in range(3):
-                adj[..., j, i] = _cofactor3(e, e, i, j)
-    adj /= _det(e)[..., None, None]
-    return adj
-
-
-def mixed_adjugate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Polarised adjugate M(a, b) = adj(a + b) - adj a - adj b of 3x3 fields.
-
-    M is symmetric and bilinear, M(a, a) = 2 adj a, and
-    M(a, b) = (tr a tr b - tr ab) I - tr a b - tr b a + ab + ba.  Each cofactor
-    takes one factor from each field.
-    """
-    e, f = _entries(a), _entries(b)
-    if len(e) != 3 or len(f) != 3:
-        raise ValueError(f"need (..., 3, 3) fields, got shapes {a.shape} and {b.shape}")
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b, 1.0))
-    for i in range(3):
-        for j in range(3):
-            out[..., j, i] = _cofactor3(e, f, i, j) + _cofactor3(f, e, i, j)
-    return out
-
-
-def leading_minors(a: np.ndarray) -> list[np.ndarray]:
-    """Leading principal minors (real parts), orders 1..n."""
-    e = _entries(a)
-    return [_det([row[:k] for row in e[:k]]) for k in range(1, len(e) + 1)]
+def stack_max_modulus(S: np.ndarray) -> float:
+    """max |a_ij| of the Hermitian field with real stack S: |a_ii| on the
+    diagonal rows, hypot(Re, Im) on the upper entries."""
+    n = _order(S)
+    k = (len(S) - n) // 2
+    return float(max(np.abs(S[:n]).max(), np.hypot(S[n : n + k], S[n + k :]).max()))
 
 
 def stack_minors(S: np.ndarray) -> list[np.ndarray]:
     """Leading principal minors, orders 1..n, of the Hermitian 2x2 or 3x3
-    field whose real stack is S, in the layout of grid.hermitian_hessian_stack:
-    the n diagonal rows, then Re and then Im of the upper entries in
-    np.triu_indices order.  The last minor is the determinant."""
-    if len(S) == 4:
+    field whose real stack is S.  The last minor is the determinant."""
+    if _order(S) == 2:
         d0, d1, x01, y01 = S
         return [d0, d0 * d1 - (x01 * x01 + y01 * y01)]
-    if len(S) != 9:
-        raise ValueError(f"need the 4- or 9-row stack of a 2x2 or 3x3 field, got {len(S)} rows")
     d0, d1, d2, x01, x02, x12, y01, y02, y12 = S
     minor2 = d0 * d1 - (x01 * x01 + y01 * y01)
     # 2 Re(a01 a12 conj a02), the two cyclic products of the off-diagonal entries
     cyclic = 2.0 * ((x01 * x12 - y01 * y12) * x02 + (x01 * y12 + y01 * x12) * y02)
     det = d2 * minor2 - d0 * (x12 * x12 + y12 * y12) - d1 * (x02 * x02 + y02 * y02) + cyclic
     return [d0, minor2, det]
+
+
+def stack_adjugate(S: np.ndarray) -> np.ndarray:
+    """The real stack of adj a = det(a) a^{-1} of the Hermitian 2x2 or 3x3
+    field a whose real stack is S.
+
+    For 3x3 fields adj_ii is the complementary principal 2x2 minor and
+    adj_ij = a_ik a_kj - a_kk a_ij for i < j, k the third index."""
+    if _order(S) == 2:
+        d0, d1, x01, y01 = S
+        return np.stack([d1, d0, -x01, -y01])
+    d0, d1, d2, x01, x02, x12, y01, y02, y12 = S
+    return np.stack([
+        d1 * d2 - (x12 * x12 + y12 * y12),
+        d0 * d2 - (x02 * x02 + y02 * y02),
+        d0 * d1 - (x01 * x01 + y01 * y01),
+        # Re, then Im, of a02 a21 - d2 a01, a01 a12 - d1 a02 and a10 a02 - d0 a12
+        x02 * x12 + y02 * y12 - d2 * x01,
+        x01 * x12 - y01 * y12 - d1 * x02,
+        x01 * x02 + y01 * y02 - d0 * x12,
+        y02 * x12 - x02 * y12 - d2 * y01,
+        x01 * y12 + y01 * x12 - d1 * y02,
+        x01 * y02 - y01 * x02 - d0 * y12,
+    ])

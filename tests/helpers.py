@@ -12,8 +12,9 @@ evaluates every stencil point of a block of sample points in one array.
 The Newton operator and preconditioner oracles are the solvers' complex
 forms: the full complex Hessian contracted with K, and the flat-Laplacian
 solve on complex spectra.  The last section holds small cross-checks that
-the package itself never calls: the grid mean, a realness test, the inverse
-of fundamental_form and a uniqueness probe for the Monge-Ampere solvers.
+the package itself never calls: the grid mean, a realness test, the
+Hermitian part of a matrix field, the inverse of fundamental_form and a
+uniqueness probe for the Monge-Ampere solvers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from hermweb.forms import FormField, basis_keys, exterior_d, insert_sign
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
-from hermweb.metric import HermitianMetricField, MetricError, hermitian_part, ricci_tensor
+from hermweb.metric import HermitianMetricField, MetricError, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
 
 
@@ -302,6 +303,11 @@ def mean(f: ScalarField) -> complex:
 
 def is_real(f: ScalarField) -> bool:
     return bool(np.max(np.abs(f.values.imag)) <= 1e-12 * max(1.0, np.max(np.abs(f.values))))
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^H) / 2 of a matrix field."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def metric_from_form(omega: FormField) -> HermitianMetricField:

@@ -186,6 +186,39 @@ def test_flow_rejects_a_tol_or_dt_that_is_not_finite_and_positive(bump_spec, opt
     assert f"{option} must be a finite positive number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--dt", "-1e-3"), ("--tol", "-1e-8"), ("--tol", "abc"), ("--max-steps", "1.5")],
+)
+def test_flow_usage_errors_exit_1_and_name_the_flag(bump_spec, option, value, capsys):
+    # argparse exits 2 on a usage error, the code of a failed solve
+    with pytest.raises(SystemExit) as exc_info:
+        main(["flow", "--spec", bump_spec, option, value])
+    assert exc_info.value.code == 1
+    assert f"argument {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_flow_rejects_a_step_cap_below_one(bump_spec, value, capsys):
+    assert main(["flow", "--spec", bump_spec, "--max-steps", value]) == 1
+    assert "--max-steps must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(cmd, opt) for cmd in ("ricci", "flatten-conformal") for opt in ("--tol", "--csv", "--seed")]
+    + [("classify", "--csv"), ("classify", "--seed"), ("flow", "--seed"),
+       ("verify-example", "--tol"), ("verify-example", "--csv")],
+)
+def test_commands_reject_flags_they_do_not_read(bump_spec, command, option, capsys):
+    argv = [command] + (["--name", "hopf"] if command == "verify-example" else ["--spec", bump_spec])
+    argv += [option] if option == "--csv" else [option, "3"]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve-ma2", "classify"])
 def test_nan_tol_exits_1(bump_spec, command, capsys):
     assert main([command, "--spec", bump_spec, "--tol", "nan"]) == 1

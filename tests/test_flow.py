@@ -14,13 +14,8 @@ from hermweb.flow import (
     max_dt,
     run_flow,
 )
-from hermweb.grid import (
-    PeriodicGrid,
-    hermitian_hessian_stack,
-    hermitian_stack,
-    hessian_stack_from_spectrum,
-)
-from hermweb.smallmat import stack_minors
+from hermweb.grid import PeriodicGrid, hermitian_hessian_stack, hessian_stack_from_spectrum
+from hermweb.smallmat import hermitian_stack, stack_minors
 from hermweb.ma import solve_ma2
 from hermweb.metric import (
     HermitianMetricField,

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse.linalg as scipy_linalg
 
 from hermweb.forms import FormField, ddbar, wedge, wedge_power
-from hermweb.grid import PeriodicGrid, ScalarField, hessian_values
+from hermweb.grid import PeriodicGrid, ScalarField, hermitian_hessian_stack, hessian_values
 from hermweb.metric import (
     HermitianMetricField,
     MetricError,
@@ -37,7 +37,8 @@ from hermweb.ma import (
     _make_preconditioner,
 )
 
-from hermweb.smallmat import mixed_adjugate
+from hermweb import smallmat as smallmat_module
+from hermweb.smallmat import hermitian_from_stack, hermitian_stack, stack_adjugate
 
 from helpers import (
     brute_wedge,
@@ -271,14 +272,16 @@ def test_solve_ma3_manufactured_non_identity_reference():
 
 
 def test_lambda_matches_form_path():
-    # adj g + M(Hess phi, g0) / 2 is the matrix of omega^2 + i ddbar phi ^ omega_0
+    # adj g + M(Hess phi, g0) / 2 is the matrix of omega^2 + i ddbar phi ^ omega_0;
+    # the left side as solve_ma3 computes it, on real stacks
     grid = PeriodicGrid(3, (8, 8, 1, 1, 8, 1))
     rng = np.random.default_rng(9)
     g = random_metric(grid, rng, amp=0.1, kmax=1)
     g0 = random_metric(grid, rng, amp=0.1, kmax=1)
     phi = random_bandlimited(grid, rng, amp=0.05, kmax=2).real.astype(np.complex128)
-    H = hessian_values(phi, grid)
-    lam = mixed_adjugate(g.g, g.g) / 2 + mixed_adjugate(H, g0.g) / 2
+    S0 = hermitian_stack(g0.g)
+    M = ma_module._polarised_adjugate(hermitian_hessian_stack(phi.real, grid), S0, stack_adjugate(S0))
+    lam = hermitian_from_stack(stack_adjugate(hermitian_stack(g.g)) + M / 2)
     oracle = form_to_matrix(
         wedge_power(g.fundamental_form(), 2) + wedge(ddbar(ScalarField(grid, phi)), g0.fundamental_form())
     )
@@ -342,7 +345,7 @@ def test_newton_operator_matches_complex_form(n, sizes):
     K = A + np.conj(np.swapaxes(A, -1, -2))
     w = rng.uniform(0.5, 2.0, grid.shape)
     v = rng.standard_normal(grid.num_points + 1)
-    out = _make_operator(grid, K, w).matvec(v)
+    out = _make_operator(grid, w * hermitian_stack(K), w).matvec(v)
     expected = complex_newton_row(grid, K, w, v)
     assert np.max(np.abs(out[:-1] - expected.ravel())) <= 1e-12 * np.max(np.abs(expected))
     assert out[-1] == pytest.approx(v[:-1].mean(), abs=1e-15)
@@ -519,6 +522,30 @@ def test_gmres_zero_rhs_returns_zero():
     pre = ma_module.LinearOperator((5, 5), matvec=lambda v: M @ v, dtype=np.float64)
     x, info, iterations = ma_module.gmres(op, np.zeros(5), M=pre, rtol=1e-10, maxiter=10)
     assert (info, iterations) == (0, 0) and not x.any()
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_solvers_assemble_the_complex_metric_once(solver, monkeypatch):
+    # the residuals and Newton coefficients stay on real stacks; the complex
+    # (n, n) field is built once, for metric_out
+    rng = np.random.default_rng(2)
+    if solver == "ma2":
+        g, F, _, _ = manufactured_problem(PeriodicGrid(2, (16, 16, 1, 1)), rng)
+        solve = lambda: solve_ma2(g, F)
+    else:
+        g, g0, F, _, _ = ma3_manufactured(GRID3, rng)
+        solve = lambda: solve_ma3(g, g0, F)
+    calls = []
+
+    def counted(S):
+        calls.append(S.shape)
+        return hermitian_from_stack(S)
+
+    monkeypatch.setattr(ma_module, "hermitian_from_stack", counted)
+    monkeypatch.setattr(smallmat_module, "hermitian_from_stack", counted)
+    sol = solve()
+    assert sol.iterations >= 2
+    assert calls == [(g.n * g.n,) + g.grid.shape]
 
 
 @pytest.mark.parametrize("solver", ["ma2", "ma3"])

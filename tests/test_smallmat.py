@@ -1,10 +1,19 @@
-"""Closed-form kernels against LAPACK on random Hermitian fields."""
+"""Closed-form stack kernels against LAPACK on random Hermitian fields."""
+
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from hermweb.grid import hermitian_stack
-from hermweb.smallmat import det, inverse, leading_minors, mixed_adjugate, stack_minors
+from hermweb.grid import PeriodicGrid
+from hermweb.metric import HermitianMetricField
+from hermweb.smallmat import (
+    hermitian_from_stack,
+    hermitian_stack,
+    stack_adjugate,
+    stack_max_modulus,
+    stack_minors,
+)
 
 RTOL = 1e-12
 
@@ -23,23 +32,57 @@ def hermitian_field(rng, n, kind, shape=(64,)):
     return np.einsum("...ik,...k,...jk->...ij", q, eig, np.conj(q))
 
 
+def leading_minors(a):
+    """Leading principal minors (real parts), orders 1..n, by the Leibniz
+    expansion over permutations."""
+    minors = []
+    for k in range(1, a.shape[-1] + 1):
+        total = 0.0
+        for p in permutations(range(k)):
+            # the parity of p from its inversions
+            sign = (-1) ** sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+            total = total + sign * np.prod([a[..., i, p[i]] for i in range(k)], axis=0)
+        minors.append(total.real)
+    return minors
+
+
+def lapack_adjugate(a):
+    return np.linalg.inv(a) * np.linalg.det(a)[..., None, None]
+
+
+def polarised(a, b):
+    """The stack polarisation M(a, b) = adj(a + b) - adj a - adj b of complex
+    3x3 fields, assembled."""
+    A, B = hermitian_stack(a), hermitian_stack(b)
+    return hermitian_from_stack(stack_adjugate(A + B) - stack_adjugate(A) - stack_adjugate(B))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["positive", "indefinite", "ill_conditioned"])
 def test_kernels_match_lapack(n, kind):
     rng = np.random.default_rng(10 * n + len(kind))
     a = hermitian_field(rng, n, kind)
-    # errors of both routes scale with the entries (det) and with the
-    # condition number (inverse), so compare relative to those
+    S = hermitian_stack(a)
+    minors = stack_minors(S)
+    # errors of both routes scale with the entries (det, adjugate) and with
+    # the condition number (inverse, LAPACK's adjugate), so compare relative
+    # to those
     scale = np.max(np.abs(a), axis=(-1, -2))
     ref = np.linalg.det(a).real
-    assert np.all(np.abs(det(a) - ref) <= RTOL * scale**n)
-    for k, minor in enumerate(leading_minors(a), start=1):
+    assert np.all(np.abs(minors[-1] - ref) <= RTOL * scale**n)
+    for k, minor in enumerate(minors, start=1):
         ref_k = np.linalg.det(a[..., :k, :k]).real
         assert np.all(np.abs(minor - ref_k) <= RTOL * scale**k)
     inv_ref = np.linalg.inv(a)
     cond = np.linalg.cond(a)[..., None, None]
     inv_scale = np.max(np.abs(inv_ref), axis=(-1, -2), keepdims=True)
-    assert np.all(np.abs(inverse(a) - inv_ref) <= RTOL * cond * inv_scale)
+    inverse = hermitian_from_stack(stack_adjugate(S) / minors[-1])
+    assert np.all(np.abs(inverse - inv_ref) <= RTOL * cond * inv_scale)
+    adj_ref = lapack_adjugate(a)
+    adj_scale = np.max(np.abs(adj_ref), axis=(-1, -2), keepdims=True)
+    adj = hermitian_from_stack(stack_adjugate(S))
+    assert np.all(np.abs(adj - adj_ref) <= RTOL * cond * adj_scale)
+    assert stack_max_modulus(S) == pytest.approx(np.max(np.abs(a)), rel=1e-15)
     if kind == "indefinite":
         assert np.min(ref) < 0 < np.max(ref)
 
@@ -47,15 +90,12 @@ def test_kernels_match_lapack(n, kind):
 @pytest.mark.parametrize("n", [2, 3])
 def test_inverse_of_hermitian_is_hermitian_and_inverts(n):
     a = hermitian_field(np.random.default_rng(n), n, "positive", shape=(8, 8))
-    inv = inverse(a)
+    grid = PeriodicGrid(n, (8, 8) + (1,) * (2 * n - 2))
+    inv = HermitianMetricField(grid, a.reshape(grid.shape + (n, n))).inverse().reshape(a.shape)
     defect = np.max(np.abs(inv - np.conj(np.swapaxes(inv, -1, -2))))
     assert defect <= 1e-15 * np.max(np.abs(inv))
     eye = np.einsum("...ij,...jk->...ik", inv, a)
     assert np.max(np.abs(eye - np.eye(n))) < 1e-13
-
-
-def lapack_adjugate(a):
-    return np.linalg.inv(a) * np.linalg.det(a)[..., None, None]
 
 
 @pytest.mark.parametrize("kind", ["positive", "indefinite"])
@@ -65,9 +105,8 @@ def test_mixed_adjugate_is_polarised_adjugate(kind):
     b = hermitian_field(rng, 3, "positive")
     expected = lapack_adjugate(a + b) - lapack_adjugate(a) - lapack_adjugate(b)
     scale = np.max(np.abs(a), axis=(-1, -2)) * np.max(np.abs(b), axis=(-1, -2))
-    got = mixed_adjugate(a, b)
+    got = polarised(a, b)
     assert np.all(np.max(np.abs(got - expected), axis=(-1, -2)) <= 1e-12 * scale)
-    assert np.array_equal(got, mixed_adjugate(b, a))
     # the trace form (tr a tr b - tr ab) I - tr a b - tr b a + ab + ba
     tr = lambda m: np.einsum("...ii->...", m)[..., None, None]
     ab, ba = a @ b, b @ a
@@ -76,37 +115,47 @@ def test_mixed_adjugate_is_polarised_adjugate(kind):
 
 
 def test_mixed_adjugate_trace_adjoint():
-    # tr(P M(H, B)) = tr(M(P, B) H): the form-type solver's Jacobian rests on it
+    # tr(P M(H, B)) = tr(M(P, B) H): the form-type solver's Jacobian rests on
+    # it.  The traces are taken on stacks, as the Newton operator takes them:
+    # tr(P Q) sums the products of the rows, the off-diagonal rows twice
     rng = np.random.default_rng(40)
-    p, h, b = (hermitian_field(rng, 3, kind) for kind in ("positive", "indefinite", "positive"))
-    lhs = np.einsum("...ij,...ji->...", p, mixed_adjugate(h, b))
-    rhs = np.einsum("...ij,...ji->...", mixed_adjugate(p, b), h)
-    scale = np.prod([np.max(np.abs(m), axis=(-1, -2)) for m in (p, h, b)], axis=0)
+    kinds = ("positive", "indefinite", "positive")
+    P, H, B = (hermitian_stack(hermitian_field(rng, 3, kind)) for kind in kinds)
+    M = lambda X: stack_adjugate(X + B) - stack_adjugate(X) - stack_adjugate(B)
+    weights = np.array([1.0] * 3 + [2.0] * 6)[:, None]
+    lhs = np.sum(weights * P * M(H), axis=0)
+    rhs = np.sum(weights * M(P) * H, axis=0)
+    scale = np.prod([stack_max_modulus(X) for X in (P, H, B)])
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+    # the stack contraction is the complex trace
+    p, m = hermitian_from_stack(P), hermitian_from_stack(M(H))
+    complex_trace = np.einsum("...ij,...ji->...", p, m).real
+    assert np.all(np.abs(lhs - complex_trace) <= 1e-12 * scale)
 
 
-def test_mixed_adjugate_broadcasts_and_rejects_2x2():
+def test_mixed_adjugate_with_the_identity_broadcasts():
     a = hermitian_field(np.random.default_rng(50), 3, "positive")
-    eye = np.eye(3)
-    # M(a, I) = tr(a) I - a
-    expected = np.einsum("...ii->...", a)[..., None, None] * eye - a
-    assert np.max(np.abs(mixed_adjugate(a, eye) - expected)) < 1e-12
-    with pytest.raises(ValueError):
-        mixed_adjugate(np.eye(2), np.eye(2))
+    A = hermitian_stack(a)
+    I = hermitian_stack(np.eye(3))[:, None]
+    # M(a, I) = tr(a) I - a, with the identity's stack broadcast over the field
+    expected = np.einsum("...ii->...", a)[..., None, None] * np.eye(3) - a
+    got = hermitian_from_stack(stack_adjugate(A + I) - stack_adjugate(A) - stack_adjugate(I))
+    assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_kernels_reject_larger_fields():
-    a = np.broadcast_to(np.eye(4), (3, 4, 4))
-    for fn in (det, inverse, leading_minors):
+    S = hermitian_stack(np.broadcast_to(np.eye(4), (3, 4, 4)))
+    for fn in (stack_minors, stack_adjugate, stack_max_modulus):
         with pytest.raises(ValueError):
-            fn(a)
+            fn(S)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["positive", "indefinite", "ill_conditioned"])
 def test_stack_minors_match_leading_minors(n, kind):
-    # the minors of the real stack against those of the complex field; both
-    # expand in products of k entries, so the error scales with max|a|^k
+    # the minors of the real stack against the Leibniz expansion of the
+    # complex field; both expand in products of k entries, so the error
+    # scales with max|a|^k
     rng = np.random.default_rng(60 + 10 * n + len(kind))
     a = hermitian_field(rng, n, kind)
     scale = np.max(np.abs(a), axis=(-1, -2))
