@@ -66,10 +66,12 @@ STEP_ERROR_FRACTION = 0.1
 # run_flow grows dt no further than this fraction of the decay time of the
 # slowest mode of the flat unit Laplacian on the torus
 MAX_STEP_DECAY = 0.4
+MIN_DT = 1e-12  # run_flow gives up when a rejected attempt halves dt below this
 
 
 class FlowError(RuntimeError):
-    """The flow cannot go on; `state` is the last accepted FlowState, if any."""
+    """The flow cannot go on: the step cap, dt below MIN_DT or (StepRejected)
+    positivity loss; `state` is the last accepted FlowState, if any."""
 
     def __init__(self, message: str, state: "FlowState | None" = None):
         super().__init__(message)
@@ -209,11 +211,12 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     The stage metrics and the new metric are the Hermitian parts of
     g0 + Hess psi, as real stacks: at the Nyquist wavenumber the spectral
     Hessian of a field varying along two axes is not Hermitian.  Raises
-    StepRejected when any of them loses positivity.  Having checked that
-    here, it wraps the new metric without the constructor's re-check and copy.
+    StepRejected when any of them loses positivity, and ValueError unless
+    dt > 0.  Having checked positivity here, it wraps the new metric without
+    the constructor's re-check and copy.
     """
-    if dt <= 0:
-        raise FlowError("dt must be positive", state)
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     if state.potential is None:
         state = flow_state(state.g, state.t)
     p = state.potential
@@ -278,11 +281,7 @@ def max_dt(grid: PeriodicGrid) -> float:
 
 
 def run_flow(
-    g0: HermitianMetricField,
-    tol: float,
-    dt0: float,
-    max_steps: int,
-    min_dt: float = 1e-12,
+    g0: HermitianMetricField, tol: float, dt0: float, max_steps: int
 ) -> tuple[FlowState, list[FlowHistoryRow]]:
     """Iterate from the initial step dt0 until the max-norm of Ric drops below tol.
 
@@ -291,13 +290,15 @@ def run_flow(
     above 1.  After an accepted step dt is scaled by min(cap, 0.9 r^(-1/2))
     (by cap at r = 0), up to max_dt(grid); cap is 2 until the flow's first
     rejected attempt and 1.1 from then on.  dt0 itself may exceed max_dt.
-    tol and dt0 must be finite and positive.  The flow stops with FlowError,
-    carrying the last state, at the step cap or when dt falls below min_dt.
+    ValueError names the first of tol, dt0 and max_steps that is not finite
+    and positive.  The flow stops with FlowError, carrying the last state, at
+    the step cap or when dt falls below MIN_DT.
     """
-    # a NaN or infinite dt never halves below min_dt, and a NaN tol would end
+    # a NaN or infinite dt never halves below MIN_DT, and a NaN tol would end
     # the flow before its first step
-    if not (math.isfinite(tol) and tol > 0 and math.isfinite(dt0) and dt0 > 0):
-        raise FlowError(f"tol and dt0 must be finite and positive, got {tol!r} and {dt0!r}")
+    for name, value in (("tol", tol), ("dt0", dt0), ("max_steps", max_steps)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     state = flow_state(g0)
     history = [FlowHistoryRow(state.t, 0.0, state.ricci_norm)]
     dt = dt0
@@ -320,7 +321,7 @@ def run_flow(
             rejected, reason = rejected + 1, why
             cap = 1.1
             dt *= 0.5
-            if dt < min_dt:
+            if dt < MIN_DT:
                 raise FlowError(
                     f"dt underflow after {rejected} rejected attempts (last: {reason})", state
                 )

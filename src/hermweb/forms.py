@@ -16,6 +16,8 @@ import numpy as np
 
 from .grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
 
+REAL_TOL = 1e-12  # of FormField.is_real, relative to max(1, max-norm)
+
 
 class FormError(ValueError):
     pass
@@ -112,9 +114,9 @@ class FormField:
             out[key] = out.get(key, 0) + sgn * np.conj(v)
         return FormField(self.grid, self.q, self.p, out)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self) -> bool:
         scale = max(1.0, self.max_norm())
-        return (self - self.conjugated()).max_norm() <= tol * scale
+        return (self - self.conjugated()).max_norm() <= REAL_TOL * scale
 
 
 def zero_form(grid: PeriodicGrid, p: int, q: int) -> FormField:

@@ -84,6 +84,7 @@ ARMIJO = 1e-4
 LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 400
 _LINEAR_RESTART = 20
+KAHLER_TOL = 1e-10  # solve_ma3 rejects a reference metric with larger max|d omega0|
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class SolverConfig:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValueError("iteration cap must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -490,15 +491,14 @@ def solve_ma3(
     F: ScalarField,
     cfg: SolverConfig = SolverConfig(),
     initial_phi: np.ndarray | None = None,
-    kahler_tol: float = 1e-10,
 ) -> MASolution:
     """Solve omegat^n = e^{F+b} omega^n with
     omegat^{n-1} = omega^{n-1} + i del dbar phi wedge omega0^{n-2}."""
     grid = g.grid
     if grid.n != 3:
         raise MetricError("the form-type solver is implemented for n = 3")
-    if d_max_norm(g0.fundamental_form()) > kahler_tol:
-        raise MetricError(f"reference metric is not Kahler at tolerance {kahler_tol:g}")
+    if d_max_norm(g0.fundamental_form()) > KAHLER_TOL:
+        raise MetricError(f"reference metric is not Kahler at tolerance {KAHLER_TOL:g}")
 
     S_g, S_g0 = hermitian_stack(g.g), hermitian_stack(g0.g)
     adj_g, adj_g0 = stack_adjugate(S_g), stack_adjugate(S_g0)

@@ -12,25 +12,29 @@ from . import smallmat
 
 POSITIVITY_FLOOR = 1e-12
 HERMITIAN_TOL = 1e-10  # relative to max(1, max |g|)
+CLOSED_TOL = 1e-8  # of bott_chern_defect, relative to max(1, max-norm of the form)
 
 
 class MetricError(ValueError):
     pass
 
 
-def minors_positive(minors: list[np.ndarray], floor: float = POSITIVITY_FLOOR) -> bool:
-    """Whether every leading principal minor exceeds floor at every point:
-    Sylvester's test of positive definiteness."""
-    return all(m.min() > floor for m in minors)
+def minors_positive(minors: list[np.ndarray]) -> bool:
+    """Whether every leading principal minor exceeds POSITIVITY_FLOOR at every
+    point: Sylvester's test of positive definiteness."""
+    return all(m.min() > POSITIVITY_FLOOR for m in minors)
 
 
-def is_positive_definite(g: np.ndarray, floor: float = POSITIVITY_FLOOR) -> bool:
-    return minors_positive(smallmat.stack_minors(smallmat.hermitian_stack(g)), floor)
+def is_positive_definite(g: np.ndarray) -> bool:
+    return minors_positive(smallmat.stack_minors(smallmat.hermitian_stack(g)))
 
 
 def hermitian_defect(g: np.ndarray) -> float:
-    """max |g - g^H| over the field."""
-    return float(np.max(np.abs(g - np.conj(np.swapaxes(g, -1, -2)))))
+    """max |g - g^H| over the field: |g_ij - conj(g_ji)| on the upper entries,
+    which |g - g^H| repeats below the diagonal, and 2 |Im g_ii| on it."""
+    diag, iu, ju = smallmat._stack_index(g.shape[-1])
+    upper = np.abs(g[..., iu, ju] - np.conj(g[..., ju, iu]))
+    return float(max(2.0 * np.abs(g[..., diag, diag].imag).max(), upper.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,8 @@ def identity_metric(grid: PeriodicGrid) -> HermitianMetricField:
 
 
 def log_det(g: HermitianMetricField) -> np.ndarray:
-    d = g.det()
-    if np.min(d) <= 0:
-        raise MetricError("non-positive determinant")
-    return np.log(d)
+    # det g > 0: every HermitianMetricField has leading minors above POSITIVITY_FLOOR
+    return np.log(g.det())
 
 
 def ricci_tensor(g: HermitianMetricField) -> np.ndarray:
@@ -287,15 +289,15 @@ def classify(g: HermitianMetricField, tol: float) -> ClassReport:
     return ClassReport(tol, kahler, balanced, gauduchon, sg, astheno)
 
 
-def bott_chern_defect(a: FormField, closed_tol: float = 1e-8) -> np.ndarray:
+def bott_chern_defect(a: FormField) -> np.ndarray:
     """Mean coefficient matrix of a closed real (1,1)-form.
 
     Vanishes exactly when the form is sqrt(-1) del dbar-exact on the torus.
     """
     if (a.p, a.q) != (1, 1):
         raise MetricError("need a (1,1)-form")
-    if d_max_norm(a) > closed_tol * max(1.0, a.max_norm()):
-        raise MetricError("form is not closed to the requested tolerance")
+    if d_max_norm(a) > CLOSED_TOL * max(1.0, a.max_norm()):
+        raise MetricError(f"form is not closed to tolerance {CLOSED_TOL:g}")
     n = a.grid.n
     out = np.empty((n, n), dtype=np.complex128)
     for i in range(n):

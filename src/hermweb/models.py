@@ -23,6 +23,8 @@ DEGREE1_FD = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 DEGREE2_FD = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 OFFSETS = np.array([-2, -1, 0, 1, 2])
 FD_BLOCK = 256  # sample points per batched finite-difference stencil array
+FD_TOL = 1e-6  # hopf_check: closed-form Ric against finite differences
+EXACT_TOL = 1e-12  # nakamura_check, yoshihara_check: identities that hold exactly
 
 
 class ExampleError(ValueError):
@@ -131,7 +133,7 @@ def hopf_points(num: int, n: int, seed: int = 0) -> list[np.ndarray]:
     return pts
 
 
-def hopf_check(points: list[np.ndarray], n: int, tol_fd: float = 1e-6) -> ExampleReport:
+def hopf_check(points: list[np.ndarray], n: int) -> ExampleReport:
     """Closed-form Ric vs local finite differences, plus the semipositivity
     witness that the first Bott-Chern class cannot vanish."""
     z = [np.asarray(p, dtype=np.complex128) for p in points]
@@ -152,7 +154,7 @@ def hopf_check(points: list[np.ndarray], n: int, tol_fd: float = 1e-6) -> Exampl
     max_zero_eig = float(np.max(np.abs(eig[:, 0])))
     min_top_margin = float(np.min(eig[:, -1] - n / (2 * r**2)))
     report = ExampleReport("hopf")
-    report.add("closed_form_vs_finite_differences", worst_fd, 0.0, tol_fd, worst_fd)
+    report.add("closed_form_vs_finite_differences", worst_fd, 0.0, FD_TOL, worst_fd)
     report.add("semipositive", min_eig, ">= -1e-10", 1e-10, max(0.0, -min_eig))
     report.add("kernel_direction", max_zero_eig, 0.0, 1e-10, max_zero_eig)
     report.add(
@@ -222,7 +224,7 @@ def nakamura_samples(num: int, t_values, seed: int = 0) -> list[tuple[complex, c
     return samples
 
 
-def nakamura_check(samples: list[tuple[complex, complex]], tol: float = 1e-12) -> ExampleReport:
+def nakamura_check(samples: list[tuple[complex, complex]]) -> ExampleReport:
     """Constancy of the omega^3 coefficient across (z_1, t) samples."""
     if not samples:
         raise ExampleError("no samples")
@@ -236,9 +238,9 @@ def nakamura_check(samples: list[tuple[complex, complex]], tol: float = 1e-12) -
     reference = nakamura_top_coefficient(0.0, 0.0)
     expected = 6.0 * (1j**3)
     err_ref = abs(reference - expected) / abs(expected)
-    report.add("undeformed_top_coefficient", reference, expected, tol, err_ref)
+    report.add("undeformed_top_coefficient", reference, expected, EXACT_TOL, err_ref)
     spread = float(np.max(np.abs(nakamura_top_coefficient(z1, t) - reference))) / abs(reference)
-    report.add("coefficient_spread", spread, 0.0, tol, spread)
+    report.add("coefficient_spread", spread, 0.0, EXACT_TOL, spread)
     return report
 
 
@@ -317,7 +319,7 @@ def cyclotomic_indices_up_to_degree(d: int) -> list[int]:
     return [k for k in range(1, d * d + d + 1) if euler_phi(k) <= d]
 
 
-def yoshihara_check(bound: int, tol: float = 1e-12) -> ExampleReport:
+def yoshihara_check(bound: int) -> ExampleReport:
     """Arithmetic certificate that the suspension monodromy has infinite order."""
     if bound < 1:
         raise ExampleError("bound must be >= 1")
@@ -328,15 +330,15 @@ def yoshihara_check(bound: int, tol: float = 1e-12) -> ExampleReport:
     report.add("alpha_beta_product", a * bb, 1.0, 1e-14, abs(a * bb - 1.0))
 
     quartic_at = lambda x: complex(np.polyval(QUARTIC, x))
-    report.add("quartic_residual_alpha", quartic_at(a), 0.0, tol, abs(quartic_at(a)))
+    report.add("quartic_residual_alpha", quartic_at(a), 0.0, EXACT_TOL, abs(quartic_at(a)))
     report.add(
-        "quartic_residual_conj_beta", quartic_at(np.conj(bb)), 0.0, tol, abs(quartic_at(np.conj(bb)))
+        "quartic_residual_conj_beta", quartic_at(np.conj(bb)), 0.0, EXACT_TOL, abs(quartic_at(np.conj(bb)))
     )
 
     basis = data.lattice_basis()
     v4 = np.array([a**4, np.conj(bb) ** 4])
     rec = basis @ RECURRENCE[::-1]
-    report.add("lattice_recurrence", float(np.max(np.abs(v4 - rec))), 0.0, tol, float(np.max(np.abs(v4 - rec))))
+    report.add("lattice_recurrence", float(np.max(np.abs(v4 - rec))), 0.0, EXACT_TOL, float(np.max(np.abs(v4 - rec))))
 
     lam = data.lam
     report.add("lambda_modulus", abs(lam), 1.0, 1e-12, abs(abs(lam) - 1.0))

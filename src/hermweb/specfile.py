@@ -72,8 +72,7 @@ class ManifoldSpec:
         if self.F_expr is None:
             return None
         grid = grid or self.build_grid()
-        _warn_if_aperiodic(self.F_expr, grid, "prescribed.F")
-        return expr.evaluate(self.F_expr, grid)
+        return _evaluate_periodic(self.F_expr, grid, "prescribed.F")
 
     def _build(self, exprs: dict, grid: PeriodicGrid | None, section: str) -> HermitianMetricField:
         grid = grid or self.build_grid()
@@ -87,11 +86,9 @@ class ManifoldSpec:
         g = np.zeros(grid.shape + (n, n), dtype=np.complex128)
         for (i, j), (re_ast, im_ast) in exprs.items():
             path = f"{section}.g[{i}][{j}]"
-            _warn_if_aperiodic(re_ast, grid, path)
-            vals = expr.evaluate(re_ast, grid).values.real.astype(np.complex128)
+            vals = _evaluate_periodic(re_ast, grid, path).values.real.astype(np.complex128)
             if im_ast is not None:
-                _warn_if_aperiodic(im_ast, grid, path)
-                vals = vals + 1j * expr.evaluate(im_ast, grid).values.real
+                vals = vals + 1j * _evaluate_periodic(im_ast, grid, path).values.real
             g[..., i - 1, j - 1] = vals
             if i != j:
                 g[..., j - 1, i - 1] = np.conj(vals)
@@ -101,10 +98,13 @@ class ManifoldSpec:
             raise SpecError(f"{section}: invalid metric: {exc}") from exc
 
 
-def _warn_if_aperiodic(ast, grid: PeriodicGrid, path: str):
-    """Spectral derivatives assume unit periodicity; warn on a wrap mismatch."""
+def _evaluate_periodic(ast, grid: PeriodicGrid, path: str) -> ScalarField:
+    """ast evaluated on the grid.  Spectral derivatives assume unit
+    periodicity, so it warns on a wrap mismatch: each active axis costs one
+    more evaluation, on the coordinates shifted by one period."""
+    field = expr.evaluate(ast, grid)
+    base = field.values.real
     coords = grid.coordinates()
-    base = expr.evaluate_on(ast, coords)
     for key in list(coords):
         shifted = dict(coords)
         c = np.asarray(coords[key], dtype=float)
@@ -118,6 +118,7 @@ def _warn_if_aperiodic(ast, grid: PeriodicGrid, path: str):
                 "spectral derivatives assume periodic coefficients",
                 stacklevel=3,
             )
+    return field
 
 
 def _parse_value_pair(value: str, n: int, path: str):

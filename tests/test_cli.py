@@ -1,8 +1,17 @@
+import builtins
 import re
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hermweb.cli
+import hermweb.forms
 from hermweb.cli import build_parser, main
+from hermweb.metric import bott_chern_defect, chern_ricci
+from hermweb.report import sha256_digest
+from hermweb.specfile import loads
 
 
 FLAT = """
@@ -76,6 +85,101 @@ def test_ricci_and_flatten(bump_spec, capsys):
     code, out = run(capsys, "flatten-conformal", "--spec", bump_spec)
     assert code == 0
     assert "output_ricci_max_norm" in out
+
+
+TWO_AXIS = """
+[manifold]
+name = two_axis
+n = 2
+sizes = 16 16 1 1
+
+[metric]
+g[1][1] = 1 + 0.3*cos(2*pi*x2) + 0.1*sin(2*pi*x1)
+g[1][2] = 0.1*cos(2*pi*x1) | 0.05*sin(2*pi*x2)
+g[2][2] = 1 + 0.2*cos(2*pi*x1)
+"""
+
+BUMP3 = """
+[manifold]
+name = bump3
+n = 3
+sizes = 8 8 8 1 1 1
+
+[metric]
+g[1][1] = 1 + 0.2*cos(2*pi*x2)
+g[1][3] = 0.1*cos(2*pi*x3) | 0.1*sin(2*pi*x1)
+g[2][2] = 1 + 0.2*sin(2*pi*x3)
+g[3][3] = 1 + 0.2*cos(2*pi*x1)
+"""
+
+
+def reported_results(monkeypatch, capsys, argv):
+    """The results main renders, before they are formatted to 12 digits."""
+    seen = []
+    render = hermweb.cli.rpt.render_report
+    monkeypatch.setattr(hermweb.cli.rpt, "render_report", lambda out: seen.append(out) or render(out))
+    assert main(argv) == 0
+    capsys.readouterr()
+    return seen[0]
+
+
+@pytest.mark.parametrize("text", [TWO_AXIS, BUMP3], ids=["n2", "n3"])
+def test_ricci_command_equals_the_form_path(text, tmp_path, monkeypatch, capsys):
+    # the command reads ricci_tensor; Ric as a (1,1)-form and its Bott-Chern
+    # defect are the oracle
+    p = tmp_path / "spec.hwspec"
+    p.write_text(text, encoding="utf-8")
+    results = reported_results(monkeypatch, capsys, ["ricci", "--spec", str(p)])["results"]
+    ric = chern_ricci(loads(text).build_metric())
+    assert results["ricci_max_norm"]["value"] == ric.max_norm() > 0.0
+    assert results["bott_chern_defect_max"]["value"] == float(np.max(np.abs(bott_chern_defect(ric))))
+
+
+def test_ricci_command_builds_no_form(bump_spec, monkeypatch, capsys):
+    counts = {"FormField": 0, "exterior_d": 0}
+    post_init = hermweb.forms.FormField.__post_init__
+    exterior_d = hermweb.forms.exterior_d
+
+    def counting_post_init(self):
+        counts["FormField"] += 1
+        post_init(self)
+
+    def counting_exterior_d(*args, **kwargs):
+        counts["exterior_d"] += 1
+        return exterior_d(*args, **kwargs)
+
+    monkeypatch.setattr(hermweb.forms.FormField, "__post_init__", counting_post_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hermweb") and getattr(module, "exterior_d", None) is exterior_d:
+            monkeypatch.setattr(module, "exterior_d", counting_exterior_d)
+    assert main(["ricci", "--spec", bump_spec]) == 0
+    assert counts == {"FormField": 0, "exterior_d": 0}
+    # the counters see the form path of classify
+    assert main(["classify", "--spec", bump_spec]) == 0
+    assert counts["FormField"] > 0 and counts["exterior_d"] > 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ricci"], ["flatten-conformal"], ["classify"], ["solve-ma2"], ["flow", "--tol", "1e-4"]],
+    ids=lambda argv: argv[0],
+)
+def test_spec_is_read_once_and_digested_as_parsed(argv, bump_spec, monkeypatch, capsys):
+    digest = sha256_digest(Path(bump_spec).read_bytes())
+    opened, parsed = [], []
+    real_open, real_loads = builtins.open, hermweb.cli.loads
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == bump_spec:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(hermweb.cli, "loads", lambda text: parsed.append(text) or real_loads(text))
+    out = reported_results(monkeypatch, capsys, [argv[0], "--spec", bump_spec] + argv[1:])
+    assert len(opened) == 1
+    assert out["spec_digest"] == digest == sha256_digest(parsed[0].encode("utf-8"))
 
 
 def test_solve_ma2_success_and_artifacts(bump_spec, tmp_path, capsys):
@@ -181,9 +285,10 @@ def test_flow_converges_on_a_two_axis_metric(tmp_path, capsys):
 )
 def test_flow_rejects_a_tol_or_dt_that_is_not_finite_and_positive(bump_spec, option, value, capsys):
     # a NaN or infinite dt never ended the flow, a NaN tol converged at once,
-    # and 0 fell back to the default
+    # and 0 fell back to the default; run_flow rejects each, naming its parameter
     assert main(["flow", "--spec", bump_spec, option, value]) == 1
-    assert f"{option} must be a finite positive number" in capsys.readouterr().err
+    name = {"--dt": "dt0", "--tol": "tol"}[option]
+    assert f"error: {name} must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -201,7 +306,7 @@ def test_flow_usage_errors_exit_1_and_name_the_flag(bump_spec, option, value, ca
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_flow_rejects_a_step_cap_below_one(bump_spec, value, capsys):
     assert main(["flow", "--spec", bump_spec, "--max-steps", value]) == 1
-    assert "--max-steps must be a finite positive number" in capsys.readouterr().err
+    assert "error: max_steps must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -221,8 +326,9 @@ def test_commands_reject_flags_they_do_not_read(bump_spec, command, option, caps
 
 @pytest.mark.parametrize("command", ["solve-ma2", "classify"])
 def test_nan_tol_exits_1(bump_spec, command, capsys):
+    # SolverConfig and classify reject it
     assert main([command, "--spec", bump_spec, "--tol", "nan"]) == 1
-    assert "--tol must be a finite positive number" in capsys.readouterr().err
+    assert "error: tolerance must be finite and positive" in capsys.readouterr().err
 
 
 def test_flow_on_a_one_point_grid_takes_no_step(bump_spec, capsys):
@@ -253,13 +359,13 @@ def test_spec_fields_are_built_once_per_grid(bump_spec, capsys, monkeypatch):
     import hermweb.specfile
 
     probed = []
-    warn = hermweb.specfile._warn_if_aperiodic
+    evaluate = hermweb.specfile._evaluate_periodic
 
     def probe(ast, grid, path):
         probed.append((path, grid.sizes))
-        warn(ast, grid, path)
+        return evaluate(ast, grid, path)
 
-    monkeypatch.setattr(hermweb.specfile, "_warn_if_aperiodic", probe)
+    monkeypatch.setattr(hermweb.specfile, "_evaluate_periodic", probe)
     code, _ = run(capsys, "ricci", "--spec", bump_spec)
     assert code == 0
     assert sorted(probed) == [("metric.g[1][1]", (1, 32, 1, 1)), ("metric.g[2][2]", (1, 32, 1, 1))]

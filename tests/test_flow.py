@@ -140,7 +140,7 @@ def test_dt_underflow_names_its_cause(monkeypatch):
 
 
 def test_run_flow_rejects_bad_tol():
-    with pytest.raises(FlowError):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
         run_flow(identity_metric(GRID), tol=0.0, dt0=1e-3, max_steps=10)
 
 
@@ -149,10 +149,24 @@ def test_run_flow_rejects_bad_tol():
     (np.nan, 1e-3), (np.inf, 1e-3), (-1e-7, 1e-3),
 ])
 def test_run_flow_rejects_non_finite_or_non_positive_tol_and_dt0(tol, dt0):
-    # halving a NaN or infinite dt never drops it below min_dt, so such a
+    # halving a NaN or infinite dt never drops it below MIN_DT, so such a
     # dt0 would never end the flow; a NaN tol would end it at once
-    with pytest.raises(FlowError, match="finite and positive"):
+    with pytest.raises(ValueError, match="finite and positive"):
         run_flow(bump_metric(GRID), tol=tol, dt0=dt0, max_steps=10)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_run_flow_rejects_a_step_cap_below_one(max_steps):
+    with pytest.raises(ValueError, match="max_steps must be finite and positive"):
+        run_flow(bump_metric(GRID), tol=1e-7, dt0=1e-3, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
+def test_flow_step_rejects_a_dt_that_is_not_positive(dt):
+    # an argument error, not a flow that cannot go on
+    with pytest.raises(ValueError, match="dt must be positive") as info:
+        flow_step(flow_state(bump_metric(GRID)), dt)
+    assert not isinstance(info.value, FlowError)
 
 
 def test_flow_on_a_grid_without_active_axes_takes_no_step():

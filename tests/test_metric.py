@@ -12,6 +12,7 @@ from hermweb.metric import (
     chern_ricci,
     classify,
     conformal_flatten,
+    hermitian_defect,
     identity_metric,
     log_det,
     parallel_section_check,
@@ -120,6 +121,24 @@ def test_ricci_tensor_vs_form():
         for j in range(2):
             assert np.max(np.abs(1j * R[..., i, j] - ric.coefficient((i,), (j,)))) < 1e-12
     assert ric.is_real()
+
+
+@pytest.mark.parametrize("n, lead", [(2, ()), (2, (5,)), (3, (4, 3)), (3, (2, 1, 3))])
+def test_hermitian_defect_equals_the_full_formula(n, lead):
+    # it reads the upper entries and the diagonal; the full field of
+    # g - g^H is the oracle, on fields where either part dominates
+    rng = np.random.default_rng(10 * n + len(lead))
+    shape = lead + (n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    herm = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+    diag_off = herm.copy()
+    diag_off[..., n - 1, n - 1] += 1e-3j * rng.standard_normal(lead)
+    upper_off = herm.copy()
+    upper_off[..., 0, n - 1] += 1e-3 * rng.standard_normal(lead)
+    for field in (g, herm, diag_off, upper_off):
+        full = float(np.max(np.abs(field - np.conj(np.swapaxes(field, -1, -2)))))
+        assert hermitian_defect(field) == full
+    assert hermitian_defect(diag_off) > 0.0 and hermitian_defect(upper_off) > 0.0
 
 
 def test_ricci_is_ddbar_exact_on_torus():

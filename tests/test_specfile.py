@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import hermweb.expr
 from hermweb.metric import classify
 from hermweb.specfile import ManifoldSpec, SpecError, load_spec, loads
 
@@ -132,3 +135,50 @@ def test_load_spec_from_path(tmp_path):
     spec = load_spec(path)
     assert isinstance(spec, ManifoldSpec)
     assert spec.source_text == FLAT
+
+
+def test_each_expression_is_evaluated_once_plus_once_per_active_axis(monkeypatch):
+    # the periodicity probe's unshifted evaluation gives the values; each
+    # active axis adds one evaluation on coordinates shifted by a period
+    text = """
+[manifold]
+name = three_axes
+n = 2
+sizes = 8 8 1 8   # x1, x2 and y2 active
+
+[metric]
+g[1][1] = 2 + 0.5*cos(2*pi*x2)
+g[1][2] = 0.1*sin(2*pi*y2) | 0.1*cos(2*pi*x1)
+g[2][2] = 3
+
+[reference]
+g[1][1] = 1
+g[2][2] = 1 + 0.25*sin(2*pi*x1)
+
+[prescribed]
+F = 0.2*cos(2*pi*x1)
+"""
+    calls = Counter()
+    evaluate_on = hermweb.expr.evaluate_on
+
+    def counting(ast, coords):
+        calls[id(ast)] += 1
+        return evaluate_on(ast, coords)
+
+    monkeypatch.setattr(hermweb.expr, "evaluate_on", counting)
+    spec = loads(text)
+    grid = spec.build_grid()
+    spec.build_F(grid)
+    spec.build_metric(grid)  # built by loads, and reused
+    asts = [spec.F_expr] + [
+        ast
+        for exprs in (spec.metric_exprs, spec.reference_exprs)
+        for pair in exprs.values()
+        for ast in pair
+        if ast is not None
+    ]
+    assert len(asts) == 7 and len(calls) == 7
+    assert all(calls[id(ast)] == 1 + len(grid.active_axes) == 4 for ast in asts)
+    # the values are those of a plain evaluation on the grid
+    F = hermweb.expr.evaluate(spec.F_expr, grid)
+    assert np.array_equal(spec.build_F(grid).values, F.values)
