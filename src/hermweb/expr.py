@@ -248,6 +248,21 @@ def _print(e, parent_prec: int) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def variables(e) -> set[str]:
+    """The coordinates ('x1'.. 'yn') that an AST reads."""
+    if isinstance(e, Var):
+        return {f"{e.part}{e.index}"}
+    if isinstance(e, Num):
+        return set()
+    if isinstance(e, Bin):
+        return variables(e.left) | variables(e.right)
+    if isinstance(e, Pow):
+        return variables(e.base)
+    if isinstance(e, (Neg, Call)):
+        return variables(e.arg)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
     """Evaluate on broadcastable coordinate arrays keyed 'x1'.. 'yn'.
 

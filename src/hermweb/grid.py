@@ -17,6 +17,9 @@ Hermitian part of the complex Hessian of a real field
 irfft_active(symbol * rfft_active(f)), with the symbols of its n real
 diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
 entries: a real stack in the layout of smallmat, never a complex field.
+The Newton solvers' right-preconditioned operator takes those multipliers
+divided by the flat Laplacian's symbol, only on the rows that are not
+identically zero (_hessian_over_laplacian_multipliers).
 """
 
 from __future__ import annotations
@@ -266,6 +269,31 @@ def _hermitian_hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
     mult = np.ascontiguousarray(mult[(slice(None),) + _half_spectrum(grid)])
     mult.setflags(write=False)
     return mult
+
+
+@lru_cache(maxsize=32)
+def _inverse_laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
+    """1 / laplacian_symbol on the rfft_active half spectrum, 0 at the mean."""
+    sym = laplacian_symbol(grid)[_half_spectrum(grid)]
+    with np.errstate(divide="ignore"):
+        inv = np.where(sym != 0.0, 1.0 / sym, 0.0)
+    inv.setflags(write=False)
+    return inv
+
+
+@lru_cache(maxsize=32)
+def _hessian_over_laplacian_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, P): the rows of the hermitian_hessian_stack that are not
+    identically zero on grid, and their half-spectrum multipliers times
+    _inverse_laplacian_symbol, so that irfft_active(P * fhat, grid, 1) is the
+    stack rows of Hess Lap^{-1} f.  Only x axes active zeroes the Im rows;
+    x_1 and y_2 alone zero the Re row of n = 2."""
+    mult = _hermitian_hessian_multipliers(grid)
+    rows = np.flatnonzero(mult.reshape(len(mult), -1).any(axis=1))
+    P = mult[rows] * _inverse_laplacian_symbol(grid)
+    for a in (rows, P):
+        a.setflags(write=False)
+    return rows, P
 
 
 def hessian_stack_from_spectrum(fhat: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

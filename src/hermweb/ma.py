@@ -19,15 +19,18 @@ Both use damped Newton iterations with one linearisation,
 where w K = det(gt) gt^{-1} = adj gt for solve_ma2 and, since
 tr(P M(H, B)) = tr(M(P, B) H), w K = M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
 for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  The linear systems
-are solved by GMRES with a flat-Laplacian Fourier preconditioner, with the
-constant b carried as an extra unknown in a bordered system.
+carry the constant b as an extra unknown in a bordered system A.  GMRES
+solves it right-preconditioned (Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 2003, 9.3): A M u = rhs, then (dphi, db) = M u, with M a
+flat-Laplacian Fourier multiplier.
 
-The GMRES is restarted GMRES(20) with left preconditioning and modified
-Gram-Schmidt (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), the
-iteration of scipy.sparse.linalg.gmres step for step, so Newton and GMRES
-counts are scipy's.  hermweb carries its own so that it needs only numpy at
-run time: on a 2-vCPU host, importing scipy.sparse.linalg took 0.35-0.4 s
-of hermweb's 0.45 s import and about 24 MB of every process's peak memory.
+The GMRES is restarted GMRES(20) with modified Gram-Schmidt (Saad and
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), the iteration of
+scipy.sparse.linalg.gmres step for step, left-preconditioned or, as the
+solvers call it, with M=None, so Newton and GMRES counts are scipy's.
+hermweb carries its own so that it needs only numpy at run time: on a
+2-vCPU host, importing scipy.sparse.linalg took 0.35-0.4 s of hermweb's
+0.45 s import and about 24 MB of every process's peak memory.
 
 Every Hermitian field inside the solvers is a real stack in the layout of
 smallmat (the n diagonal rows, then Re and then Im of the upper entries).
@@ -36,8 +39,11 @@ the residuals and the linearisation take only the Hermitian part of
 Hess phi, as the stack of grid.hermitian_hessian_stack (real transforms
 only).  Positivity and det come from smallmat.stack_minors, adj and with it
 M from smallmat.stack_adjugate.  Re tr(K H) is the sum over the stack rows
-of w K times those of H, the off-diagonal rows counted twice, so a matvec is
-one real transform pair and one contraction of two stacks.  The complex
+of w K times those of H, the off-diagonal rows counted twice.  As M feeds
+only A's Hessian, A M is one rfft_active, the Hessian multipliers divided by
+the Laplacian symbol, one irfft_active batched over the stack rows that are
+not identically zero (on x axes alone 3 of 4 for n = 2, 6 of 9 for n = 3)
+and one contraction: one real transform pair per GMRES iteration.  The complex
 (n, n) field is assembled once, for the output metric.
 """
 
@@ -53,10 +59,10 @@ import numpy as np
 from .grid import (
     PeriodicGrid,
     ScalarField,
-    _half_spectrum,
+    _hessian_over_laplacian_multipliers,
+    _inverse_laplacian_symbol,
     hermitian_hessian_stack,
     irfft_active,
-    laplacian_symbol,
     rfft_active,
 )
 from .forms import FormField, d_max_norm, merge_sign, sort_sign
@@ -189,7 +195,7 @@ def hodge_root(phi: FormField) -> HermitianMetricField:
 
 
 # ---------------------------------------------------------------------------
-# Restarted GMRES, left-preconditioned
+# Restarted GMRES
 # ---------------------------------------------------------------------------
 
 class LinearOperator(NamedTuple):
@@ -222,8 +228,9 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(f) / d, g / r, r
 
 
-def gmres(A, b, *, M, rtol, atol=0.0, maxiter, callback=None, callback_type="pr_norm"):
-    """Solve A x = b from x = 0 by GMRES(20), left-preconditioned by M.
+def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type="pr_norm"):
+    """Solve A x = b from x = 0 by GMRES(20), left-preconditioned by M, or
+    unpreconditioned when M is None (scipy's identity).
 
     The iteration is scipy.sparse.linalg.gmres's (scipy 1.17) step for step:
     the stopping test |b - A x| <= max(atol, rtol |b|) on the true residual,
@@ -239,7 +246,8 @@ def gmres(A, b, *, M, rtol, atol=0.0, maxiter, callback=None, callback_type="pr_
     """
     if callback_type != "pr_norm":
         raise ValueError(f"unsupported callback_type {callback_type!r}")
-    matvec, psolve = A.matvec, M.matvec
+    matvec = A.matvec
+    psolve = (lambda x: x) if M is None else M.matvec
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n)
@@ -333,41 +341,49 @@ def gmres(A, b, *, M, rtol, atol=0.0, maxiter, callback=None, callback_type="pr_
 # shared Newton-Krylov plumbing
 # ---------------------------------------------------------------------------
 
-def _make_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray):
-    """Approximate inverse of the bordered system: flat-Laplacian solve for
-    the field block on the real half spectrum, mean bookkeeping for the border."""
-    sym = laplacian_symbol(grid)[_half_spectrum(grid)]
-    with np.errstate(divide="ignore"):
-        inv_sym = np.where(sym != 0.0, 1.0 / (c * sym), 0.0)
+def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
+    """The bordered Newton operator A right-preconditioned by M: (A M, M).
+
+    A (dphi, db) = (w Re tr(K Hess dphi) - db w, mean dphi) contracts the
+    stack WK of w K, whose off-diagonal rows count twice in the trace, with
+    the Hessian stack of dphi.  M solves c Lap on the field block, with
+    c = mean(w tr K)/n the mean of the n diagonal rows of WK, and does the
+    mean bookkeeping of the border:
+        M (u, u_b) = (Lap^{-1}(u - mean u) / c + u_b, -mean u / mean w).
+    M is a Fourier multiplier and a constant has no Hessian, so
+        A M (u, u_b) = (Re tr(WK/c Hess Lap^{-1} u) + (mean u / mean w) w, u_b):
+    one rfft_active and one irfft_active over the Hessian rows that are not
+    identically zero on the grid, with grid's cached multipliers of
+    Hess Lap^{-1}.
+    """
+    n = grid.n
+    c = float(np.mean(WK[:n]))
+    rows, P = _hessian_over_laplacian_multipliers(grid)
+    C = WK[rows] / c
+    C[rows >= n] *= 2.0
+    inv_sym = _inverse_laplacian_symbol(grid) / c
     zero = (0,) * len(grid.shape)
     npts = grid.num_points
-    wmean = float(np.mean(rhs_weight))
+    wmean = float(np.mean(w))
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        rhat = rfft_active(r[:-1].reshape(grid.shape), grid)
-        db = -rhat[zero].real / npts / wmean
-        rhat *= inv_sym
-        rhat[zero] = r[-1] * npts
-        v = irfft_active(rhat, grid)
-        return np.concatenate([v.ravel(), [db]])
+    def apply_AM(u: np.ndarray) -> np.ndarray:
+        uhat = rfft_active(u[:-1].reshape(grid.shape), grid)
+        row = np.einsum("k...,k...->...", C, irfft_active(P * uhat, grid, 1))
+        row += (uhat[zero].real / npts / wmean) * w
+        return np.concatenate([row.ravel(), [u[-1]]])
 
-    return LinearOperator((npts + 1, npts + 1), matvec=apply, dtype=np.float64)
+    def apply_M(u: np.ndarray) -> np.ndarray:
+        uhat = rfft_active(u[:-1].reshape(grid.shape), grid)
+        db = -uhat[zero].real / npts / wmean
+        uhat *= inv_sym
+        uhat[zero] = u[-1] * npts
+        return np.concatenate([irfft_active(uhat, grid).ravel(), [db]])
 
-
-def _make_operator(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
-    """The bordered Newton operator (dphi, db) -> (w Re tr(K Hess dphi) - db w,
-    mean dphi), as one contraction with the stack WK of w K, whose
-    off-diagonal rows count twice in the trace."""
-    C = WK.copy()
-    C[grid.n :] *= 2.0
-    npts = grid.num_points
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        dphi = v[:-1].reshape(grid.shape)
-        row = np.einsum("k...,k...->...", C, hermitian_hessian_stack(dphi, grid)) - v[-1] * w
-        return np.concatenate([row.ravel(), [dphi.mean()]])
-
-    return LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
+    shape = (npts + 1, npts + 1)
+    return (
+        LinearOperator(shape, matvec=apply_AM, dtype=np.float64),
+        LinearOperator(shape, matvec=apply_M, dtype=np.float64),
+    )
 
 
 def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
@@ -380,8 +396,12 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     residual
         (dphi, db) -> w Re tr(K Hess dphi) - db w;
     the border column -w is exact at a solution, where e^b e^F det g = w.
-    The preconditioner inverts c times the flat Laplacian, c = mean(w tr K)/n,
-    the mean of the n diagonal rows of WK.
+    GMRES solves the system right-preconditioned, A M u = rhs, by
+    _make_system's A M, and the step is (dphi, db) = M u, one apply of M per
+    Newton step.  M inverts c times the flat Laplacian, c = mean(w tr K)/n,
+    the mean of the n diagonal rows of WK.  Each GMRES iteration makes one
+    rfft_active and one irfft_active batched over the Hessian rows that are
+    not identically zero.
     """
     phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
     phi = phi - phi.mean()
@@ -396,15 +416,14 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
         if res <= cfg.tolerance:
             return phi, b, history, state, trace, tuple(linear_iterations)
         WK, w = coefficients_fn(state)
-        c = float(np.mean(WK[: grid.n]))
-        A_op = _make_operator(grid, WK, w)
-        M = _make_preconditioner(grid, c, w)
+        AM, M = _make_system(grid, WK, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = max(LINEAR_RTOL, min(1e-3, 1e-3 * res))
-        sol, info, iterations = gmres(A_op, rhs, M=M, rtol=rtol, atol=0.0, maxiter=LINEAR_MAXITER)
+        u, info, iterations = gmres(AM, rhs, rtol=rtol, atol=0.0, maxiter=LINEAR_MAXITER)
         if info != 0:
             raise SolverError(f"linear solve failed (gmres info={info})", history, phi, b)
         linear_iterations.append(iterations)
+        sol = M.matvec(u)
         dphi = sol[:-1].reshape(grid.shape)
         dphi = dphi - dphi.mean()
         db = float(sol[-1])

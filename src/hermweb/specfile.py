@@ -100,16 +100,18 @@ class ManifoldSpec:
 
 def _evaluate_periodic(ast, grid: PeriodicGrid, path: str) -> ScalarField:
     """ast evaluated on the grid.  Spectral derivatives assume unit
-    periodicity, so it warns on a wrap mismatch: each active axis costs one
-    more evaluation, on the coordinates shifted by one period."""
+    periodicity, so it warns on a wrap mismatch: each active axis that ast
+    reads costs one more evaluation, on the coordinates shifted by one
+    period.  A constant is evaluated once."""
     field = expr.evaluate(ast, grid)
     base = field.values.real
     coords = grid.coordinates()
-    for key in list(coords):
-        shifted = dict(coords)
+    read = expr.variables(ast)
+    for key in coords:
         c = np.asarray(coords[key], dtype=float)
-        if c.size == 1:
+        if key not in read or c.size == 1:
             continue
+        shifted = dict(coords)
         shifted[key] = c + 1.0
         diff = float(np.max(np.abs(expr.evaluate_on(ast, shifted) - base)))
         if diff > PERIODICITY_WARN_TOL:

@@ -16,6 +16,7 @@ from hermweb.expr import (
     evaluate_on,
     parse,
     to_source,
+    variables,
 )
 from hermweb.grid import PeriodicGrid
 
@@ -208,3 +209,17 @@ def test_evaluate_rejects_non_finite_values(text):
     grid = PeriodicGrid(2, (8, 8, 1, 1))
     with pytest.raises(ExprDomainError, match="non-finite"):
         evaluate(parse(text, 2), grid)
+
+
+@pytest.mark.parametrize(
+    "text, read",
+    [
+        ("3", set()),
+        ("2*pi^2 - exp(1)", set()),
+        ("x1", {"x1"}),
+        ("-(x2 + 1)^3 / cos(2*pi*y1)", {"x2", "y1"}),
+        ("log(2 + sin(x1*y3)) - x1", {"x1", "y3"}),
+    ],
+)
+def test_variables_are_the_coordinates_an_expression_reads(text, read):
+    assert variables(parse(text, 3)) == read

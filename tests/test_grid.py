@@ -5,6 +5,8 @@ from hermweb.grid import (
     GridError,
     PeriodicGrid,
     ScalarField,
+    _hessian_over_laplacian_multipliers,
+    _inverse_laplacian_symbol,
     constant_field,
     from_function,
     hermitian_hessian_stack,
@@ -234,6 +236,22 @@ def test_hermitian_hessian_is_hermitian_part_of_hessian(n, sizes):
     H = hermitian_from_stack(S)
     assert np.max(np.abs(H - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+
+
+@pytest.mark.parametrize("n, sizes", HESSIAN_GRIDS)
+def test_hessian_over_laplacian_keeps_the_rows_that_are_not_zero(n, sizes):
+    # the rows dropped are zero for every field; the rows kept are those of
+    # the Hessian stack of Lap^{-1} f
+    grid = PeriodicGrid(n, sizes)
+    vals = np.random.default_rng(sum(sizes) + 2).standard_normal(grid.shape)
+    rows, P = _hessian_over_laplacian_multipliers(grid)
+    S = hermitian_hessian_stack(vals, grid)
+    dropped = np.setdiff1d(np.arange(n * n), rows)
+    assert not S[dropped].any() and all(S[r].any() for r in rows)
+    inv_lap = irfft_active(_inverse_laplacian_symbol(grid) * rfft_active(vals, grid), grid)
+    expected = hermitian_hessian_stack(inv_lap, grid)[rows]
+    out = irfft_active(P * rfft_active(vals, grid), grid, 1)
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_hermitian_hessian_on_a_one_point_grid_vanishes():

@@ -33,8 +33,7 @@ from hermweb.ma import (
     solve_ma2,
     solve_ma3,
     volume_coefficient,
-    _make_operator,
-    _make_preconditioner,
+    _make_system,
 )
 
 from hermweb import smallmat as smallmat_module
@@ -331,34 +330,43 @@ def test_solve_ma3_preserves_balanced():
 
 
 # ---------------------------------------------------------------------------
-# the real-transform Newton operator and preconditioner
+# the right-preconditioned Newton operator A M and the preconditioner M
 # ---------------------------------------------------------------------------
 
+# (16, 1, 1, 16) zeroes the Re row, the x-only grids the Im rows, and
+# (8, 8, 8, 8, 1, 8) no row
 OPERATOR_GRIDS = [(2, (64, 64, 1, 1)), (2, (16, 1, 1, 16)), (3, (16, 16, 16, 1, 1, 1)), (3, (8, 8, 8, 8, 1, 8))]
+
+
+def newton_system(n, sizes, seed):
+    """A grid, a random Hermitian K, a weight w, the system of _make_system
+    for the stack of w K, its preconditioner constant c and a vector u."""
+    grid = PeriodicGrid(n, sizes)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal(grid.shape + (n, n)) + 1j * rng.standard_normal(grid.shape + (n, n))
+    K = A + np.conj(np.swapaxes(A, -1, -2))
+    w = rng.uniform(0.5, 2.0, grid.shape)
+    u = rng.standard_normal(grid.num_points + 1)
+    WK = w * hermitian_stack(K)
+    c = float(np.mean(WK[:n]))
+    return grid, K, w, _make_system(grid, WK, w), c, u
 
 
 @pytest.mark.parametrize("n, sizes", OPERATOR_GRIDS)
 def test_newton_operator_matches_complex_form(n, sizes):
-    grid = PeriodicGrid(n, sizes)
-    rng = np.random.default_rng(sum(sizes))
-    A = rng.standard_normal(grid.shape + (n, n)) + 1j * rng.standard_normal(grid.shape + (n, n))
-    K = A + np.conj(np.swapaxes(A, -1, -2))
-    w = rng.uniform(0.5, 2.0, grid.shape)
-    v = rng.standard_normal(grid.num_points + 1)
-    out = _make_operator(grid, w * hermitian_stack(K), w).matvec(v)
-    expected = complex_newton_row(grid, K, w, v)
+    grid, K, w, (AM, _), c, u = newton_system(n, sizes, sum(sizes))
+    out = AM.matvec(u)
+    Mu = complex_preconditioner(grid, c, w, u)
+    expected = complex_newton_row(grid, K, w, Mu)
     assert np.max(np.abs(out[:-1] - expected.ravel())) <= 1e-12 * np.max(np.abs(expected))
-    assert out[-1] == pytest.approx(v[:-1].mean(), abs=1e-15)
+    assert out[-1] == u[-1] == pytest.approx(Mu[:-1].mean(), abs=1e-15)
 
 
 @pytest.mark.parametrize("n, sizes", OPERATOR_GRIDS)
 def test_preconditioner_matches_complex_form(n, sizes):
-    grid = PeriodicGrid(n, sizes)
-    rng = np.random.default_rng(sum(sizes) + 1)
-    w = rng.uniform(0.5, 2.0, grid.shape)
-    r = rng.standard_normal(grid.num_points + 1)
-    out = _make_preconditioner(grid, 1.3, w).matvec(r)
-    expected = complex_preconditioner(grid, 1.3, w, r)
+    grid, _, w, (_, M), c, u = newton_system(n, sizes, sum(sizes) + 1)
+    out = M.matvec(u)
+    expected = complex_preconditioner(grid, c, w, u)
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -399,30 +407,56 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
     view = _NumpyView(_CountingFFT(counts))
     monkeypatch.setattr(grid_module, "np", view)
     monkeypatch.setattr(ma_module, "np", view)
-    per_apply = {"matvec": [], "precond": []}
-    real_gmres = ma_module.gmres
+    inverse_rows = []
+    real_irfft_active = ma_module.irfft_active
+
+    def irfft_active(spectrum, grid, offset=0):
+        inverse_rows.append(spectrum.shape[0] if offset else None)
+        return real_irfft_active(spectrum, grid, offset)
+
+    monkeypatch.setattr(ma_module, "irfft_active", irfft_active)
+    per_apply = {"AM": [], "M": []}
+    M_per_system = []
+    real_make_system = ma_module._make_system
 
     def counted(kind, fn):
         def apply(v):
             before = counts.copy()
+            rows_before = len(inverse_rows)
             out = fn(v)
-            per_apply[kind].append(counts - before)
+            per_apply[kind].append((counts - before, inverse_rows[rows_before:]))
+            if kind == "M":
+                M_per_system[-1] += 1
             return out
 
         return apply
 
-    def gmres(A, b, M=None, **kwargs):
-        A = ma_module.LinearOperator(A.shape, matvec=counted("matvec", A.matvec), dtype=A.dtype)
-        M = ma_module.LinearOperator(M.shape, matvec=counted("precond", M.matvec), dtype=M.dtype)
-        return real_gmres(A, b, M=M, **kwargs)
+    def make_system(grid, WK, w):
+        AM, M = real_make_system(grid, WK, w)
+        M_per_system.append(0)
+        return (
+            ma_module.LinearOperator(AM.shape, matvec=counted("AM", AM.matvec), dtype=AM.dtype),
+            ma_module.LinearOperator(M.shape, matvec=counted("M", M.matvec), dtype=M.dtype),
+        )
 
+    real_gmres = ma_module.gmres
+
+    def gmres(A, b, **kwargs):
+        assert kwargs.get("M") is None
+        return real_gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(ma_module, "_make_system", make_system)
     monkeypatch.setattr(ma_module, "gmres", gmres)
-    solve()
+    sol = solve()
     # one grid.rfft_active/irfft_active pair: on two active axes an rfft and
     # an irfft, each with one complex 1-D pass
     pair = Counter(rfft=1, fft=1, ifft=1, irfft=1)
-    for kind in ("matvec", "precond"):
-        assert per_apply[kind] and all(c == pair for c in per_apply[kind])
+    # A M inverts one stack, batched over the Hessian rows that are not zero:
+    # on x1, x2 these are H_11, H_22 and Re H_12; M inverts one field
+    assert per_apply["AM"] and all(c == pair and rows == [3] for c, rows in per_apply["AM"])
+    assert per_apply["M"] and all(c == pair and rows == [None] for c, rows in per_apply["M"])
+    # M once per Newton step, after its GMRES solve
+    assert M_per_system == [1] * sol.iterations
     assert counts["fftn"] == counts["ifftn"] == counts["rfftn"] == counts["irfftn"] == 0
     assert counts["fft"] == counts["rfft"] and counts["ifft"] == counts["irfft"]
 
@@ -456,13 +490,14 @@ def test_givens_rotation_matches_lapack_lartg():
 
 
 def both_gmres(A, M, b, **kwargs):
-    """(x, info, callback values) from hermweb's gmres and from scipy's."""
+    """(x, info, callback values) from hermweb's gmres and from scipy's; M
+    None is no preconditioner."""
     n = b.size
     ours, theirs = [], []
     x, info, iterations = ma_module.gmres(
         ma_module.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=np.float64),
         b,
-        M=ma_module.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
+        M=None if M is None else ma_module.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
         callback=ours.append,
         callback_type="pr_norm",
         **kwargs,
@@ -471,7 +506,7 @@ def both_gmres(A, M, b, **kwargs):
     x_ref, info_ref = scipy_linalg.gmres(
         scipy_linalg.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=np.float64),
         b,
-        M=scipy_linalg.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
+        M=None if M is None else scipy_linalg.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
         callback=theirs.append,
         callback_type="pr_norm",
         **kwargs,
@@ -492,6 +527,25 @@ def test_gmres_matches_scipy(n, seed):
     assert res.shape == res_ref.shape
     assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
     assert np.max(np.abs(x - x_ref)) < 1e-12 * np.max(np.abs(x_ref))
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n, seed, right", [(5, 0, False), (300, 2, False), (300, 3, True)])
+def test_gmres_without_a_preconditioner_matches_scipy(n, seed, right):
+    # M=None is scipy's identity; right=True solves (A M) u = b, the
+    # right-preconditioned form the Newton solvers use, and maps x = M u
+    A, M, b = preconditioned_system(n, seed)
+    op = A @ M if right else A
+    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(op, None, b, rtol=1e-12, atol=0.0, maxiter=400)
+    assert info == info_ref == 0
+    if n == 5:
+        assert len(res) <= n
+    else:
+        assert len(res) > ma_module._LINEAR_RESTART
+    assert res.shape == res_ref.shape
+    assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
+    assert np.max(np.abs(u - u_ref)) < 1e-12 * np.max(np.abs(u_ref))
+    x = M @ u if right else u
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
