@@ -10,7 +10,6 @@ validated against a brute-force permutation oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -33,17 +32,6 @@ def sort_sign(idx: tuple[int, ...]):
         return None, 0
     inversions = sum(a > b for pos, a in enumerate(idx) for b in idx[pos + 1:])
     return tuple(sorted(idx)), -1 if inversions % 2 else 1
-
-
-def merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
-    """Sort the concatenation of two index tuples: (merged_tuple, sign), or
-    (None, 0) when an index repeats."""
-    return sort_sign(a + b)
-
-
-def insert_sign(k: int, idx: tuple[int, ...]):
-    """Sign and result of sorting k into an increasing tuple (None if dup)."""
-    return merge_sign((k,), idx)
 
 
 @dataclass(frozen=True)
@@ -123,12 +111,6 @@ def zero_form(grid: PeriodicGrid, p: int, q: int) -> FormField:
     return FormField(grid, p, q, {})
 
 
-def basis_keys(n: int, p: int, q: int):
-    for I in combinations(range(n), p):
-        for J in combinations(range(n), q):
-            yield I, J
-
-
 def wedge(a: FormField, b: FormField) -> FormField:
     """Exterior product; graded-commutative in the total degree."""
     if a.grid != b.grid:
@@ -140,10 +122,10 @@ def wedge(a: FormField, b: FormField) -> FormField:
     out: dict = {}
     for (Ia, Ja), va in a.coeffs.items():
         for (Ib, Jb), vb in b.coeffs.items():
-            I, sI = merge_sign(Ia, Ib)
+            I, sI = sort_sign(Ia + Ib)
             if I is None:
                 continue
-            J, sJ = merge_sign(Ja, Jb)
+            J, sJ = sort_sign(Ja + Jb)
             if J is None:
                 continue
             # moving dz^{Ib} (degree p_b) left past dzbar^{Ja} (degree q_a)
@@ -183,10 +165,10 @@ def exterior_d(a: FormField) -> tuple[FormField, FormField]:
     dbar_terms: dict = {}
     for c, (I, J) in enumerate(a.coeffs):
         for k in range(n):
-            In, sI = insert_sign(k, I)
+            In, sI = sort_sign((k,) + I)
             if In is not None:
                 del_terms.setdefault((In, J), []).append((c, sI * syms[k]))
-            Jn, sJ = insert_sign(k, J)
+            Jn, sJ = sort_sign((k,) + J)
             if Jn is not None:
                 dbar_terms.setdefault((I, Jn), []).append((c, -cross * sJ * np.conj(syms[k])))
     sums = list(del_terms.values()) + list(dbar_terms.values())

@@ -131,36 +131,10 @@ def from_function(grid: PeriodicGrid, fn) -> ScalarField:
     return ScalarField(grid, np.array(vals, dtype=np.complex128))
 
 
-def _derivative(values: np.ndarray, grid: PeriodicGrid, symbol: np.ndarray) -> np.ndarray:
-    axes = grid.active_axes
-    return np.fft.ifftn(symbol * np.fft.fftn(values, axes=axes), axes=axes)
-
-
-def _z_symbol(grid: PeriodicGrid, i: int) -> np.ndarray:
-    # checked here: _z_symbols(grid)[i - 1] would wrap round at i = 0
-    if not 1 <= i <= grid.n:
-        raise GridError(f"holomorphic index {i} out of range 1..{grid.n}")
-    return _z_symbols(grid)[i - 1]
-
-
-def partial_z_values(values: np.ndarray, grid: PeriodicGrid, i: int) -> np.ndarray:
-    """d/dz_i = (d/dx_i - i d/dy_i)/2, spectral, on a raw value array."""
-    return _derivative(values, grid, _z_symbol(grid, i))
-
-
-def partial_z(f: ScalarField, i: int) -> ScalarField:
-    """Holomorphic derivative d f / dz_i (i is 1-based, i <= n)."""
-    return ScalarField(f.grid, partial_z_values(f.values, f.grid, i))
-
-
-def partial_zbar(f: ScalarField, i: int) -> ScalarField:
-    """Antiholomorphic derivative d f / dzbar_i = (d/dx_i + i d/dy_i)/2 (1-based, i <= n)."""
-    return ScalarField(f.grid, _derivative(f.values, f.grid, -np.conj(_z_symbol(f.grid, i))))
-
-
 @lru_cache(maxsize=32)
 def _z_symbols(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
-    """Fourier multipliers of d/dz_i, index i-1, broadcastable to grid."""
+    """Fourier multipliers of d/dz_i = (d/dx_i - i d/dy_i)/2, index i-1,
+    broadcastable to grid; d/dzbar_i has -conj of them."""
     syms = []
     for i in range(1, grid.n + 1):
         kx = grid.wavenumbers(grid.axis_of("x", i))

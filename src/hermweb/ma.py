@@ -65,7 +65,7 @@ from .grid import (
     irfft_active,
     rfft_active,
 )
-from .forms import FormField, d_max_norm, merge_sign, sort_sign
+from .forms import FormField, d_max_norm
 from .metric import HermitianMetricField, MetricError, minors_positive
 from .smallmat import hermitian_from_stack, hermitian_stack, stack_adjugate, stack_minors
 
@@ -128,29 +128,23 @@ def _duality_table(n: int) -> dict:
     """For each matrix slot (k, l): the complementary multi-index key of the
     (n-1, n-1) basis and the scale s with
         s * dz^K wedge dzbar^L wedge (i dz_l wedge dzbar_k) = vol,
-    where vol = prod_m (i dz_m wedge dzbar_m).
+    where vol = prod_m (i dz_m wedge dzbar_m).  Sorting dz_l into dz^K takes
+    n-1-l transpositions, dzbar_k into dzbar^L n-1-k, and dz_l passes the
+    n-1 factors of dzbar^L: s = vol (-1)^{k+l+n-1} / i.
     """
-    table = {}
     full = tuple(range(n))
     vol = volume_coefficient(n)
-    for k in range(n):
-        for l in range(n):
-            K = tuple(m for m in full if m != l)
-            L = tuple(m for m in full if m != k)
-            # sign of dz^K dzbar^L wedge dz_l dzbar_k -> dz^full dzbar^full;
-            # dz_l moves left past the n - 1 factors of dzbar^L
-            _, sI = merge_sign(K, (l,))
-            _, sJ = merge_sign(L, (k,))
-            pair_sign = sI * sJ * (-1.0 if len(L) % 2 else 1.0)
-            table[(k, l)] = (K, L, vol / (pair_sign * 1j))
-    return table
+    return {
+        (k, l): (full[:l] + full[l + 1:], full[:k] + full[k + 1:], vol * (-1) ** (k + l + n - 1) / 1j)
+        for k in range(n)
+        for l in range(n)
+    }
 
 
 def volume_coefficient(n: int) -> complex:
-    """Coefficient of prod_m (i dz_m dzbar_m) on the (full, full) basis key."""
-    # dzbar_m is generator n + m; sort dz_0 dzbar_0 ... dz_{n-1} dzbar_{n-1}
-    _, sign = sort_sign(tuple(gen for m in range(n) for gen in (m, n + m)))
-    return (1j**n) * sign
+    """Coefficient of prod_m (i dz_m dzbar_m) on the (full, full) basis key:
+    i^n (-1)^{n(n-1)/2}, as each dzbar_m passes the dz of every later m."""
+    return (1j**n) * (-1) ** (n * (n - 1) // 2)
 
 
 def form_to_matrix(phi: FormField) -> np.ndarray:
@@ -342,7 +336,8 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
 # ---------------------------------------------------------------------------
 
 def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
-    """The bordered Newton operator A right-preconditioned by M: (A M, M).
+    """The bordered Newton operator A right-preconditioned by M, and M:
+    (A M as a LinearOperator for gmres, the function u -> M u).
 
     A (dphi, db) = (w Re tr(K Hess dphi) - db w, mean dphi) contracts the
     stack WK of w K, whose off-diagonal rows count twice in the trace, with
@@ -379,11 +374,7 @@ def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
         uhat[zero] = u[-1] * npts
         return np.concatenate([irfft_active(uhat, grid).ravel(), [db]])
 
-    shape = (npts + 1, npts + 1)
-    return (
-        LinearOperator(shape, matvec=apply_AM, dtype=np.float64),
-        LinearOperator(shape, matvec=apply_M, dtype=np.float64),
-    )
+    return LinearOperator((npts + 1, npts + 1), matvec=apply_AM, dtype=np.float64), apply_M
 
 
 def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
@@ -416,14 +407,14 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
         if res <= cfg.tolerance:
             return phi, b, history, state, trace, tuple(linear_iterations)
         WK, w = coefficients_fn(state)
-        AM, M = _make_system(grid, WK, w)
+        AM, apply_M = _make_system(grid, WK, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = max(LINEAR_RTOL, min(1e-3, 1e-3 * res))
         u, info, iterations = gmres(AM, rhs, rtol=rtol, atol=0.0, maxiter=LINEAR_MAXITER)
         if info != 0:
             raise SolverError(f"linear solve failed (gmres info={info})", history, phi, b)
         linear_iterations.append(iterations)
-        sol = M.matvec(u)
+        sol = apply_M(u)
         dphi = sol[:-1].reshape(grid.shape)
         dphi = dphi - dphi.mean()
         db = float(sol[-1])

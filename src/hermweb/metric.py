@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
-from .forms import FormField, d_max_norm, exterior_d, insert_sign, wedge_power
+from .forms import FormField, d_max_norm, exterior_d, sort_sign, wedge_power
 from . import smallmat
 
 POSITIVITY_FLOOR = 1e-12
@@ -260,7 +260,7 @@ def _sg_defect(target: FormField) -> float:
     t_keys = [full[:m] + full[m + 1:] for m in range(n)]
     syms = _z_symbols(grid)
     sigma = np.stack(
-        [np.broadcast_to(insert_sign(m, I)[1] * syms[m], grid.shape) for m, I in enumerate(t_keys)]
+        [np.broadcast_to(sort_sign((m,) + I)[1] * syms[m], grid.shape) for m, I in enumerate(t_keys)]
     )
     axes = [a + 1 for a in grid.active_axes]
     that = np.fft.fftn(np.stack([target.coefficient(I, full) for I in t_keys]), axes=axes)

@@ -17,8 +17,6 @@ from math import gcd
 
 import numpy as np
 
-from .forms import merge_sign, sort_sign
-
 DEGREE1_FD = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 DEGREE2_FD = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 OFFSETS = np.array([-2, -1, 0, 1, 2])
@@ -165,23 +163,8 @@ def hopf_check(points: list[np.ndarray], n: int) -> ExampleReport:
 
 
 # ---------------------------------------------------------------------------
-# Nakamura deformations (pointwise exterior algebra over 6 generators)
+# Nakamura deformations (the determinant of the deformed coframe)
 # ---------------------------------------------------------------------------
-
-# generators 0..2 = dz_1..dz_3, 3..5 = dzbar_1..dzbar_3
-_GEN_DZ = (0, 1, 2)
-_GEN_DZBAR = (3, 4, 5)
-
-
-def _elem_wedge(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            merged, sign = merge_sign(ka, kb)
-            if merged is not None:
-                out[merged] = out.get(merged, 0.0) + sign * va * vb
-    return out
-
 
 def nakamura_top_coefficient(z1, t):
     """Coefficient of omega^3 on dz_1^dzbar_1^dz_2^dzbar_2^dz_3^dzbar_3, a
@@ -189,28 +172,22 @@ def nakamura_top_coefficient(z1, t):
 
     omega = i sum theta_k wedge conj(theta_k) for the deformed coframe
     theta_1 = dz_1 - t e^{z_1} dzbar_3, theta_2 = e^{-z_1} dz_2,
-    theta_3 = e^{z_1} dz_3.
+    theta_3 = e^{z_1} dz_3.  The 2-forms theta_k wedge conj(theta_k) commute
+    and square to 0, so omega^3 = 3! i^3 prod_k theta_k wedge conj(theta_k),
+    which is 6 i^3 det C on that basis, with C the coefficients of theta_1,
+    conj(theta_1), ..., conj(theta_3) on dz_1, dzbar_1, ..., dzbar_3.
     """
-    e = np.exp(z1)
-    theta = [
-        {(0,): 1.0 + 0j, (5,): -t * e},
-        {(1,): np.exp(-z1)},
-        {(2,): e},
-    ]
-    theta_bar = [
-        {(3,): 1.0 + 0j, (2,): -np.conj(t * e)},
-        {(4,): np.conj(np.exp(-z1))},
-        {(5,): np.conj(e)},
-    ]
-    omega: dict = {}
-    for th, thb in zip(theta, theta_bar):
-        for k, v in _elem_wedge(th, thb).items():
-            omega[k] = omega.get(k, 0.0) + 1j * v
-    cubed = _elem_wedge(_elem_wedge(omega, omega), omega)
-    raw = cubed.get((0, 1, 2, 3, 4, 5), 0.0)
-    # reorder sorted generators to dz_1 dzbar_1 dz_2 dzbar_2 dz_3 dzbar_3
-    _, sign = sort_sign((0, 3, 1, 4, 2, 5))
-    coeff = raw * sign
+    z1, t = np.broadcast_arrays(np.asarray(z1, dtype=np.complex128), np.asarray(t, dtype=np.complex128))
+    e, e_inv = np.exp(z1), np.exp(-z1)
+    C = np.zeros(z1.shape + (6, 6), dtype=np.complex128)
+    C[..., 0, 0] = C[..., 1, 1] = 1.0
+    C[..., 0, 5] = -t * e
+    C[..., 1, 4] = -np.conj(t * e)
+    C[..., 2, 2] = e_inv
+    C[..., 3, 3] = np.conj(e_inv)
+    C[..., 4, 4] = e
+    C[..., 5, 5] = np.conj(e)
+    coeff = 6.0 * 1j**3 * np.linalg.det(C)
     return complex(coeff) if np.ndim(coeff) == 0 else coeff
 
 

@@ -12,18 +12,19 @@ evaluates every stencil point of a block of sample points in one array.
 The Newton operator and preconditioner oracles are the solvers' complex
 forms: the full complex Hessian contracted with K, and the flat-Laplacian
 solve on complex spectra.  The last section holds small cross-checks that
-the package itself never calls: the grid mean, a realness test, the
+the package itself never calls: the (p,q) basis keys, d/dz_i and d/dzbar_i
+of a field read from exterior_d, the grid mean, a realness test, the
 Hermitian part of a matrix field, the inverse of fundamental_form and a
 uniqueness probe for the Monge-Ampere solvers.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import combinations, count
 
 import numpy as np
 
-from hermweb.forms import FormField, basis_keys, exterior_d, insert_sign
+from hermweb.forms import FormField, exterior_d, sort_sign
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
 from hermweb.metric import HermitianMetricField, MetricError, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
@@ -149,7 +150,7 @@ def sg_defect_pinv(omega_pow: FormField) -> float:
     t_index = {k: r for r, k in enumerate(t_keys)}
     for c, (K, J) in enumerate(b_keys):
         for k in range(n):
-            Kn, s = insert_sign(k, K)
+            Kn, s = sort_sign((k,) + K)
             if Kn is None:
                 continue
             A[..., t_index[(Kn, J)], c] += s * sym_grid[k]
@@ -295,6 +296,20 @@ def complex_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray,
 # ---------------------------------------------------------------------------
 # Cross-checks the package does not call
 # ---------------------------------------------------------------------------
+
+def basis_keys(n: int, p: int, q: int):
+    """The (I, J) keys of the (p,q)-form basis, increasing multi-indices."""
+    for I in combinations(range(n), p):
+        for J in combinations(range(n), q):
+            yield I, J
+
+
+def spectral_partial(values: np.ndarray, grid: PeriodicGrid, i: int):
+    """(d/dz_i, d/dzbar_i) of a field, i 1-based: the coefficients of
+    (del f, dbar f) for the 0-form f."""
+    del_f, dbar_f = exterior_d(FormField(grid, 0, 0, {((), ()): values}))
+    return del_f.coefficient((i - 1,), ()), dbar_f.coefficient((), (i - 1,))
+
 
 def mean(f: ScalarField) -> complex:
     """Arithmetic average over grid points (= torus integral, unit volume)."""

@@ -22,7 +22,7 @@ from hermweb.models import (
     yoshihara_roots,
 )
 
-from helpers import fd_ricci_pointwise
+from helpers import brute_wedge, fd_ricci_pointwise, sort_parity
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +146,25 @@ def test_nakamura_coefficient_on_arrays_matches_scalar_calls():
     want = [nakamura_top_coefficient(a, b) for a, b in samples]
     assert all(isinstance(w, complex) for w in want)
     assert np.max(np.abs(got - np.array(want))) < 1e-13
+
+
+def test_nakamura_coefficient_matches_the_brute_force_wedge():
+    # omega = i sum theta_k conj(theta_k) over the generators dz_1..dz_3 -> 0..2
+    # and dzbar_1..dzbar_3 -> 3..5, cubed term by term
+    samples = nakamura_samples(30, [0.05, 0.1 + 0.1j, 0.3], seed=5)
+    z1, t = (np.array(v) for v in zip(*samples))
+    e = np.exp(z1)
+    theta = [{(0,): 1.0, (5,): -t * e}, {(1,): np.exp(-z1)}, {(2,): e}]
+    theta_bar = [{(3,): 1.0, (2,): -np.conj(t * e)}, {(4,): np.conj(np.exp(-z1))}, {(5,): np.conj(e)}]
+    omega = {}
+    for th, thb in zip(theta, theta_bar):
+        for key, v in brute_wedge(th, thb).items():
+            omega[key] = omega.get(key, 0) + 1j * v
+    cubed = brute_wedge(brute_wedge(omega, omega), omega)
+    # reorder the sorted generators to dz_1 dzbar_1 dz_2 dzbar_2 dz_3 dzbar_3
+    sign, _ = sort_parity((0, 3, 1, 4, 2, 5))
+    want = sign * cubed[(0, 1, 2, 3, 4, 5)]
+    assert np.max(np.abs(nakamura_top_coefficient(z1, t) - want)) < 1e-13
 
 
 def test_nakamura_check_rejects_large_t_before_evaluating(monkeypatch):
