@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -200,14 +201,18 @@ def _dispatch(args, spec):
             "b": {"value": sol.b},
             "iterations": {"value": sol.iterations},
             "gmres_iterations": {"value": sum(sol.linear_iterations)},
+            # each halving of a Newton step is one backtrack
+            "line_search_backtracks": {"value": sum(round(-math.log2(row[3])) for row in sol.trace[1:])},
             "final_residual": {"value": sol.residual_history[-1], "tolerance": cfg.tolerance},
             "output_ricci_max_norm": {"value": ricci_norm(sol.metric_out)},
         }
         # the Newton step that produced trace row i made linear_iterations[i - 1]
-        # GMRES iterations; row 0 is the initial guess
+        # GMRES iterations at relative tolerance linear_rtols[i - 1]; row 0 is
+        # the initial guess
+        linear = [(0, 0.0)] + list(zip(sol.linear_iterations, sol.linear_rtols))
         rows = (
-            ["iteration", "residual", "b", "step", "gmres_iters"],
-            [row + (its,) for row, its in zip(sol.trace, (0,) + sol.linear_iterations)],
+            ["iteration", "residual", "b", "step", "gmres_iters", "gmres_rtol"],
+            [row + its_rtol for row, its_rtol in zip(sol.trace, linear)],
         )
         return results, rows, {"phi": sol.phi, "F": F}, 0
 

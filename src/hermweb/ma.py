@@ -22,7 +22,9 @@ for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  The linear systems
 carry the constant b as an extra unknown in a bordered system A.  GMRES
 solves it right-preconditioned (Saad, Iterative Methods for Sparse Linear
 Systems, 2nd ed., 2003, 9.3): A M u = rhs, then (dphi, db) = M u, with M a
-flat-Laplacian Fourier multiplier.
+flat-Laplacian Fourier multiplier.  GMRES's relative tolerance is an
+Eisenstat-Walker forcing term (_forcing_term): loose on the early Newton
+steps, tight near the solution.  Convergence is the Newton test alone.
 
 The GMRES is restarted GMRES(20) with modified Gram-Schmidt (Saad and
 Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), the iteration of
@@ -83,14 +85,17 @@ class SolverError(RuntimeError):
 
 
 # line search: the shortest step and the Armijo sufficient-decrease constant;
-# GMRES: the floor of its relative tolerance, its cap of restart cycles per
-# Newton step and the length of a cycle
+# GMRES: the floor of the forcing term (its relative tolerance), the cap of
+# restart cycles per Newton step and the length of a cycle
 MIN_STEP = 1e-6
 ARMIJO = 1e-4
 LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 400
 _LINEAR_RESTART = 20
 KAHLER_TOL = 1e-10  # solve_ma3 rejects a reference metric with larger max|d omega0|
+# Eisenstat-Walker choice 2: eta_k = GAMMA (res_k / res_{k-1})^2, at most ETA_MAX
+GAMMA = 0.5
+ETA_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,7 @@ class MASolution:
     metric_out: HermitianMetricField
     trace: list[tuple] = field(default_factory=list)  # (iteration, residual, b, step)
     linear_iterations: tuple[int, ...] = ()  # GMRES iterations of each Newton step
+    linear_rtols: tuple[float, ...] = ()  # GMRES relative tolerance of each Newton step
 
     @property
     def iterations(self) -> int:
@@ -377,6 +383,28 @@ def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
     return LinearOperator((npts + 1, npts + 1), matvec=apply_AM, dtype=np.float64), apply_M
 
 
+def _forcing_term(eta_prev: float | None, res: float, res_prev: float | None, tol: float) -> float:
+    """GMRES's relative tolerance for the Newton step from residual res:
+    Eisenstat and Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996; Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM, 1995, ch. 6).
+
+    The first step (eta_prev None) takes ETA_MAX; later ones
+    GAMMA (res / res_prev)^2, raised to GAMMA eta_prev^2 when that exceeds
+    0.1, capped at ETA_MAX.  The floor max(LINEAR_RTOL, 0.5 tol / res) keeps
+    the last step from solving past what the Newton test asks; it compares
+    a max-norm residual with a relative 2-norm, so it is a heuristic, and a
+    step left too loose costs one more Newton step.
+    """
+    if eta_prev is None:
+        eta = ETA_MAX
+    else:
+        eta = GAMMA * (res / res_prev) ** 2
+        if GAMMA * eta_prev**2 > 0.1:
+            eta = max(eta, GAMMA * eta_prev**2)
+        eta = min(eta, ETA_MAX)
+    return max(eta, LINEAR_RTOL, 0.5 * tol / res)
+
+
 def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
     """Damped Newton iteration over (phi, b) for residual_fn(phi, b).
 
@@ -392,7 +420,12 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     Newton step.  M inverts c times the flat Laplacian, c = mean(w tr K)/n,
     the mean of the n diagonal rows of WK.  Each GMRES iteration makes one
     rfft_active and one irfft_active batched over the Hessian rows that are
-    not identically zero.
+    not identically zero.  GMRES stops at the relative tolerance
+    _forcing_term picks from the last two residuals: loose while Newton is
+    far from the solution, tighter as it converges quadratically.
+
+    Returns (phi, b, state, record), record holding MASolution's
+    residual_history, trace, linear_iterations and linear_rtols.
     """
     phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
     phi = phi - phi.mean()
@@ -401,19 +434,21 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     res = float(np.max(np.abs(R)))
     history = [res]
     trace = [(0, res, b, 0.0)]
-    linear_iterations = []
+    linear_iterations, linear_rtols = [], []
+    rtol = None  # the forcing term of the previous Newton step
 
     for _ in range(cfg.max_iterations):
         if res <= cfg.tolerance:
-            return phi, b, history, state, trace, tuple(linear_iterations)
+            break
         WK, w = coefficients_fn(state)
         AM, apply_M = _make_system(grid, WK, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
-        rtol = max(LINEAR_RTOL, min(1e-3, 1e-3 * res))
+        rtol = _forcing_term(rtol, res, history[-2] if len(history) > 1 else None, cfg.tolerance)
         u, info, iterations = gmres(AM, rhs, rtol=rtol, atol=0.0, maxiter=LINEAR_MAXITER)
         if info != 0:
             raise SolverError(f"linear solve failed (gmres info={info})", history, phi, b)
         linear_iterations.append(iterations)
+        linear_rtols.append(rtol)
         sol = apply_M(u)
         dphi = sol[:-1].reshape(grid.shape)
         dphi = dphi - dphi.mean()
@@ -439,12 +474,18 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
         history.append(res)
         trace.append((len(history) - 1, res, b, step))
 
-    if res <= cfg.tolerance:
-        return phi, b, history, state, trace, tuple(linear_iterations)
-    raise SolverError(
-        f"max iterations exceeded (residual {res:.3e} > tol {cfg.tolerance:.3e})",
-        history, phi, b,
+    if res > cfg.tolerance:
+        raise SolverError(
+            f"max iterations exceeded (residual {res:.3e} > tol {cfg.tolerance:.3e})",
+            history, phi, b,
+        )
+    record = dict(
+        residual_history=history,
+        trace=trace,
+        linear_iterations=tuple(linear_iterations),
+        linear_rtols=tuple(linear_rtols),
     )
+    return phi, b, state, record
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +518,10 @@ def solve_ma2(
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, history, state, trace, linear_iterations = _newton_loop(
-        grid, cfg, residual, coefficients, phi0, b0
-    )
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
     # residual() checked the positivity of the stack
     metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(state[0]))
-    return MASolution(ScalarField(grid, phi), b, history, metric_out, trace, linear_iterations)
+    return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +569,8 @@ def solve_ma3(
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
     phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, history, state, trace, linear_iterations = _newton_loop(
-        grid, cfg, residual, coefficients, phi0, b0
-    )
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
     lam, dets = state
     # adj Lambda / det(Lambda)^{1/2}, positive definite as Lambda is
     metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(stack_adjugate(lam) / dets))
-    return MASolution(ScalarField(grid, phi), b, history, metric_out, trace, linear_iterations)
+    return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)

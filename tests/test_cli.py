@@ -1,4 +1,5 @@
 import builtins
+import math
 import re
 import sys
 from pathlib import Path
@@ -193,12 +194,18 @@ def test_solve_ma2_success_and_artifacts(bump_spec, tmp_path, capsys):
     assert (outdir / "phi.fld").exists()
     assert (outdir / "F.fld").exists()
     csv_lines = (outdir / "history.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == "iteration,residual,b,step,gmres_iters"
+    assert csv_lines[0] == "iteration,residual,b,step,gmres_iters,gmres_rtol"
     assert len(csv_lines) >= 3
-    gmres_iters = [int(line.split(",")[-1]) for line in csv_lines[1:]]
+    rows = [line.split(",") for line in csv_lines[1:]]
+    gmres_iters = [int(row[4]) for row in rows]
     assert gmres_iters[0] == 0 and all(its >= 1 for its in gmres_iters[1:])
     total = re.search(r"gmres_iterations:\n\s+value: (\d+)", out)
     assert total and int(total.group(1)) == sum(gmres_iters)
+    gmres_rtols = [float(row[5]) for row in rows]
+    assert gmres_rtols[0] == 0 and all(0 < rtol <= 0.5 for rtol in gmres_rtols[1:])
+    backtracks = re.search(r"line_search_backtracks:\n\s+value: (\d+)", out)
+    steps = [float(row[3]) for row in rows[1:]]
+    assert backtracks and int(backtracks.group(1)) == sum(round(-math.log2(step)) for step in steps)
 
 
 def test_solve_ma2_forced_nonconvergence_exits_2(bump_spec, capsys):

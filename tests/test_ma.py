@@ -23,7 +23,10 @@ from hermweb.metric import (
 from hermweb import grid as grid_module
 from hermweb import ma as ma_module
 from hermweb.ma import (
+    ETA_MAX,
     FACTORIAL,
+    GAMMA,
+    LINEAR_RTOL,
     MASolution,
     SolverConfig,
     SolverError,
@@ -33,6 +36,7 @@ from hermweb.ma import (
     solve_ma2,
     solve_ma3,
     volume_coefficient,
+    _forcing_term,
     _make_system,
 )
 
@@ -627,6 +631,78 @@ def test_linear_iterations_count_each_newton_step(solver, monkeypatch):
     assert len(sol.linear_iterations) == sol.iterations >= 1
     assert list(sol.linear_iterations) == per_call
     assert all(its >= 1 for its in per_call)
+
+
+# ---------------------------------------------------------------------------
+# Eisenstat-Walker forcing terms
+# ---------------------------------------------------------------------------
+
+def test_forcing_term_first_step_is_eta_max():
+    assert _forcing_term(None, 1.0, None, 1e-11) == ETA_MAX
+
+
+def test_forcing_term_is_gamma_times_the_squared_residual_ratio():
+    assert _forcing_term(1e-3, 1e-4, 1e-2, 1e-11) == pytest.approx(GAMMA * 1e-4, rel=1e-15)
+
+
+@pytest.mark.parametrize("eta_prev, expected", [(0.44, GAMMA * 1e-4), (0.45, GAMMA * 0.45**2)])
+def test_forcing_term_safeguard_applies_when_gamma_eta_prev_squared_exceeds_a_tenth(
+    eta_prev, expected, monkeypatch
+):
+    # GAMMA eta_prev^2 is 0.0968 and 0.10125; ETA_MAX lifted so that the
+    # safeguarded value is not capped
+    monkeypatch.setattr(ma_module, "ETA_MAX", 1.0)
+    assert _forcing_term(eta_prev, 1e-4, 1e-2, 1e-11) == pytest.approx(expected, rel=1e-15)
+
+
+def test_forcing_term_is_capped_at_eta_max():
+    # a stalled residual gives GAMMA, a safeguarded one GAMMA eta_prev^2 > 0.1
+    assert _forcing_term(0.01, 1e-3, 1e-3, 1e-11) == ETA_MAX
+    assert _forcing_term(0.45, 1e-4, 1e-2, 1e-11) == ETA_MAX
+
+
+def test_forcing_term_floors():
+    # far below the Newton tolerance: LINEAR_RTOL
+    assert _forcing_term(1e-3, 1e-9, 1.0, 1e-20) == LINEAR_RTOL
+    # near it: half the tolerance over the residual, above the cap if need be
+    assert _forcing_term(1e-3, 1e-9, 1.0, 1e-11) == 0.5 * 1e-11 / 1e-9
+    assert _forcing_term(0.01, 2e-11, 1e-10, 1e-11) == 0.25
+
+
+def _fixed_forcing_term(eta_prev, res, res_prev, tol):
+    # a tight rule: three orders of magnitude below the residual, at most 1e-3
+    return max(LINEAR_RTOL, min(1e-3, 1e-3 * res))
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_forcing_terms_reach_the_solution_of_tight_linear_solves(solver, monkeypatch):
+    rng = np.random.default_rng(1)
+    if solver == "ma2":
+        g, F, _, _ = manufactured_problem(PeriodicGrid(2, (16, 16, 1, 1)), rng)
+        solve = lambda: solve_ma2(g, F)
+    else:
+        g, g0, F, _, _ = ma3_manufactured(GRID3, rng)
+        solve = lambda: solve_ma3(g, g0, F)
+    rtols = []
+    real_gmres = ma_module.gmres
+
+    def gmres(A, b, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return real_gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(ma_module, "gmres", gmres)
+    loose = solve()
+    assert list(loose.linear_rtols) == rtols and rtols[0] == ETA_MAX
+    monkeypatch.setattr(ma_module, "_forcing_term", _fixed_forcing_term)
+    tight = solve()
+    assert len(tight.linear_rtols) == len(tight.linear_iterations)
+
+    assert np.max(np.abs(loose.phi.values - tight.phi.values)) <= 1e-9
+    assert abs(loose.b - tight.b) <= 1e-9
+    tol = SolverConfig().tolerance
+    assert loose.residual_history[-1] <= tol and tight.residual_history[-1] <= tol
+    assert sum(loose.linear_iterations) < sum(tight.linear_iterations)
+    assert loose.iterations <= tight.iterations + 2
 
 
 def test_importing_hermweb_loads_no_scipy():
