@@ -6,7 +6,7 @@ are "collapsed": fields do not vary along them and derivatives there are
 identically zero.
 
 Complex spectral derivatives (hessian_values, ricci_tensor, ddbar and the
-forms) are ifftn(symbol * fftn(f)) over the active axes, with the
+forms' exterior_d) are ifftn(symbol * fftn(f)) over the active axes, with the
 multipliers of _z_symbols alone: s_i for d/dz_i and -conj(s_i) for
 d/dzbar_i, Nyquist bins included.  Real fields that stay real go through one
 real transform pair instead, rfft_active/irfft_active: numpy's own 1-D
@@ -19,7 +19,11 @@ diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
 entries: a real stack in the layout of smallmat, never a complex field.
 The Newton solvers' right-preconditioned operator takes those multipliers
 divided by the flat Laplacian's symbol, only on the rows that are not
-identically zero (_hessian_over_laplacian_multipliers).
+identically zero (_hessian_over_laplacian_multipliers).  The metric-class
+residuals of metric.classify are complex fields linear in a Hermitian field:
+their spectra at k and at -k come from the half spectra of its real stack,
+with the symbols at -k of _signed_z_symbols, and their real and imaginary
+parts go through irfft_active, never through fftn.
 """
 
 from __future__ import annotations
@@ -224,6 +228,18 @@ def irfft_active(spectrum: np.ndarray, grid: PeriodicGrid, offset: int = 0) -> n
         spectrum = np.fft.ifft(spectrum, size, axis)
     axis, size = axes[-1]
     return np.fft.irfft(spectrum, size, axis)
+
+
+@lru_cache(maxsize=32)
+def _signed_z_symbols(grid: PeriodicGrid) -> np.ndarray:
+    """_z_symbols at k and at -k on the rfft_active half spectrum, stacked
+    [i - 1, 0 or 1, *half spectrum].  At a Nyquist bin s_i(-k) is not
+    -s_i(k), so the second row reflects the first, not negates it."""
+    s = np.stack([np.broadcast_to(si, grid.shape) for si in _z_symbols(grid)])
+    pm = np.stack([s, _reflect(s, [a + 1 for a in grid.active_axes])], axis=1)
+    pm = np.ascontiguousarray(pm[(slice(None), slice(None)) + _half_spectrum(grid)])
+    pm.setflags(write=False)
+    return pm
 
 
 @lru_cache(maxsize=32)

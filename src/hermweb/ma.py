@@ -12,7 +12,10 @@ adj g, so for n = 3 the (n-1, n-1)-form above becomes
 with M(A, B) = adj(A + B) - adj A - adj B the polarised adjugate, and the
 root metric is adj Lambda / det(Lambda)^{1/2}.  The form path
 (form_to_matrix, matrix_to_form, hodge_root) stays the public API and is the
-tests' oracle for this identity.
+tests' oracle for this identity.  The reference metric's Kahler check,
+max|d omega0| <= KAHLER_TOL, is metric.kahler_residual on the stack of g0,
+one real transform and one inverse, not exterior_d of a form.  g0 and F must live on
+the grid of g (MetricError otherwise).
 
 Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
@@ -67,8 +70,8 @@ from .grid import (
     irfft_active,
     rfft_active,
 )
-from .forms import FormField, d_max_norm
-from .metric import HermitianMetricField, MetricError, minors_positive
+from .forms import FormField
+from .metric import HermitianMetricField, MetricError, kahler_residual, minors_positive
 from .smallmat import hermitian_from_stack, hermitian_stack, stack_adjugate, stack_minors
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
@@ -341,6 +344,15 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
 # shared Newton-Krylov plumbing
 # ---------------------------------------------------------------------------
 
+def _check_grids(grid: PeriodicGrid, **fields) -> None:
+    """MetricError naming the first field that does not live on grid."""
+    for name, f in fields.items():
+        if f.grid != grid:
+            raise MetricError(
+                f"{name} lives on grid {f.grid.sizes} (n = {f.grid.n}), the metric on {grid.sizes} (n = {grid.n})"
+            )
+
+
 def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
     """The bordered Newton operator A right-preconditioned by M, and M:
     (A M as a LinearOperator for gmres, the function u -> M u).
@@ -500,6 +512,7 @@ def solve_ma2(
 ) -> MASolution:
     """Solve (omega + i del dbar phi)^n = e^{F+b} omega^n, mean(phi) = 0."""
     grid = g.grid
+    _check_grids(grid, F=F)
     S_g = hermitian_stack(g.g)
     detg = stack_minors(S_g)[-1]
     eF_detg = np.exp(F.values.real) * detg
@@ -546,10 +559,10 @@ def solve_ma3(
     grid = g.grid
     if grid.n != 3:
         raise MetricError("the form-type solver is implemented for n = 3")
-    if d_max_norm(g0.fundamental_form()) > KAHLER_TOL:
-        raise MetricError(f"reference metric is not Kahler at tolerance {KAHLER_TOL:g}")
-
+    _check_grids(grid, g0=g0, F=F)
     S_g, S_g0 = hermitian_stack(g.g), hermitian_stack(g0.g)
+    if kahler_residual(S_g0, grid) > KAHLER_TOL:
+        raise MetricError(f"reference metric is not Kahler at tolerance {KAHLER_TOL:g}")
     adj_g, adj_g0 = stack_adjugate(S_g), stack_adjugate(S_g0)
     detg = stack_minors(S_g)[-1]
     eF_detg = np.exp(F.values.real) * detg

@@ -3,19 +3,21 @@
 The oracles here are deliberately independent of the package internals:
 the wedge oracle expands products over totally antisymmetric generator
 tuples by brute force, and the derivative oracle uses 4th-order centered
-finite differences on the periodic grid.  The strongly-Gauduchon oracle
-shares the package's exterior_d and d/dz symbols, but solves its
-least-squares problem by a pseudo-inverse at every wavenumber instead of
-the package's closed-form projection.  The Hopf finite-difference oracle
-evaluates its potential one stencil point at a time, where the package
-evaluates every stencil point of a block of sample points in one array.
-The Newton operator and preconditioner oracles are the solvers' complex
-forms: the full complex Hessian contracted with K, and the flat-Laplacian
-solve on complex spectra.  The last section holds small cross-checks that
-the package itself never calls: the (p,q) basis keys, d/dz_i and d/dzbar_i
-of a field read from exterior_d, the grid mean, a realness test, the
-Hermitian part of a matrix field, the inverse of fundamental_form and a
-uniqueness probe for the Monge-Ampere solvers.
+finite differences on the periodic grid.  The metric-class oracle
+classify_forms is the form path: exterior_d of omega and of omega^{n-1}
+on complex spectra and a closed-form (Koszul) projection for the strongly
+Gauduchon defect, where the package works on the real stacks of g and
+adj g.  The pseudo-inverse strongly-Gauduchon oracle solves that
+least-squares problem at every wavenumber instead.  The Hopf
+finite-difference oracle evaluates its potential one stencil point at a
+time, where the package evaluates every stencil point of a block of sample
+points in one array.  The Newton operator and preconditioner oracles are
+the solvers' complex forms: the full complex Hessian contracted with K,
+and the flat-Laplacian solve on complex spectra.  The last section holds
+small cross-checks that the package itself never calls: the (p,q) basis
+keys, d/dz_i and d/dzbar_i of a field read from exterior_d, the grid mean,
+a realness test, the Hermitian part of a matrix field, the inverse of
+fundamental_form and a uniqueness probe for the Monge-Ampere solvers.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from itertools import combinations, count
 
 import numpy as np
 
-from hermweb.forms import FormField, exterior_d, sort_sign
+from hermweb.forms import FormField, exterior_d, sort_sign, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
-from hermweb.metric import HermitianMetricField, MetricError, ricci_tensor
+from hermweb.metric import ClassReport, HermitianMetricField, MetricError, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
 
 
@@ -161,6 +163,52 @@ def sg_defect_pinv(omega_pow: FormField) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Metric-class residuals on the form layer
+# ---------------------------------------------------------------------------
+
+def sg_defect_projection(target: FormField) -> float:
+    """Least-squares defect of solving del beta = target = dbar(omega^{n-1})
+    in Fourier space.
+
+    del sends the target's coefficient t_m on dz^{I_m} dzbar^{1..n}, I_m =
+    (1..n) without m, to top degree with the symbol sigma_m = +-s_m.  At k != 0
+    the del symbols form an exact (Koszul) complex, so the residual is the
+    projection conj(sigma) (sigma . t^) / |sigma|^2 of t^; at k = 0 it is t^.
+    """
+    grid = target.grid
+    n = grid.n
+    full = tuple(range(n))
+    t_keys = [full[:m] + full[m + 1:] for m in range(n)]
+    syms = _z_symbols(grid)
+    sigma = np.stack(
+        [np.broadcast_to(sort_sign((m,) + I)[1] * syms[m], grid.shape) for m, I in enumerate(t_keys)]
+    )
+    axes = [a + 1 for a in grid.active_axes]
+    that = np.fft.fftn(np.stack([target.coefficient(I, full) for I in t_keys]), axes=axes)
+    norm2 = -laplacian_symbol(grid)  # |sigma|^2, zero only at k = 0
+    proj = np.sum(sigma * that, axis=0) / np.where(norm2 > 0, norm2, 1.0)
+    res_hat = np.where(norm2 > 0, np.conj(sigma) * proj, that)
+    return float(np.max(np.abs(np.fft.ifftn(res_hat, axes=axes))))
+
+
+def classify_forms(g: HermitianMetricField, tol: float = 1e-8) -> ClassReport:
+    """The ClassReport of g from the forms: max-norms of d omega (Kahler),
+    d omega^{n-1} (balanced), del dbar omega^{n-1} (Gauduchon), the
+    least-squares defect of del beta = dbar omega^{n-1} (strongly Gauduchon)
+    and del dbar omega (astheno-Kahler, n = 3), each with complex FFTs of
+    the form's coefficients."""
+    n = g.n
+    omega = g.fundamental_form()
+    d_omega = exterior_d(omega)
+    d_pow = exterior_d(wedge_power(omega, n - 1)) if n == 3 else d_omega
+    kahler, balanced = (max(part.max_norm() for part in d) for d in (d_omega, d_pow))
+    gauduchon = exterior_d(d_pow[1])[0].max_norm()
+    sg = sg_defect_projection(d_pow[1])
+    astheno = exterior_d(d_omega[1])[0].max_norm() if n == 3 else None
+    return ClassReport(tol, kahler, balanced, gauduchon, sg, astheno)
+
+
+# ---------------------------------------------------------------------------
 # Hopf Chern-Ricci form by finite differences, one stencil point at a time
 # ---------------------------------------------------------------------------
 
@@ -212,7 +260,7 @@ def random_bandlimited(grid: PeriodicGrid, rng, amp=1.0, kmax=2, terms=5, comple
     coords = grid.coordinates()
     vals = np.zeros(grid.shape, dtype=np.complex128)
     names = [f"x{i}" for i in range(1, grid.n + 1)] + [f"y{i}" for i in range(1, grid.n + 1)]
-    active = {name for name in names if coords[name].size > 1}
+    active = [name for name in names if coords[name].size > 1]
     for _ in range(terms):
         phase = np.zeros(grid.shape)
         for name in active:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as scipy_linalg
 
-from hermweb.forms import FormField, ddbar, wedge, wedge_power
+from hermweb.forms import FormField, d_max_norm, ddbar, wedge, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, hermitian_hessian_stack, hessian_values
 from hermweb.metric import (
     HermitianMetricField,
@@ -48,6 +48,7 @@ from helpers import (
     complex_newton_row,
     complex_preconditioner,
     form_to_generators,
+    hermitian_part,
     max_diff_generators,
     random_bandlimited,
     random_metric,
@@ -315,6 +316,72 @@ def test_solve_ma3_rejects_non_kahler_reference():
     g = identity_metric(GRID3)
     with pytest.raises(MetricError):
         solve_ma3(g, g0, ricci_potential(g))
+
+
+# x_1, x_2 and y_1 active: the reference varies along a complex direction's
+# x and y axes and along a second direction
+GRID_XY = PeriodicGrid(3, (8, 8, 1, 8, 1, 1))
+
+
+def kahler_reference_plus(grid, d_omega0):
+    """g0 = I + Hess f + eps P with P = cos(2 pi x_2) on the (1,1) entry, not
+    Kahler, and eps scaled so that the form oracle's max|d omega0| is
+    d_omega0 (0 gives the Kahler I + Hess f)."""
+    f = random_bandlimited(grid, np.random.default_rng(12), amp=0.003, kmax=1).real
+    g0 = np.eye(3) + hermitian_part(hessian_values(f.astype(np.complex128), grid))
+    P = np.cos(2 * np.pi * grid.coordinate(grid.axis_of("x", 2)))
+    eps = d_omega0 / d_max_norm(FormField(grid, 1, 1, {((0,), (0,)): 1j * P}))
+    g0[..., 0, 0] += eps * P
+    return HermitianMetricField(grid, g0)
+
+
+@pytest.mark.parametrize("d_omega0, accepted", [(1e-9, False), (1e-11, True)])
+def test_kahler_tol_is_a_bound_on_max_d_omega0(d_omega0, accepted):
+    # KAHLER_TOL = 1e-10 bounds the form oracle's max|d omega0| of a reference
+    # that is Kahler up to a small non-Kahler perturbation
+    g0 = kahler_reference_plus(GRID_XY, d_omega0)
+    assert d_max_norm(g0.fundamental_form()) == pytest.approx(d_omega0, rel=1e-3)
+    g = random_metric(GRID_XY, np.random.default_rng(13), amp=0.05, kmax=1)
+    if accepted:
+        sol = solve_ma3(g, g0, ricci_potential(g))
+        assert sol.residual_history[-1] <= SolverConfig().tolerance
+    else:
+        with pytest.raises(MetricError, match="not Kahler"):
+            solve_ma3(g, g0, ricci_potential(g))
+
+
+def test_solve_ma3_with_a_non_constant_kahler_reference(monkeypatch):
+    # g0 = I + Hess f recovers the manufactured potential, and the Kahler
+    # check, like the whole solve, makes no complex FFT
+    g0 = kahler_reference_plus(GRID_XY, 0.0)
+    assert np.ptp(g0.g[..., 0, 0].real) > 1e-2
+    g, g0, F, phi_star, b_star = ma3_manufactured(GRID_XY, np.random.default_rng(14), g0=g0)
+    calls = []
+    for name in ("fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    sol = solve_ma3(g, g0, F)
+    assert calls == []
+    assert np.max(np.abs(sol.phi.values.real - phi_star)) < 1e-9
+    assert abs(sol.b - b_star) < 1e-9
+
+
+def test_solve_ma2_rejects_a_potential_on_another_grid():
+    g = identity_metric(PeriodicGrid(2, (16, 16, 1, 1)))
+    # numpy could not broadcast the first F and would broadcast the second
+    for sizes in [(32, 32, 1, 1), (16, 1, 1, 1)]:
+        F = ScalarField(PeriodicGrid(2, sizes), np.zeros(sizes))
+        with pytest.raises(MetricError, match=r"^F lives on grid"):
+            solve_ma2(g, F)
+
+
+def test_solve_ma3_rejects_a_reference_or_potential_on_another_grid():
+    g = identity_metric(GRID3)
+    other = PeriodicGrid(3, (16, 1, 1, 1, 1, 1))
+    with pytest.raises(MetricError, match=r"^g0 lives on grid"):
+        solve_ma3(g, identity_metric(other), ricci_potential(g))
+    with pytest.raises(MetricError, match=r"^F lives on grid"):
+        solve_ma3(g, g, ScalarField(other, np.zeros(other.shape)))
 
 
 def test_solve_ma3_preserves_balanced():

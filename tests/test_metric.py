@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge_power
-from hermweb.grid import PeriodicGrid, ScalarField
+from hermweb import grid as grid_module
+from hermweb import metric as metric_module
+from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge, wedge_power
+from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
+from hermweb.ma import hodge_root
 from hermweb.metric import (
     HermitianMetricField,
     MetricError,
-    _sg_defect,
     bott_chern_defect,
     chern_connection,
     chern_ricci,
@@ -23,7 +25,9 @@ from hermweb.metric import (
 
 from helpers import (
     bump_metric,
+    classify_forms,
     fd_partial_z,
+    hermitian_part,
     mean,
     metric_from_form,
     random_bandlimited,
@@ -272,37 +276,113 @@ def test_classify_bump_is_non_kahler():
 
 @pytest.mark.parametrize("n,sizes", [(2, (16, 16, 8, 8)), (3, (8, 8, 8, 8, 1, 8))])
 def test_sg_defect_matches_the_pinv_oracle(n, sizes):
-    # the closed-form projection against a pseudo-inverse at every
-    # wavenumber, on non-Kahler metrics varying along x and y axes
+    # classify's strongly Gauduchon residual against a pseudo-inverse at
+    # every wavenumber, on non-Kahler metrics varying along x and y axes
     grid = PeriodicGrid(n, sizes)
-    omega = random_metric(grid, np.random.default_rng(21), amp=0.1).fundamental_form()
-    omega_pow = wedge_power(omega, n - 1)
-    want = sg_defect_pinv(omega_pow)
+    g = random_metric(grid, np.random.default_rng(21), amp=0.1)
+    want = sg_defect_pinv(wedge_power(g.fundamental_form(), n - 1))
     assert want > 1e-2
-    assert _sg_defect(exterior_d(omega_pow)[1]) == pytest.approx(want, rel=1e-12)
+    assert classify(g, 1e-8).strongly_gauduchon_residual == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,sizes,ffts", [(2, (32, 32, 1, 1), 6), (3, (16, 16, 16, 1, 1, 1), 10)])
-def test_classify_takes_each_exterior_d_once(n, sizes, ffts, monkeypatch):
-    # the residuals share exterior_d of omega and omega^{n-1} and keep the
-    # values of separate evaluations
-    g = random_metric(PeriodicGrid(n, sizes), np.random.default_rng(8), amp=0.1)
+# the grids of the metric-class oracle tests: x axes only, three x and two y
+# axes, one complex direction collapsed, and x and y axes for n = 2
+CLASS_GRIDS = [(3, (16, 16, 16, 1, 1, 1)), (3, (8, 8, 8, 8, 1, 8)), (2, (64, 64, 1, 1)), (2, (16, 16, 8, 8))]
+
+
+def residuals(rep):
+    return [
+        rep.kahler_residual,
+        rep.balanced_residual,
+        rep.gauduchon_residual,
+        rep.strongly_gauduchon_residual,
+        rep.astheno_residual,
+    ]
+
+
+def class_test_metric(kind, grid):
+    """A metric of the kind named: random (kmax = 1, so that adj g, whose
+    entries are products, has no Nyquist modes even on 8-point axes), Kahler
+    I + Hess f, balanced and not Kahler (a Michelsohn root, n = 3), or flat."""
+    rng = np.random.default_rng(sum(grid.sizes))
+    if kind == "random":
+        return random_metric(grid, rng, amp=0.1, kmax=1)
+    if kind == "identity":
+        return identity_metric(grid)
+    chi = random_bandlimited(grid, rng, amp=0.01 if kind == "kahler" else 0.004, kmax=1).real
+    if kind == "kahler":
+        hess = hermitian_part(hessian_values(chi.astype(np.complex128), grid))
+        return HermitianMetricField(grid, identity_metric(grid).g + hess)
+    omega0 = identity_metric(grid).fundamental_form()
+    target = wedge_power(omega0, 2).scaled(0.5) + wedge(ddbar(ScalarField(grid, chi.astype(np.complex128))), omega0)
+    return hodge_root(target)
+
+
+@pytest.mark.parametrize(
+    "n,sizes,kind",
+    [(n, sizes, kind) for n, sizes in CLASS_GRIDS for kind in ("random", "kahler", "balanced", "identity")
+     if kind != "balanced" or n == 3],
+)
+def test_classify_matches_the_form_oracle(n, sizes, kind):
+    # the five residuals from the real stacks of g and adj g against
+    # exterior_d of omega and omega^{n-1}; residuals at the rounding level
+    # of a second spectral derivative are compared with that floor
+    grid = PeriodicGrid(n, sizes)
+    g = class_test_metric(kind, grid)
+    got, want = residuals(classify(g, 1e-8)), residuals(classify_forms(g))
+    if kind == "identity":
+        assert got == [0.0] * 4 + ([0.0] if n == 3 else [None])
+        return
+    if n == 2:
+        assert got[4] is want[4] is None and got[1] == got[0]
+        got, want = got[:4], want[:4]
+    floor = 1e-13 * max(np.max(np.abs(s)) for s in _z_symbols(grid)) ** 2 * np.max(np.abs(g.g))
+    assert got == pytest.approx(want, rel=1e-12, abs=floor)
+    if kind == "random":
+        assert min(want) > 1e-3
+    elif kind == "kahler":
+        assert max(want) < floor
+    else:
+        assert want[0] > 1e-3 and want[1] < floor
+
+
+def test_classify_reads_the_del_parts_at_nyquist_modes():
+    # with kmax = 2 on 8-point axes the entries of adj g reach the Nyquist
+    # wavenumber, where the dbar part of d omega^2 is not the conjugate of
+    # its del part; classify's Kahler and balanced residuals are the
+    # max-norms of the del parts, the others match the form oracle
+    grid = PeriodicGrid(3, (8, 8, 8, 8, 1, 8))
+    g = random_metric(grid, np.random.default_rng(8), amp=0.1, kmax=2)
     omega = g.fundamental_form()
-    omega_pow = wedge_power(omega, n - 1)
-    want = [
-        d_max_norm(omega),
-        d_max_norm(omega_pow),
-        exterior_d(exterior_d(omega_pow)[1])[0].max_norm(),
-        sg_defect_pinv(omega_pow),
-    ] + ([exterior_d(exterior_d(omega)[1])[0].max_norm()] if n == 3 else [])
+    del_omega, _ = exterior_d(omega)
+    del_pow, dbar_pow = exterior_d(wedge_power(omega, 2))
+    rep, oracle = classify(g, 1e-8), classify_forms(g)
+    assert rep.kahler_residual == pytest.approx(del_omega.max_norm(), rel=1e-12)
+    assert rep.balanced_residual == pytest.approx(del_pow.max_norm(), rel=1e-12)
+    assert abs(dbar_pow.max_norm() - del_pow.max_norm()) > 1e-6 * del_pow.max_norm()
+    assert residuals(rep)[2:] == pytest.approx(residuals(oracle)[2:], rel=1e-12)
+
+
+@pytest.mark.parametrize("n,sizes", [(2, (32, 32, 1, 1)), (3, (16, 16, 16, 1, 1, 1))])
+def test_classify_makes_one_real_transform_and_one_inverse_per_class(n, sizes, monkeypatch):
+    # one rfft_active over the stacks of g and adj g, one irfft_active over
+    # the residual fields of each class test (Kahler, [balanced,] Gauduchon,
+    # strongly Gauduchon[, astheno-Kahler]), no complex FFT and no form
+    g = random_metric(PeriodicGrid(n, sizes), np.random.default_rng(8), amp=0.1)
+    want = residuals(classify_forms(g))
     calls = []
     for name in ("fftn", "ifftn"):
         fn = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    for name in ("rfft_active", "irfft_active"):
+        fn = getattr(grid_module, name)
+        monkeypatch.setattr(metric_module, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    monkeypatch.setattr(FormField, "__post_init__", lambda self: calls.append("FormField"))
     rep = classify(g, 1e-8)
-    assert len(calls) == ffts
-    got = [rep.kahler_residual, rep.balanced_residual, rep.gauduchon_residual, rep.strongly_gauduchon_residual]
-    got += [rep.astheno_residual] if n == 3 else []
+    assert calls == ["rfft_active"] + ["irfft_active"] * (5 if n == 3 else 3)
+    got = residuals(rep)
+    if n == 2:
+        got, want = got[:4], want[:4]
     assert min(want) > 1e-3
     assert got == pytest.approx(want, rel=1e-12)
 
