@@ -19,7 +19,9 @@ diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
 entries: a real stack in the layout of smallmat, never a complex field.
 The Newton solvers' right-preconditioned operator takes those multipliers
 divided by the flat Laplacian's symbol, only on the rows that are not
-identically zero (_hessian_over_laplacian_multipliers).  The metric-class
+identically zero (_hessian_over_laplacian_multipliers); the apply of its
+preconditioner takes the same rows under the inverse Laplacian symbol, for
+the step and its Hessian stack (_laplacian_solve_multipliers).  The metric-class
 residuals of metric.classify are complex fields linear in a Hermitian field:
 their spectra at k and at -k come from the half spectra of its real stack,
 with the symbols at -k of _signed_z_symbols, and their real and imaginary
@@ -284,6 +286,18 @@ def _hessian_over_laplacian_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray,
     for a in (rows, P):
         a.setflags(write=False)
     return rows, P
+
+
+@lru_cache(maxsize=32)
+def _laplacian_solve_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, Q): the rows and P of _hessian_over_laplacian_multipliers, with
+    _inverse_laplacian_symbol stacked over P, so that Q[1:] is P and
+    irfft_active(Q * fhat, grid, 1) is Lap^{-1} f, of mean zero, followed by
+    those rows of the stack of Hess Lap^{-1} f."""
+    rows, P = _hessian_over_laplacian_multipliers(grid)
+    Q = np.concatenate([_inverse_laplacian_symbol(grid)[None], P])
+    Q.setflags(write=False)
+    return rows, Q
 
 
 def hessian_stack_from_spectrum(fhat: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

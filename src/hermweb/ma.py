@@ -21,7 +21,9 @@ Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
 where w K = det(gt) gt^{-1} = adj gt for solve_ma2 and, since
 tr(P M(H, B)) = tr(M(P, B) H), w K = M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
-for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  The linear systems
+for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  As adj(adj L) =
+det(L) L for 3x3 matrices, M(adj Lambda, g0) takes two adjugates:
+adj(adj Lambda + g0) - det(Lambda) Lambda - adj g0.  The linear systems
 carry the constant b as an extra unknown in a bordered system A.  GMRES
 solves it right-preconditioned (Saad, Iterative Methods for Sparse Linear
 Systems, 2nd ed., 2003, 9.3): A M u = rhs, then (dphi, db) = M u, with M a
@@ -32,7 +34,9 @@ steps, tight near the solution.  Convergence is the Newton test alone.
 The GMRES is restarted GMRES(20) with modified Gram-Schmidt (Saad and
 Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), the iteration of
 scipy.sparse.linalg.gmres step for step, left-preconditioned or, as the
-solvers call it, with M=None, so Newton and GMRES counts are scipy's.
+solvers call it, with M=None, so Newton and GMRES counts are scipy's.  It
+keeps the images A v_j of its basis, so a cycle that stops before its
+full length updates its residual instead of applying A once more.
 hermweb carries its own so that it needs only numpy at run time: on a
 2-vCPU host, importing scipy.sparse.linalg took 0.35-0.4 s of hermweb's
 0.45 s import and about 24 MB of every process's peak memory.
@@ -48,8 +52,11 @@ of w K times those of H, the off-diagonal rows counted twice.  As M feeds
 only A's Hessian, A M is one rfft_active, the Hessian multipliers divided by
 the Laplacian symbol, one irfft_active batched over the stack rows that are
 not identically zero (on x axes alone 3 of 4 for n = 2, 6 of 9 for n = 3)
-and one contraction: one real transform pair per GMRES iteration.  The complex
-(n, n) field is assembled once, for the output metric.
+and one contraction: one real transform pair per GMRES iteration.  The step
+M u and its Hessian stack come from one more pair per Newton step, and the
+Newton loop carries the Hessian stack of phi, so the residuals, line-search
+trials included, make no transform.  The complex (n, n) field is assembled
+once, for the output metric.
 """
 
 from __future__ import annotations
@@ -64,8 +71,7 @@ import numpy as np
 from .grid import (
     PeriodicGrid,
     ScalarField,
-    _hessian_over_laplacian_multipliers,
-    _inverse_laplacian_symbol,
+    _laplacian_solve_multipliers,
     hermitian_hessian_stack,
     irfft_active,
     rfft_active,
@@ -236,13 +242,21 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
     unpreconditioned when M is None (scipy's identity).
 
     The iteration is scipy.sparse.linalg.gmres's (scipy 1.17) step for step:
-    the stopping test |b - A x| <= max(atol, rtol |b|) on the true residual,
-    checked at each restart; the inner test on the preconditioned residual
-    estimate against a tolerance that starts at |M b| atol/|b| and adapts
-    between cycles (scipy gh-8400); modified Gram-Schmidt; Givens rotations;
-    a breakdown h1 <= eps h0 taken as the exact solution of the cycle.
+    the stopping test |b - A x| <= max(atol, rtol |b|) after each cycle; the
+    inner test on the preconditioned residual estimate against a tolerance
+    that starts at |M b| atol/|b| and adapts between cycles (scipy gh-8400);
+    modified Gram-Schmidt; Givens rotations; a breakdown h1 <= eps h0 taken
+    as the exact solution of the cycle.
     maxiter caps the restart cycles.  callback, if given, receives the
     estimate over |b| after each inner iteration.
+
+    The images A v_j of the basis are kept, so after a cycle that stops on
+    the inner test or a breakdown the residual is r - sum_j y_j A v_j, equal
+    to b - A x up to round-off, with no apply of A.  A cycle that runs its
+    full length takes b - A x from a fresh apply before its restart, as
+    scipy does: the updated residual would drift from scipy's over the
+    restarts.  So a solve makes one apply per inner iteration and one per
+    restart.
 
     Returns (x, info, iterations): info is 0 on convergence and maxiter
     otherwise; iterations counts the inner iterations.
@@ -266,7 +280,9 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
     ptol_max_factor = 1.0
     ptol = math.sqrt(Mb @ Mb) * min(ptol_max_factor, atol / bnrm2)
     presid = 0.0
-    v = np.empty((restart + 1, n))
+    # the Arnoldi basis v and its images Av = A v, in one allocation
+    basis = np.empty((2 * restart + 1, n))
+    v, Av = basis[: restart + 1], basis[restart + 1 :]
     # h[col] holds column col of the Hessenberg matrix, rotated into the
     # triangular factor as the cycle goes
     h = np.zeros((restart, restart + 1))
@@ -283,7 +299,8 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
         rotations.clear()
         breakdown = False
         for col in range(restart):
-            w = psolve(matvec(v[col]))
+            Av[col] = z = matvec(v[col])
+            w = psolve(z)
             h0 = math.sqrt(w @ w)
             hcol = h[col]
             for k in range(col + 1):
@@ -326,7 +343,10 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
             y[0] /= h[0, 0]
         x += y @ v[: col + 1]
 
-        r = b - matvec(x)
+        if presid <= ptol or breakdown:
+            r = r - y @ Av[: col + 1]
+        else:
+            r = b - matvec(x)
         rnorm = math.sqrt(r @ r)
         if rnorm <= atol or breakdown:
             break
@@ -355,7 +375,7 @@ def _check_grids(grid: PeriodicGrid, **fields) -> None:
 
 def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
     """The bordered Newton operator A right-preconditioned by M, and M:
-    (A M as a LinearOperator for gmres, the function u -> M u).
+    (A M as a LinearOperator for gmres, the function apply_M).
 
     A (dphi, db) = (w Re tr(K Hess dphi) - db w, mean dphi) contracts the
     stack WK of w K, whose off-diagonal rows count twice in the trace, with
@@ -367,14 +387,17 @@ def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
         A M (u, u_b) = (Re tr(WK/c Hess Lap^{-1} u) + (mean u / mean w) w, u_b):
     one rfft_active and one irfft_active over the Hessian rows that are not
     identically zero on the grid, with grid's cached multipliers of
-    Hess Lap^{-1}.
+    Hess Lap^{-1}.  apply_M(u) returns (dphi, dH, db), with M u = (dphi, db)
+    and dH the hermitian_hessian_stack of dphi: one rfft_active and one
+    irfft_active batched over dphi and the rows of dH that are not
+    identically zero (the others are zero).
     """
     n = grid.n
     c = float(np.mean(WK[:n]))
-    rows, P = _hessian_over_laplacian_multipliers(grid)
+    rows, Q = _laplacian_solve_multipliers(grid)
+    P = Q[1:]
     C = WK[rows] / c
     C[rows >= n] *= 2.0
-    inv_sym = _inverse_laplacian_symbol(grid) / c
     zero = (0,) * len(grid.shape)
     npts = grid.num_points
     wmean = float(np.mean(w))
@@ -385,12 +408,14 @@ def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
         row += (uhat[zero].real / npts / wmean) * w
         return np.concatenate([row.ravel(), [u[-1]]])
 
-    def apply_M(u: np.ndarray) -> np.ndarray:
+    def apply_M(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         uhat = rfft_active(u[:-1].reshape(grid.shape), grid)
         db = -uhat[zero].real / npts / wmean
-        uhat *= inv_sym
-        uhat[zero] = u[-1] * npts
-        return np.concatenate([irfft_active(uhat, grid).ravel(), [db]])
+        uhat *= 1.0 / c
+        out = irfft_active(Q * uhat, grid, 1)
+        dH = np.zeros((n * n,) + grid.shape)
+        dH[rows] = out[1:]
+        return out[0] + u[-1], dH, db
 
     return LinearOperator((npts + 1, npts + 1), matvec=apply_AM, dtype=np.float64), apply_M
 
@@ -418,7 +443,9 @@ def _forcing_term(eta_prev: float | None, res: float, res_prev: float | None, to
 
 
 def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
-    """Damped Newton iteration over (phi, b) for residual_fn(phi, b).
+    """Damped Newton iteration over (phi, b) for residual_fn(H, b), with H
+    the hermitian_hessian_stack of phi.  initial_phi None starts from
+    phi = 0, whose H is zero; another start takes one transform pair for H.
 
     residual_fn returns (R, state) where R is the pointwise equation residual
     and state is whatever coefficients_fn needs; it raises SolverError
@@ -428,21 +455,32 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
         (dphi, db) -> w Re tr(K Hess dphi) - db w;
     the border column -w is exact at a solution, where e^b e^F det g = w.
     GMRES solves the system right-preconditioned, A M u = rhs, by
-    _make_system's A M, and the step is (dphi, db) = M u, one apply of M per
-    Newton step.  M inverts c times the flat Laplacian, c = mean(w tr K)/n,
-    the mean of the n diagonal rows of WK.  Each GMRES iteration makes one
-    rfft_active and one irfft_active batched over the Hessian rows that are
-    not identically zero.  GMRES stops at the relative tolerance
-    _forcing_term picks from the last two residuals: loose while Newton is
-    far from the solution, tighter as it converges quadratically.
+    _make_system's A M, and the step is (dphi, db) = M u.  M inverts c times
+    the flat Laplacian, c = mean(w tr K)/n, the mean of the n diagonal rows
+    of WK.  Each GMRES iteration makes one rfft_active and one irfft_active
+    batched over the Hessian rows that are not identically zero.  The apply
+    of M gives the Hessian stack dH of the step from its own transform pair,
+    so H is carried along with phi, and a line-search trial is
+    residual_fn(H + step dH, b + step db): the residuals make no transform.
+    GMRES stops at the relative tolerance _forcing_term picks from the last
+    two residuals: loose while Newton is far from the solution, tighter as
+    it converges quadratically.
 
     Returns (phi, b, state, record), record holding MASolution's
     residual_history, trace, linear_iterations and linear_rtols.
     """
-    phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
-    phi = phi - phi.mean()
+    if initial_phi is None:
+        phi = np.zeros(grid.shape)
+        H = np.zeros((grid.n**2,) + grid.shape)
+    else:
+        phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
+        phi = phi - phi.mean()
+        H = hermitian_hessian_stack(phi, grid)
     b = float(initial_b)
-    R, state = residual_fn(phi, b)
+    try:
+        R, state = residual_fn(H, b)
+    except SolverError as err:
+        raise SolverError(str(err), [], phi, b) from None
     res = float(np.max(np.abs(R)))
     history = [res]
     trace = [(0, res, b, 0.0)]
@@ -461,15 +499,14 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
             raise SolverError(f"linear solve failed (gmres info={info})", history, phi, b)
         linear_iterations.append(iterations)
         linear_rtols.append(rtol)
-        sol = apply_M(u)
-        dphi = sol[:-1].reshape(grid.shape)
+        dphi, dH, db = apply_M(u)
         dphi = dphi - dphi.mean()
-        db = float(sol[-1])
 
         step = 1.0
         while True:
+            H_new = H + step * dH
             try:
-                R_new, state_new = residual_fn(phi + step * dphi, b + step * db)
+                R_new, state_new = residual_fn(H_new, b + step * db)
             except SolverError:
                 R_new = None
             if R_new is not None:
@@ -481,7 +518,7 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
                 raise SolverError(
                     "line search stalled (positivity or descent loss)", history, phi, b
                 )
-        phi, b = phi + step * dphi, b + step * db
+        phi, H, b = phi + step * dphi, H_new, b + step * db
         R, state, res = R_new, state_new, res_new
         history.append(res)
         trace.append((len(history) - 1, res, b, step))
@@ -517,11 +554,11 @@ def solve_ma2(
     detg = stack_minors(S_g)[-1]
     eF_detg = np.exp(F.values.real) * detg
 
-    def residual(phi, b):
-        S = S_g + hermitian_hessian_stack(phi, grid)
+    def residual(H, b):
+        S = S_g + H
         minors = stack_minors(S)
         if not minors_positive(minors):
-            raise SolverError("positivity lost", [], phi, b)
+            raise SolverError("positivity lost", [])
         R = minors[-1] - np.exp(b) * eF_detg
         return R, (S, minors[-1])
 
@@ -530,8 +567,7 @@ def solve_ma2(
         return stack_adjugate(S), detgt
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, initial_phi, b0)
     # residual() checked the positivity of the stack
     metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(state[0]))
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)
@@ -567,22 +603,24 @@ def solve_ma3(
     detg = stack_minors(S_g)[-1]
     eF_detg = np.exp(F.values.real) * detg
 
-    def residual(phi, b):
-        lam = adj_g + 0.5 * _polarised_adjugate(hermitian_hessian_stack(phi, grid), S_g0, adj_g0)
+    def residual(H, b):
+        lam = adj_g + 0.5 * _polarised_adjugate(H, S_g0, adj_g0)
         minors = stack_minors(lam)
         if not minors_positive(minors):
-            raise SolverError("(n-1)-positivity lost", [], phi, b)
+            raise SolverError("(n-1)-positivity lost", [])
         dets = np.sqrt(minors[-1])  # det of the root metric
         R = dets - np.exp(b) * eF_detg
         return R, (lam, dets)
 
     def coefficients(state):
+        # M(adj Lambda, g0), with adj(adj Lambda) = det(Lambda) Lambda for
+        # 3x3 matrices and det Lambda = dets^2
         lam, dets = state
-        return _polarised_adjugate(stack_adjugate(lam), S_g0, adj_g0) / (4.0 * dets), dets
+        M = stack_adjugate(stack_adjugate(lam) + S_g0) - (dets * dets) * lam - adj_g0
+        return M / (4.0 * dets), dets
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    phi0 = np.zeros(grid.shape) if initial_phi is None else initial_phi
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, initial_phi, b0)
     lam, dets = state
     # adj Lambda / det(Lambda)^{1/2}, positive definite as Lambda is
     metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(stack_adjugate(lam) / dets))

@@ -153,6 +153,19 @@ def manufactured_problem(grid, rng, amp=0.05):
     return g, ScalarField(grid, F.astype(np.complex128)), phi_star, b_star
 
 
+def two_bump_problem():
+    """(g, F) on 16^2 with g_11 = 1 + 0.6 cos 2 pi x2, g_22 = 1 + 0.6 cos 2 pi x1
+    and F = 3 cos 2 pi x1 cos 2 pi x2: far enough from the solution that the
+    line search shortens steps, and GMRES restarts on some Newton steps."""
+    grid = PeriodicGrid(2, (16, 16, 1, 1))
+    x1, x2 = (grid.coordinate(grid.axis_of("x", i)) for i in (1, 2))
+    g = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
+    g[..., 0, 0] = 1 + 0.6 * np.cos(2 * np.pi * x2)
+    g[..., 1, 1] = 1 + 0.6 * np.cos(2 * np.pi * x1)
+    F = np.broadcast_to(3 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2), grid.shape)
+    return HermitianMetricField(grid, g), ScalarField(grid, F.astype(np.complex128))
+
+
 def test_solve_ma2_manufactured():
     grid = PeriodicGrid(2, (32, 32, 1, 1))
     rng = np.random.default_rng(0)
@@ -189,6 +202,18 @@ def test_solve_ma2_trace_and_history_align():
         assert res == hist
     assert sol.trace[0][0] == 0 and sol.trace[0][3] == 0.0
     assert all(0 < step <= 1.0 for _, _, _, step in sol.trace[1:])
+
+
+def test_solve_ma2_line_search_keeps_the_hessian_of_phi():
+    # the Newton loop carries the Hessian stack of phi through shortened
+    # steps; the output metric is g + Hess phi of the phi it returns
+    g, F = two_bump_problem()
+    sol = solve_ma2(g, F)
+    assert min(step for *_, step in sol.trace[1:]) < 1.0
+    assert sol.residual_history[-1] <= SolverConfig().tolerance
+    H = hermitian_hessian_stack(sol.phi.values.real, g.grid)
+    carried = hermitian_stack(sol.metric_out.g) - hermitian_stack(g.g)
+    assert np.max(np.abs(carried - H)) <= 1e-12 * np.max(np.abs(H))
 
 
 def test_solve_ma2_uniqueness_probe():
@@ -435,10 +460,15 @@ def test_newton_operator_matches_complex_form(n, sizes):
 
 @pytest.mark.parametrize("n, sizes", OPERATOR_GRIDS)
 def test_preconditioner_matches_complex_form(n, sizes):
+    # M u = (dphi, db), and the Hessian stack of dphi from the same transforms
     grid, _, w, (_, apply_M), c, u = newton_system(n, sizes, sum(sizes) + 1)
-    out = apply_M(u)
+    dphi, dH, db = apply_M(u)
+    out = np.concatenate([dphi.ravel(), [db]])
     expected = complex_preconditioner(grid, c, w, u)
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+    H = hermitian_hessian_stack(dphi, grid)
+    assert dH.shape == H.shape
+    assert np.max(np.abs(dH - H)) <= 1e-12 * np.max(np.abs(H))
 
 
 class _CountingFFT:
@@ -469,11 +499,15 @@ class _NumpyView:
 def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
     rng = np.random.default_rng(0)
     if solver == "ma2":
+        # on x1, x2 the Hessian rows that are not zero are H_11, H_22, Re H_12
         g, F, _, _ = manufactured_problem(PeriodicGrid(2, (16, 16, 1, 1)), rng)
         solve = lambda: solve_ma2(g, F)
+        hessian_rows = 3
     else:
-        g, g0, F, _, _ = ma3_manufactured(GRID3, rng)
+        # on x1, x2, x3 they are the three diagonal rows and the three Re rows
+        g, g0, F, _, _ = ma3_manufactured(PeriodicGrid(3, (8, 8, 8, 1, 1, 1)), rng)
         solve = lambda: solve_ma3(g, g0, F)
+        hessian_rows = 6
     counts = Counter()
     view = _NumpyView(_CountingFFT(counts))
     monkeypatch.setattr(grid_module, "np", view)
@@ -486,15 +520,15 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
         return real_irfft_active(spectrum, grid, offset)
 
     monkeypatch.setattr(ma_module, "irfft_active", irfft_active)
-    per_apply = {"AM": [], "M": []}
+    per_apply = {"AM": [], "M": [], "kahler": []}
     M_per_system = []
     real_make_system = ma_module._make_system
 
     def counted(kind, fn):
-        def apply(v):
+        def apply(*args):
             before = counts.copy()
             rows_before = len(inverse_rows)
-            out = fn(v)
+            out = fn(*args)
             per_apply[kind].append((counts - before, inverse_rows[rows_before:]))
             if kind == "M":
                 M_per_system[-1] += 1
@@ -518,18 +552,24 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
 
     monkeypatch.setattr(ma_module, "_make_system", make_system)
     monkeypatch.setattr(ma_module, "gmres", gmres)
+    # solve_ma3's Kahler check of g0 transforms the stack of g0 once
+    monkeypatch.setattr(ma_module, "kahler_residual", counted("kahler", ma_module.kahler_residual))
     sol = solve()
-    # one grid.rfft_active/irfft_active pair: on two active axes an rfft and
-    # an irfft, each with one complex 1-D pass
-    pair = Counter(rfft=1, fft=1, ifft=1, irfft=1)
-    # A M inverts one stack, batched over the Hessian rows that are not zero:
-    # on x1, x2 these are H_11, H_22 and Re H_12; M inverts one field
-    assert per_apply["AM"] and all(c == pair and rows == [3] for c, rows in per_apply["AM"])
-    assert per_apply["M"] and all(c == pair and rows == [None] for c, rows in per_apply["M"])
+    # one grid.rfft_active/irfft_active pair: an rfft and an irfft, each with
+    # one complex 1-D pass per further active axis
+    axes = len(g.grid.active_axes)
+    pair = Counter(rfft=1, fft=axes - 1, ifft=axes - 1, irfft=1)
+    # A M inverts one stack, batched over the Hessian rows that are not
+    # zero; M inverts the step and the same rows of its Hessian stack
+    assert per_apply["AM"] and all(c == pair and rows == [hessian_rows] for c, rows in per_apply["AM"])
+    assert per_apply["M"] and all(c == pair and rows == [1 + hessian_rows] for c, rows in per_apply["M"])
     # M once per Newton step, after its GMRES solve
     assert M_per_system == [1] * sol.iterations
+    # every transform is inside an apply or the Kahler check: none in the
+    # residuals, whose Hessian stacks are carried from the applies of M
+    assert len(per_apply["kahler"]) == (solver == "ma3")
+    assert sum((c for c, _ in sum(per_apply.values(), [])), Counter()) == counts
     assert counts["fftn"] == counts["ifftn"] == counts["rfftn"] == counts["irfftn"] == 0
-    assert counts["fft"] == counts["rfft"] and counts["ifft"] == counts["irfft"]
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +738,45 @@ def test_linear_iterations_count_each_newton_step(solver, monkeypatch):
     assert len(sol.linear_iterations) == sol.iterations >= 1
     assert list(sol.linear_iterations) == per_call
     assert all(its >= 1 for its in per_call)
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_gmres_exit_residual_agrees_with_a_fresh_apply(solver, monkeypatch):
+    # the residual GMRES stops on is updated from the stored images A v_j
+    # when a cycle stops early, and freshly applied when it runs its full
+    # length, before its restart
+    if solver == "ma2":
+        g, F = two_bump_problem()
+        solve = lambda: solve_ma2(g, F)
+    else:
+        g, g0, F, _, _ = ma3_manufactured(GRID3, np.random.default_rng(1))
+        solve = lambda: solve_ma3(g, g0, F)
+    restart = ma_module._LINEAR_RESTART
+    returns = []
+    real_gmres = ma_module.gmres
+
+    def gmres(A, b, **kwargs):
+        applies = []
+
+        def matvec(v):
+            applies.append(1)
+            return A.matvec(v)
+
+        counted = ma_module.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
+        x, info, iterations = real_gmres(counted, b, **kwargs)
+        atol = max(kwargs["atol"], kwargs["rtol"] * np.linalg.norm(b))
+        returns.append((info, np.linalg.norm(b - A.matvec(x)) / atol, len(applies), iterations))
+        return x, info, iterations
+
+    monkeypatch.setattr(ma_module, "gmres", gmres)
+    solve()
+    assert returns and all(info == 0 for info, *_ in returns)
+    assert all(fresh <= 1.0 for _, fresh, _, _ in returns)
+    # one apply per iteration and one per restart: every cycle but the last
+    # runs its full length on these solves
+    assert all(applies == its + (its - 1) // restart for _, _, applies, its in returns)
+    if solver == "ma2":
+        assert any(its > restart for *_, its in returns)
 
 
 # ---------------------------------------------------------------------------

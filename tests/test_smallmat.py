@@ -5,7 +5,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from hermweb.grid import PeriodicGrid
+from hermweb import ma as ma_module
+from hermweb.grid import PeriodicGrid, ScalarField
 from hermweb.metric import HermitianMetricField
 from hermweb.smallmat import (
     hermitian_from_stack,
@@ -168,3 +169,44 @@ def test_stack_minors_match_leading_minors(n, kind):
 def test_stack_minors_reject_other_stacks():
     with pytest.raises(ValueError):
         stack_minors(np.ones((16, 8)))
+
+
+@pytest.mark.parametrize("kind", ["positive", "indefinite", "ill_conditioned"])
+def test_adjugate_of_adjugate_is_det_times_matrix(kind):
+    # adj(adj a) = det(a) a for 3x3 matrices; both sides are quartic in the
+    # entries, so the error is relative to max|a|^4 at each point
+    a = hermitian_field(np.random.default_rng(40 + len(kind)), 3, kind)
+    S = hermitian_stack(a)
+    got = stack_adjugate(stack_adjugate(S))
+    expected = stack_minors(S)[-1] * S
+    scale = np.max(np.abs(a), axis=(-1, -2)) ** 4
+    assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_ma3_coefficient_equals_the_three_adjugate_form(monkeypatch):
+    # solve_ma3's Newton coefficient M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
+    # takes adj(adj Lambda) as det(Lambda) Lambda
+    grid = PeriodicGrid(3, (8, 8, 1, 1, 1, 1))
+    rng = np.random.default_rng(50)
+    g = np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=grid.shape)
+    g0 = np.broadcast_to(np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=()), grid.shape + (3, 3)).copy()
+    closures = {}
+
+    def newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
+        closures.update(residual=residual_fn, coefficients=coefficients_fn)
+        raise _Captured
+
+    monkeypatch.setattr(ma_module, "_newton_loop", newton_loop)
+    with pytest.raises(_Captured):
+        ma_module.solve_ma3(HermitianMetricField(grid, g), HermitianMetricField(grid, g0), ScalarField(grid, np.zeros(grid.shape)))
+    H = 0.05 * hermitian_stack(hermitian_field(rng, 3, "indefinite", shape=grid.shape))
+    _, (lam, dets) = closures["residual"](H, 0.0)
+    WK, w = closures["coefficients"]((lam, dets))
+    S0 = hermitian_stack(g0)
+    expected = ma_module._polarised_adjugate(stack_adjugate(lam), S0, stack_adjugate(S0)) / (4.0 * dets)
+    assert np.array_equal(w, dets)
+    assert np.max(np.abs(WK - expected)) <= 1e-12 * np.max(np.abs(expected))
