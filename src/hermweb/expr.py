@@ -329,5 +329,4 @@ def evaluate(e, grid):
     """Evaluate an AST on a PeriodicGrid, returning a ScalarField."""
     from .grid import ScalarField
 
-    vals = evaluate_on(e, grid.coordinates())
-    return ScalarField(grid, np.array(vals, dtype=np.complex128))
+    return ScalarField(grid, evaluate_on(e, grid.coordinates()))

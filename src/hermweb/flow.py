@@ -34,7 +34,8 @@ its positivity and log det come from the stack's leading minors
 norm are max-moduli of stacks (smallmat.stack_max_modulus), and the Ricci
 norm is that of the Hermitian part of Ric = -Hess log det g, the part the
 solvers use.  The complex (n, n) metric is built once per attempt, for
-FlowState.g, after the new metric has passed the positivity check.
+FlowState.g, from the new stack once it has passed the positivity check;
+every metric carries its stack (HermitianMetricField.stack).
 """
 
 from __future__ import annotations
@@ -44,21 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    PeriodicGrid,
-    _half_spectrum,
-    hessian_stack_from_spectrum,
-    laplacian_symbol,
-    rfft_active,
-)
+from .grid import PeriodicGrid, hessian_stack_from_spectrum, laplacian_symbol, rfft_active
 from .metric import HermitianMetricField, minors_positive
-from .smallmat import (
-    hermitian_from_stack,
-    hermitian_stack,
-    stack_adjugate,
-    stack_max_modulus,
-    stack_minors,
-)
+from .smallmat import stack_adjugate, stack_max_modulus, stack_minors
 
 # run_flow rejects a step whose correction moves g by more than this
 # fraction of the step's change of g
@@ -84,14 +73,13 @@ class StepRejected(FlowError):
 
 @dataclass(frozen=True)
 class _Potential:
-    """g = g0 + Hess psi, with the stacks and half spectra the next step
-    starts from."""
+    """g = g0 + Hess psi, with the stack of g0 and the half spectra the next
+    step starts from; the stack of g is that of FlowState.g."""
 
     S0: np.ndarray  # real stack of g0
     linear: np.ndarray  # half-spectrum symbol of L = c Lap
     psi_hat: np.ndarray
     logdet_hat: np.ndarray  # half spectrum of log det g, mean removed
-    S: np.ndarray  # real stack of g
     # the (dt, _coefficients) of the step that made it, for the next step
     coefficients: tuple[float, np.ndarray] | None = None
 
@@ -148,14 +136,13 @@ def _state(
 def flow_state(g: HermitianMetricField, t: float = 0.0) -> FlowState:
     """The flow state at g, with g as the reference g0 and psi = 0."""
     grid = g.grid
-    S = hermitian_stack(g.g)
+    S = g.stack
     det = stack_minors(S)[-1]
     # c = mean(tr g^{-1}) / n, with g^{-1} = adj g / det g
     c = float(np.mean(stack_adjugate(S)[: grid.n] / det))
-    linear = c * laplacian_symbol(grid)[_half_spectrum(grid)]
-    potential = _Potential(
-        S, linear, np.zeros(linear.shape, dtype=np.complex128), _logdet_spectrum(det, grid), S
-    )
+    linear = c * laplacian_symbol(grid)
+    psi_hat = np.zeros(linear.shape, dtype=np.complex128)
+    potential = _Potential(S, linear, psi_hat, _logdet_spectrum(det, grid))
     return _state(t, g, potential)
 
 
@@ -238,8 +225,8 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     psi_hat = E * psi + f1 * N + f2 * (N_a + N_b) + f3 * N_c
     S, logdet_hat = _positive_stack(state, dt, psi_hat)
     correction = stack_max_modulus(S - S_c)
-    potential = _Potential(p.S0, p.linear, psi_hat, logdet_hat, S, coefficients)
-    g = HermitianMetricField._unchecked(grid, hermitian_from_stack(S))
+    potential = _Potential(p.S0, p.linear, psi_hat, logdet_hat, coefficients)
+    g = HermitianMetricField._unchecked(grid, S)
     return _state(state.t + dt, g, potential, correction)
 
 
@@ -250,7 +237,7 @@ def _error_ratio(state: FlowState, new: FlowState) -> float:
     r^(-1/2) times longer.  r is 0 for a step without correction."""
     if new.correction == 0.0:
         return 0.0
-    change = STEP_ERROR_FRACTION * stack_max_modulus(new.potential.S - state.potential.S)
+    change = STEP_ERROR_FRACTION * stack_max_modulus(new.g.stack - state.g.stack)
     return new.correction / change if change > 0.0 else np.inf
 
 

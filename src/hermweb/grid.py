@@ -17,15 +17,14 @@ Hermitian part of the complex Hessian of a real field
 irfft_active(symbol * rfft_active(f)), with the symbols of its n real
 diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
 entries: a real stack in the layout of smallmat, never a complex field.
-The Newton solvers' right-preconditioned operator takes those multipliers
-divided by the flat Laplacian's symbol, only on the rows that are not
-identically zero (_hessian_over_laplacian_multipliers); the apply of its
-preconditioner takes the same rows under the inverse Laplacian symbol, for
-the step and its Hessian stack (_laplacian_solve_multipliers).  The metric-class
-residuals of metric.classify are complex fields linear in a Hermitian field:
-their spectra at k and at -k come from the half spectra of its real stack,
-with the symbols at -k of _signed_z_symbols, and their real and imaginary
-parts go through irfft_active, never through fftn.
+The flat Laplacian's symbol (laplacian_symbol) and its inverse are tables
+on that half spectrum, and one cached table serves the Newton solvers
+(_laplacian_solve_multipliers): the inverse symbol over the Hessian
+multipliers divided by the symbol, on the rows that are not identically
+zero.  The metric-class residuals of metric.classify are complex fields
+linear in a Hermitian field: their spectra at k and at -k come from the
+half spectra of its real stack, with the symbols at -k of _signed_z_symbols,
+and their real and imaginary parts go through irfft_active, never fftn.
 """
 
 from __future__ import annotations
@@ -119,10 +118,9 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.array(self.values, dtype=np.complex128)
         if v.shape != self.grid.shape:
             raise GridError(f"value shape {v.shape} != grid shape {self.grid.shape}")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -133,8 +131,7 @@ def constant_field(grid: PeriodicGrid, value: complex) -> ScalarField:
 
 def from_function(grid: PeriodicGrid, fn) -> ScalarField:
     """Sample fn(**coords) on the grid; fn receives broadcastable arrays."""
-    vals = np.broadcast_to(fn(**grid.coordinates()), grid.shape)
-    return ScalarField(grid, np.array(vals, dtype=np.complex128))
+    return ScalarField(grid, np.broadcast_to(fn(**grid.coordinates()), grid.shape))
 
 
 @lru_cache(maxsize=32)
@@ -163,11 +160,12 @@ def _hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
-    """Fourier symbol of the flat complex Laplacian sum_i d^2 / dz_i dzbar_i."""
-    syms = _z_symbols(grid)
+    """Fourier symbol -sum_i |s_i|^2 of the flat complex Laplacian
+    sum_i d^2 / dz_i dzbar_i on the rfft_active half spectrum."""
     out = np.zeros(grid.shape)
-    for s in syms:
+    for s in _z_symbols(grid):
         out = out - np.broadcast_to(np.abs(s) ** 2, grid.shape)
+    out = np.ascontiguousarray(out[_half_spectrum(grid)])
     out.setflags(write=False)
     return out
 
@@ -266,7 +264,7 @@ def _hermitian_hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _inverse_laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
     """1 / laplacian_symbol on the rfft_active half spectrum, 0 at the mean."""
-    sym = laplacian_symbol(grid)[_half_spectrum(grid)]
+    sym = laplacian_symbol(grid)
     with np.errstate(divide="ignore"):
         inv = np.where(sym != 0.0, 1.0 / sym, 0.0)
     inv.setflags(write=False)
@@ -274,29 +272,20 @@ def _inverse_laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _hessian_over_laplacian_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, P): the rows of the hermitian_hessian_stack that are not
-    identically zero on grid, and their half-spectrum multipliers times
-    _inverse_laplacian_symbol, so that irfft_active(P * fhat, grid, 1) is the
-    stack rows of Hess Lap^{-1} f.  Only x axes active zeroes the Im rows;
-    x_1 and y_2 alone zero the Re row of n = 2."""
+def _laplacian_solve_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, Q): the rows of the hermitian_hessian_stack that are not
+    identically zero on grid, and the half-spectrum multipliers Q whose
+    irfft_active(Q * fhat, grid, 1) is Lap^{-1} f, of mean zero, followed by
+    those rows of the stack of Hess Lap^{-1} f.  Q[0] is
+    _inverse_laplacian_symbol and Q[1:], the multipliers of those rows
+    times it, is the P of the right-preconditioned operator.  Only x axes
+    active zeroes the Im rows; x_1 and y_2 alone zero the Re row of n = 2."""
     mult = _hermitian_hessian_multipliers(grid)
     rows = np.flatnonzero(mult.reshape(len(mult), -1).any(axis=1))
-    P = mult[rows] * _inverse_laplacian_symbol(grid)
-    for a in (rows, P):
+    inv = _inverse_laplacian_symbol(grid)
+    Q = np.concatenate([inv[None], mult[rows] * inv])
+    for a in (rows, Q):
         a.setflags(write=False)
-    return rows, P
-
-
-@lru_cache(maxsize=32)
-def _laplacian_solve_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, Q): the rows and P of _hessian_over_laplacian_multipliers, with
-    _inverse_laplacian_symbol stacked over P, so that Q[1:] is P and
-    irfft_active(Q * fhat, grid, 1) is Lap^{-1} f, of mean zero, followed by
-    those rows of the stack of Hess Lap^{-1} f."""
-    rows, P = _hessian_over_laplacian_multipliers(grid)
-    Q = np.concatenate([_inverse_laplacian_symbol(grid)[None], P])
-    Q.setflags(write=False)
     return rows, Q
 
 

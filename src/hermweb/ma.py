@@ -42,7 +42,9 @@ hermweb carries its own so that it needs only numpy at run time: on a
 0.45 s import and about 24 MB of every process's peak memory.
 
 Every Hermitian field inside the solvers is a real stack in the layout of
-smallmat (the n diagonal rows, then Re and then Im of the upper entries).
+smallmat (the n diagonal rows, then Re and then Im of the upper entries):
+the solvers read HermitianMetricField.stack of g and g0 and build the
+output metric from its stack.
 For Hermitian K, Re tr(K H) does not see the anti-Hermitian part of H, so
 the residuals and the linearisation take only the Hermitian part of
 Hess phi, as the stack of grid.hermitian_hessian_stack (real transforms
@@ -50,10 +52,11 @@ only).  Positivity and det come from smallmat.stack_minors, adj and with it
 M from smallmat.stack_adjugate.  Re tr(K H) is the sum over the stack rows
 of w K times those of H, the off-diagonal rows counted twice.  As M feeds
 only A's Hessian, A M is one rfft_active, the Hessian multipliers divided by
-the Laplacian symbol, one irfft_active batched over the stack rows that are
-not identically zero (on x axes alone 3 of 4 for n = 2, 6 of 9 for n = 3)
-and one contraction: one real transform pair per GMRES iteration.  The step
-M u and its Hessian stack come from one more pair per Newton step, and the
+the Laplacian symbol (Q[1:] of grid._laplacian_solve_multipliers), one
+irfft_active batched over the stack rows that are not identically zero (on
+x axes alone 3 of 4 for n = 2, 6 of 9 for n = 3) and one contraction: one
+real transform pair per GMRES iteration.  The step M u and its Hessian
+stack come from one more pair per Newton step, with all of Q, and the
 Newton loop carries the Hessian stack of phi, so the residuals, line-search
 trials included, make no transform.  The complex (n, n) field is assembled
 once, for the output metric.
@@ -78,7 +81,7 @@ from .grid import (
 )
 from .forms import FormField
 from .metric import HermitianMetricField, MetricError, kahler_residual, minors_positive
-from .smallmat import hermitian_from_stack, hermitian_stack, stack_adjugate, stack_minors
+from .smallmat import hermitian_stack, stack_adjugate, stack_minors
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
 
@@ -180,11 +183,8 @@ def matrix_to_form(grid: PeriodicGrid, lam: np.ndarray) -> FormField:
     n = grid.n
     table = _duality_table(n)
     fac = FACTORIAL[n - 1]
-    coeffs: dict = {}
-    for (k, l), (K, L, s) in table.items():
-        key = (K, L)
-        term = (s * fac) * lam[..., k, l]
-        coeffs[key] = coeffs[key] + term if key in coeffs else term
+    # each slot (k, l) has its own key: K leaves out l, L leaves out k
+    coeffs = {(K, L): (s * fac) * lam[..., k, l] for (k, l), (K, L, s) in table.items()}
     return FormField(grid, n - 1, n - 1, coeffs)
 
 
@@ -200,7 +200,7 @@ def hodge_root(phi: FormField) -> HermitianMetricField:
         raise MetricError("(n-1, n-1)-form is not positive at some grid point")
     # a positive multiple of adj Lambda, so positive definite, as Lambda is
     G = stack_adjugate(S) * minors[-1] ** (1.0 / (phi.grid.n - 1) - 1.0)
-    return HermitianMetricField._unchecked(phi.grid, hermitian_from_stack(G))
+    return HermitianMetricField._unchecked(phi.grid, G)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,9 @@ def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
     M is a Fourier multiplier and a constant has no Hessian, so
         A M (u, u_b) = (Re tr(WK/c Hess Lap^{-1} u) + (mean u / mean w) w, u_b):
     one rfft_active and one irfft_active over the Hessian rows that are not
-    identically zero on the grid, with grid's cached multipliers of
-    Hess Lap^{-1}.  apply_M(u) returns (dphi, dH, db), with M u = (dphi, db)
+    identically zero on the grid, with P = Q[1:] of grid's cached
+    _laplacian_solve_multipliers, the multipliers of Hess Lap^{-1}.
+    apply_M(u) returns (dphi, dH, db), with M u = (dphi, db)
     and dH the hermitian_hessian_stack of dphi: one rfft_active and one
     irfft_active batched over dphi and the rows of dH that are not
     identically zero (the others are zero).
@@ -550,7 +551,7 @@ def solve_ma2(
     """Solve (omega + i del dbar phi)^n = e^{F+b} omega^n, mean(phi) = 0."""
     grid = g.grid
     _check_grids(grid, F=F)
-    S_g = hermitian_stack(g.g)
+    S_g = g.stack
     detg = stack_minors(S_g)[-1]
     eF_detg = np.exp(F.values.real) * detg
 
@@ -569,7 +570,7 @@ def solve_ma2(
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
     phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, initial_phi, b0)
     # residual() checked the positivity of the stack
-    metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(state[0]))
+    metric_out = HermitianMetricField._unchecked(grid, state[0])
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)
 
 
@@ -596,7 +597,7 @@ def solve_ma3(
     if grid.n != 3:
         raise MetricError("the form-type solver is implemented for n = 3")
     _check_grids(grid, g0=g0, F=F)
-    S_g, S_g0 = hermitian_stack(g.g), hermitian_stack(g0.g)
+    S_g, S_g0 = g.stack, g0.stack
     if kahler_residual(S_g0, grid) > KAHLER_TOL:
         raise MetricError(f"reference metric is not Kahler at tolerance {KAHLER_TOL:g}")
     adj_g, adj_g0 = stack_adjugate(S_g), stack_adjugate(S_g0)
@@ -623,5 +624,5 @@ def solve_ma3(
     phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, initial_phi, b0)
     lam, dets = state
     # adj Lambda / det(Lambda)^{1/2}, positive definite as Lambda is
-    metric_out = HermitianMetricField._unchecked(grid, hermitian_from_stack(stack_adjugate(lam) / dets))
+    metric_out = HermitianMetricField._unchecked(grid, stack_adjugate(lam) / dets)
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)

@@ -10,7 +10,7 @@ the tests' oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -43,8 +43,9 @@ def minors_positive(minors: list[np.ndarray]) -> bool:
     return all(m.min() > POSITIVITY_FLOOR for m in minors)
 
 
-def is_positive_definite(g: np.ndarray) -> bool:
-    return minors_positive(smallmat.stack_minors(smallmat.hermitian_stack(g)))
+def is_positive_definite(S: np.ndarray) -> bool:
+    """Whether the Hermitian field with real stack S is positive definite."""
+    return minors_positive(smallmat.stack_minors(S))
 
 
 def hermitian_defect(g: np.ndarray) -> float:
@@ -57,10 +58,14 @@ def hermitian_defect(g: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class HermitianMetricField:
-    """Coefficient field g[..., i, j] = g_{i jbar}, Hermitian positive definite."""
+    """Coefficient field g[..., i, j] = g_{i jbar}, Hermitian positive definite,
+    and the real stack of its Hermitian part (smallmat's layout), built once
+    for the positivity check and read by every stack computation.  Both
+    arrays are read-only."""
 
     grid: PeriodicGrid
     g: np.ndarray
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.g, dtype=np.complex128)
@@ -75,36 +80,42 @@ class HermitianMetricField:
         defect = hermitian_defect(arr)
         if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(arr))):
             raise MetricError(f"metric not Hermitian (defect {defect:.3e})")
-        if not is_positive_definite(arr):
+        S = smallmat.hermitian_stack(arr)
+        if not is_positive_definite(S):
             raise MetricError("metric not positive definite at some grid point")
         arr = arr.copy()
-        arr.setflags(write=False)
+        for a in (arr, S):
+            a.setflags(write=False)
         object.__setattr__(self, "g", arr)
+        object.__setattr__(self, "stack", S)
 
     @classmethod
-    def _unchecked(cls, grid: PeriodicGrid, g: np.ndarray) -> "HermitianMetricField":
-        """Wrap a complex128 field the caller has just shown to be Hermitian and
-        positive definite, without the re-check or the copy; g becomes read-only.
+    def _unchecked(cls, grid: PeriodicGrid, S: np.ndarray) -> "HermitianMetricField":
+        """The metric with real stack S, which the caller has just shown to be
+        positive definite, without the re-check; S becomes read-only.
 
         Internal to the solvers and the flow: every field arriving from outside
         goes through the public constructor.
         """
-        field = object.__new__(cls)
-        g.setflags(write=False)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "g", g)
-        return field
+        metric = object.__new__(cls)
+        g = smallmat.hermitian_from_stack(S)
+        for a in (g, S):
+            a.setflags(write=False)
+        object.__setattr__(metric, "grid", grid)
+        object.__setattr__(metric, "g", g)
+        object.__setattr__(metric, "stack", S)
+        return metric
 
     @property
     def n(self) -> int:
         return self.grid.n
 
     def det(self) -> np.ndarray:
-        return smallmat.stack_minors(smallmat.hermitian_stack(self.g))[-1]
+        return smallmat.stack_minors(self.stack)[-1]
 
     def inverse(self) -> np.ndarray:
         """inv(g) = adj g / det g as a plain matrix field: sum_j inv[i,j] g[j,k] = delta_ik."""
-        S = smallmat.hermitian_stack(self.g)
+        S = self.stack
         return smallmat.hermitian_from_stack(smallmat.stack_adjugate(S) / smallmat.stack_minors(S)[-1])
 
     def fundamental_form(self) -> FormField:
@@ -129,7 +140,7 @@ def log_det(g: HermitianMetricField) -> np.ndarray:
 
 def ricci_tensor(g: HermitianMetricField) -> np.ndarray:
     """R[..., i, j] = R_{i jbar} = - d^2 log det g / dz_i dzbar_j."""
-    return -hessian_values(log_det(g).astype(np.complex128), g.grid)
+    return -hessian_values(log_det(g), g.grid)
 
 
 def chern_ricci(g: HermitianMetricField) -> FormField:
@@ -192,7 +203,7 @@ def parallel_section_check(g: HermitianMetricField, ell: int) -> ParallelSection
     eta2 = g.det() ** (-float(ell))
     # g^{i jbar} defined by g^{i jbar} g_{k jbar} = delta_ik
     up = np.swapaxes(g.inverse(), -1, -2)
-    H = hessian_values(eta2.astype(np.complex128), g.grid)
+    H = hessian_values(eta2, g.grid)
     lhs = np.einsum("...ij,...ij->...", up, H)
 
     gamma = chern_connection(g)
@@ -356,7 +367,7 @@ def classify(g: HermitianMetricField, tol: float) -> ClassReport:
     exterior_d on fundamental_form()."""
     if not (np.isfinite(tol) and tol > 0):
         raise MetricError(f"tolerance must be finite and positive, got {tol}")
-    maxima = _residual_maxima(smallmat.hermitian_stack(g.g), g.grid, True)
+    maxima = _residual_maxima(g.stack, g.grid, True)
     if g.n == 3:
         kahler, balanced, gauduchon, sg, astheno = maxima
     else:

@@ -342,10 +342,8 @@ def yoshihara_check(bound: int) -> ExampleReport:
     # quartic irreducibility over Q: no rational root, no integer quadratic factor
     rational_roots = [r for r in (1.0, -1.0) if abs(quartic_at(r)) < 1e-12]
     report.add("no_rational_root", rational_roots, [], 0.5, float(len(rational_roots)))
-    report.add(
-        "no_quadratic_factor", _has_integer_quadratic_factor(QUARTIC), False, 0.5,
-        1.0 if _has_integer_quadratic_factor(QUARTIC) else 0.0,
-    )
+    factor = _has_integer_quadratic_factor(QUARTIC)
+    report.add("no_quadratic_factor", factor, False, 0.5, 1.0 if factor else 0.0)
     return report
 
 

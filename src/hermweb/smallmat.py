@@ -5,8 +5,9 @@ A Hermitian (..., n, n) field a is held as n^2 real fields stacked on a first
 axis: the n diagonal entries a_ii, then Re a_ij and then Im a_ij of the upper
 entries i < j in np.triu_indices order.  This module owns that layout:
 hermitian_stack and hermitian_from_stack convert at the complex API boundary,
-and the kernels work on the stack alone.  The inverse is adj a / det a and
-the polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.
+metric.HermitianMetricField, which keeps each metric's stack, and the
+kernels work on the stack alone.  The inverse is adj a / det a and the
+polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.
 
 Metrics here are 2x2 or 3x3 at every grid point.  Cofactor expansion costs a
 few whole-field array operations per entry, where a batched LAPACK call pays

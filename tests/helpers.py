@@ -17,19 +17,22 @@ and the flat-Laplacian solve on complex spectra.  The last section holds
 small cross-checks that the package itself never calls: the (p,q) basis
 keys, d/dz_i and d/dzbar_i of a field read from exterior_d, the grid mean,
 a realness test, the Hermitian part of a matrix field, the inverse of
-fundamental_form and a uniqueness probe for the Monge-Ampere solvers.
+fundamental_form, a uniqueness probe for the Monge-Ampere solvers, and a
+check and a guard for the real stack a HermitianMetricField carries.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, count
 
 import numpy as np
 
 from hermweb.forms import FormField, exterior_d, sort_sign, wedge_power
-from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values, laplacian_symbol
+from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
 from hermweb.metric import ClassReport, HermitianMetricField, MetricError, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
+from hermweb import smallmat
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +188,8 @@ def sg_defect_projection(target: FormField) -> float:
     )
     axes = [a + 1 for a in grid.active_axes]
     that = np.fft.fftn(np.stack([target.coefficient(I, full) for I in t_keys]), axes=axes)
-    norm2 = -laplacian_symbol(grid)  # |sigma|^2, zero only at k = 0
+    # |sigma|^2 = sum_m |s_m|^2 over the full spectrum, zero only at k = 0
+    norm2 = np.broadcast_to(sum(np.abs(s) ** 2 for s in syms), grid.shape)
     proj = np.sum(sigma * that, axis=0) / np.where(norm2 > 0, norm2, 1.0)
     res_hat = np.where(norm2 > 0, np.conj(sigma) * proj, that)
     return float(np.max(np.abs(np.fft.ifftn(res_hat, axes=axes))))
@@ -328,7 +332,7 @@ def complex_newton_row(grid: PeriodicGrid, K: np.ndarray, w: np.ndarray, v: np.n
 def complex_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Flat-Laplacian solve of the field block on complex spectra, with the
     mean bookkeeping of the border."""
-    sym = laplacian_symbol(grid)
+    sym = -sum(np.abs(s) ** 2 for s in _z_symbols(grid))  # over the full spectrum
     axes = grid.active_axes
     npts = grid.num_points
     rhat = np.fft.fftn(r[:-1].reshape(grid.shape), axes=axes)
@@ -395,3 +399,23 @@ def uniqueness_probe(solver, guess_a: np.ndarray, guess_b: np.ndarray) -> float:
     pa = sol_a.phi.values.real
     pb = sol_b.phi.values.real
     return float(np.max(np.abs((pa - pa.mean()) - (pb - pb.mean()))))
+
+
+def assert_carries_its_stack(metric: HermitianMetricField) -> None:
+    """metric.stack is the real stack of metric.g, and both are read-only."""
+    assert np.array_equal(metric.stack, smallmat.hermitian_stack(metric.g))
+    assert not metric.stack.flags.writeable and not metric.g.flags.writeable
+
+
+def refuse_hermitian_stack(monkeypatch) -> None:
+    """Make every hermweb binding of smallmat.hermitian_stack raise."""
+    orig = smallmat.hermitian_stack
+
+    def refuse(a):
+        raise AssertionError("hermitian_stack called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "hermweb" or name.startswith("hermweb."):
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, refuse)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hermweb.flow import (
+    MAX_STEP_DECAY,
     FlowError,
     FlowState,
     _phi_functions,
@@ -14,7 +15,7 @@ from hermweb.flow import (
     max_dt,
     run_flow,
 )
-from hermweb.grid import PeriodicGrid, hermitian_hessian_stack, hessian_stack_from_spectrum
+from hermweb.grid import PeriodicGrid, _z_symbols, hermitian_hessian_stack, hessian_stack_from_spectrum
 from hermweb.smallmat import hermitian_stack, stack_minors
 from hermweb.ma import solve_ma2
 from hermweb.metric import (
@@ -27,7 +28,7 @@ from hermweb.metric import (
     ricci_tensor,
 )
 
-from helpers import bump_metric, rk2_flow
+from helpers import assert_carries_its_stack, bump_metric, refuse_hermitian_stack, rk2_flow
 
 
 GRID = PeriodicGrid(2, (16, 16, 1, 1))
@@ -90,11 +91,29 @@ def test_flow_adaptive_recovers_from_big_dt():
     assert min(row.dt for row in history[1:]) < 50.0 * default_dt(GRID)
 
 
+def test_flow_reads_the_stacks_its_metrics_carry(monkeypatch):
+    # the initial metric carries its stack, and each step wraps the stack it
+    # checked, so a flow converts no complex field
+    g0 = bump_metric(GRID)
+    state = flow_step(flow_state(g0), default_dt(GRID))
+    assert_carries_its_stack(state.g)
+    refuse_hermitian_stack(monkeypatch)
+    final, history = run_flow(g0, tol=1e-4, dt0=default_dt(GRID), max_steps=1000)
+    monkeypatch.undo()
+    assert len(history) > 2 and final.ricci_norm <= 1e-4
+    assert_carries_its_stack(final.g)
+
+
 def test_step_growth_stops_at_max_dt():
     # 0.4 of the decay time 1 / pi^2 of the slowest flat mode on the unit
     # torus; no limit without an active axis
     assert max_dt(GRID) == pytest.approx(0.4 / np.pi**2, rel=1e-14)
     assert max_dt(PeriodicGrid(2, (1, 1, 1, 1))) == np.inf
+    # read from the half-spectrum symbol, the same as from the full spectrum
+    for n, sizes in ((2, (16, 16, 1, 1)), (2, (1, 32, 1, 1)), (2, (16, 1, 1, 16)), (3, (8, 8, 8, 1, 1, 8))):
+        grid = PeriodicGrid(n, sizes)
+        rates = sum(np.broadcast_to(np.abs(s) ** 2, grid.shape) for s in _z_symbols(grid))
+        assert max_dt(grid) == MAX_STEP_DECAY / rates[rates > 0].min()
     # bumps of amplitude 1/4 and 1/2 grow through the same steps to the
     # limit, each doubling until the error ratio would cut it, and take no
     # rejected step on the way

@@ -5,13 +5,15 @@ from hermweb.grid import (
     GridError,
     PeriodicGrid,
     ScalarField,
-    _hessian_over_laplacian_multipliers,
     _inverse_laplacian_symbol,
+    _laplacian_solve_multipliers,
+    _z_symbols,
     constant_field,
     from_function,
     hermitian_hessian_stack,
     hessian_values,
     irfft_active,
+    laplacian_symbol,
     rfft_active,
 )
 
@@ -235,10 +237,11 @@ def test_hermitian_hessian_is_hermitian_part_of_hessian(n, sizes):
 @pytest.mark.parametrize("n, sizes", HESSIAN_GRIDS)
 def test_hessian_over_laplacian_keeps_the_rows_that_are_not_zero(n, sizes):
     # the rows dropped are zero for every field; the rows kept are those of
-    # the Hessian stack of Lap^{-1} f
+    # the Hessian stack of Lap^{-1} f, whose multipliers are Q[1:]
     grid = PeriodicGrid(n, sizes)
     vals = np.random.default_rng(sum(sizes) + 2).standard_normal(grid.shape)
-    rows, P = _hessian_over_laplacian_multipliers(grid)
+    rows, Q = _laplacian_solve_multipliers(grid)
+    P = Q[1:]
     S = hermitian_hessian_stack(vals, grid)
     dropped = np.setdiff1d(np.arange(n * n), rows)
     assert not S[dropped].any() and all(S[r].any() for r in rows)
@@ -246,6 +249,25 @@ def test_hessian_over_laplacian_keeps_the_rows_that_are_not_zero(n, sizes):
     expected = hermitian_hessian_stack(inv_lap, grid)[rows]
     out = irfft_active(P * rfft_active(vals, grid), grid, 1)
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n, sizes", HESSIAN_GRIDS + [(2, (1, 1, 1, 1))])
+def test_laplacian_symbol_is_the_half_spectrum_table(n, sizes):
+    # -sum_i |s_i|^2 on the bins of rfft_active: 0..N/2 on the last active axis
+    grid = PeriodicGrid(n, sizes)
+    full = -sum(np.broadcast_to(np.abs(s) ** 2, grid.shape) for s in _z_symbols(grid))
+    idx = [slice(None)] * len(sizes)
+    if grid.active_axes:
+        last = grid.active_axes[-1]
+        idx[last] = slice(sizes[last] // 2 + 1)
+    sym = laplacian_symbol(grid)
+    assert sym.shape == rfft_active(np.zeros(grid.shape), grid).shape
+    assert np.array_equal(sym, full[tuple(idx)])
+    assert not sym.flags.writeable
+    inv = _inverse_laplacian_symbol(grid)
+    assert inv.flat[0] == 0.0 and np.array_equal(inv.flat[1:], 1.0 / sym.flat[1:])
+    rows, Q = _laplacian_solve_multipliers(grid)
+    assert np.array_equal(Q[0], inv) and len(Q) == 1 + len(rows)
 
 
 def test_hermitian_hessian_on_a_one_point_grid_vanishes():

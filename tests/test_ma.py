@@ -50,8 +50,10 @@ from helpers import (
     form_to_generators,
     hermitian_part,
     max_diff_generators,
+    assert_carries_its_stack,
     random_bandlimited,
     random_metric,
+    refuse_hermitian_stack,
     uniqueness_probe,
 )
 
@@ -104,6 +106,12 @@ def test_hodge_root_round_trip(n):
     omega_pow = wedge_power(g.fundamental_form(), n - 1)
     back = hodge_root(omega_pow)
     assert np.max(np.abs(back.g - g.g)) < 1e-10
+
+
+def test_hodge_root_carries_the_stack_of_its_root():
+    grid = PeriodicGrid(3, (8, 1, 1, 8, 1, 1))
+    g = random_metric(grid, np.random.default_rng(24), amp=0.1)
+    assert_carries_its_stack(hodge_root(wedge_power(g.fundamental_form(), 2)))
 
 
 def test_hodge_root_diag_149():
@@ -706,11 +714,29 @@ def test_solvers_assemble_the_complex_metric_once(solver, monkeypatch):
         calls.append(S.shape)
         return hermitian_from_stack(S)
 
-    monkeypatch.setattr(ma_module, "hermitian_from_stack", counted)
     monkeypatch.setattr(smallmat_module, "hermitian_from_stack", counted)
     sol = solve()
     assert sol.iterations >= 2
     assert calls == [(g.n * g.n,) + g.grid.shape]
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_solvers_read_the_stacks_their_metrics_carry(solver, monkeypatch):
+    # a metric from the constructor carries its real stack, so a solve
+    # converts no complex field; its output metric carries the stack it was
+    # built from
+    rng = np.random.default_rng(2)
+    if solver == "ma2":
+        g, F, _, _ = manufactured_problem(PeriodicGrid(2, (16, 16, 1, 1)), rng)
+        solve = lambda: solve_ma2(g, F)
+    else:
+        g, g0, F, _, _ = ma3_manufactured(GRID3, rng)
+        solve = lambda: solve_ma3(g, g0, F)
+    refuse_hermitian_stack(monkeypatch)
+    sol = solve()
+    monkeypatch.undo()
+    assert sol.iterations >= 2
+    assert_carries_its_stack(sol.metric_out)
 
 
 @pytest.mark.parametrize("solver", ["ma2", "ma3"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from hermweb.metric import (
 )
 
 from helpers import (
+    assert_carries_its_stack,
     bump_metric,
     classify_forms,
     fd_partial_z,
@@ -32,6 +35,7 @@ from helpers import (
     metric_from_form,
     random_bandlimited,
     random_metric,
+    refuse_hermitian_stack,
     sg_defect_pinv,
     spectral_partial,
 )
@@ -93,6 +97,32 @@ def test_unchecked_path_is_internal(monkeypatch):
     spec.build_reference()
     with pytest.raises(MetricError, match="positive definite"):
         HermitianMetricField(GRID2, -g.g)
+
+
+@pytest.mark.parametrize("n, sizes", [(2, (32, 32, 1, 1)), (3, (8, 8, 1, 8, 1, 1))])
+def test_the_constructor_keeps_the_stack_of_the_hermitian_part(n, sizes):
+    # the stack of (g + g^H)/2, built once; not a constructor argument and
+    # not assignable
+    g = random_metric(PeriodicGrid(n, sizes), np.random.default_rng(n), amp=0.1)
+    raw = np.array(g.g)
+    raw[..., 0, 1] += 1e-12  # within HERMITIAN_TOL of Hermitian
+    h = HermitianMetricField(g.grid, raw)
+    assert_carries_its_stack(h)
+    assert not np.array_equal(h.stack, g.stack)
+    assert raw.flags.writeable
+    with pytest.raises(TypeError):
+        HermitianMetricField(g.grid, raw, h.stack)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.stack = g.stack
+
+
+def test_classify_det_and_inverse_read_the_stack(monkeypatch):
+    g = random_metric(PeriodicGrid(3, (8, 8, 1, 8, 1, 1)), np.random.default_rng(5), amp=0.1)
+    want = (classify(g, 1e-8), g.det(), g.inverse())
+    refuse_hermitian_stack(monkeypatch)
+    got = (classify(g, 1e-8), g.det(), g.inverse())
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_identity_metric_is_flat_and_kahler():
