@@ -13,9 +13,11 @@ with M(A, B) = adj(A + B) - adj A - adj B the polarised adjugate, and the
 root metric is adj Lambda / det(Lambda)^{1/2}.  The form path
 (form_to_matrix, matrix_to_form, hodge_root) stays the public API and is the
 tests' oracle for this identity.  The reference metric's Kahler check,
-max|d omega0| <= KAHLER_TOL, is metric.kahler_residual on the stack of g0,
-one real transform and one inverse, not exterior_d of a form.  g0 and F must live on
-the grid of g (MetricError otherwise).
+max|d omega0| <= KAHLER_TOL, is metric.kahler_excess on the stack of g0,
+not exterior_d of a form: one real transform, and an inverse one only when
+the spectral bound on max|d omega0| exceeds KAHLER_TOL, so a Kahler g0
+costs no inverse transform.  The MetricError of a rejected g0 states the
+max.  g0 and F must live on the grid of g (MetricError otherwise).
 
 Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
@@ -80,7 +82,7 @@ from .grid import (
     rfft_active,
 )
 from .forms import FormField
-from .metric import HermitianMetricField, MetricError, kahler_residual, minors_positive
+from .metric import HermitianMetricField, MetricError, kahler_excess, minors_positive
 from .smallmat import hermitian_stack, stack_adjugate, stack_minors
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
@@ -598,8 +600,11 @@ def solve_ma3(
         raise MetricError("the form-type solver is implemented for n = 3")
     _check_grids(grid, g0=g0, F=F)
     S_g, S_g0 = g.stack, g0.stack
-    if kahler_residual(S_g0, grid) > KAHLER_TOL:
-        raise MetricError(f"reference metric is not Kahler at tolerance {KAHLER_TOL:g}")
+    d_omega0 = kahler_excess(S_g0, grid, KAHLER_TOL)
+    if d_omega0 is not None:
+        raise MetricError(
+            f"reference metric is not Kahler: max|d omega0| = {d_omega0:.6e} > KAHLER_TOL = {KAHLER_TOL:g}"
+        )
     adj_g, adj_g0 = stack_adjugate(S_g), stack_adjugate(S_g0)
     detg = stack_minors(S_g)[-1]
     eF_detg = np.exp(F.values.real) * detg

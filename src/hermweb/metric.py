@@ -2,7 +2,9 @@
 
 classify and solve_ma3's Kahler check build no form: the residuals of the
 metric classes are linear in g and in adj g, the matrix of omega^{n-1}, and
-come from real transforms of their stacks (_complex_residuals).  The forms
+come from real transforms of their stacks (_complex_residuals).  The Kahler
+check (kahler_excess) inverts its residual spectra only when their spectral
+bound on the max exceeds the tolerance.  The forms
 (fundamental_form, chern_ricci, bott_chern_defect) remain for callers and as
 the tests' oracle.
 """
@@ -309,7 +311,12 @@ def _complex_residuals(R: np.ndarray, grid: PeriodicGrid, classes: bool) -> list
     s = _signed_z_symbols(grid).reshape(n, 2, -1)
     G = _matrix_spectra(R[: n * n])
     pairs = list(combinations(range(n), 2))  # i < j, in the order of np.triu_indices
-    D = np.stack([s[i] * G[j] - s[j] * G[i] for i, j in pairs])  # [i < j, k, ...]
+    D = np.empty((len(pairs),) + G.shape[1:], dtype=G.dtype)  # [i < j, k, ...]
+    t = np.empty(G.shape[1:], dtype=G.dtype)
+    for D_ij, (i, j) in zip(D, pairs):
+        np.multiply(s[i], G[j], out=D_ij)
+        np.multiply(s[j], G[i], out=t)
+        D_ij -= t
     kahler = D.reshape((-1,) + D.shape[2:])
     if not classes:
         return [kahler]
@@ -323,18 +330,24 @@ def _complex_residuals(R: np.ndarray, grid: PeriodicGrid, classes: bool) -> list
     return [kahler, B, gauduchon, sg, astheno.reshape(kahler.shape)]
 
 
-def _residual_maxima(S: np.ndarray, grid: PeriodicGrid, classes: bool) -> list[float]:
-    """Per metric-class test of _complex_residuals, the max-modulus of its
-    residual fields X, for the metric with real stack S: one rfft_active
-    batched over the stack rows of g (and adj g), then per test one
-    irfft_active batched over twice the real and imaginary parts of its
-    fields, whose half spectra are X(k) + conj X(-k) and
-    (X(k) - conj X(-k)) / i.  A batch per test stays small: on a 2-vCPU host
-    one batch of all 50 rows of n = 3 on 16^3 made classify about 50 %
-    slower in the inspect workload's loop."""
+def _residual_spectra(S: np.ndarray, grid: PeriodicGrid, classes: bool) -> list[np.ndarray]:
+    """The spectra X[field, 0 or 1, *half spectrum] of _complex_residuals
+    for the metric with real stack S, from one rfft_active batched over the
+    stack rows of g (and adj g)."""
     R = rfft_active(np.concatenate([S, smallmat.stack_adjugate(S)]) if classes else S, grid, 1)
+    spectra = _complex_residuals(R.reshape(len(R), -1), grid, classes)
+    return [X.reshape(X.shape[:2] + R.shape[1:]) for X in spectra]
+
+
+def _max_moduli(spectra: list[np.ndarray], grid: PeriodicGrid) -> list[float]:
+    """Per array X of _residual_spectra, the max-modulus of its residual
+    fields, overwriting X: per array one irfft_active batched over twice the
+    real and imaginary parts of its fields, whose half spectra are
+    X(k) + conj X(-k) and (X(k) - conj X(-k)) / i.  A batch per test stays
+    small: on a 2-vCPU host one batch of all 50 rows of n = 3 on 16^3 made
+    classify about 50 % slower in the inspect workload's loop."""
     maxima = []
-    for X in _complex_residuals(R.reshape(len(R), -1), grid, classes):
+    for X in spectra:
         # in place, as every fresh array of this size costs page faults
         at, neg = X[:, 0], X[:, 1]
         np.conjugate(neg, out=neg)
@@ -342,17 +355,36 @@ def _residual_maxima(S: np.ndarray, grid: PeriodicGrid, classes: bool) -> list[f
         neg *= -2.0
         neg += at
         neg *= -1j
-        parts = irfft_active(X.reshape((2 * len(X),) + R.shape[1:]), grid, 1).reshape(len(X), 2, -1)
+        parts = irfft_active(X.reshape((2 * len(X),) + X.shape[2:]), grid, 1).reshape(len(X), 2, -1)
         parts *= parts
         parts[:, 0] += parts[:, 1]
         maxima.append(0.5 * float(np.sqrt(parts[:, 0].max())))
     return maxima
 
 
-def kahler_residual(S: np.ndarray, grid: PeriodicGrid) -> float:
-    """max|d omega| of the metric with real stack S, read as max|del omega|:
-    dbar omega is its conjugate up to the metric's Nyquist modes."""
-    return _residual_maxima(S, grid, False)[0]
+def _spectral_bound(X: np.ndarray, grid: PeriodicGrid) -> float:
+    """An upper bound of the max-modulus that _max_moduli gives for X:
+    max over the fields of sum_k |X(k)| + |X(-k)| over the half spectrum,
+    divided by num_points.  With numpy's unnormalised forward transform a
+    field is the mean of its spectrum's waves, so its modulus is at most
+    the mean of its spectrum's moduli.  The bins at 0 and N/2 of the last
+    active axis, whose -k the half spectrum holds too, count twice, which
+    only loosens the bound."""
+    return float(np.abs(X).reshape(len(X), -1).sum(axis=1).max()) / grid.num_points
+
+
+def kahler_excess(S: np.ndarray, grid: PeriodicGrid, tol: float) -> float | None:
+    """None if max|d omega| <= tol for the metric with real stack S, read as
+    max|del omega| like classify's Kahler residual; otherwise that max.
+
+    The residual fields come from one rfft_active of S.  Within tol by
+    _spectral_bound, the metric is accepted without an inverse transform;
+    only above it are the same spectra inverted for the exact max."""
+    (X,) = _residual_spectra(S, grid, False)
+    if _spectral_bound(X, grid) <= tol:
+        return None
+    (d_omega,) = _max_moduli([X], grid)
+    return d_omega if d_omega > tol else None
 
 
 def classify(g: HermitianMetricField, tol: float) -> ClassReport:
@@ -367,7 +399,7 @@ def classify(g: HermitianMetricField, tol: float) -> ClassReport:
     exterior_d on fundamental_form()."""
     if not (np.isfinite(tol) and tol > 0):
         raise MetricError(f"tolerance must be finite and positive, got {tol}")
-    maxima = _residual_maxima(g.stack, g.grid, True)
+    maxima = _max_moduli(_residual_spectra(g.stack, g.grid, True), g.grid)
     if g.n == 3:
         kahler, balanced, gauduchon, sg, astheno = maxima
     else:

@@ -17,8 +17,9 @@ and the flat-Laplacian solve on complex spectra.  The last section holds
 small cross-checks that the package itself never calls: the (p,q) basis
 keys, d/dz_i and d/dzbar_i of a field read from exterior_d, the grid mean,
 a realness test, the Hermitian part of a matrix field, the inverse of
-fundamental_form, a uniqueness probe for the Monge-Ampere solvers, and a
-check and a guard for the real stack a HermitianMetricField carries.
+fundamental_form, a uniqueness probe for the Monge-Ampere solvers, a check
+and a guard for the real stack a HermitianMetricField carries, and the
+expression form of the stack adjugate, one fresh array per entry.
 """
 
 from __future__ import annotations
@@ -419,3 +420,24 @@ def refuse_hermitian_stack(monkeypatch) -> None:
             for attr, value in list(vars(module).items()):
                 if value is orig:
                     monkeypatch.setattr(module, attr, refuse)
+
+
+def stack_adjugate_expressions(S: np.ndarray) -> np.ndarray:
+    """smallmat.stack_adjugate as one expression per entry, stacked: the
+    same products, sums and differences in the same order, so equal to it
+    bit for bit."""
+    if len(S) == 4:
+        d0, d1, x01, y01 = S
+        return np.stack([d1, d0, -x01, -y01])
+    d0, d1, d2, x01, x02, x12, y01, y02, y12 = S
+    return np.stack([
+        d1 * d2 - (x12 * x12 + y12 * y12),
+        d0 * d2 - (x02 * x02 + y02 * y02),
+        d0 * d1 - (x01 * x01 + y01 * y01),
+        x02 * x12 + y02 * y12 - d2 * x01,
+        x01 * x12 - y01 * y12 - d1 * x02,
+        x01 * x02 + y01 * y02 - d0 * x12,
+        y02 * x12 - x02 * y12 - d2 * y01,
+        x01 * y12 + y01 * x12 - d1 * y02,
+        x01 * y02 - y01 * x02 - d0 * y12,
+    ])

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,15 +18,18 @@ from hermweb.metric import (
     chern_ricci,
     classify,
     identity_metric,
+    kahler_excess,
     ricci_norm,
     ricci_potential,
 )
 from hermweb import grid as grid_module
 from hermweb import ma as ma_module
+from hermweb import metric as metric_module
 from hermweb.ma import (
     ETA_MAX,
     FACTORIAL,
     GAMMA,
+    KAHLER_TOL,
     LINEAR_RTOL,
     MASolution,
     SolverConfig,
@@ -379,8 +383,11 @@ def test_kahler_tol_is_a_bound_on_max_d_omega0(d_omega0, accepted):
         sol = solve_ma3(g, g0, ricci_potential(g))
         assert sol.residual_history[-1] <= SolverConfig().tolerance
     else:
-        with pytest.raises(MetricError, match="not Kahler"):
+        # the rejection states the max|d omega0| it computed
+        with pytest.raises(MetricError, match="not Kahler") as rejected:
             solve_ma3(g, g0, ricci_potential(g))
+        stated = re.search(r"max\|d omega0\| = (\S+)", str(rejected.value))
+        assert float(stated.group(1)) == pytest.approx(d_omega0, rel=1e-3)
 
 
 def test_solve_ma3_with_a_non_constant_kahler_reference(monkeypatch):
@@ -561,7 +568,7 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
     monkeypatch.setattr(ma_module, "_make_system", make_system)
     monkeypatch.setattr(ma_module, "gmres", gmres)
     # solve_ma3's Kahler check of g0 transforms the stack of g0 once
-    monkeypatch.setattr(ma_module, "kahler_residual", counted("kahler", ma_module.kahler_residual))
+    monkeypatch.setattr(ma_module, "kahler_excess", counted("kahler", ma_module.kahler_excess))
     sol = solve()
     # one grid.rfft_active/irfft_active pair: an rfft and an irfft, each with
     # one complex 1-D pass per further active axis
@@ -575,9 +582,57 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
     assert M_per_system == [1] * sol.iterations
     # every transform is inside an apply or the Kahler check: none in the
     # residuals, whose Hessian stacks are carried from the applies of M
-    assert len(per_apply["kahler"]) == (solver == "ma3")
+    # the check of a Kahler g0 makes one forward transform and no inverse
+    assert per_apply["kahler"] == ([(Counter(rfft=1, fft=axes - 1), [])] if solver == "ma3" else [])
     assert sum((c for c, _ in sum(per_apply.values(), [])), Counter()) == counts
     assert counts["fftn"] == counts["ifftn"] == counts["rfftn"] == counts["irfftn"] == 0
+
+
+# ---------------------------------------------------------------------------
+# solve_ma3's Kahler check of the reference: the spectral bound, then the max
+# ---------------------------------------------------------------------------
+
+# OPERATOR_GRIDS and a grid whose third complex direction is collapsed
+KAHLER_CHECK_GRIDS = OPERATOR_GRIDS + [(3, (16, 16, 1, 16, 1, 1))]
+
+
+@pytest.mark.parametrize("n, sizes", KAHLER_CHECK_GRIDS)
+def test_kahler_check_bound_is_at_least_the_kahler_residual(n, sizes):
+    # the check accepts on the bound without the inverse transform, so the
+    # bound must not fall below max|del omega|, Nyquist modes included
+    # (kmax = 4 on 8-point axes)
+    grid = PeriodicGrid(n, sizes)
+    rng = np.random.default_rng(sum(sizes))
+    for kmax in (1, 2, 4) * 2:
+        g = random_metric(grid, rng, amp=0.1, kmax=kmax)
+        exact = classify(g, 1.0).kahler_residual
+        (X,) = metric_module._residual_spectra(g.stack, grid, False)
+        bound = metric_module._spectral_bound(X, grid)
+        assert 1e-3 < exact <= bound
+        # above the bound the check accepts at once, between the two after
+        # the inverse transform, and below both it returns the max
+        assert kahler_excess(g.stack, grid, bound) is None
+        assert kahler_excess(g.stack, grid, 0.5 * (exact + bound)) is None
+        assert kahler_excess(g.stack, grid, 0.5 * exact) == exact
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16, 1, 1, 1), (8, 8, 1, 8, 1, 1), (8, 8, 8, 8, 1, 8)])
+@pytest.mark.parametrize("kind", ["identity", "hessian"])
+def test_kahler_references_cost_no_inverse_transform(sizes, kind, monkeypatch):
+    # the flat metric and a band-limited I + Hess f pass on the spectral
+    # bound: one rfft_active of the stack of g0 and no irfft_active
+    grid = PeriodicGrid(3, sizes)
+    g0 = identity_metric(grid)
+    if kind == "hessian":
+        f = random_bandlimited(grid, np.random.default_rng(sum(sizes)), amp=0.01, kmax=1).real
+        g0 = HermitianMetricField(grid, g0.g + hermitian_part(hessian_values(f.astype(np.complex128), grid)))
+        assert np.ptp(g0.g[..., 0, 0].real) > 1e-2
+    calls = []
+    for name in ("rfft_active", "irfft_active"):
+        fn = getattr(grid_module, name)
+        monkeypatch.setattr(metric_module, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    assert kahler_excess(g0.stack, grid, KAHLER_TOL) is None
+    assert calls == ["rfft_active"]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from hermweb.smallmat import (
     stack_minors,
 )
 
+from helpers import stack_adjugate_expressions
+
 RTOL = 1e-12
 
 
@@ -142,6 +144,20 @@ def test_mixed_adjugate_with_the_identity_broadcasts():
     expected = np.einsum("...ii->...", a)[..., None, None] * np.eye(3) - a
     got = hermitian_from_stack(stack_adjugate(A + I) - stack_adjugate(A) - stack_adjugate(I))
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("shape", [(), (1,), (64,), (64, 1), (8, 4, 1, 1)])
+def test_stack_adjugate_equals_the_expression_form(n, shape):
+    # written row by row into one output, the adjugate keeps each entry's
+    # order of operations, on a single matrix and with trailing singleton
+    # axes alike, and leaves its input as it was
+    S = hermitian_stack(hermitian_field(np.random.default_rng(70 + n + len(shape)), n, "indefinite", shape=shape))
+    before = S.copy()
+    got = stack_adjugate(S)
+    assert got.shape == S.shape and got.dtype == S.dtype
+    assert np.array_equal(got, stack_adjugate_expressions(S))
+    assert np.array_equal(S, before)
 
 
 def test_kernels_reject_larger_fields():
