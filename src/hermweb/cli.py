@@ -88,9 +88,6 @@ def main(argv=None) -> int:
         raise SystemExit(1 if exc.code == 2 else exc.code) from None
     t_start = time.time()
     out = {"version": __version__, "command": args.command}
-    rows_csv = None
-    fields = {}
-    exit_code = 0
 
     # a flag's value is checked by the library function that reads it
     # (SolverConfig, classify, run_flow), which raises a ValueError
@@ -105,7 +102,7 @@ def main(argv=None) -> int:
             out["spec_name"] = spec.name
         results, rows_csv, fields, exit_code = _dispatch(args, spec)
         out["results"] = results
-    except (SpecError, FileNotFoundError, ValueError) as exc:
+    except (SpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -114,13 +111,17 @@ def main(argv=None) -> int:
     print(text, end="")
     if getattr(args, "out", None):
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.txt").write_text(text, encoding="utf-8")
-        if getattr(args, "csv", False) and rows_csv is not None:
-            header, rows = rows_csv
-            rpt.write_csv(outdir / "history.csv", header, rows)
-        for name, f in fields.items():
-            rpt.dump_field(outdir / f"{name}.fld", f)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "report.txt").write_text(text, encoding="utf-8")
+            if getattr(args, "csv", False) and rows_csv is not None:
+                header, rows = rows_csv
+                rpt.write_csv(outdir / "history.csv", header, rows)
+            for name, f in fields.items():
+                rpt.dump_field(outdir / f"{name}.fld", f)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return exit_code
 
 

@@ -270,16 +270,16 @@ def max_dt(grid: PeriodicGrid) -> float:
 def run_flow(
     g0: HermitianMetricField, tol: float, dt0: float, max_steps: int
 ) -> tuple[FlowState, list[FlowHistoryRow]]:
-    """Iterate from the initial step dt0 until the max-norm of Ric drops below tol.
+    """Iterate from the step min(dt0, max_dt(grid)) until max|Ric| <= tol.
 
     dt halves on a rejected step: positivity loss, a Ricci-norm increase,
     or an error ratio r = correction / (STEP_ERROR_FRACTION max|g_new - g|)
     above 1.  After an accepted step dt is scaled by min(cap, 0.9 r^(-1/2))
-    (by cap at r = 0), up to max_dt(grid); cap is 2 until the flow's first
-    rejected attempt and 1.1 from then on.  dt0 itself may exceed max_dt.
-    ValueError names the first of tol, dt0 and max_steps that is not finite
-    and positive.  The flow stops with FlowError, carrying the last state, at
-    the step cap or when dt falls below MIN_DT.
+    (by cap at r = 0); cap is 2 until the first rejected attempt, then 1.1.
+    No step exceeds max_dt: a longer one can pass the error test with no
+    accuracy in time.  ValueError names the first of tol, dt0 and max_steps
+    that is not finite and positive.  FlowError, carrying the last state,
+    stops the flow at the step cap or when dt falls below MIN_DT.
     """
     # a NaN or infinite dt never halves below MIN_DT, and a NaN tol would end
     # the flow before its first step
@@ -288,8 +288,8 @@ def run_flow(
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     state = flow_state(g0)
     history = [FlowHistoryRow(state.t, 0.0, state.ricci_norm)]
-    dt = dt0
     dt_max = max_dt(g0.grid)
+    dt = min(dt0, dt_max)
     cap = 2.0
     steps = 0
     rejected, reason = 0, ""

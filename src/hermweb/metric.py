@@ -61,16 +61,16 @@ def hermitian_defect(g: np.ndarray) -> float:
 @dataclass(frozen=True)
 class HermitianMetricField:
     """Coefficient field g[..., i, j] = g_{i jbar}, Hermitian positive definite,
-    and the real stack of its Hermitian part (smallmat's layout), built once
-    for the positivity check and read by every stack computation.  Both
-    arrays are read-only."""
+    and the real stack of its Hermitian part (smallmat's layout), both
+    read-only.  The constructor checks complex fields from outside (the spec
+    loader's); every metric hermweb derives is built from its stack."""
 
     grid: PeriodicGrid
     g: np.ndarray
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.g, dtype=np.complex128)
+        arr = np.array(self.g, dtype=np.complex128, order="C")
         n = self.grid.n
         want = self.grid.shape + (n, n)
         if arr.shape != want:
@@ -85,7 +85,6 @@ class HermitianMetricField:
         S = smallmat.hermitian_stack(arr)
         if not is_positive_definite(S):
             raise MetricError("metric not positive definite at some grid point")
-        arr = arr.copy()
         for a in (arr, S):
             a.setflags(write=False)
         object.__setattr__(self, "g", arr)
@@ -93,11 +92,9 @@ class HermitianMetricField:
 
     @classmethod
     def _unchecked(cls, grid: PeriodicGrid, S: np.ndarray) -> "HermitianMetricField":
-        """The metric with real stack S, which the caller has just shown to be
-        positive definite, without the re-check; S becomes read-only.
-
-        Internal to the solvers and the flow: every field arriving from outside
-        goes through the public constructor.
+        """The metric with real stack S, positive definite by the caller's own
+        check or construction, without the constructor's; S becomes
+        read-only.  Internal: every metric hermweb derives is built here.
         """
         metric = object.__new__(cls)
         g = smallmat.hermitian_from_stack(S)
@@ -128,11 +125,11 @@ class HermitianMetricField:
 
 
 def identity_metric(grid: PeriodicGrid) -> HermitianMetricField:
+    """The flat Kahler metric I, from its stack: ones on the n diagonal rows."""
     n = grid.n
-    g = np.zeros(grid.shape + (n, n), dtype=np.complex128)
-    for i in range(n):
-        g[..., i, i] = 1.0
-    return HermitianMetricField(grid, g)
+    S = np.zeros((n * n,) + grid.shape)
+    S[:n] = 1.0
+    return HermitianMetricField._unchecked(grid, S)
 
 
 def log_det(g: HermitianMetricField) -> np.ndarray:
@@ -164,10 +161,12 @@ def ricci_potential(g: HermitianMetricField) -> ScalarField:
 
 
 def conformal_flatten(g: HermitianMetricField) -> HermitianMetricField:
-    """Chern-Ricci-flat conformal rescaling exp(F/n) g."""
+    """Chern-Ricci-flat rescaling exp(F/n) g; scaling can lose positivity."""
     F = ricci_potential(g).values.real
-    scale = np.exp(F / g.n)
-    return HermitianMetricField(g.grid, scale[..., None, None] * g.g)
+    S = np.exp(F / g.n) * g.stack
+    if not is_positive_definite(S):
+        raise MetricError("conformal rescaling is not positive definite at some grid point")
+    return HermitianMetricField._unchecked(g.grid, S)
 
 
 def chern_connection(g: HermitianMetricField) -> np.ndarray:

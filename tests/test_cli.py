@@ -71,6 +71,21 @@ def test_missing_spec_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_spec_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert main(["ricci", "--spec", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_that_cannot_be_a_directory_exits_1(bump_spec, tmp_path, capsys, out):
+    # mkdir raises FileExistsError on an existing file, NotADirectoryError
+    # below one
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    assert main(["ricci", "--spec", bump_spec, "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == ""
+
+
 def test_invalid_spec_exits_1(tmp_path, capsys):
     p = tmp_path / "bad.hwspec"
     p.write_text(FLAT.replace("g[1][1] = 1", "g[1][1] = -1"), encoding="utf-8")

@@ -138,9 +138,27 @@ def test_step_growth_follows_the_error_ratio():
     assert max_dt(GRID) in [row.dt for row in history[1:7]]
 
 
+def two_axis_bump_metric(grid):
+    # g_11 = 1 + 0.4 cos 2 pi x2, g_22 = 1 + 0.4 cos 2 pi x1: its flow from
+    # max_dt rejects attempts, where the one-axis bump's takes none
+    g = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
+    g[..., 0, 0] = 1 + 0.4 * np.cos(2 * np.pi * grid.coordinate(grid.axis_of("x", 2)))
+    g[..., 1, 1] = 1 + 0.4 * np.cos(2 * np.pi * grid.coordinate(grid.axis_of("x", 1)))
+    return HermitianMetricField(grid, g)
+
+
+def test_first_step_is_at_most_max_dt():
+    # a step far above max_dt can pass the step-error test with no accuracy
+    # in time, so a larger dt0 is cut to max_dt
+    _, history = run_flow(bump_metric(GRID), tol=1e-4, dt0=1000.0 * default_dt(GRID), max_steps=1000)
+    assert history[1].dt <= max_dt(GRID)
+    assert max(row.dt for row in history) <= max_dt(GRID)
+
+
 def test_step_growth_is_capped_after_a_rejection():
     # once an attempt is rejected the flow grows dt by at most 1.1x a step
-    _, history = run_flow(bump_metric(GRID), tol=1e-7, dt0=1000.0 * default_dt(GRID), max_steps=1000)
+    g = two_axis_bump_metric(GRID)
+    _, history = run_flow(g, tol=1e-7, dt0=1000.0 * default_dt(GRID), max_steps=1000)
     first = next(i for i, row in enumerate(history) if row.rejected)
     dts = [row.dt for row in history[first:]]
     assert all(b <= 1.1 * a for a, b in zip(dts, dts[1:])), dts
@@ -310,8 +328,8 @@ def test_history_records_rejections_and_their_reason(monkeypatch):
 
     calls = []
     monkeypatch.setattr(hermweb.flow, "flow_step", lambda s, dt: calls.append(dt) or flow_step(s, dt))
-    # a first step far above max_step fails the step-error test
-    g = bump_metric(GRID)
+    # the two-axis bump's flow from max_dt has rejected attempts
+    g = two_axis_bump_metric(GRID)
     final, history = run_flow(g, tol=1e-4, dt0=1000.0 * default_dt(GRID), max_steps=50_000)
     assert len(calls) == len(history) - 1 + sum(row.rejected for row in history)
     assert history[0].rejected == 0 and history[0].reason == ""

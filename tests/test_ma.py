@@ -336,6 +336,18 @@ def test_solve_ma3_ricci_flat_output():
     assert ricci_norm(sol.metric_out) < 1e-8
 
 
+def test_solve_ma3_from_identity_metric_runs_no_metric_check(monkeypatch):
+    # the reference and the output are built from stacks; only a field from
+    # outside takes the public constructor's checks
+    g = random_metric(GRID3, np.random.default_rng(6), amp=0.05, kmax=1)
+    F = ricci_potential(g)
+    checks = []
+    post_init = HermitianMetricField.__post_init__
+    monkeypatch.setattr(HermitianMetricField, "__post_init__", lambda self: checks.append(1) or post_init(self))
+    sol = solve_ma3(g, identity_metric(GRID3), F)
+    assert checks == [] and sol.metric_out.grid == GRID3
+
+
 def test_solve_ma3_rejects_wrong_dimension():
     grid = PeriodicGrid(2, (8, 8, 1, 1))
     g = identity_metric(grid)

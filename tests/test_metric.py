@@ -8,6 +8,7 @@ from hermweb import metric as metric_module
 from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
 from hermweb.ma import hodge_root
+from hermweb.specfile import loads as hermweb_loads
 from hermweb.metric import (
     HermitianMetricField,
     MetricError,
@@ -71,7 +72,8 @@ def test_metric_rejects_non_finite_entries_by_name(bad):
 
 def test_unchecked_path_is_internal(monkeypatch):
     """Fields from outside keep every check: the spec loader, the report
-    reader and the public constructors never take the unchecked path."""
+    reader and the public constructor never take the unchecked path, while
+    identity_metric and conformal_flatten build from stacks through it."""
     import inspect
 
     import hermweb.report
@@ -80,14 +82,21 @@ def test_unchecked_path_is_internal(monkeypatch):
     for module in (hermweb.specfile, hermweb.report):
         assert "_unchecked" not in inspect.getsource(module)
 
+    g = bump_metric(GRID2)
+    reached = []
+    unchecked = HermitianMetricField._unchecked
+    monkeypatch.setattr(
+        HermitianMetricField, "_unchecked", lambda grid, S: reached.append(grid) or unchecked(grid, S)
+    )
+    identity_metric(GRID2)
+    conformal_flatten(g)
+    assert reached == [GRID2, GRID2]
+
     def refuse(*args, **kwargs):
         raise AssertionError("unchecked path reached")
 
     monkeypatch.setattr(HermitianMetricField, "_unchecked", classmethod(refuse))
-    g = bump_metric(GRID2)
-    identity_metric(GRID2)
     metric_from_form(g.fundamental_form())
-    conformal_flatten(g)
     spec = hermweb.specfile.loads(
         "[manifold]\nname = t\nn = 2\nsizes = 8 8 1 1\n"
         "[metric]\ng[1][1] = 1 + 0.5*cos(2*pi*x2)\ng[2][2] = 1\n"
@@ -224,6 +233,52 @@ def test_conformal_flatten_bump():
     assert ricci_norm(flat) < 1e-10
     d = flat.det().real
     assert np.ptp(d) / np.mean(d) < 1e-12
+
+
+def two_axis_spec_metric():
+    spec = hermweb_loads(
+        "[manifold]\nname = t\nn = 2\nsizes = 16 16 1 1\n[metric]\n"
+        "g[1][1] = 1 + 0.4*cos(2*pi*x2)\ng[1][2] = 0.1*cos(2*pi*x1) | 0.05*sin(2*pi*x2)\n"
+        "g[2][2] = 1 + 0.4*cos(2*pi*x1)\n"
+    )
+    return spec.build_metric()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_metric(PeriodicGrid(2, (64, 64, 1, 1)), np.random.default_rng(1)),
+        lambda: random_metric(PeriodicGrid(3, (16, 16, 16, 1, 1, 1)), np.random.default_rng(2)),
+        two_axis_spec_metric,
+    ],
+    ids=["64x64", "16x16x16", "two-axis-spec"],
+)
+def test_stack_built_metrics_equal_the_constructors(build):
+    # identity_metric and conformal_flatten build from stacks what the public
+    # constructor builds from the same exactly Hermitian complex fields (each
+    # g_ji is conj g_ij); hermitian_from_stack writes -0.0 for the imaginary
+    # part of a zero lower entry, where the constructor keeps +0.0, so g is
+    # compared by value and the stack bit for bit
+    g = build()
+    n = g.n
+    eye = np.zeros(g.grid.shape + (n, n), dtype=np.complex128)
+    eye[..., range(n), range(n)] = 1.0
+    F = ricci_potential(g).values.real
+    pairs = [
+        (identity_metric(g.grid), HermitianMetricField(g.grid, eye)),
+        (conformal_flatten(g), HermitianMetricField(g.grid, np.exp(F / n)[..., None, None] * g.g)),
+    ]
+    for built, checked in pairs:
+        assert built.stack.tobytes() == checked.stack.tobytes()
+        assert built.g.dtype == checked.g.dtype and np.array_equal(built.g, checked.g)
+        assert_carries_its_stack(built)
+
+
+def test_conformal_flatten_rejects_a_rescaling_that_is_not_positive(monkeypatch):
+    g = bump_metric(GRID2)
+    monkeypatch.setattr(metric_module, "is_positive_definite", lambda S: False)
+    with pytest.raises(MetricError, match="conformal rescaling is not positive definite"):
+        conformal_flatten(g)
 
 
 def test_conformal_flatten_fixes_flat_metric():
