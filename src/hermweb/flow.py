@@ -32,8 +32,8 @@ S0 + grid.hessian_stack_from_spectrum(stage), with S0 the stack of g0, and
 its positivity and log det come from the stack's leading minors
 (smallmat.stack_minors).  The correction, the step error ratio and the Ricci
 norm are max-moduli of stacks (smallmat.stack_max_modulus), and the Ricci
-norm is that of the Hermitian part of Ric = -Hess log det g, the part the
-solvers use.  The complex (n, n) metric is built once per attempt, for
+norm is that of the Hermitian part of Ric = -Hess log det g, metric.ricci_norm
+bit for bit.  The complex (n, n) metric is built once per attempt, for
 FlowState.g, from the new stack once it has passed the positivity check;
 every metric carries its stack (HermitianMetricField.stack).
 """

@@ -5,16 +5,16 @@ value array axis order is (x_1, ..., x_n, y_1, ..., y_n).  Axes with size 1
 are "collapsed": fields do not vary along them and derivatives there are
 identically zero.
 
-Complex spectral derivatives (hessian_values, ricci_tensor, ddbar and the
-forms' exterior_d) are ifftn(symbol * fftn(f)) over the active axes, with the
+The form layer's complex derivatives (hessian_values, for ddbar, and
+exterior_d) are ifftn(symbol * fftn(f)) over the active axes, with the
 multipliers of _z_symbols alone: s_i for d/dz_i and -conj(s_i) for
 d/dzbar_i, Nyquist bins included.  Real fields that stay real go through one
 real transform pair instead, rfft_active/irfft_active: numpy's own 1-D
 rfft/fft and ifft/irfft calls in rfftn's and irfftn's order, so the results
 are theirs bit for bit, without their per-call argument handling.  The
 Hermitian part of the complex Hessian of a real field
-(hermitian_hessian_stack), which the solvers and the flow use, is
-irfft_active(symbol * rfft_active(f)), with the symbols of its n real
+(hermitian_hessian_stack), which the solvers, the flow and ricci_tensor use,
+is irfft_active(symbol * rfft_active(f)), with the symbols of its n real
 diagonal entries and of the real and imaginary parts of its n(n-1)/2 upper
 entries: a real stack in the layout of smallmat, never a complex field.
 The flat Laplacian's symbol (laplacian_symbol) and its inverse are tables
@@ -171,8 +171,8 @@ def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
 
 
 def hessian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j, spectral: one
-    forward FFT and one inverse FFT batched over the n^2 entries."""
+    """The form layer's complex Hessian H[..., i, j] = d^2 f / dz_i dzbar_j:
+    one forward FFT and one inverse FFT batched over the n^2 entries."""
     n = grid.n
     axes = grid.active_axes
     H = _hessian_multipliers(grid) * np.fft.fftn(values, axes=axes)

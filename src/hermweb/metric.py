@@ -1,12 +1,12 @@
 """Hermitian metric fields, the Chern-Ricci form and metric-class predicates.
 
+ricci_tensor and ricci_norm read the flow's real Hessian stack of log det g.
 classify and solve_ma3's Kahler check build no form: the residuals of the
 metric classes are linear in g and in adj g, the matrix of omega^{n-1}, and
 come from real transforms of their stacks (_complex_residuals).  The Kahler
 check (kahler_excess) inverts its residual spectra only when their spectral
-bound on the max exceeds the tolerance.  The forms
-(fundamental_form, chern_ricci, bott_chern_defect) remain for callers and as
-the tests' oracle.
+bound on the max exceeds the tolerance.  The forms (fundamental_form,
+chern_ricci, bott_chern_defect) remain for callers and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .grid import (
     _inverse_laplacian_symbol,
     _signed_z_symbols,
     _z_symbols,
-    hessian_values,
+    hermitian_hessian_stack,
     irfft_active,
     rfft_active,
 )
-from .forms import FormField, d_max_norm
+from .forms import FormField, d_max_norm, ddbar
 from . import smallmat
 
 POSITIVITY_FLOOR = 1e-12
@@ -138,20 +138,17 @@ def log_det(g: HermitianMetricField) -> np.ndarray:
 
 
 def ricci_tensor(g: HermitianMetricField) -> np.ndarray:
-    """R[..., i, j] = R_{i jbar} = - d^2 log det g / dz_i dzbar_j."""
-    return -hessian_values(log_det(g), g.grid)
+    """R[..., i, j] = R_{i jbar}, the Hermitian part of -d^2 log det g / dz_i dzbar_j."""
+    return smallmat.hermitian_from_stack(-hermitian_hessian_stack(log_det(g), g.grid))
 
 
 def chern_ricci(g: HermitianMetricField) -> FormField:
-    """Chern-Ricci form Ric(omega) = -sqrt(-1) del dbar log det g."""
-    R = ricci_tensor(g)
-    n = g.n
-    coeffs = {((i,), (j,)): 1j * R[..., i, j] for i in range(n) for j in range(n)}
-    return FormField(g.grid, 1, 1, coeffs)
+    """Chern-Ricci form -sqrt(-1) del dbar log det g, by ddbar: closed for exterior_d."""
+    return ddbar(ScalarField(g.grid, -log_det(g)))
 
 
 def ricci_norm(g: HermitianMetricField) -> float:
-    return float(np.max(np.abs(ricci_tensor(g))))
+    return smallmat.stack_max_modulus(hermitian_hessian_stack(log_det(g), g.grid))
 
 
 def ricci_potential(g: HermitianMetricField) -> ScalarField:
@@ -204,14 +201,13 @@ def parallel_section_check(g: HermitianMetricField, ell: int) -> ParallelSection
     eta2 = g.det() ** (-float(ell))
     # g^{i jbar} defined by g^{i jbar} g_{k jbar} = delta_ik
     up = np.swapaxes(g.inverse(), -1, -2)
-    H = hessian_values(eta2, g.grid)
+    H = smallmat.hermitian_from_stack(hermitian_hessian_stack(eta2, g.grid))
     lhs = np.einsum("...ij,...ij->...", up, H)
 
     gamma = chern_connection(g)
     a = np.einsum("...jij->...i", gamma)  # trace Gamma^j_{ij}, a (1,0)-form
     grad2 = (ell**2) * np.einsum("...ij,...i,...j->...", up, a, np.conj(a)).real * eta2
-    R = ricci_tensor(g)
-    trR = np.einsum("...ij,...ij->...", up, R)
+    trR = np.einsum("...ij,...ij->...", up, ricci_tensor(g))
     rhs = grad2 + ell * trR * eta2
     residual = float(np.max(np.abs(lhs - rhs)))
     return ParallelSectionReport(ell, residual, float(np.max(np.sqrt(np.abs(grad2)))))

@@ -24,8 +24,10 @@ def sha256_digest(data: bytes) -> str:
 
 
 def format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)) or v is None:
-        return {True: "true", False: "false", None: "none"}[bool(v)] if v is not None else "none"
+    if v is None:
+        return "none"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12g}"
     if isinstance(v, (complex, np.complexfloating)):

@@ -170,6 +170,8 @@ def loads(text: str) -> ManifoldSpec:
         sizes = tuple(int(s) for s in man["sizes"].split())
     except ValueError as exc:
         raise SpecError(f"manifold: {exc}") from exc
+    if n not in (2, 3):
+        raise SpecError(f"manifold.n: complex dimension must be 2 or 3, got {n}")
 
     def metric_section(name: str) -> dict:
         raw = sections[name]

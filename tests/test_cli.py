@@ -9,8 +9,10 @@ import pytest
 
 import hermweb.cli
 import hermweb.forms
+import hermweb.grid
+import hermweb.smallmat
 from hermweb.cli import build_parser, main
-from hermweb.metric import bott_chern_defect, chern_ricci
+from hermweb.metric import bott_chern_defect, chern_ricci, ricci_norm, ricci_tensor
 from hermweb.report import sha256_digest
 from hermweb.specfile import loads
 
@@ -93,6 +95,14 @@ def test_invalid_spec_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_spec_with_n_out_of_range_exits_1(n, tmp_path, capsys):
+    p = tmp_path / "bad.hwspec"
+    p.write_text(FLAT.replace("n = 2", f"n = {n}") + "g[3][3] = 1\ng[4][4] = 1\n", encoding="utf-8")
+    assert main(["ricci", "--spec", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: manifold.n: ")
+
+
 def test_ricci_and_flatten(bump_spec, capsys):
     code, out = run(capsys, "ricci", "--spec", bump_spec)
     assert code == 0
@@ -141,14 +151,45 @@ def reported_results(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("text", [TWO_AXIS, BUMP3], ids=["n2", "n3"])
 def test_ricci_command_equals_the_form_path(text, tmp_path, monkeypatch, capsys):
-    # the command reads ricci_tensor; Ric as a (1,1)-form and its Bott-Chern
-    # defect are the oracle
+    # the command reads ricci_norm's stack; Ric as a (1,1)-form, through the
+    # complex transforms of the form layer, and its Bott-Chern defect are the
+    # oracle, equal up to round-off
     p = tmp_path / "spec.hwspec"
     p.write_text(text, encoding="utf-8")
     results = reported_results(monkeypatch, capsys, ["ricci", "--spec", str(p)])["results"]
-    ric = chern_ricci(loads(text).build_metric())
-    assert results["ricci_max_norm"]["value"] == ric.max_norm() > 0.0
-    assert results["bott_chern_defect_max"]["value"] == float(np.max(np.abs(bott_chern_defect(ric))))
+    g = loads(text).build_metric()
+    ric = chern_ricci(g)
+    assert results["ricci_max_norm"]["value"] == ricci_norm(g) > 0.0
+    assert results["ricci_max_norm"]["value"] == pytest.approx(ric.max_norm(), rel=1e-13, abs=0.0)
+    defect = results["bott_chern_defect_max"]["value"]
+    assert defect == pytest.approx(float(np.max(np.abs(bott_chern_defect(ric)))), rel=0.0, abs=1e-12)
+
+
+def test_ricci_command_and_ricci_norm_read_the_stack(tmp_path, monkeypatch, capsys):
+    # no complex Hessian and no complex field of grid size assembled from a stack
+    p = tmp_path / "spec.hwspec"
+    p.write_text(TWO_AXIS, encoding="utf-8")
+    g = loads(TWO_AXIS).build_metric()
+    calls = []
+    for name in ("hessian_values", "hermitian_from_stack"):
+        original = getattr(hermweb.grid if name == "hessian_values" else hermweb.smallmat, name)
+
+        def counting(a, *args, name=name, original=original):
+            if name == "hessian_values" or math.prod(a.shape[1:]) == g.grid.num_points:
+                calls.append(name)
+            return original(a, *args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("hermweb") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert main(["ricci", "--spec", str(p)]) == 0
+    capsys.readouterr()
+    ricci_norm(g)
+    assert calls == []
+    # the counters see the complex path and the assembled tensor
+    chern_ricci(g)
+    ricci_tensor(g)
+    assert calls == ["hessian_values", "hermitian_from_stack"]
 
 
 def test_ricci_command_builds_no_form(bump_spec, monkeypatch, capsys):

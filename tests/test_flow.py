@@ -24,11 +24,11 @@ from hermweb.metric import (
     chern_ricci,
     hermitian_defect,
     identity_metric,
+    ricci_norm,
     ricci_potential,
-    ricci_tensor,
 )
 
-from helpers import assert_carries_its_stack, bump_metric, refuse_hermitian_stack, rk2_flow
+from helpers import assert_carries_its_stack, bump_metric, random_metric, refuse_hermitian_stack, rk2_flow
 
 
 GRID = PeriodicGrid(2, (16, 16, 1, 1))
@@ -262,8 +262,7 @@ def test_flow_step_computes_ricci_twice(monkeypatch):
 def test_flow_state_carries_its_ricci_tensor():
     # the state's Ricci stack, from the half spectrum of log det g it
     # carries, is the Hermitian Hessian stack of -log det g, log det g taken
-    # from the metric's own stack; its max-modulus is ricci_tensor's up to
-    # round-off and the anti-Hermitian part, which vanishes on one-axis fields
+    # from the metric's own stack; ricci_norm reads the same stack
     g = bump_metric(GRID)
     state = flow_state(g)
     new = flow_step(state, 1e-3)
@@ -271,11 +270,22 @@ def test_flow_state_carries_its_ricci_tensor():
         log_det = np.log(stack_minors(hermitian_stack(s.g.g))[-1])
         ricci = -hessian_stack_from_spectrum(s.potential.logdet_hat, GRID)
         assert np.array_equal(ricci, hermitian_hessian_stack(-log_det, GRID))
-        assert s.ricci_norm == pytest.approx(np.max(np.abs(ricci_tensor(s.g))), rel=1e-13, abs=0.0)
+        assert s.ricci_norm == ricci_norm(s.g)
     # a bare state restarts the potential at its metric
     bare = FlowState(state.t, state.g, state.ricci_norm)
     assert bare.potential is None
     assert np.array_equal(flow_step(bare, 1e-3).g.g, new.g.g)
+
+
+@pytest.mark.parametrize(
+    "n,sizes",
+    [(2, (32, 32, 1, 1)), (2, (8, 8, 8, 8)), (3, (16, 16, 16, 1, 1, 1)), (3, (8, 8, 8, 8, 1, 8)), (2, (64, 64, 1, 1))],
+)
+def test_ricci_norm_is_the_flow_states(n, sizes):
+    # one kernel, the Hermitian Hessian stack of log det g, bit for bit,
+    # also on grids whose log det g has Nyquist content
+    g = random_metric(PeriodicGrid(n, sizes), np.random.default_rng(sum(sizes)), amp=0.1, kmax=2)
+    assert ricci_norm(g) == flow_state(g).ricci_norm > 0.0
 
 
 def test_phi_functions_against_high_precision():

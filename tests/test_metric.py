@@ -193,6 +193,27 @@ def test_ricci_is_ddbar_exact_on_torus():
     assert np.max(np.abs(defect)) < 1e-12
 
 
+NYQUIST_GRID = PeriodicGrid(3, (8, 8, 8, 8, 1, 8))
+
+
+def test_ricci_tensor_is_the_hermitian_part_at_nyquist_modes():
+    # with kmax = 2 on 8-point axes log det g has Nyquist content, where the
+    # complex Hessian is not Hermitian; ricci_tensor is its Hermitian part,
+    # the convention of the flow and the solvers
+    g = random_metric(NYQUIST_GRID, np.random.default_rng(8), amp=0.1, kmax=2)
+    R = ricci_tensor(g)
+    complex_R = -hessian_values(log_det(g), NYQUIST_GRID)
+    scale = np.max(np.abs(R))
+    assert np.max(np.abs(R - hermitian_part(complex_R))) < 1e-13 * scale
+    assert np.max(np.abs(R - complex_R)) > 1e-3 * scale
+
+
+def test_chern_ricci_is_closed_at_nyquist_modes():
+    # the form layer's own del dbar of -log det g, which exterior_d sees closed
+    g = random_metric(NYQUIST_GRID, np.random.default_rng(8), amp=0.1, kmax=2)
+    assert np.max(np.abs(bott_chern_defect(chern_ricci(g)))) < 1e-12
+
+
 def test_bott_chern_defect_sees_harmonic_part():
     # constant-coefficient i c dz^i ^ dzbar^j is closed but not ddbar-exact
     c = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])

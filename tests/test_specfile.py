@@ -109,6 +109,15 @@ def test_spec_errors(mutate, needle):
     assert needle in str(exc_info.value)
 
 
+@pytest.mark.parametrize(
+    "n,extra", [(1, ""), (4, ""), (4, "g[3][3] = 1\ng[4][4] = 1\n")], ids=["n1", "n4", "n4-all-diagonals"]
+)
+def test_spec_names_n_out_of_range(n, extra):
+    # before the metric section is read, whose keys depend on n
+    with pytest.raises(SpecError, match=r"^manifold\.n: complex dimension must be 2 or 3, got " + str(n)):
+        loads(FLAT.replace("n = 2", f"n = {n}") + extra)
+
+
 def test_prescribed_f_must_be_real():
     text = FLAT + "\n[prescribed]\nF = 1 | 1\n"
     with pytest.raises(SpecError):
