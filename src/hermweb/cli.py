@@ -20,7 +20,7 @@ from . import report as rpt
 from .flow import FlowError, run_flow
 from .grid import ScalarField, hermitian_hessian_stack
 from .ma import SolverConfig, SolverError, solve_ma2, solve_ma3
-from .metric import classify, conformal_flatten, log_det, ricci_norm, ricci_potential
+from .metric import _conformal_rescaling, classify, log_det, ricci_norm, ricci_potential
 from .models import (
     flat_volume_descent_check,
     hopf_check,
@@ -163,13 +163,14 @@ def _dispatch(args, spec):
         return results, None, {}, 0
 
     if cmd == "flatten-conformal":
-        flat = conformal_flatten(g)
+        # conformal_flatten(g), with the potential it rescales by kept for the dump
+        F = ricci_potential(g)
+        flat = _conformal_rescaling(g, F)
         d = flat.det()
         results = {
             "output_ricci_max_norm": {"value": ricci_norm(flat), "tolerance": 1e-10},
             "det_relative_spread": {"value": float(np.ptp(d) / np.mean(d)), "tolerance": 1e-12},
         }
-        F = ricci_potential(g)
         return results, None, {"ricci_potential": F}, 0
 
     if cmd == "classify":

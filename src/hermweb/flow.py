@@ -33,9 +33,9 @@ its positivity and log det come from the stack's leading minors
 (smallmat.stack_minors).  The correction, the step error ratio and the Ricci
 norm are max-moduli of stacks (smallmat.stack_max_modulus), and the Ricci
 norm is that of the Hermitian part of Ric = -Hess log det g, metric.ricci_norm
-bit for bit.  The complex (n, n) metric is built once per attempt, for
-FlowState.g, from the new stack once it has passed the positivity check;
-every metric carries its stack (HermitianMetricField.stack).
+bit for bit.  FlowState.g is built from the new stack once it has passed the
+positivity check; its complex (n, n) field is assembled only when it is read
+(HermitianMetricField.g), so a flow assembles none for its steps.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     Hessian of a field varying along two axes is not Hermitian.  Raises
     StepRejected when any of them loses positivity, and ValueError unless
     dt > 0.  Having checked positivity here, it wraps the new metric without
-    the constructor's re-check and copy.
+    the constructor's re-check.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")

@@ -244,19 +244,23 @@ def _signed_z_symbols(grid: PeriodicGrid) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _hermitian_hessian_multipliers(grid: PeriodicGrid) -> np.ndarray:
-    """Half-spectrum multipliers of the stack of hermitian_hessian_stack."""
+    """Half-spectrum multipliers of the stack of hermitian_hessian_stack,
+    from the symbols at k and at -k (_signed_z_symbols)."""
     n = grid.n
-    axes = [a + 2 for a in grid.active_axes]
-    m = _hessian_multipliers(grid).reshape((n, n) + grid.shape)
-    # (H + H^H)_ij / 2 of a real field has the symbol (m_ij(k) + conj m_ji(-k)) / 2,
-    # which differs from m_ij only at Nyquist bins
-    h = 0.5 * (m + np.conj(np.swapaxes(_reflect(m, axes), 0, 1)))
-    h_neg = np.conj(_reflect(h, axes))
+    s = _signed_z_symbols(grid)
+    # m_ij = -s_i conj(s_j), the multiplier of d^2/dz_i dzbar_j, at k and at -k
+    m = -s[:, None] * np.conj(s[None])
+    # (H + H^H)_ij / 2 of a real field has the symbol h_ij = (m_ij(k) + conj m_ji(-k)) / 2,
+    # which differs from m_ij only at Nyquist bins; at k and at -k
+    h = np.conj(np.swapaxes(m, 0, 1)[:, :, ::-1])
+    h += m
+    h *= 0.5
+    del m  # before the copies below: a third less peak memory on 16^3
     d, iu, ju = _stack_index(n)
+    h_k, h_neg = h[iu, ju, 0], np.conj(h[iu, ju, 1])
     # the Hermitian-even parts, whose inverse transforms are the real fields
     # H_ii, Re H_ij and Im H_ij
-    mult = np.concatenate([h[d, d], 0.5 * (h + h_neg)[iu, ju], -0.5j * (h - h_neg)[iu, ju]])
-    mult = np.ascontiguousarray(mult[(slice(None),) + _half_spectrum(grid)])
+    mult = np.concatenate([h[d, d, 0], 0.5 * (h_k + h_neg), -0.5j * (h_k - h_neg)])
     mult.setflags(write=False)
     return mult
 

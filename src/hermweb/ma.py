@@ -60,8 +60,9 @@ x axes alone 3 of 4 for n = 2, 6 of 9 for n = 3) and one contraction: one
 real transform pair per GMRES iteration.  The step M u and its Hessian
 stack come from one more pair per Newton step, with all of Q, and the
 Newton loop carries the Hessian stack of phi, so the residuals, line-search
-trials included, make no transform.  The complex (n, n) field is assembled
-once, for the output metric.
+trials included, make no transform.  A solve assembles no complex (n, n)
+field: the output metric is built from its stack and assembles its complex
+field when it is read.
 """
 
 from __future__ import annotations

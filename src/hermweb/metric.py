@@ -1,5 +1,8 @@
 """Hermitian metric fields, the Chern-Ricci form and metric-class predicates.
 
+A HermitianMetricField is its real stack (smallmat's layout); its complex
+field g is assembled from the stack on first read.  Spec metrics are loaded
+as stacks (from_stack), and every metric hermweb derives is built from one.
 ricci_tensor and ricci_norm read the flow's real Hessian stack of log det g.
 classify and solve_ma3's Kahler check build no form: the residuals of the
 metric classes are linear in g and in adj g, the matrix of omega^{n-1}, and
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -58,19 +62,26 @@ def hermitian_defect(g: np.ndarray) -> float:
     return float(max(2.0 * np.abs(g[..., diag, diag].imag).max(), upper.max(initial=0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HermitianMetricField:
-    """Coefficient field g[..., i, j] = g_{i jbar}, Hermitian positive definite,
-    and the real stack of its Hermitian part (smallmat's layout), both
-    read-only.  The constructor checks complex fields from outside (the spec
-    loader's); every metric hermweb derives is built from its stack."""
+    """Hermitian positive definite coefficient field g[..., i, j] = g_{i jbar},
+    held as its read-only real stack (smallmat's layout).  The complex field g
+    is assembled from the stack on first read and kept read-only.
+
+    The constructor HermitianMetricField(grid, g) checks a complex field from
+    outside and keeps the stack of its Hermitian part; from_stack checks a
+    stack from outside (the spec loader's).  Every metric hermweb derives is
+    built from its stack by _unchecked."""
 
     grid: PeriodicGrid
-    g: np.ndarray
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        arr = np.array(self.g, dtype=np.complex128, order="C")
+    def __init__(self, grid: PeriodicGrid, g: np.ndarray):
+        object.__setattr__(self, "grid", grid)
+        self.__post_init__(g)
+
+    def __post_init__(self, g: np.ndarray):
+        arr = np.asarray(g, dtype=np.complex128)
         n = self.grid.n
         want = self.grid.shape + (n, n)
         if arr.shape != want:
@@ -82,12 +93,27 @@ class HermitianMetricField:
         defect = hermitian_defect(arr)
         if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(arr))):
             raise MetricError(f"metric not Hermitian (defect {defect:.3e})")
-        S = smallmat.hermitian_stack(arr)
+        self._keep_positive(smallmat.hermitian_stack(arr))
+
+    @classmethod
+    def from_stack(cls, grid: PeriodicGrid, S: np.ndarray) -> "HermitianMetricField":
+        """The metric with real stack S from outside, checked like the
+        constructor's field: its dtype and shape, finiteness and positive
+        definiteness.  S becomes read-only."""
+        want = (grid.n * grid.n,) + grid.shape
+        if S.dtype != np.float64 or S.shape != want:
+            raise MetricError(f"metric stack of {S.dtype} and shape {S.shape}, need float64 and {want}")
+        if not np.isfinite(S).all():
+            raise MetricError("metric stack is not finite at some grid point")
+        metric = object.__new__(cls)
+        object.__setattr__(metric, "grid", grid)
+        metric._keep_positive(S)
+        return metric
+
+    def _keep_positive(self, S: np.ndarray) -> None:
         if not is_positive_definite(S):
             raise MetricError("metric not positive definite at some grid point")
-        for a in (arr, S):
-            a.setflags(write=False)
-        object.__setattr__(self, "g", arr)
+        S.setflags(write=False)
         object.__setattr__(self, "stack", S)
 
     @classmethod
@@ -97,13 +123,19 @@ class HermitianMetricField:
         read-only.  Internal: every metric hermweb derives is built here.
         """
         metric = object.__new__(cls)
-        g = smallmat.hermitian_from_stack(S)
-        for a in (g, S):
-            a.setflags(write=False)
+        S.setflags(write=False)
         object.__setattr__(metric, "grid", grid)
-        object.__setattr__(metric, "g", g)
         object.__setattr__(metric, "stack", S)
         return metric
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """The complex field g[..., i, j] = g_{i jbar}, exactly Hermitian:
+        assembled from the stack on first read, then the same read-only
+        array on every read."""
+        g = smallmat.hermitian_from_stack(self.stack)
+        g.setflags(write=False)
+        return g
 
     @property
     def n(self) -> int:
@@ -158,9 +190,14 @@ def ricci_potential(g: HermitianMetricField) -> ScalarField:
 
 
 def conformal_flatten(g: HermitianMetricField) -> HermitianMetricField:
-    """Chern-Ricci-flat rescaling exp(F/n) g; scaling can lose positivity."""
-    F = ricci_potential(g).values.real
-    S = np.exp(F / g.n) * g.stack
+    """Chern-Ricci-flat rescaling exp(F/n) g, F = ricci_potential(g);
+    scaling can lose positivity."""
+    return _conformal_rescaling(g, ricci_potential(g))
+
+
+def _conformal_rescaling(g: HermitianMetricField, F: ScalarField) -> HermitianMetricField:
+    """exp(F/n) g for a real F, checked positive definite."""
+    S = np.exp(F.values.real / g.n) * g.stack
     if not is_positive_definite(S):
         raise MetricError("conformal rescaling is not positive definite at some grid point")
     return HermitianMetricField._unchecked(g.grid, S)

@@ -17,6 +17,8 @@ from math import gcd
 
 import numpy as np
 
+from .smallmat import hermitian_stack, stack_minors
+
 DEGREE1_FD = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 DEGREE2_FD = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 OFFSETS = np.array([-2, -1, 0, 1, 2])
@@ -105,7 +107,8 @@ def _fd_ricci(z: np.ndarray, h: np.ndarray) -> np.ndarray:
         point = np.concatenate([z[blk].real, z[blk].imag], axis=1)  # (x_1..x_n, y_1..y_n)
         hb = h[blk, None, None, None, None, None]
         p = point[:, None, None, None, None, :] + hb * shift  # (P, 2n, 2n, 5, 5, 2n)
-        u = -np.log(np.linalg.det(hopf_metric_matrix(p[..., :n] + 1j * p[..., n:])))
+        G = hermitian_stack(hopf_metric_matrix(p[..., :n] + 1j * p[..., n:]))
+        u = -np.log(stack_minors(G)[-1])
         # d^2 u / dr_a dr_b: DEGREE1_FD on both offsets off the diagonal,
         # DEGREE2_FD along the one shifted axis on it
         d2 = np.einsum("pabst,s,t->pab", u, DEGREE1_FD, DEGREE1_FD)

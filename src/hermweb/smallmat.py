@@ -5,7 +5,8 @@ A Hermitian (..., n, n) field a is held as n^2 real fields stacked on a first
 axis: the n diagonal entries a_ii, then Re a_ij and then Im a_ij of the upper
 entries i < j in np.triu_indices order.  This module owns that layout:
 hermitian_stack and hermitian_from_stack convert at the complex API boundary,
-metric.HermitianMetricField, which keeps each metric's stack, and the
+metric.HermitianMetricField, which holds each metric as its stack and
+assembles the complex field with hermitian_from_stack on its first read; the
 kernels work on the stack alone.  The inverse is adj a / det a and the
 polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.
 

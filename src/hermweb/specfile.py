@@ -20,6 +20,10 @@ sections (documented byte-exactly in docs/spec-file-format.md).
 
 Only entries g[i][j] with j >= i are given; the lower triangle is filled by
 conjugate symmetry.  '#' starts a comment.
+
+A metric section is loaded as its real stack (smallmat's layout): each entry
+is evaluated straight into its stack row, and the stack is checked by
+HermitianMetricField.from_stack.  No complex (n, n) field is built.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr
+from . import expr, smallmat
 from .grid import PeriodicGrid, ScalarField
-from .metric import HermitianMetricField, MetricError
+from .metric import HERMITIAN_TOL, HermitianMetricField, MetricError
 
 _SECTION = re.compile(r"\[([a-z_]+)\]\s*$")
 _GKEY = re.compile(r"g\[([1-9])\]\[([1-9])\]$")
@@ -82,18 +86,37 @@ class ManifoldSpec:
         return self._fields[key]
 
     def _evaluate(self, exprs: dict, grid: PeriodicGrid, section: str) -> HermitianMetricField:
+        """The metric of a section, each entry evaluated into its stack row:
+        g[i][i] into row i, the Re and Im parts of g[i][j], i < j, into rows
+        n + r and n + k + r, r the index of (i, j) among the k upper entries.
+        The lower triangle is the conjugate of the upper one, so the only
+        Hermitian defect a spec can have is an imaginary part on the diagonal,
+        which the stack drops once it is checked within HERMITIAN_TOL."""
         n = self.n
-        g = np.zeros(grid.shape + (n, n), dtype=np.complex128)
+        _, iu, ju = smallmat._stack_index(n)
+        k = len(iu)
+        upper = {(i + 1, j + 1): n + r for r, (i, j) in enumerate(zip(iu, ju))}
+        S = np.zeros((n * n,) + grid.shape)
+        diagonal_im = []
         for (i, j), (re_ast, im_ast) in exprs.items():
             path = f"{section}.g[{i}][{j}]"
-            vals = _evaluate_periodic(re_ast, grid, path).values.real.astype(np.complex128)
+            row = i - 1 if i == j else upper[(i, j)]
+            S[row] = _evaluate_periodic(re_ast, grid, path).values.real
             if im_ast is not None:
-                vals = vals + 1j * _evaluate_periodic(im_ast, grid, path).values.real
-            g[..., i - 1, j - 1] = vals
-            if i != j:
-                g[..., j - 1, i - 1] = np.conj(vals)
+                im = _evaluate_periodic(im_ast, grid, path).values.real
+                if i == j:
+                    diagonal_im.append((row, im))
+                else:
+                    S[row + k] = im
         try:
-            return HermitianMetricField(grid, g)
+            if diagonal_im:
+                # max |g - g^H| = 2 max |Im g_ii|, against max |g_ij| with the
+                # imaginary diagonal parts, as the constructor measures them
+                defect = 2.0 * max(float(np.abs(im).max()) for _, im in diagonal_im)
+                moduli = [np.hypot(S[r], im).max() for r, im in diagonal_im]
+                if defect > HERMITIAN_TOL * max(1.0, smallmat.stack_max_modulus(S), *moduli):
+                    raise MetricError(f"metric not Hermitian (defect {defect:.3e})")
+            return HermitianMetricField.from_stack(grid, S)
         except MetricError as exc:
             raise SpecError(f"{section}: invalid metric: {exc}") from exc
 

@@ -408,18 +408,62 @@ def assert_carries_its_stack(metric: HermitianMetricField) -> None:
     assert not metric.stack.flags.writeable and not metric.g.flags.writeable
 
 
-def refuse_hermitian_stack(monkeypatch) -> None:
-    """Make every hermweb binding of smallmat.hermitian_stack raise."""
-    orig = smallmat.hermitian_stack
-
-    def refuse(a):
-        raise AssertionError("hermitian_stack called")
-
+def rebind_in_hermweb(monkeypatch, orig, new) -> None:
+    """Replace every binding of orig in a hermweb module by new."""
     for name, module in list(sys.modules.items()):
         if name == "hermweb" or name.startswith("hermweb."):
             for attr, value in list(vars(module).items()):
                 if value is orig:
-                    monkeypatch.setattr(module, attr, refuse)
+                    monkeypatch.setattr(module, attr, new)
+
+
+def refuse_hermitian_stack(monkeypatch) -> None:
+    """Make every hermweb binding of smallmat.hermitian_stack raise."""
+
+    def refuse(a):
+        raise AssertionError("hermitian_stack called")
+
+    rebind_in_hermweb(monkeypatch, smallmat.hermitian_stack, refuse)
+
+
+def hermitian_hessian_multipliers_full_grid(grid: PeriodicGrid) -> np.ndarray:
+    """grid._hermitian_hessian_multipliers built on the full spectrum from the
+    complex Hessian symbols m_ij = -s_i conj(s_j) and their reflections, then
+    cut to the rfft_active half spectrum."""
+    n = grid.n
+    axes = [a + 2 for a in grid.active_axes]
+    syms = _z_symbols(grid)
+    m = np.stack([np.broadcast_to(-si * np.conj(sj), grid.shape) for si in syms for sj in syms])
+    m = m.reshape((n, n) + grid.shape)
+
+    def reflect(a):
+        for ax in axes:
+            a = np.roll(np.flip(a, ax), 1, ax)
+        return a
+
+    h = 0.5 * (m + np.conj(np.swapaxes(reflect(m), 0, 1)))
+    h_neg = np.conj(reflect(h))
+    d, iu, ju = smallmat._stack_index(n)
+    mult = np.concatenate([h[d, d], 0.5 * (h + h_neg)[iu, ju], -0.5j * (h - h_neg)[iu, ju]])
+    half = [slice(None)] * (1 + len(grid.sizes))
+    if grid.active_axes:
+        last = grid.active_axes[-1]
+        half[1 + last] = slice(grid.sizes[last] // 2 + 1)
+    return mult[tuple(half)]
+
+
+def count_hermitian_from_stack(monkeypatch) -> list:
+    """Record the stack shape of every call of smallmat.hermitian_from_stack
+    through a hermweb binding, in the list returned."""
+    orig = smallmat.hermitian_from_stack
+    calls = []
+
+    def counting(S):
+        calls.append(S.shape)
+        return orig(S)
+
+    rebind_in_hermweb(monkeypatch, orig, counting)
+    return calls
 
 
 def stack_adjugate_expressions(S: np.ndarray) -> np.ndarray:

@@ -10,11 +10,14 @@ import pytest
 import hermweb.cli
 import hermweb.forms
 import hermweb.grid
+import hermweb.metric
 import hermweb.smallmat
 from hermweb.cli import build_parser, main
 from hermweb.metric import bott_chern_defect, chern_ricci, ricci_norm, ricci_tensor
 from hermweb.report import sha256_digest
 from hermweb.specfile import loads
+
+from helpers import count_hermitian_from_stack
 
 
 FLAT = """
@@ -190,6 +193,39 @@ def test_ricci_command_and_ricci_norm_read_the_stack(tmp_path, monkeypatch, caps
     chern_ricci(g)
     ricci_tensor(g)
     assert calls == ["hessian_values", "hermitian_from_stack"]
+
+
+@pytest.mark.parametrize("command", ["ricci", "classify", "flatten-conformal"])
+@pytest.mark.parametrize("text", [TWO_AXIS, BUMP3], ids=["two_axis", "bump3"])
+def test_spec_commands_assemble_no_complex_metric(command, text, tmp_path, monkeypatch, capsys):
+    # the loader builds the metric as its stack, and these commands read the
+    # stack alone: no complex (n, n) field is assembled from a stack
+    p = tmp_path / "spec.hwspec"
+    p.write_text(text, encoding="utf-8")
+    calls = count_hermitian_from_stack(monkeypatch)
+    loads(text)
+    assert calls == []
+    assert main([command, "--spec", str(p), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_flatten_conformal_computes_the_potential_once(bump_spec, tmp_path, monkeypatch, capsys):
+    # conformal_flatten's potential is the one dumped
+    calls = []
+    original = hermweb.metric.ricci_potential
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for module in (hermweb.metric, hermweb.cli):
+        monkeypatch.setattr(module, "ricci_potential", counting)
+    out = tmp_path / "out"
+    assert main(["flatten-conformal", "--spec", bump_spec, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert (out / "ricci_potential.fld").stat().st_size > 0
 
 
 def test_ricci_command_builds_no_form(bump_spec, monkeypatch, capsys):

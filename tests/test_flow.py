@@ -28,7 +28,14 @@ from hermweb.metric import (
     ricci_potential,
 )
 
-from helpers import assert_carries_its_stack, bump_metric, random_metric, refuse_hermitian_stack, rk2_flow
+from helpers import (
+    assert_carries_its_stack,
+    bump_metric,
+    count_hermitian_from_stack,
+    random_metric,
+    refuse_hermitian_stack,
+    rk2_flow,
+)
 
 
 GRID = PeriodicGrid(2, (16, 16, 1, 1))
@@ -102,6 +109,17 @@ def test_flow_reads_the_stacks_its_metrics_carry(monkeypatch):
     monkeypatch.undo()
     assert len(history) > 2 and final.ricci_norm <= 1e-4
     assert_carries_its_stack(final.g)
+
+
+def test_flow_assembles_no_complex_metric_until_g_is_read(monkeypatch):
+    # the metrics of the steps are their stacks; the final one assembles its
+    # complex field when it is read, once
+    g0 = bump_metric(GRID)
+    calls = count_hermitian_from_stack(monkeypatch)
+    final, history = run_flow(g0, tol=1e-4, dt0=default_dt(GRID), max_steps=1000)
+    assert len(history) > 2 and calls == []
+    g = final.g.g
+    assert final.g.g is g and calls == [final.g.stack.shape]
 
 
 def test_step_growth_stops_at_max_dt():

@@ -5,6 +5,8 @@ from hermweb.grid import (
     GridError,
     PeriodicGrid,
     ScalarField,
+    _hermitian_hessian_multipliers,
+    _hessian_multipliers,
     _inverse_laplacian_symbol,
     _laplacian_solve_multipliers,
     _z_symbols,
@@ -22,6 +24,7 @@ from hermweb.smallmat import hermitian_from_stack, hermitian_stack
 from helpers import (
     fd_partial_z,
     fd_partial_zbar,
+    hermitian_hessian_multipliers_full_grid,
     hermitian_part,
     is_real,
     mean,
@@ -232,6 +235,34 @@ def test_hermitian_hessian_is_hermitian_part_of_hessian(n, sizes):
     H = hermitian_from_stack(S)
     assert np.max(np.abs(H - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+
+
+# every grid of this module
+ALL_GRIDS = sorted(
+    set(HESSIAN_GRIDS)
+    | {
+        (2, sizes)
+        for sizes in [
+            (1, 1, 1, 1), (8, 1, 1, 1), (8, 1, 8, 1), (8, 1, 16, 1), (16, 1, 16, 1),
+            (32, 1, 32, 1), (64, 1, 64, 1), (16, 16, 16, 1), (16, 16, 16, 16),
+        ]
+    }
+    | {(3, (16, 1, 1, 16, 1, 1)), (3, (32, 1, 1, 32, 1, 1))}
+)
+
+
+@pytest.mark.parametrize("n, sizes", ALL_GRIDS)
+def test_hermitian_hessian_table_is_built_on_the_half_spectrum(n, sizes):
+    # equal to the table cut from the full spectrum, built without the full
+    # complex Hessian symbols
+    grid = PeriodicGrid(n, sizes)
+    _hessian_multipliers.cache_clear()
+    _hermitian_hessian_multipliers.cache_clear()
+    table = _hermitian_hessian_multipliers(grid)
+    assert _hessian_multipliers.cache_info().currsize == 0
+    assert table.shape == (n * n,) + rfft_active(np.zeros(grid.shape), grid).shape
+    assert np.array_equal(table, hermitian_hessian_multipliers_full_grid(grid))
+    assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("n, sizes", HESSIAN_GRIDS)

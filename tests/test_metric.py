@@ -8,6 +8,7 @@ from hermweb import metric as metric_module
 from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
 from hermweb.ma import hodge_root
+from hermweb.smallmat import hermitian_from_stack
 from hermweb.specfile import loads as hermweb_loads
 from hermweb.metric import (
     HermitianMetricField,
@@ -30,6 +31,7 @@ from helpers import (
     assert_carries_its_stack,
     bump_metric,
     classify_forms,
+    count_hermitian_from_stack,
     fd_partial_z,
     hermitian_part,
     mean,
@@ -73,7 +75,8 @@ def test_metric_rejects_non_finite_entries_by_name(bad):
 def test_unchecked_path_is_internal(monkeypatch):
     """Fields from outside keep every check: the spec loader, the report
     reader and the public constructor never take the unchecked path, while
-    identity_metric and conformal_flatten build from stacks through it."""
+    identity_metric and conformal_flatten build from stacks through it.  The
+    spec loader's stacks pass the positivity check of from_stack."""
     import inspect
 
     import hermweb.report
@@ -97,6 +100,11 @@ def test_unchecked_path_is_internal(monkeypatch):
 
     monkeypatch.setattr(HermitianMetricField, "_unchecked", classmethod(refuse))
     metric_from_form(g.fundamental_form())
+    checked = []
+    is_positive_definite = metric_module.is_positive_definite
+    monkeypatch.setattr(
+        metric_module, "is_positive_definite", lambda S: checked.append(S.shape) or is_positive_definite(S)
+    )
     spec = hermweb.specfile.loads(
         "[manifold]\nname = t\nn = 2\nsizes = 8 8 1 1\n"
         "[metric]\ng[1][1] = 1 + 0.5*cos(2*pi*x2)\ng[2][2] = 1\n"
@@ -104,6 +112,7 @@ def test_unchecked_path_is_internal(monkeypatch):
     )
     spec.build_metric()
     spec.build_reference()
+    assert checked == [(4, 8, 8, 1, 1)] * 2
     with pytest.raises(MetricError, match="positive definite"):
         HermitianMetricField(GRID2, -g.g)
 
@@ -123,6 +132,54 @@ def test_the_constructor_keeps_the_stack_of_the_hermitian_part(n, sizes):
         HermitianMetricField(g.grid, raw, h.stack)
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.stack = g.stack
+
+
+@pytest.mark.parametrize("build", ["constructor", "from_stack", "derived"])
+def test_g_is_assembled_on_first_read_and_kept_read_only(build, monkeypatch):
+    # a metric holds its stack; the complex field is built on the first read
+    # of g, from the stack, and the same read-only array is read after it
+    g0 = random_metric(GRID2, np.random.default_rng(3), amp=0.1)
+    raw, S = np.array(g0.g), np.array(g0.stack)
+    calls = count_hermitian_from_stack(monkeypatch)
+    metric = {
+        "constructor": lambda: HermitianMetricField(GRID2, raw),
+        "from_stack": lambda: HermitianMetricField.from_stack(GRID2, S),
+        "derived": lambda: conformal_flatten(g0),
+    }[build]()
+    assert calls == []
+    g = metric.g
+    assert calls == [metric.stack.shape]
+    assert metric.g is g and calls == [metric.stack.shape]
+    assert not g.flags.writeable
+    assert np.array_equal(g, hermitian_from_stack(metric.stack))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        metric.g = g.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        metric.stack = metric.stack.copy()
+    assert metric.g is g
+
+
+def test_metric_equality_compares_the_stack():
+    assert [f.name for f in dataclasses.fields(HermitianMetricField) if f.compare] == ["grid", "stack"]
+
+
+def test_from_stack_checks_the_stack():
+    g = random_metric(GRID2, np.random.default_rng(4), amp=0.1)
+    S = np.array(g.stack)
+    metric = HermitianMetricField.from_stack(GRID2, S)
+    assert metric.stack is S and not S.flags.writeable
+    with pytest.raises(MetricError, match="need float64 and"):
+        HermitianMetricField.from_stack(GRID2, np.array(g.stack[:3]))
+    with pytest.raises(MetricError, match="need float64 and"):
+        HermitianMetricField.from_stack(PeriodicGrid(3, (32, 32, 1, 1, 1, 1)), np.array(g.stack))
+    with pytest.raises(MetricError, match="need float64 and"):
+        HermitianMetricField.from_stack(GRID2, g.stack.astype(np.complex128))
+    bad = np.array(g.stack)
+    bad[2, 5, 7] = np.inf
+    with pytest.raises(MetricError, match="not finite"):
+        HermitianMetricField.from_stack(GRID2, bad)
+    with pytest.raises(MetricError, match="positive definite"):
+        HermitianMetricField.from_stack(GRID2, -np.array(g.stack))
 
 
 def test_classify_det_and_inverse_read_the_stack(monkeypatch):

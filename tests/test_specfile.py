@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hermweb.expr
-from hermweb.metric import classify
+from hermweb.metric import HermitianMetricField, MetricError, classify
 from hermweb.specfile import ManifoldSpec, SpecError, load_spec, loads
 
 
@@ -195,3 +195,95 @@ F = 0.2*cos(2*pi*x1)
     # the values are those of a plain evaluation on the grid
     F = hermweb.expr.evaluate(spec.F_expr, grid)
     assert np.array_equal(spec.build_F(grid).values, F.values)
+
+
+SPECS_AS_STACKS = {
+    "64x64": """
+[manifold]
+name = wide
+n = 2
+sizes = 64 64 1 1
+
+[metric]
+g[1][1] = 1 + 0.3*cos(2*pi*x2)
+g[1][2] = 0.1*sin(2*pi*x1) | 0.05*cos(2*pi*x2)
+g[2][2] = 1.5
+""",
+    "16^3": """
+[manifold]
+name = cube
+n = 3
+sizes = 16 16 16 1 1 1
+
+[metric]
+g[1][1] = 1 + 0.2*cos(2*pi*x2)
+g[1][3] = 0.05*sin(2*pi*x3) | 0.02
+g[2][2] = 1.3
+g[2][3] = 0.1*cos(2*pi*x1)
+g[3][3] = 1 + 0.1*sin(2*pi*(x1 + x3))
+""",
+    "two axes": """
+[manifold]
+name = two_axes
+n = 2
+sizes = 16 1 1 16   # x1 and y2
+
+[metric]
+g[1][1] = 2 + 0.5*cos(2*pi*y2)
+g[1][2] = 0.1*cos(2*pi*y2) | 0.1*sin(2*pi*x1)
+g[2][2] = 1 + 0.25*sin(2*pi*(x1 - y2))
+""",
+}
+
+
+def constructor_metric(text: str) -> HermitianMetricField:
+    """The metric of a spec's [metric] section through the public
+    constructor: its entries evaluated into a complex (n, n) field, the
+    lower triangle the conjugate of the upper one."""
+    spec = loads(text)
+    grid = spec.build_grid()
+    n = spec.n
+    g = np.zeros(grid.shape + (n, n), dtype=np.complex128)
+    for (i, j), (re_ast, im_ast) in spec.metric_exprs.items():
+        value = hermweb.expr.evaluate_on(re_ast, grid.coordinates()) + 0j
+        if im_ast is not None:
+            value = value + 1j * hermweb.expr.evaluate_on(im_ast, grid.coordinates())
+        g[..., i - 1, j - 1] = value
+        if i != j:
+            g[..., j - 1, i - 1] = np.conj(value)
+    return HermitianMetricField(grid, g)
+
+
+@pytest.mark.parametrize("name", SPECS_AS_STACKS)
+def test_spec_metrics_equal_the_constructors(name):
+    # the loader evaluates each entry into its stack row, building no complex
+    # field: its stack is the constructor's byte for byte
+    text = SPECS_AS_STACKS[name]
+    got, want = loads(text).build_metric(), constructor_metric(text)
+    assert got.stack.dtype == want.stack.dtype and got.stack.shape == want.stack.shape
+    assert got.stack.tobytes() == want.stack.tobytes()
+    assert np.array_equal(got.g, want.g)
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [("1 | 0.5", False), ("1 | 1e-7", False), ("1 | 1e-12", True), ("1e4 | 1e-7", True)],
+)
+def test_spec_checks_imaginary_diagonal_parts(value, accepted):
+    # 2 max |Im g_ii| against HERMITIAN_TOL max(1, max |g|), as the
+    # constructor measures the complex field; an accepted part is dropped
+    text = FLAT.replace("g[1][1] = 1\n", f"g[1][1] = {value}\n")
+    grid = loads(FLAT).build_grid()
+    g = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
+    g[..., 0, 0] = complex(*(float(part) for part in value.split("|")))
+    g[..., 1, 1] = 1.0
+    if not accepted:
+        with pytest.raises(SpecError, match=r"^metric: invalid metric: metric not Hermitian \(defect") as exc_info:
+            loads(text)
+        with pytest.raises(MetricError) as constructor_info:
+            HermitianMetricField(grid, g)
+        assert str(exc_info.value) == f"metric: invalid metric: {constructor_info.value}"
+        return
+    got, want = loads(text).build_metric(), HermitianMetricField(grid, g)
+    assert got.stack.tobytes() == want.stack.tobytes()
+    assert np.array_equal(got.g[..., 0, 0], np.full(grid.shape, g[0, 0, 0, 0, 0, 0].real))
