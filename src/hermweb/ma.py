@@ -14,24 +14,36 @@ root metric is adj Lambda / det(Lambda)^{1/2}.  The form path
 (form_to_matrix, matrix_to_form, hodge_root) stays the public API and is the
 tests' oracle for this identity.  The reference metric's Kahler check,
 max|d omega0| <= KAHLER_TOL, is metric.kahler_excess on the stack of g0,
-not exterior_d of a form: one real transform, and an inverse one only when
-the spectral bound on max|d omega0| exceeds KAHLER_TOL, so a Kahler g0
-costs no inverse transform.  The MetricError of a rejected g0 states the
-max.  g0 and F must live on the grid of g (MetricError otherwise).
+not exterior_d of a form.  A g0 constant over the grid, the usual flat
+reference, is Kahler exactly and costs no transform.  Any other g0 costs
+one real transform, and an inverse one only when the spectral bound on
+max|d omega0| exceeds KAHLER_TOL, so a Kahler g0 costs no inverse
+transform.  The MetricError of a rejected g0 states the max.  g0 and F
+must live on the grid of g (MetricError otherwise).
+
+Lambda(H) = adj g + 1/2 M(H, g0) is affine in the Hessian H, so the Newton
+loop carries its linear part L = 1/2 M(Hess phi, g0) and lifts each step's
+Hessian stack once, with two adjugates: a line-search trial is one axpy on
+L, and phi = 0 costs no adjugate.  Each iterate takes one adjugate of
+Lambda.  Sylvester's test reads Lambda_11, adj(Lambda)_33 (the leading
+2x2 minor) and det Lambda, which smallmat.stack_det_from_adjugate expands
+from adj Lambda along the first row; the Newton coefficients and the
+output metric adj Lambda / det(Lambda)^{1/2} reuse the same adj Lambda.
 
 Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
 where w K = det(gt) gt^{-1} = adj gt for solve_ma2 and, since
 tr(P M(H, B)) = tr(M(P, B) H), w K = M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
 for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  As adj(adj L) =
-det(L) L for 3x3 matrices, M(adj Lambda, g0) takes two adjugates:
-adj(adj Lambda + g0) - det(Lambda) Lambda - adj g0.  The linear systems
-carry the constant b as an extra unknown in a bordered system A.  GMRES
-solves it right-preconditioned (Saad, Iterative Methods for Sparse Linear
-Systems, 2nd ed., 2003, 9.3): A M u = rhs, then (dphi, db) = M u, with M a
-flat-Laplacian Fourier multiplier.  GMRES's relative tolerance is an
-Eisenstat-Walker forcing term (_forcing_term): loose on the early Newton
-steps, tight near the solution.  Convergence is the Newton test alone.
+det(L) L for 3x3 matrices, M(adj Lambda, g0) takes one adjugate beside
+adj Lambda: adj(adj Lambda + g0) - det(Lambda) Lambda - adj g0.  The
+linear systems carry the constant b as an extra unknown in a bordered
+system A.  GMRES solves it right-preconditioned (Saad, Iterative Methods
+for Sparse Linear Systems, 2nd ed., 2003, 9.3): A M u = rhs, then
+(dphi, db) = M u, with M a flat-Laplacian Fourier multiplier.  GMRES's
+relative tolerance is an Eisenstat-Walker forcing term (_forcing_term):
+loose on the early Newton steps, tight near the solution.  Convergence is
+the Newton test alone.
 
 The GMRES is restarted GMRES(20) with modified Gram-Schmidt (Saad and
 Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), the iteration of
@@ -50,19 +62,20 @@ output metric from its stack.
 For Hermitian K, Re tr(K H) does not see the anti-Hermitian part of H, so
 the residuals and the linearisation take only the Hermitian part of
 Hess phi, as the stack of grid.hermitian_hessian_stack (real transforms
-only).  Positivity and det come from smallmat.stack_minors, adj and with it
-M from smallmat.stack_adjugate.  Re tr(K H) is the sum over the stack rows
-of w K times those of H, the off-diagonal rows counted twice.  As M feeds
-only A's Hessian, A M is one rfft_active, the Hessian multipliers divided by
-the Laplacian symbol (Q[1:] of grid._laplacian_solve_multipliers), one
-irfft_active batched over the stack rows that are not identically zero (on
-x axes alone 3 of 4 for n = 2, 6 of 9 for n = 3) and one contraction: one
-real transform pair per GMRES iteration.  The step M u and its Hessian
+only).  solve_ma2 takes positivity and det from smallmat.stack_minors;
+adj and with it M come from smallmat.stack_adjugate.  Re tr(K H) is the
+sum over the stack rows of w K times those of H, the off-diagonal rows
+counted twice.  As M feeds only A's Hessian, A M is one rfft_active, the
+Hessian multipliers divided by the Laplacian symbol (Q[1:] of
+grid._laplacian_solve_multipliers), one irfft_active batched over the
+stack rows that are not identically zero (on x axes alone 3 of 4 for
+n = 2, 6 of 9 for n = 3) and one contraction: one real transform pair per
+GMRES iteration.  The step M u and its Hessian
 stack come from one more pair per Newton step, with all of Q, and the
-Newton loop carries the Hessian stack of phi, so the residuals, line-search
-trials included, make no transform.  A solve assembles no complex (n, n)
-field: the output metric is built from its stack and assembles its complex
-field when it is read.
+Newton loop carries the Hessian stack of phi (for solve_ma3 its image L),
+so the residuals, line-search trials included, make no transform.  A solve
+assembles no complex (n, n) field: the output metric is built from its
+stack and assembles its complex field when it is read.
 """
 
 from __future__ import annotations
@@ -84,7 +97,7 @@ from .grid import (
 )
 from .forms import FormField
 from .metric import HermitianMetricField, MetricError, kahler_excess, minors_positive
-from .smallmat import hermitian_stack, stack_adjugate, stack_minors
+from .smallmat import hermitian_stack, stack_adjugate, stack_det_from_adjugate, stack_minors
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
 
@@ -446,10 +459,32 @@ def _forcing_term(eta_prev: float | None, res: float, res_prev: float | None, to
     return max(eta, LINEAR_RTOL, 0.5 * tol / res)
 
 
-def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
-    """Damped Newton iteration over (phi, b) for residual_fn(H, b), with H
-    the hermitian_hessian_stack of phi.  initial_phi None starts from
-    phi = 0, whose H is zero; another start takes one transform pair for H.
+def _line_search(residual_fn, L, dL, b, db, res):
+    """Backtracking on the step: 1, 1/2, ... down to MIN_STEP, the first
+    whose trial residual_fn(L + step dL, b + step db) is admissible with the
+    Armijo decrease of max|R| from res.  Returns (step, L + step dL, R,
+    state, max|R|) of that trial; raises SolverError when no step passes."""
+    step = 1.0
+    while step >= MIN_STEP:
+        L_new = L + step * dL
+        try:
+            R, state = residual_fn(L_new, b + step * db)
+        except SolverError:
+            R = None
+        if R is not None:
+            res_new = float(np.max(np.abs(R)))
+            if res_new < res * (1.0 - ARMIJO * step):
+                return step, L_new, R, state, res_new
+        step *= 0.5
+    raise SolverError("line search stalled (positivity or descent loss)", [])
+
+
+def _newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, initial_b):
+    """Damped Newton iteration over (phi, b) for residual_fn(L, b), with
+    L = lift(H) the image of the hermitian_hessian_stack H of phi under the
+    solver's linear map lift: the solver's stack is its constant part plus
+    L.  initial_phi None starts from phi = 0, whose L is zero; another start
+    takes one transform pair for H and one lift.
 
     residual_fn returns (R, state) where R is the pointwise equation residual
     and state is whatever coefficients_fn needs; it raises SolverError
@@ -464,8 +499,9 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     of WK.  Each GMRES iteration makes one rfft_active and one irfft_active
     batched over the Hessian rows that are not identically zero.  The apply
     of M gives the Hessian stack dH of the step from its own transform pair,
-    so H is carried along with phi, and a line-search trial is
-    residual_fn(H + step dH, b + step db): the residuals make no transform.
+    lifted once to dL = lift(dH), so L is carried along with phi, and a
+    line-search trial is residual_fn(L + step dL, b + step db): the
+    residuals make no transform, and a trial maps nothing through lift.
     GMRES stops at the relative tolerance _forcing_term picks from the last
     two residuals: loose while Newton is far from the solution, tighter as
     it converges quadratically.
@@ -475,14 +511,14 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
     """
     if initial_phi is None:
         phi = np.zeros(grid.shape)
-        H = np.zeros((grid.n**2,) + grid.shape)
+        L = np.zeros((grid.n**2,) + grid.shape)
     else:
         phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
         phi = phi - phi.mean()
-        H = hermitian_hessian_stack(phi, grid)
+        L = lift(hermitian_hessian_stack(phi, grid))
     b = float(initial_b)
     try:
-        R, state = residual_fn(H, b)
+        R, state = residual_fn(L, b)
     except SolverError as err:
         raise SolverError(str(err), [], phi, b) from None
     res = float(np.max(np.abs(R)))
@@ -495,6 +531,8 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
         if res <= cfg.tolerance:
             break
         WK, w = coefficients_fn(state)
+        # only the accepted trial's state is read again: not held through GMRES
+        del state
         AM, apply_M = _make_system(grid, WK, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = _forcing_term(rtol, res, history[-2] if len(history) > 1 else None, cfg.tolerance)
@@ -505,25 +543,11 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b
         linear_rtols.append(rtol)
         dphi, dH, db = apply_M(u)
         dphi = dphi - dphi.mean()
-
-        step = 1.0
-        while True:
-            H_new = H + step * dH
-            try:
-                R_new, state_new = residual_fn(H_new, b + step * db)
-            except SolverError:
-                R_new = None
-            if R_new is not None:
-                res_new = float(np.max(np.abs(R_new)))
-                if res_new < res * (1.0 - ARMIJO * step):
-                    break
-            step *= 0.5
-            if step < MIN_STEP:
-                raise SolverError(
-                    "line search stalled (positivity or descent loss)", history, phi, b
-                )
-        phi, H, b = phi + step * dphi, H_new, b + step * db
-        R, state, res = R_new, state_new, res_new
+        try:
+            step, L, R, state, res = _line_search(residual_fn, L, lift(dH), b, db, res)
+        except SolverError as err:
+            raise SolverError(str(err), history, phi, b) from None
+        phi, b = phi + step * dphi, b + step * db
         history.append(res)
         trace.append((len(history) - 1, res, b, step))
 
@@ -571,7 +595,8 @@ def solve_ma2(
         return stack_adjugate(S), detgt
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, initial_phi, b0)
+    # g + Hess phi is affine in Hess phi with the identity as its linear part
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, lambda H: H, initial_phi, b0)
     # residual() checked the positivity of the stack
     metric_out = HermitianMetricField._unchecked(grid, state[0])
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)
@@ -607,28 +632,38 @@ def solve_ma3(
             f"reference metric is not Kahler: max|d omega0| = {d_omega0:.6e} > KAHLER_TOL = {KAHLER_TOL:g}"
         )
     adj_g, adj_g0 = stack_adjugate(S_g), stack_adjugate(S_g0)
-    detg = stack_minors(S_g)[-1]
+    detg = stack_det_from_adjugate(S_g, adj_g)
     eF_detg = np.exp(F.values.real) * detg
 
-    def residual(H, b):
-        lam = adj_g + 0.5 * _polarised_adjugate(H, S_g0, adj_g0)
-        minors = stack_minors(lam)
-        if not minors_positive(minors):
+    def lift(H):
+        # the linear part of Lambda(H) = adj g + 1/2 M(H, g0)
+        return 0.5 * _polarised_adjugate(H, S_g0, adj_g0)
+
+    def residual(L, b):
+        lam = adj_g + L
+        adj_lam = stack_adjugate(lam)
+        # Sylvester's test on the leading minors Lambda_11, adj(Lambda)_33
+        # and det Lambda, all three from adj Lambda
+        det = stack_det_from_adjugate(lam, adj_lam)
+        if not minors_positive([lam[0], adj_lam[2], det]):
             raise SolverError("(n-1)-positivity lost", [])
-        dets = np.sqrt(minors[-1])  # det of the root metric
+        dets = np.sqrt(det)  # det of the root metric
         R = dets - np.exp(b) * eF_detg
-        return R, (lam, dets)
+        return R, (lam, adj_lam, dets)
 
     def coefficients(state):
         # M(adj Lambda, g0), with adj(adj Lambda) = det(Lambda) Lambda for
         # 3x3 matrices and det Lambda = dets^2
-        lam, dets = state
-        M = stack_adjugate(stack_adjugate(lam) + S_g0) - (dets * dets) * lam - adj_g0
-        return M / (4.0 * dets), dets
+        lam, adj_lam, dets = state
+        M = stack_adjugate(adj_lam + S_g0)
+        M -= (dets * dets) * lam
+        M -= adj_g0
+        M /= 4.0 * dets
+        return M, dets
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, initial_phi, b0)
-    lam, dets = state
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, lift, initial_phi, b0)
+    _, adj_lam, dets = state
     # adj Lambda / det(Lambda)^{1/2}, positive definite as Lambda is
-    metric_out = HermitianMetricField._unchecked(grid, stack_adjugate(lam) / dets)
+    metric_out = HermitianMetricField._unchecked(grid, adj_lam / dets)
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)

@@ -7,9 +7,11 @@ ricci_tensor and ricci_norm read the flow's real Hessian stack of log det g.
 classify and solve_ma3's Kahler check build no form: the residuals of the
 metric classes are linear in g and in adj g, the matrix of omega^{n-1}, and
 come from real transforms of their stacks (_complex_residuals).  The Kahler
-check (kahler_excess) inverts its residual spectra only when their spectral
-bound on the max exceeds the tolerance.  The forms (fundamental_form,
-chern_ricci, bott_chern_defect) remain for callers and as the tests' oracle.
+check (kahler_excess) accepts a stack constant over the grid with no
+transform and inverts the residual spectra of any other only when their
+spectral bound on the max exceeds the tolerance.  The forms
+(fundamental_form, chern_ricci, bott_chern_defect) remain for callers and
+as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ class HermitianMetricField:
         want = self.grid.shape + (n, n)
         if arr.shape != want:
             raise MetricError(f"metric shape {arr.shape} != {want}")
-        finite = np.isfinite(arr).all(axis=tuple(range(arr.ndim - 2)))
-        if not finite.all():
+        if not np.isfinite(arr).all():
+            # only a failed check looks for the entry to name
+            finite = np.isfinite(arr).all(axis=tuple(range(arr.ndim - 2)))
             i, j = np.argwhere(~finite)[0]
             raise MetricError(f"metric entry g[{i + 1}][{j + 1}] is not finite at some grid point")
         defect = hermitian_defect(arr)
@@ -409,9 +412,15 @@ def kahler_excess(S: np.ndarray, grid: PeriodicGrid, tol: float) -> float | None
     """None if max|d omega| <= tol for the metric with real stack S, read as
     max|del omega| like classify's Kahler residual; otherwise that max.
 
-    The residual fields come from one rfft_active of S.  Within tol by
-    _spectral_bound, the metric is accepted without an inverse transform;
-    only above it are the same spectra inverted for the exact max."""
+    A stack constant over the grid is accepted with no transform: its
+    spectrum lives at k = 0, where every derivative symbol is zero, so
+    d omega = 0 exactly.  Otherwise the residual fields come from one
+    rfft_active of S.  Within tol by _spectral_bound, the metric is
+    accepted without an inverse transform; only above it are the same
+    spectra inverted for the exact max."""
+    rows = S.reshape(len(S), -1)
+    if (rows == rows[:, :1]).all():
+        return None
     (X,) = _residual_spectra(S, grid, False)
     if _spectral_bound(X, grid) <= tol:
         return None

@@ -8,7 +8,10 @@ hermitian_stack and hermitian_from_stack convert at the complex API boundary,
 metric.HermitianMetricField, which holds each metric as its stack and
 assembles the complex field with hermitian_from_stack on its first read; the
 kernels work on the stack alone.  The inverse is adj a / det a and the
-polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.
+polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.  Given adj a,
+stack_det_from_adjugate expands det a along the first row, and adj(a)_nn
+is the leading (n-1)-minor, so one adjugate gives all three leading
+minors of a 3x3 field.
 
 Metrics here are 2x2 or 3x3 at every grid point.  Cofactor expansion costs a
 few whole-field array operations per entry, where a batched LAPACK call pays
@@ -93,6 +96,19 @@ def stack_minors(S: np.ndarray) -> list[np.ndarray]:
     cyclic = 2.0 * ((x01 * x12 - y01 * y12) * x02 + (x01 * y12 + y01 * x12) * y02)
     det = d2 * minor2 - d0 * (x12 * x12 + y12 * y12) - d1 * (x02 * x02 + y02 * y02) + cyclic
     return [d0, minor2, det]
+
+
+def stack_det_from_adjugate(S: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """det a from the stacks S of a and adj of adj a, by the expansion along
+    the first row: det a = sum_j a_1j adj_j1 = a_11 adj_11
+    + sum_{j > 1} Re(a_1j conj adj_1j), as adj is Hermitian and det a real.
+    The upper entries of the first row are the first n - 1 of the stack."""
+    n = _order(S)
+    k = (len(S) - n) // 2
+    det = S[0] * adj[0]
+    for r in (*range(n, 2 * n - 1), *range(n + k, n + k + n - 1)):
+        det += S[r] * adj[r]
+    return det
 
 
 def stack_adjugate(S: np.ndarray) -> np.ndarray:

@@ -76,7 +76,7 @@ class ManifoldSpec:
         if self.F_expr is None:
             return None
         grid = grid or self.build_grid()
-        return _evaluate_periodic(self.F_expr, grid, "prescribed.F")
+        return ScalarField(grid, _evaluate_periodic(self.F_expr, grid, "prescribed.F"))
 
     def _build(self, exprs: dict, grid: PeriodicGrid | None, section: str) -> HermitianMetricField:
         grid = grid or self.build_grid()
@@ -101,9 +101,9 @@ class ManifoldSpec:
         for (i, j), (re_ast, im_ast) in exprs.items():
             path = f"{section}.g[{i}][{j}]"
             row = i - 1 if i == j else upper[(i, j)]
-            S[row] = _evaluate_periodic(re_ast, grid, path).values.real
+            S[row] = _evaluate_periodic(re_ast, grid, path)
             if im_ast is not None:
-                im = _evaluate_periodic(im_ast, grid, path).values.real
+                im = _evaluate_periodic(im_ast, grid, path)
                 if i == j:
                     diagonal_im.append((row, im))
                 else:
@@ -121,14 +121,14 @@ class ManifoldSpec:
             raise SpecError(f"{section}: invalid metric: {exc}") from exc
 
 
-def _evaluate_periodic(ast, grid: PeriodicGrid, path: str) -> ScalarField:
-    """ast evaluated on the grid.  Spectral derivatives assume unit
-    periodicity, so it warns on a wrap mismatch: each active axis that ast
-    reads costs one more evaluation, on the coordinates shifted by one
-    period.  A constant is evaluated once."""
-    field = expr.evaluate(ast, grid)
-    base = field.values.real
+def _evaluate_periodic(ast, grid: PeriodicGrid, path: str) -> np.ndarray:
+    """The real values of ast on the grid, a read-only array of the grid's
+    shape.  Spectral derivatives assume unit periodicity, so it warns on a
+    wrap mismatch: each active axis that ast reads costs one more
+    evaluation, on the coordinates shifted by one period.  A constant is
+    evaluated once."""
     coords = grid.coordinates()
+    base = expr.evaluate_on(ast, coords)
     read = expr.variables(ast)
     for key in coords:
         c = np.asarray(coords[key], dtype=float)
@@ -143,7 +143,7 @@ def _evaluate_periodic(ast, grid: PeriodicGrid, path: str) -> ScalarField:
                 "spectral derivatives assume periodic coefficients",
                 stacklevel=3,
             )
-    return field
+    return base
 
 
 def _parse_value_pair(value: str, n: int, path: str):

@@ -579,7 +579,7 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
 
     monkeypatch.setattr(ma_module, "_make_system", make_system)
     monkeypatch.setattr(ma_module, "gmres", gmres)
-    # solve_ma3's Kahler check of g0 transforms the stack of g0 once
+    # solve_ma3's Kahler check of g0 sees a constant stack
     monkeypatch.setattr(ma_module, "kahler_excess", counted("kahler", ma_module.kahler_excess))
     sol = solve()
     # one grid.rfft_active/irfft_active pair: an rfft and an irfft, each with
@@ -594,8 +594,8 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
     assert M_per_system == [1] * sol.iterations
     # every transform is inside an apply or the Kahler check: none in the
     # residuals, whose Hessian stacks are carried from the applies of M
-    # the check of a Kahler g0 makes one forward transform and no inverse
-    assert per_apply["kahler"] == ([(Counter(rfft=1, fft=axes - 1), [])] if solver == "ma3" else [])
+    # the check of the constant g0 = I makes no transform
+    assert per_apply["kahler"] == ([(Counter(), [])] if solver == "ma3" else [])
     assert sum((c for c, _ in sum(per_apply.values(), [])), Counter()) == counts
     assert counts["fftn"] == counts["ifftn"] == counts["rfftn"] == counts["irfftn"] == 0
 
@@ -631,20 +631,79 @@ def test_kahler_check_bound_is_at_least_the_kahler_residual(n, sizes):
 @pytest.mark.parametrize("sizes", [(16, 16, 16, 1, 1, 1), (8, 8, 1, 8, 1, 1), (8, 8, 8, 8, 1, 8)])
 @pytest.mark.parametrize("kind", ["identity", "hessian"])
 def test_kahler_references_cost_no_inverse_transform(sizes, kind, monkeypatch):
-    # the flat metric and a band-limited I + Hess f pass on the spectral
-    # bound: one rfft_active of the stack of g0 and no irfft_active
+    # the flat metric is constant and passes with no transform; a
+    # band-limited I + Hess f passes on the spectral bound: one rfft_active
+    # of the stack of g0 and no irfft_active
     grid = PeriodicGrid(3, sizes)
     g0 = identity_metric(grid)
     if kind == "hessian":
         f = random_bandlimited(grid, np.random.default_rng(sum(sizes)), amp=0.01, kmax=1).real
         g0 = HermitianMetricField(grid, g0.g + hermitian_part(hessian_values(f.astype(np.complex128), grid)))
         assert np.ptp(g0.g[..., 0, 0].real) > 1e-2
+    calls = count_transforms(monkeypatch)
+    assert kahler_excess(g0.stack, grid, KAHLER_TOL) is None
+    assert calls == (["rfft_active"] if kind == "hessian" else [])
+
+
+def count_transforms(monkeypatch):
+    """The rfft_active and irfft_active calls metric makes, in order."""
     calls = []
     for name in ("rfft_active", "irfft_active"):
         fn = getattr(grid_module, name)
         monkeypatch.setattr(metric_module, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
-    assert kahler_excess(g0.stack, grid, KAHLER_TOL) is None
-    assert calls == ["rfft_active"]
+    return calls
+
+
+def test_constant_reference_is_accepted_without_a_transform(monkeypatch):
+    # a constant g0 that is not the identity, with a complex g12: d omega0 = 0
+    # at k = 0, where every derivative symbol is zero
+    G0 = np.diag([2.0, 1.0, 3.0]).astype(np.complex128)
+    G0[0, 1], G0[1, 0] = 0.3 - 0.2j, 0.3 + 0.2j
+    g0 = constant_metric(GRID3, G0)
+    assert classify(g0, 1.0).kahler_residual == 0.0
+    calls = count_transforms(monkeypatch)
+    assert kahler_excess(g0.stack, GRID3, KAHLER_TOL) is None
+    g = random_metric(GRID3, np.random.default_rng(21), amp=0.05, kmax=1)
+    sol = solve_ma3(g, g0, ricci_potential(g))
+    assert sol.residual_history[-1] <= SolverConfig().tolerance
+    assert calls == []
+
+
+def test_reference_constant_but_at_one_point_is_checked(monkeypatch):
+    # one point off the constant makes the stack non-constant: the check
+    # transforms it and rejects the spike, which is not Kahler
+    S = constant_metric(GRID3, np.diag([2.0, 1.0, 3.0]).astype(np.complex128)).stack.copy()
+    S[0, 3, 5] += 0.1
+    calls = count_transforms(monkeypatch)
+    d_omega0 = kahler_excess(S, GRID3, KAHLER_TOL)
+    assert calls == ["rfft_active", "irfft_active"]
+    assert d_omega0 == pytest.approx(classify(HermitianMetricField.from_stack(GRID3, S), 1.0).kahler_residual, rel=1e-12)
+    assert d_omega0 > 1e-3
+
+
+def test_solve_ma3_takes_one_adjugate_of_lambda_per_iterate(monkeypatch):
+    # 2 adjugates of g and g0, 1 of Lambda per residual (the start, each
+    # accepted step and each backtrack), 1 of adj Lambda + g0 per
+    # coefficient field and 2 per step's lift of dH; no stack_minors
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(ma_module, name)
+        return lambda *a: calls.update([name]) or fn(*a)
+
+    for name in ("stack_adjugate", "stack_minors"):
+        monkeypatch.setattr(ma_module, name, counted(name))
+    problems = [ma3_manufactured(GRID3, np.random.default_rng(31))[:3]]
+    # a Ricci-flat solve whose first step backtracks once
+    g = random_metric(GRID3, np.random.default_rng(53), amp=0.2, kmax=1)
+    problems.append((g, identity_metric(GRID3), ricci_potential(g)))
+    for g, g0, F in problems:
+        calls.clear()
+        sol = solve_ma3(g, g0, F)
+        backtracks = sum(round(-np.log2(step)) for _, _, _, step in sol.trace[1:])
+        assert calls["stack_minors"] == 0
+        assert calls["stack_adjugate"] == 3 + 4 * sol.iterations + backtracks
+    assert backtracks == 1
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,15 @@ def test_metric_rejects_non_finite_entries_by_name(bad):
         HermitianMetricField(grid, g)
 
 
+def test_metric_names_the_first_non_finite_entry_in_dimension_3():
+    grid = PeriodicGrid(3, (8, 8, 1, 1, 1, 1))
+    g = np.broadcast_to(np.eye(3, dtype=np.complex128), grid.shape + (3, 3)).copy()
+    g[1, 2, 0, 0, 0, 0, 2, 1] = np.inf
+    g[0, 0, 0, 0, 0, 0, 2, 2] = np.nan
+    with pytest.raises(MetricError, match=r"g\[3\]\[2\] is not finite"):
+        HermitianMetricField(grid, g)
+
+
 def test_unchecked_path_is_internal(monkeypatch):
     """Fields from outside keep every check: the spec loader, the report
     reader and the public constructor never take the unchecked path, while

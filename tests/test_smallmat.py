@@ -8,10 +8,12 @@ import pytest
 from hermweb import ma as ma_module
 from hermweb.grid import PeriodicGrid, ScalarField
 from hermweb.metric import HermitianMetricField
+from hermweb.metric import minors_positive
 from hermweb.smallmat import (
     hermitian_from_stack,
     hermitian_stack,
     stack_adjugate,
+    stack_det_from_adjugate,
     stack_max_modulus,
     stack_minors,
 )
@@ -199,6 +201,45 @@ def test_adjugate_of_adjugate_is_det_times_matrix(kind):
     assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["positive", "indefinite", "ill_conditioned"])
+def test_det_from_adjugate_matches_the_minors(n, kind):
+    rng = np.random.default_rng(30 + 10 * n + len(kind))
+    a = hermitian_field(rng, n, kind, shape=(4096,))
+    S = hermitian_stack(a)
+    adj = stack_adjugate(S)
+    det = stack_det_from_adjugate(S, adj)
+    minors = stack_minors(S)
+    scale = np.max(np.abs(a), axis=(-1, -2))
+    assert np.all(np.abs(det - minors[-1]) <= RTOL * scale**n)
+    if n == 3:
+        # adj(a)_33 is the leading 2x2 minor, the same expression
+        assert np.array_equal(adj[2], minors[1])
+
+
+def test_sylvester_from_the_adjugate_decides_like_the_minors():
+    # solve_ma3's test on a_11, adj(a)_33 and the det from adj a, against
+    # stack_minors, on stacks shifted from indefinite to positive definite,
+    # field by field and point by point
+    rng = np.random.default_rng(40)
+    decisions = set()
+    for shift in (-2.0, 0.0, 2.0, 4.0, 6.0, 30.0):
+        a = hermitian_field(rng, 3, "indefinite", shape=(512,)) + shift * np.eye(3)
+        S = hermitian_stack(a)
+        adj = stack_adjugate(S)
+        mine = [S[0], adj[2], stack_det_from_adjugate(S, adj)]
+        theirs = stack_minors(S)
+        assert minors_positive(mine) == minors_positive(theirs)
+        decisions.add(minors_positive(mine))
+        for point in range(512):
+            at = slice(point, point + 1)
+            decision = minors_positive([m[at] for m in mine])
+            assert decision == minors_positive([m[at] for m in theirs])
+            decisions.add(decision)
+    assert decisions == {True, False}
+    assert minors_positive(mine)
+
+
 class _Captured(Exception):
     pass
 
@@ -212,17 +253,20 @@ def test_ma3_coefficient_equals_the_three_adjugate_form(monkeypatch):
     g0 = np.broadcast_to(np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=()), grid.shape + (3, 3)).copy()
     closures = {}
 
-    def newton_loop(grid, cfg, residual_fn, coefficients_fn, initial_phi, initial_b):
-        closures.update(residual=residual_fn, coefficients=coefficients_fn)
+    def newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, initial_b):
+        closures.update(residual=residual_fn, coefficients=coefficients_fn, lift=lift)
         raise _Captured
 
     monkeypatch.setattr(ma_module, "_newton_loop", newton_loop)
     with pytest.raises(_Captured):
         ma_module.solve_ma3(HermitianMetricField(grid, g), HermitianMetricField(grid, g0), ScalarField(grid, np.zeros(grid.shape)))
     H = 0.05 * hermitian_stack(hermitian_field(rng, 3, "indefinite", shape=grid.shape))
-    _, (lam, dets) = closures["residual"](H, 0.0)
-    WK, w = closures["coefficients"]((lam, dets))
+    _, (lam, adj_lam, dets) = closures["residual"](closures["lift"](H), 0.0)
+    WK, w = closures["coefficients"]((lam, adj_lam, dets))
     S0 = hermitian_stack(g0)
+    # the carried L = lift(H) makes Lambda = adj g + 1/2 M(H, g0)
+    assert np.array_equal(lam, stack_adjugate(hermitian_stack(g)) + 0.5 * ma_module._polarised_adjugate(H, S0, stack_adjugate(S0)))
+    assert np.array_equal(adj_lam, stack_adjugate(lam))
     expected = ma_module._polarised_adjugate(stack_adjugate(lam), S0, stack_adjugate(S0)) / (4.0 * dets)
     assert np.array_equal(w, dets)
     assert np.max(np.abs(WK - expected)) <= 1e-12 * np.max(np.abs(expected))
