@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import report as rpt
 from .flow import FlowError, run_flow
-from .grid import ScalarField, hermitian_hessian_stack
+from .grid import ScalarField, _half_spectrum, hermitian_hessian_stack, irfft_active, rfft_active
 from .ma import SolverConfig, SolverError, solve_ma2, solve_ma3
 from .metric import _conformal_rescaling, classify, log_det, ricci_norm, ricci_potential
 from .models import (
@@ -250,11 +250,11 @@ def _random_start(grid, seed):
     # noise with |k| <= 2 on each active axis, at max-norm 1e-3: white noise
     # has a Hessian that grows like N^2 and loses positivity on fine grids
     rng = np.random.default_rng(seed)
-    axes = grid.active_axes
     keep = np.ones(grid.shape, dtype=bool)
-    for a in axes:
+    for a in grid.active_axes:
         keep &= np.abs(grid.wavenumbers(a)) <= 2
-    noise = np.fft.ifftn(keep * np.fft.fftn(rng.standard_normal(grid.shape), axes=axes), axes=axes).real
+    spectrum = rfft_active(rng.standard_normal(grid.shape), grid)
+    noise = irfft_active(keep[_half_spectrum(grid)] * spectrum, grid)
     return noise * (1e-3 / np.max(np.abs(noise)))
 
 

@@ -46,14 +46,13 @@ loose on the early Newton steps, tight near the solution.  Convergence is
 the Newton test alone.
 
 The GMRES is restarted GMRES(20) with modified Gram-Schmidt (Saad and
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), the iteration of
-scipy.sparse.linalg.gmres step for step, left-preconditioned or, as the
-solvers call it, with M=None, so Newton and GMRES counts are scipy's.  It
-keeps the images A v_j of its basis, so a cycle that stops before its
-full length updates its residual instead of applying A once more.
-hermweb carries its own so that it needs only numpy at run time: on a
-2-vCPU host, importing scipy.sparse.linalg took 0.35-0.4 s of hermweb's
-0.45 s import and about 24 MB of every process's peak memory.
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) and no preconditioner: the
+solvers hand it A M.  It keeps the images A v_j of its basis, so a cycle
+that stops before its full length updates its residual instead of
+applying A once more.  hermweb carries its own so that it needs only
+numpy at run time: on a 2-vCPU host, importing scipy.sparse.linalg took
+0.35-0.4 s of hermweb's 0.45 s import and about 24 MB of every process's
+peak memory.
 
 Every Hermitian field inside the solvers is a real stack in the layout of
 smallmat (the n diagonal rows, then Re and then Im of the upper entries):
@@ -254,69 +253,46 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
 
 
 def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type="pr_norm"):
-    """Solve A x = b from x = 0 by GMRES(20), left-preconditioned by M, or
-    unpreconditioned when M is None (scipy's identity).
+    """Solve A x = b from x = 0 by GMRES(20) with no preconditioner; the
+    solvers pass their right-preconditioned A M.  M and callback_type take
+    only None and "pr_norm", the benchmark tracer's call.
 
-    The iteration is scipy.sparse.linalg.gmres's (scipy 1.17) step for step:
-    the stopping test |b - A x| <= max(atol, rtol |b|) after each cycle; the
-    inner test on the preconditioned residual estimate against a tolerance
-    that starts at |M b| atol/|b| and adapts between cycles (scipy gh-8400);
-    modified Gram-Schmidt; Givens rotations; a breakdown h1 <= eps h0 taken
-    as the exact solution of the cycle.
-    maxiter caps the restart cycles.  callback, if given, receives the
-    estimate over |b| after each inner iteration.
-
-    The images A v_j of the basis are kept, so after a cycle that stops on
-    the inner test or a breakdown the residual is r - sum_j y_j A v_j, equal
-    to b - A x up to round-off, with no apply of A.  A cycle that runs its
-    full length takes b - A x from a fresh apply before its restart, as
-    scipy does: the updated residual would drift from scipy's over the
-    restarts.  So a solve makes one apply per inner iteration and one per
-    restart.
-
-    Returns (x, info, iterations): info is 0 on convergence and maxiter
-    otherwise; iterations counts the inner iterations.
+    A cycle ends once its residual estimate is at most
+    atol = max(atol, rtol |b|), when it is full, or on a breakdown
+    h1 <= eps h0, where its solution is exact.  An early end takes the
+    residual from the kept images A v_j; a full cycle applies A to x afresh,
+    so the residual does not drift over restarts.  The solve ends once
+    |b - A x| <= atol or after maxiter cycles.  callback, if given, receives
+    the estimate over |b| after each inner iteration.
+    Returns (x, info, iterations): info is 0 on convergence, else maxiter.
     """
-    if callback_type != "pr_norm":
-        raise ValueError(f"unsupported callback_type {callback_type!r}")
-    matvec = A.matvec
-    psolve = (lambda x: x) if M is None else M.matvec
+    if M is not None or callback_type != "pr_norm":
+        raise ValueError("gmres takes M=None and callback_type='pr_norm' only")
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n)
     bnrm2 = math.sqrt(b @ b)
-    if bnrm2 == 0.0:
-        return x, 0, 0
     atol = max(float(atol), float(rtol) * bnrm2)
-    if bnrm2 < atol:
+    if bnrm2 == 0.0 or bnrm2 < atol:
         return x, 0, 0
     eps = float(np.finfo(np.float64).eps)
     restart = min(_LINEAR_RESTART, n)
-    Mb = psolve(b)
-    ptol_max_factor = 1.0
-    ptol = math.sqrt(Mb @ Mb) * min(ptol_max_factor, atol / bnrm2)
-    presid = 0.0
     # the Arnoldi basis v and its images Av = A v, in one allocation
     basis = np.empty((2 * restart + 1, n))
     v, Av = basis[: restart + 1], basis[restart + 1 :]
     # h[col] holds column col of the Hessenberg matrix, rotated into the
     # triangular factor as the cycle goes
     h = np.zeros((restart, restart + 1))
-    rotations = []
     iterations = 0
     r, rnorm = b, bnrm2
 
     for _ in range(maxiter):
-        v[0] = psolve(r)
-        beta = math.sqrt(v[0] @ v[0])
-        v[0] *= 1 / beta
-        S = np.zeros(restart + 1)  # the rotated right-hand side beta e_1
-        S[0] = beta
-        rotations.clear()
-        breakdown = False
+        v[0] = r * (1 / rnorm)
+        S = np.zeros(restart + 1)  # the rotated right-hand side rnorm e_1
+        S[0] = rnorm
+        rotations = []
         for col in range(restart):
-            Av[col] = z = matvec(v[col])
-            w = psolve(z)
+            Av[col] = w = A.matvec(v[col])
             h0 = math.sqrt(w @ w)
             hcol = h[col]
             for k in range(col + 1):
@@ -324,13 +300,10 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
                 hcol[k] = hk
                 w -= hk * v[k]
             h1 = math.sqrt(w @ w)
-            v[col + 1] = w
-            if h1 <= eps * h0:
-                h1 = 0.0
-                breakdown = True
-            else:
-                v[col + 1] *= 1 / h1
-            hcol[col + 1] = h1
+            breakdown = h1 <= eps * h0
+            if not breakdown:
+                v[col + 1] = w * (1 / h1)
+            hcol[col + 1] = 0.0 if breakdown else h1
             for k, (c, s) in enumerate(rotations):
                 n0, n1 = float(hcol[k]), float(hcol[k + 1])
                 hcol[k], hcol[k + 1] = c * n0 + s * n1, -s * n0 + c * n1
@@ -343,7 +316,7 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
             iterations += 1
             if callback is not None:
                 callback(presid / bnrm2)
-            if presid <= ptol or breakdown:
+            if presid <= atol or breakdown:
                 break
 
         # back substitution on the triangular factor; a zero pivot makes the
@@ -351,27 +324,19 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
         if h[col, col] == 0.0:
             S[col] = 0.0
         y = S[: col + 1].copy()
-        for k in range(col, 0, -1):
+        for k in range(col, -1, -1):
             if y[k] != 0.0:
                 y[k] /= h[k, k]
                 y[:k] -= y[k] * h[k, :k]
-        if y[0] != 0.0:
-            y[0] /= h[0, 0]
         x += y @ v[: col + 1]
 
-        if presid <= ptol or breakdown:
+        if presid <= atol or breakdown:
             r = r - y @ Av[: col + 1]
         else:
-            r = b - matvec(x)
+            r = b - A.matvec(x)
         rnorm = math.sqrt(r @ r)
         if rnorm <= atol or breakdown:
             break
-        if presid <= ptol:
-            # the inner test passed but the true residual did not
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
 
     return x, (0 if rnorm <= atol else maxiter), iterations
 

@@ -37,6 +37,29 @@ def test_numpy_user_exposes_np(module_name):
     assert importlib.import_module(module_name).np is np
 
 
+def test_traced_gmres_solves_as_the_direct_call():
+    # bench/tracing.py wraps ma.gmres and the operator's matvec, and counts
+    # the iterations through gmres's callback
+    from hermweb import ma
+
+    rng = np.random.default_rng(0)
+    n = 60
+    A = 2.0 * np.eye(n) + rng.normal(size=(n, n)) / np.sqrt(n)
+    b = rng.normal(size=n)
+    op = ma.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=np.float64)
+    x, info, iterations = ma.gmres(op, b, rtol=1e-12, maxiter=10)
+    assert info == 0 and iterations > ma._LINEAR_RESTART
+
+    tracer = TRACING["Tracer"]()
+    traced = TRACING["_traced_gmres"](tracer, ma.gmres, ma.LinearOperator)
+    x_traced, info_traced, iterations_traced = traced(op, b, rtol=1e-12, maxiter=10)
+    assert x_traced.tobytes() == x.tobytes()
+    assert (info_traced, iterations_traced) == (info, iterations)
+    assert tracer.counts["ma.gmres_iters"] == iterations
+    names = [span[0] for span in tracer.spans]
+    assert names.count("ma.gmres") == 1 and "ma.matvec" in names
+
+
 @pytest.fixture(scope="module")
 def workloads():
     """bench/workloads.py and the oracles it imports, with no bytecode

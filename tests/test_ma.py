@@ -734,15 +734,14 @@ def test_givens_rotation_matches_lapack_lartg():
             assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def both_gmres(A, M, b, **kwargs):
-    """(x, info, callback values) from hermweb's gmres and from scipy's; M
-    None is no preconditioner."""
+def both_gmres(A, b, **kwargs):
+    """(x, info, callback values) from hermweb's gmres and from scipy's, both
+    without a preconditioner."""
     n = b.size
     ours, theirs = [], []
     x, info, iterations = ma_module.gmres(
         ma_module.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=np.float64),
         b,
-        M=None if M is None else ma_module.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
         callback=ours.append,
         callback_type="pr_norm",
         **kwargs,
@@ -751,7 +750,6 @@ def both_gmres(A, M, b, **kwargs):
     x_ref, info_ref = scipy_linalg.gmres(
         scipy_linalg.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=np.float64),
         b,
-        M=None if M is None else scipy_linalg.LinearOperator((n, n), matvec=lambda v: M @ v, dtype=np.float64),
         callback=theirs.append,
         callback_type="pr_norm",
         **kwargs,
@@ -761,8 +759,9 @@ def both_gmres(A, M, b, **kwargs):
 
 @pytest.mark.parametrize("n, seed", [(5, 0), (5, 1), (300, 2), (300, 3)])
 def test_gmres_matches_scipy(n, seed):
+    # the Newton solvers' use: (A M) u = b right-preconditioned, x = M u
     A, M, b = preconditioned_system(n, seed)
-    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, M, b, rtol=1e-12, atol=0.0, maxiter=400)
+    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(A @ M, b, rtol=1e-12, atol=0.0, maxiter=400)
     assert info == info_ref == 0
     if n == 5:
         # the Krylov space is the whole space after n steps: no restart
@@ -771,17 +770,17 @@ def test_gmres_matches_scipy(n, seed):
         assert len(res) > ma_module._LINEAR_RESTART
     assert res.shape == res_ref.shape
     assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
-    assert np.max(np.abs(x - x_ref)) < 1e-12 * np.max(np.abs(x_ref))
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.max(np.abs(u - u_ref)) < 1e-12 * np.max(np.abs(u_ref))
+    assert np.linalg.norm(A @ (M @ u) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n, seed, right", [(5, 0, False), (300, 2, False), (300, 3, True)])
 def test_gmres_without_a_preconditioner_matches_scipy(n, seed, right):
-    # M=None is scipy's identity; right=True solves (A M) u = b, the
-    # right-preconditioned form the Newton solvers use, and maps x = M u
+    # right=True solves (A M) u = b, the right-preconditioned form the
+    # Newton solvers use, and maps x = M u
     A, M, b = preconditioned_system(n, seed)
     op = A @ M if right else A
-    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(op, None, b, rtol=1e-12, atol=0.0, maxiter=400)
+    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(op, b, rtol=1e-12, atol=0.0, maxiter=400)
     assert info == info_ref == 0
     if n == 5:
         assert len(res) <= n
@@ -795,20 +794,19 @@ def test_gmres_without_a_preconditioner_matches_scipy(n, seed, right):
 
 
 def test_gmres_breakdown_gives_the_exact_solution():
-    # M A is the cyclic shift: the fifth Arnoldi vector is exactly zero
+    # the cyclic shift: the fifth Arnoldi vector is exactly zero
     n = 5
-    A = 0.5 * np.roll(np.eye(n), 1, axis=0)
-    M = 2.0 * np.eye(n)
+    A = np.roll(np.eye(n), 1, axis=0)
     b = np.eye(n)[0]
-    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, M, b, rtol=1e-12, atol=0.0, maxiter=400)
+    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-12, atol=0.0, maxiter=400)
     assert info == info_ref == 0
-    assert res.tolist() == res_ref.tolist() == [2.0, 2.0, 2.0, 2.0, 0.0]
-    assert x.tolist() == x_ref.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0]
+    assert res.tolist() == res_ref.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0]
+    assert x.tolist() == x_ref.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_gmres_reports_maxiter_when_capped():
-    A, M, b = preconditioned_system(300, 4)
-    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, M, b, rtol=1e-14, atol=0.0, maxiter=1)
+    A, _, b = preconditioned_system(300, 4)
+    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-14, atol=0.0, maxiter=1)
     assert info == info_ref == 1
     assert len(res) == len(res_ref) == ma_module._LINEAR_RESTART
     assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
@@ -816,11 +814,19 @@ def test_gmres_reports_maxiter_when_capped():
 
 
 def test_gmres_zero_rhs_returns_zero():
-    A, M, _ = preconditioned_system(5, 5)
+    A, _, _ = preconditioned_system(5, 5)
+    op = ma_module.LinearOperator((5, 5), matvec=lambda v: A @ v, dtype=np.float64)
+    x, info, iterations = ma_module.gmres(op, np.zeros(5), rtol=1e-10, maxiter=10)
+    assert (info, iterations) == (0, 0) and not x.any()
+
+
+def test_gmres_takes_no_preconditioner_and_only_pr_norm_callbacks():
+    A, M, b = preconditioned_system(5, 0)
     op = ma_module.LinearOperator((5, 5), matvec=lambda v: A @ v, dtype=np.float64)
     pre = ma_module.LinearOperator((5, 5), matvec=lambda v: M @ v, dtype=np.float64)
-    x, info, iterations = ma_module.gmres(op, np.zeros(5), M=pre, rtol=1e-10, maxiter=10)
-    assert (info, iterations) == (0, 0) and not x.any()
+    for kwargs in ({"M": pre}, {"callback_type": "legacy"}):
+        with pytest.raises(ValueError, match="M=None"):
+            ma_module.gmres(op, b, rtol=1e-10, maxiter=10, **kwargs)
 
 
 @pytest.mark.parametrize("solver", ["ma2", "ma3"])
