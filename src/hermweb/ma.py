@@ -21,11 +21,19 @@ max|d omega0| exceeds KAHLER_TOL, so a Kahler g0 costs no inverse
 transform.  The MetricError of a rejected g0 states the max.  g0 and F
 must live on the grid of g (MetricError otherwise).
 
+M(X, g0) is real-linear in the stack of X.  For a g0 constant over the
+grid (smallmat.constant_column, the test kahler_excess makes), solve_ma3
+tabulates it once per solve as a 9x9 matrix T, whose column p is
+M(e_p, g0) of the p-th unit stack, from one _polarised_adjugate of the nine
+unit stacks: M(X, g0) = T X is one matrix product over the stack, and no
+grid-sized adj g0 is formed.  A g0 that varies over the grid takes adj g0
+once and two adjugates per M(X, g0).
+
 Lambda(H) = adj g + 1/2 M(H, g0) is affine in the Hessian H, so the Newton
 loop carries its linear part L = 1/2 M(Hess phi, g0) and lifts each step's
-Hessian stack once, with two adjugates: a line-search trial is one axpy on
-L, and phi = 0 costs no adjugate.  Each iterate takes one adjugate of
-Lambda.  Sylvester's test reads Lambda_11, adj(Lambda)_33 (the leading
+Hessian stack once (T/2 times it, or two adjugates): a line-search trial is
+one axpy on L, and phi = 0 costs no lift.  Each iterate takes one adjugate
+of Lambda.  Sylvester's test reads Lambda_11, adj(Lambda)_33 (the leading
 2x2 minor) and det Lambda, which smallmat.stack_det_from_adjugate expands
 from adj Lambda along the first row; the Newton coefficients and the
 output metric adj Lambda / det(Lambda)^{1/2} reuse the same adj Lambda.
@@ -34,12 +42,13 @@ Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
 where w K = det(gt) gt^{-1} = adj gt for solve_ma2 and, since
 tr(P M(H, B)) = tr(M(P, B) H), w K = M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
-for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  As adj(adj L) =
-det(L) L for 3x3 matrices, M(adj Lambda, g0) takes one adjugate beside
-adj Lambda: adj(adj Lambda + g0) - det(Lambda) Lambda - adj g0.  The
-linear systems carry the constant b as an extra unknown in a bordered
-system A.  GMRES solves it right-preconditioned (Saad, Iterative Methods
-for Sparse Linear Systems, 2nd ed., 2003, 9.3): A M u = rhs, then
+for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  M(adj Lambda, g0)
+is T adj Lambda for a constant g0.  For a varying g0, as adj(adj L) =
+det(L) L for 3x3 matrices, it takes one adjugate beside adj Lambda:
+adj(adj Lambda + g0) - det(Lambda) Lambda - adj g0.  The linear systems
+carry the constant b as an extra unknown in a bordered system A.  GMRES
+solves it right-preconditioned (Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 2003, 9.3): A M u = rhs, then
 (dphi, db) = M u, with M a flat-Laplacian Fourier multiplier.  GMRES's
 relative tolerance is an Eisenstat-Walker forcing term (_forcing_term):
 loose on the early Newton steps, tight near the solution.  Convergence is
@@ -96,7 +105,7 @@ from .grid import (
 )
 from .forms import FormField
 from .metric import HermitianMetricField, MetricError, kahler_excess, minors_positive
-from .smallmat import hermitian_stack, stack_adjugate, stack_det_from_adjugate, stack_minors
+from .smallmat import constant_column, hermitian_stack, stack_adjugate, stack_det_from_adjugate, stack_minors
 
 FACTORIAL = {1: 1, 2: 2, 3: 6}
 
@@ -577,6 +586,20 @@ def _polarised_adjugate(X: np.ndarray, B: np.ndarray, adj_B: np.ndarray) -> np.n
     return stack_adjugate(X + B) - stack_adjugate(X) - adj_B
 
 
+def _polarised_adjugate_table(B: np.ndarray) -> np.ndarray:
+    """The 9x9 matrix T of the real-linear map X -> M(X, B) on 3x3 stacks,
+    for the stack column B of a constant field: M(X, B) = T X.  Column p is
+    M(e_p, B) of the p-th unit stack, all nine from one _polarised_adjugate
+    of the unit stacks taken as nine points."""
+    B9 = np.repeat(B[:, None], 9, axis=1)
+    return _polarised_adjugate(np.eye(9), B9, stack_adjugate(B9))
+
+
+def _apply_table(T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T X of a table T over every point of the stack X: one matrix product."""
+    return (T @ X.reshape(len(X), -1)).reshape(X.shape)
+
+
 def solve_ma3(
     g: HermitianMetricField,
     g0: HermitianMetricField,
@@ -596,13 +619,36 @@ def solve_ma3(
         raise MetricError(
             f"reference metric is not Kahler: max|d omega0| = {d_omega0:.6e} > KAHLER_TOL = {KAHLER_TOL:g}"
         )
-    adj_g, adj_g0 = stack_adjugate(S_g), stack_adjugate(S_g0)
+    adj_g = stack_adjugate(S_g)
     detg = stack_det_from_adjugate(S_g, adj_g)
     eF_detg = np.exp(F.values.real) * detg
 
-    def lift(H):
-        # the linear part of Lambda(H) = adj g + 1/2 M(H, g0)
-        return 0.5 * _polarised_adjugate(H, S_g0, adj_g0)
+    # lift is the linear part of Lambda(H) = adj g + 1/2 M(H, g0);
+    # polarised(lam, adj_lam, dets) is M(adj Lambda, g0)
+    column0 = constant_column(S_g0)
+    if column0 is None:
+        adj_g0 = stack_adjugate(S_g0)
+
+        def lift(H):
+            return 0.5 * _polarised_adjugate(H, S_g0, adj_g0)
+
+        def polarised(lam, adj_lam, dets):
+            # adj(adj Lambda) = det(Lambda) Lambda for 3x3 matrices, and
+            # det Lambda = dets^2
+            M = stack_adjugate(adj_lam + S_g0)
+            M -= (dets * dets) * lam
+            M -= adj_g0
+            return M
+
+    else:
+        T = _polarised_adjugate_table(column0)
+        half_T = 0.5 * T
+
+        def lift(H):
+            return _apply_table(half_T, H)
+
+        def polarised(lam, adj_lam, dets):
+            return _apply_table(T, adj_lam)
 
     def residual(L, b):
         lam = adj_g + L
@@ -617,12 +663,8 @@ def solve_ma3(
         return R, (lam, adj_lam, dets)
 
     def coefficients(state):
-        # M(adj Lambda, g0), with adj(adj Lambda) = det(Lambda) Lambda for
-        # 3x3 matrices and det Lambda = dets^2
         lam, adj_lam, dets = state
-        M = stack_adjugate(adj_lam + S_g0)
-        M -= (dets * dets) * lam
-        M -= adj_g0
+        M = polarised(lam, adj_lam, dets)
         M /= 4.0 * dets
         return M, dets
 

@@ -7,9 +7,10 @@ ricci_tensor and ricci_norm read the flow's real Hessian stack of log det g.
 classify and solve_ma3's Kahler check build no form: the residuals of the
 metric classes are linear in g and in adj g, the matrix of omega^{n-1}, and
 come from real transforms of their stacks (_complex_residuals).  The Kahler
-check (kahler_excess) accepts a stack constant over the grid with no
-transform and inverts the residual spectra of any other only when their
-spectral bound on the max exceeds the tolerance.  The forms
+check (kahler_excess) accepts a stack constant over the grid
+(smallmat.constant_column) with no transform and inverts the residual
+spectra of any other only when their spectral bound on the max exceeds the
+tolerance.  The forms
 (fundamental_form, chern_ricci, bott_chern_defect) remain for callers and
 as the tests' oracle.
 """
@@ -418,8 +419,7 @@ def kahler_excess(S: np.ndarray, grid: PeriodicGrid, tol: float) -> float | None
     rfft_active of S.  Within tol by _spectral_bound, the metric is
     accepted without an inverse transform; only above it are the same
     spectra inverted for the exact max."""
-    rows = S.reshape(len(S), -1)
-    if (rows == rows[:, :1]).all():
+    if smallmat.constant_column(S) is not None:
         return None
     (X,) = _residual_spectra(S, grid, False)
     if _spectral_bound(X, grid) <= tol:

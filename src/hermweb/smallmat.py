@@ -11,7 +11,8 @@ kernels work on the stack alone.  The inverse is adj a / det a and the
 polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.  Given adj a,
 stack_det_from_adjugate expands det a along the first row, and adj(a)_nn
 is the leading (n-1)-minor, so one adjugate gives all three leading
-minors of a 3x3 field.
+minors of a 3x3 field.  constant_column tells whether a stack is constant
+over the grid, for the Kahler check and solve_ma3's table of M(., g0).
 
 Metrics here are 2x2 or 3x3 at every grid point.  Cofactor expansion costs a
 few whole-field array operations per entry, where a batched LAPACK call pays
@@ -74,6 +75,13 @@ def hermitian_from_stack(S: np.ndarray) -> np.ndarray:
     entries[iu, ju] = upper
     entries[ju, iu] = upper.conj()
     return H
+
+
+def constant_column(S: np.ndarray) -> np.ndarray | None:
+    """The column of a real stack S, one value per row, if S is constant
+    over the grid; None if any row varies."""
+    rows = S.reshape(len(S), -1)
+    return rows[:, 0].copy() if (rows == rows[:, :1]).all() else None
 
 
 def stack_max_modulus(S: np.ndarray) -> float:

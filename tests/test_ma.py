@@ -71,6 +71,17 @@ def constant_metric(grid, mat) -> HermitianMetricField:
     return HermitianMetricField(grid, g)
 
 
+def hessian_reference(grid, rng) -> HermitianMetricField:
+    """A Kahler reference I + Hess f that varies over the grid."""
+    f = random_bandlimited(grid, rng, amp=0.01, kmax=1).real
+    return HermitianMetricField(grid, identity_metric(grid).g + hermitian_part(hessian_values(f.astype(np.complex128), grid)))
+
+
+# a constant reference that is not the identity, with a complex g12
+CONSTANT_G0 = np.diag([2.0, 1.0, 3.0]).astype(np.complex128)
+CONSTANT_G0[0, 1], CONSTANT_G0[1, 0] = 0.3 - 0.2j, 0.3 + 0.2j
+
+
 def random_pd_matrix(n, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return a @ a.conj().T + n * np.eye(n)
@@ -637,8 +648,7 @@ def test_kahler_references_cost_no_inverse_transform(sizes, kind, monkeypatch):
     grid = PeriodicGrid(3, sizes)
     g0 = identity_metric(grid)
     if kind == "hessian":
-        f = random_bandlimited(grid, np.random.default_rng(sum(sizes)), amp=0.01, kmax=1).real
-        g0 = HermitianMetricField(grid, g0.g + hermitian_part(hessian_values(f.astype(np.complex128), grid)))
+        g0 = hessian_reference(grid, np.random.default_rng(sum(sizes)))
         assert np.ptp(g0.g[..., 0, 0].real) > 1e-2
     calls = count_transforms(monkeypatch)
     assert kahler_excess(g0.stack, grid, KAHLER_TOL) is None
@@ -657,9 +667,7 @@ def count_transforms(monkeypatch):
 def test_constant_reference_is_accepted_without_a_transform(monkeypatch):
     # a constant g0 that is not the identity, with a complex g12: d omega0 = 0
     # at k = 0, where every derivative symbol is zero
-    G0 = np.diag([2.0, 1.0, 3.0]).astype(np.complex128)
-    G0[0, 1], G0[1, 0] = 0.3 - 0.2j, 0.3 + 0.2j
-    g0 = constant_metric(GRID3, G0)
+    g0 = constant_metric(GRID3, CONSTANT_G0)
     assert classify(g0, 1.0).kahler_residual == 0.0
     calls = count_transforms(monkeypatch)
     assert kahler_excess(g0.stack, GRID3, KAHLER_TOL) is None
@@ -682,28 +690,67 @@ def test_reference_constant_but_at_one_point_is_checked(monkeypatch):
 
 
 def test_solve_ma3_takes_one_adjugate_of_lambda_per_iterate(monkeypatch):
-    # 2 adjugates of g and g0, 1 of Lambda per residual (the start, each
-    # accepted step and each backtrack), 1 of adj Lambda + g0 per
-    # coefficient field and 2 per step's lift of dH; no stack_minors
+    # grid-sized adjugates: adj g, and 1 of Lambda per residual (the start,
+    # each accepted step and each backtrack).  A constant g0 maps through its
+    # 9x9 table; a varying one adds adj g0, 1 adjugate of adj Lambda + g0
+    # per coefficient field and 2 per step's lift of dH.  No stack_minors.
     calls = Counter()
 
     def counted(name):
         fn = getattr(ma_module, name)
-        return lambda *a: calls.update([name]) or fn(*a)
+        return lambda S, *a: calls.update([name] if S.shape[1:] == GRID3.shape else []) or fn(S, *a)
 
-    for name in ("stack_adjugate", "stack_minors"):
-        monkeypatch.setattr(ma_module, name, counted(name))
     problems = [ma3_manufactured(GRID3, np.random.default_rng(31))[:3]]
     # a Ricci-flat solve whose first step backtracks once
     g = random_metric(GRID3, np.random.default_rng(53), amp=0.2, kmax=1)
     problems.append((g, identity_metric(GRID3), ricci_potential(g)))
+    problems.append(ma3_manufactured(GRID3, np.random.default_rng(37), g0=hessian_reference(GRID3, np.random.default_rng(2)))[:3])
+    for name in ("stack_adjugate", "stack_minors"):
+        monkeypatch.setattr(ma_module, name, counted(name))
+    counts = []
     for g, g0, F in problems:
         calls.clear()
         sol = solve_ma3(g, g0, F)
         backtracks = sum(round(-np.log2(step)) for _, _, _, step in sol.trace[1:])
+        counts.append((calls["stack_adjugate"], sol.iterations, backtracks))
         assert calls["stack_minors"] == 0
-        assert calls["stack_adjugate"] == 3 + 4 * sol.iterations + backtracks
-    assert backtracks == 1
+    (adj0, it0, bt0), (adj1, it1, bt1), (adj2, it2, bt2) = counts
+    assert adj0 == 2 + it0 + bt0
+    assert adj1 == 2 + it1 + bt1 and bt1 == 1
+    assert adj2 == 3 + 4 * it2 + bt2
+    assert np.ptp(problems[2][1].stack[0]) > 1e-2
+
+
+@pytest.mark.parametrize("G0", [np.eye(3), np.diag([2.0, 1.0, 3.0]), CONSTANT_G0], ids=["identity", "diagonal", "complex_g12"])
+def test_reference_table_is_the_polarised_adjugate(G0):
+    # T X = M(X, g0) on random stacks, M by the adjugate kernel
+    B = hermitian_stack(np.asarray(G0, dtype=np.complex128))
+    T = ma_module._polarised_adjugate_table(B)
+    assert T.shape == (9, 9)
+    rng = np.random.default_rng(12)
+    for shape in [(64,), (16, 16, 1, 1, 1, 1)]:
+        X = hermitian_stack(random_pd_matrix(3, rng) + rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3)))
+        Bs = np.broadcast_to(B.reshape((9,) + (1,) * len(shape)), X.shape).copy()
+        expected = ma_module._polarised_adjugate(X, Bs, stack_adjugate(Bs))
+        got = ma_module._apply_table(T, X)
+        assert got.shape == X.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("G0", [np.eye(3), CONSTANT_G0], ids=["identity", "complex_g12"])
+def test_constant_reference_table_solves_as_the_direct_path(G0, monkeypatch):
+    # the table and the adjugates are the same Newton iteration: equal
+    # GMRES and line-search counts, phi and b equal to round-off
+    g, g0, F, phi_star, b_star = ma3_manufactured(GRID3, np.random.default_rng(9), g0=constant_metric(GRID3, G0))
+    table = solve_ma3(g, g0, F)
+    monkeypatch.setattr(ma_module, "constant_column", lambda S: None)
+    direct = solve_ma3(g, g0, F)
+    assert table.linear_iterations == direct.linear_iterations
+    assert [t[3] for t in table.trace] == [t[3] for t in direct.trace]
+    assert np.max(np.abs(table.phi.values - direct.phi.values)) <= 1e-14
+    assert abs(table.b - direct.b) <= 1e-14
+    assert np.max(np.abs(table.metric_out.stack - direct.metric_out.stack)) <= 1e-14
+    assert np.max(np.abs(table.phi.values.real - phi_star)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -774,13 +821,11 @@ def test_gmres_matches_scipy(n, seed):
     assert np.linalg.norm(A @ (M @ u) - b) <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("n, seed, right", [(5, 0, False), (300, 2, False), (300, 3, True)])
-def test_gmres_without_a_preconditioner_matches_scipy(n, seed, right):
-    # right=True solves (A M) u = b, the right-preconditioned form the
-    # Newton solvers use, and maps x = M u
-    A, M, b = preconditioned_system(n, seed)
-    op = A @ M if right else A
-    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(op, b, rtol=1e-12, atol=0.0, maxiter=400)
+@pytest.mark.parametrize("n, seed", [(5, 0), (300, 2)])
+def test_gmres_without_a_preconditioner_matches_scipy(n, seed):
+    # A alone; test_gmres_matches_scipy solves the solvers' A M
+    A, _, b = preconditioned_system(n, seed)
+    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-12, atol=0.0, maxiter=400)
     assert info == info_ref == 0
     if n == 5:
         assert len(res) <= n
@@ -789,8 +834,7 @@ def test_gmres_without_a_preconditioner_matches_scipy(n, seed, right):
     assert res.shape == res_ref.shape
     assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
     assert np.max(np.abs(u - u_ref)) < 1e-12 * np.max(np.abs(u_ref))
-    x = M @ u if right else u
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(A @ u - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_gmres_breakdown_gives_the_exact_solution():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hermweb import ma as ma_module
-from hermweb.grid import PeriodicGrid, ScalarField
+from hermweb.grid import PeriodicGrid, ScalarField, hermitian_hessian_stack
 from hermweb.metric import HermitianMetricField
 from hermweb.metric import minors_positive
 from hermweb.smallmat import (
+    constant_column,
     hermitian_from_stack,
     hermitian_stack,
     stack_adjugate,
@@ -244,13 +245,16 @@ class _Captured(Exception):
     pass
 
 
-def test_ma3_coefficient_equals_the_three_adjugate_form(monkeypatch):
-    # solve_ma3's Newton coefficient M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
-    # takes adj(adj Lambda) as det(Lambda) Lambda
-    grid = PeriodicGrid(3, (8, 8, 1, 1, 1, 1))
-    rng = np.random.default_rng(50)
+MA3_GRID = PeriodicGrid(3, (8, 8, 1, 1, 1, 1))
+
+
+def ma3_newton_terms(S0, rng, monkeypatch):
+    """solve_ma3's closures on a random g and the reference stack S0, at a
+    random Hessian stack H: (Lambda, its direct value adj g + 1/2 M(H, g0)),
+    and the checks of adj Lambda and of the coefficients against the
+    three-adjugate form M(adj Lambda, g0) / (4 det(Lambda)^{1/2})."""
+    grid = MA3_GRID
     g = np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=grid.shape)
-    g0 = np.broadcast_to(np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=()), grid.shape + (3, 3)).copy()
     closures = {}
 
     def newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, initial_b):
@@ -259,14 +263,48 @@ def test_ma3_coefficient_equals_the_three_adjugate_form(monkeypatch):
 
     monkeypatch.setattr(ma_module, "_newton_loop", newton_loop)
     with pytest.raises(_Captured):
-        ma_module.solve_ma3(HermitianMetricField(grid, g), HermitianMetricField(grid, g0), ScalarField(grid, np.zeros(grid.shape)))
+        ma_module.solve_ma3(
+            HermitianMetricField(grid, g), HermitianMetricField.from_stack(grid, S0), ScalarField(grid, np.zeros(grid.shape))
+        )
     H = 0.05 * hermitian_stack(hermitian_field(rng, 3, "indefinite", shape=grid.shape))
     _, (lam, adj_lam, dets) = closures["residual"](closures["lift"](H), 0.0)
     WK, w = closures["coefficients"]((lam, adj_lam, dets))
-    S0 = hermitian_stack(g0)
-    # the carried L = lift(H) makes Lambda = adj g + 1/2 M(H, g0)
-    assert np.array_equal(lam, stack_adjugate(hermitian_stack(g)) + 0.5 * ma_module._polarised_adjugate(H, S0, stack_adjugate(S0)))
     assert np.array_equal(adj_lam, stack_adjugate(lam))
     expected = ma_module._polarised_adjugate(stack_adjugate(lam), S0, stack_adjugate(S0)) / (4.0 * dets)
     assert np.array_equal(w, dets)
     assert np.max(np.abs(WK - expected)) <= 1e-12 * np.max(np.abs(expected))
+    return lam, stack_adjugate(hermitian_stack(g)) + 0.5 * ma_module._polarised_adjugate(H, S0, stack_adjugate(S0))
+
+
+def test_ma3_coefficient_equals_the_three_adjugate_form(monkeypatch):
+    # a constant g0: the lift and the coefficient M(adj Lambda, g0) come
+    # from its 9x9 table, equal to the adjugates to round-off
+    rng = np.random.default_rng(50)
+    S0 = hermitian_stack(np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=()))
+    S0 = np.broadcast_to(S0.reshape((9,) + (1,) * 6), (9,) + MA3_GRID.shape).copy()
+    lam, lam_direct = ma3_newton_terms(S0, rng, monkeypatch)
+    assert np.max(np.abs(lam - lam_direct)) <= 1e-13 * np.max(np.abs(lam_direct))
+
+
+def test_ma3_coefficient_on_a_varying_reference_takes_the_adjugates(monkeypatch):
+    # a Kahler I + Hess f that varies: the carried L = lift(H) makes
+    # Lambda = adj g + 1/2 M(H, g0) bit for bit, and the coefficient takes
+    # adj(adj Lambda) as det(Lambda) Lambda
+    x1, x2 = np.meshgrid(np.arange(8) / 8, np.arange(8) / 8, indexing="ij")
+    f = 0.01 * (np.cos(2 * np.pi * x1) + np.sin(2 * np.pi * (x1 - x2))).reshape(MA3_GRID.shape)
+    S0 = hermitian_stack(np.broadcast_to(np.eye(3), MA3_GRID.shape + (3, 3))) + hermitian_hessian_stack(f, MA3_GRID)
+    lam, lam_direct = ma3_newton_terms(S0, np.random.default_rng(51), monkeypatch)
+    assert np.array_equal(lam, lam_direct)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (64,), (8, 4, 1, 1)], ids=["matrix", "one_point", "line", "grid"])
+def test_constant_column_is_the_value_of_a_constant_stack(shape):
+    rng = np.random.default_rng(len(shape))
+    column = rng.normal(size=9)
+    S = np.broadcast_to(column.reshape((9,) + (1,) * len(shape)), (9,) + shape).copy()
+    assert np.array_equal(constant_column(S), column)
+    if S[0].size > 1:
+        # one entry one ulp off the constant at one point
+        flat = S.reshape(9, -1)
+        flat[4, -1] = np.nextafter(flat[4, -1], np.inf)
+        assert constant_column(S) is None
