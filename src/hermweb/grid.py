@@ -112,7 +112,8 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Complex-valued field sampled on a PeriodicGrid."""
+    """Complex-valued field sampled on a PeriodicGrid: GridError unless its
+    values have the grid's shape and are finite."""
 
     grid: PeriodicGrid
     values: np.ndarray
@@ -121,6 +122,9 @@ class ScalarField:
         v = np.array(self.values, dtype=np.complex128)
         if v.shape != self.grid.shape:
             raise GridError(f"value shape {v.shape} != grid shape {self.grid.shape}")
+        if not np.isfinite(v).all():
+            at = tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
+            raise GridError(f"field value {v[at]} at index {at} is not finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

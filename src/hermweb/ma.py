@@ -12,40 +12,33 @@ adj g, so for n = 3 the (n-1, n-1)-form above becomes
 with M(A, B) = adj(A + B) - adj A - adj B the polarised adjugate, and the
 root metric is adj Lambda / det(Lambda)^{1/2}.  The form path
 (form_to_matrix, matrix_to_form, hodge_root) stays the public API and is the
-tests' oracle for this identity.  The reference metric's Kahler check,
-max|d omega0| <= KAHLER_TOL, is metric.kahler_excess on the stack of g0,
-not exterior_d of a form.  A g0 constant over the grid, the usual flat
-reference, is Kahler exactly and costs no transform.  Any other g0 costs
-one real transform, and an inverse one only when the spectral bound on
-max|d omega0| exceeds KAHLER_TOL, so a Kahler g0 costs no inverse
-transform.  The MetricError of a rejected g0 states the max.  g0 and F
-must live on the grid of g (MetricError otherwise).
+tests' oracle for this identity.  g0 and F must live on the grid of g
+(MetricError otherwise).
 
-M(X, g0) is real-linear in the stack of X.  For a g0 constant over the
-grid (smallmat.constant_column, the test kahler_excess makes), solve_ma3
-tabulates it once per solve as a 9x9 matrix T, whose column p is
-M(e_p, g0) of the p-th unit stack, from one _polarised_adjugate of the nine
-unit stacks: M(X, g0) = T X is one matrix product over the stack, and no
-grid-sized adj g0 is formed.  A g0 that varies over the grid takes adj g0
-once and two adjugates per M(X, g0).
+solve_ma3 chooses the real-linear map P(X) = M(X, g0)/2 on 3x3 stacks
+once per solve.  A g0 constant over the grid (smallmat.constant_column),
+the usual flat reference, is Kahler exactly, as its spectrum lives at
+k = 0, where every derivative symbol is zero.  Its P is the 9x9 matrix
+T/2, whose column p is M(e_p, g0)/2 of the p-th unit stack, from one
+_polarised_adjugate of the nine unit stacks taken as nine points: P(X) is
+one matrix product over the stack, and no grid-sized adj g0 is formed.
+Any other g0 must pass the Kahler check max|d omega0| <= KAHLER_TOL,
+metric.kahler_excess on its stack (one real transform pair, no form),
+whose MetricError states the max; its P takes adj g0 once and two
+adjugates per stack.
 
-Lambda(H) = adj g + 1/2 M(H, g0) is affine in the Hessian H, so the Newton
-loop carries its linear part L = 1/2 M(Hess phi, g0) and lifts each step's
-Hessian stack once (T/2 times it, or two adjugates): a line-search trial is
-one axpy on L, and phi = 0 costs no lift.  Each iterate takes one adjugate
-of Lambda.  Sylvester's test reads Lambda_11, adj(Lambda)_33 (the leading
-2x2 minor) and det Lambda, which smallmat.stack_det_from_adjugate expands
-from adj Lambda along the first row; the Newton coefficients and the
-output metric adj Lambda / det(Lambda)^{1/2} reuse the same adj Lambda.
+The Newton loop carries the Hessian stack H of phi, and the residual
+builds Lambda = adj g + P(H) and takes one adjugate of it.  Sylvester's
+test reads Lambda_11, adj(Lambda)_33 (the leading 2x2 minor) and
+det Lambda, which smallmat.stack_det_from_adjugate expands from adj Lambda
+along the first row; the Newton coefficients and the output metric
+adj Lambda / det(Lambda)^{1/2} reuse the same adj Lambda.
 
 Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
 where w K = det(gt) gt^{-1} = adj gt for solve_ma2 and, since
-tr(P M(H, B)) = tr(M(P, B) H), w K = M(adj Lambda, g0) / (4 det(Lambda)^{1/2})
-for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  M(adj Lambda, g0)
-is T adj Lambda for a constant g0.  For a varying g0, as adj(adj L) =
-det(L) L for 3x3 matrices, it takes one adjugate beside adj Lambda:
-adj(adj Lambda + g0) - det(Lambda) Lambda - adj g0.  The linear systems
+tr(X M(H, B)) = tr(M(X, B) H), w K = P(adj Lambda) / (2 det(Lambda)^{1/2})
+for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  The linear systems
 carry the constant b as an extra unknown in a bordered system A.  GMRES
 solves it right-preconditioned (Saad, Iterative Methods for Sparse Linear
 Systems, 2nd ed., 2003, 9.3): A M u = rhs, then
@@ -80,8 +73,8 @@ stack rows that are not identically zero (on x axes alone 3 of 4 for
 n = 2, 6 of 9 for n = 3) and one contraction: one real transform pair per
 GMRES iteration.  The step M u and its Hessian
 stack come from one more pair per Newton step, with all of Q, and the
-Newton loop carries the Hessian stack of phi (for solve_ma3 its image L),
-so the residuals, line-search trials included, make no transform.  A solve
+Newton loop carries the Hessian stack of phi, so the residuals,
+line-search trials included, make no transform.  A solve
 assembles no complex (n, n) field: the output metric is built from its
 stack and assembles its complex field when it is read.
 """
@@ -142,6 +135,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -433,32 +428,44 @@ def _forcing_term(eta_prev: float | None, res: float, res_prev: float | None, to
     return max(eta, LINEAR_RTOL, 0.5 * tol / res)
 
 
-def _line_search(residual_fn, L, dL, b, db, res):
+def _initial_phi(grid: PeriodicGrid, initial_phi) -> np.ndarray | None:
+    """initial_phi as a real field of mean zero, or None for None.
+    ValueError unless it has the grid's shape and finite entries."""
+    if initial_phi is None:
+        return None
+    phi = np.array(initial_phi, dtype=np.float64)
+    if phi.shape != grid.shape:
+        raise ValueError(f"initial_phi has shape {phi.shape}, the grid {grid.shape}")
+    if not np.isfinite(phi).all():
+        raise ValueError("initial_phi has non-finite entries")
+    return phi - phi.mean()
+
+
+def _line_search(residual_fn, H, dH, b, db, res):
     """Backtracking on the step: 1, 1/2, ... down to MIN_STEP, the first
-    whose trial residual_fn(L + step dL, b + step db) is admissible with the
-    Armijo decrease of max|R| from res.  Returns (step, L + step dL, R,
+    whose trial residual_fn(H + step dH, b + step db) is admissible with the
+    Armijo decrease of max|R| from res.  Returns (step, H + step dH, R,
     state, max|R|) of that trial; raises SolverError when no step passes."""
     step = 1.0
     while step >= MIN_STEP:
-        L_new = L + step * dL
+        H_new = H + step * dH
         try:
-            R, state = residual_fn(L_new, b + step * db)
+            R, state = residual_fn(H_new, b + step * db)
         except SolverError:
             R = None
         if R is not None:
             res_new = float(np.max(np.abs(R)))
             if res_new < res * (1.0 - ARMIJO * step):
-                return step, L_new, R, state, res_new
+                return step, H_new, R, state, res_new
         step *= 0.5
     raise SolverError("line search stalled (positivity or descent loss)", [])
 
 
-def _newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, initial_b):
-    """Damped Newton iteration over (phi, b) for residual_fn(L, b), with
-    L = lift(H) the image of the hermitian_hessian_stack H of phi under the
-    solver's linear map lift: the solver's stack is its constant part plus
-    L.  initial_phi None starts from phi = 0, whose L is zero; another start
-    takes one transform pair for H and one lift.
+def _newton_loop(grid, cfg, residual_fn, coefficients_fn, phi0, initial_b):
+    """Damped Newton iteration over (phi, b) for residual_fn(H, b), with H
+    the hermitian_hessian_stack of phi.  phi0 None starts from phi = 0,
+    whose H is zero; another start (a mean-zero phi0 from _initial_phi)
+    takes one transform pair for H.
 
     residual_fn returns (R, state) where R is the pointwise equation residual
     and state is whatever coefficients_fn needs; it raises SolverError
@@ -473,9 +480,8 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, ini
     of WK.  Each GMRES iteration makes one rfft_active and one irfft_active
     batched over the Hessian rows that are not identically zero.  The apply
     of M gives the Hessian stack dH of the step from its own transform pair,
-    lifted once to dL = lift(dH), so L is carried along with phi, and a
-    line-search trial is residual_fn(L + step dL, b + step db): the
-    residuals make no transform, and a trial maps nothing through lift.
+    so H is carried along with phi, and a line-search trial is
+    residual_fn(H + step dH, b + step db): the residuals make no transform.
     GMRES stops at the relative tolerance _forcing_term picks from the last
     two residuals: loose while Newton is far from the solution, tighter as
     it converges quadratically.
@@ -483,16 +489,15 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, ini
     Returns (phi, b, state, record), record holding MASolution's
     residual_history, trace, linear_iterations and linear_rtols.
     """
-    if initial_phi is None:
+    if phi0 is None:
         phi = np.zeros(grid.shape)
-        L = np.zeros((grid.n**2,) + grid.shape)
+        H = np.zeros((grid.n**2,) + grid.shape)
     else:
-        phi = np.array(initial_phi, dtype=np.float64).reshape(grid.shape)
-        phi = phi - phi.mean()
-        L = lift(hermitian_hessian_stack(phi, grid))
+        phi = phi0
+        H = hermitian_hessian_stack(phi, grid)
     b = float(initial_b)
     try:
-        R, state = residual_fn(L, b)
+        R, state = residual_fn(H, b)
     except SolverError as err:
         raise SolverError(str(err), [], phi, b) from None
     res = float(np.max(np.abs(R)))
@@ -518,7 +523,7 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, ini
         dphi, dH, db = apply_M(u)
         dphi = dphi - dphi.mean()
         try:
-            step, L, R, state, res = _line_search(residual_fn, L, lift(dH), b, db, res)
+            step, H, R, state, res = _line_search(residual_fn, H, dH, b, db, res)
         except SolverError as err:
             raise SolverError(str(err), history, phi, b) from None
         phi, b = phi + step * dphi, b + step * db
@@ -552,6 +557,7 @@ def solve_ma2(
     """Solve (omega + i del dbar phi)^n = e^{F+b} omega^n, mean(phi) = 0."""
     grid = g.grid
     _check_grids(grid, F=F)
+    phi0 = _initial_phi(grid, initial_phi)
     S_g = g.stack
     detg = stack_minors(S_g)[-1]
     eF_detg = np.exp(F.values.real) * detg
@@ -569,8 +575,7 @@ def solve_ma2(
         return stack_adjugate(S), detgt
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    # g + Hess phi is affine in Hess phi with the identity as its linear part
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, lambda H: H, initial_phi, b0)
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
     # residual() checked the positivity of the stack
     metric_out = HermitianMetricField._unchecked(grid, state[0])
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)
@@ -586,20 +591,6 @@ def _polarised_adjugate(X: np.ndarray, B: np.ndarray, adj_B: np.ndarray) -> np.n
     return stack_adjugate(X + B) - stack_adjugate(X) - adj_B
 
 
-def _polarised_adjugate_table(B: np.ndarray) -> np.ndarray:
-    """The 9x9 matrix T of the real-linear map X -> M(X, B) on 3x3 stacks,
-    for the stack column B of a constant field: M(X, B) = T X.  Column p is
-    M(e_p, B) of the p-th unit stack, all nine from one _polarised_adjugate
-    of the unit stacks taken as nine points."""
-    B9 = np.repeat(B[:, None], 9, axis=1)
-    return _polarised_adjugate(np.eye(9), B9, stack_adjugate(B9))
-
-
-def _apply_table(T: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """T X of a table T over every point of the stack X: one matrix product."""
-    return (T @ X.reshape(len(X), -1)).reshape(X.shape)
-
-
 def solve_ma3(
     g: HermitianMetricField,
     g0: HermitianMetricField,
@@ -613,45 +604,36 @@ def solve_ma3(
     if grid.n != 3:
         raise MetricError("the form-type solver is implemented for n = 3")
     _check_grids(grid, g0=g0, F=F)
+    phi0 = _initial_phi(grid, initial_phi)
     S_g, S_g0 = g.stack, g0.stack
-    d_omega0 = kahler_excess(S_g0, grid, KAHLER_TOL)
-    if d_omega0 is not None:
-        raise MetricError(
-            f"reference metric is not Kahler: max|d omega0| = {d_omega0:.6e} > KAHLER_TOL = {KAHLER_TOL:g}"
-        )
+    # P(X) = 1/2 M(X, g0)
+    column0 = constant_column(S_g0)
+    if column0 is None:
+        d_omega0 = kahler_excess(S_g0, grid, KAHLER_TOL)
+        if d_omega0 is not None:
+            raise MetricError(
+                f"reference metric is not Kahler: max|d omega0| = {d_omega0:.6e} > KAHLER_TOL = {KAHLER_TOL:g}"
+            )
+        adj_g0 = stack_adjugate(S_g0)
+
+        def P(X):
+            return 0.5 * _polarised_adjugate(X, S_g0, adj_g0)
+
+    else:
+        # a constant g0 is Kahler exactly; column p of T/2 is P of the p-th
+        # unit stack, the nine unit stacks taken as nine points
+        B = np.repeat(column0[:, None], 9, axis=1)
+        half_T = 0.5 * _polarised_adjugate(np.eye(9), B, stack_adjugate(B))
+
+        def P(X):
+            return (half_T @ X.reshape(9, -1)).reshape(X.shape)
+
     adj_g = stack_adjugate(S_g)
     detg = stack_det_from_adjugate(S_g, adj_g)
     eF_detg = np.exp(F.values.real) * detg
 
-    # lift is the linear part of Lambda(H) = adj g + 1/2 M(H, g0);
-    # polarised(lam, adj_lam, dets) is M(adj Lambda, g0)
-    column0 = constant_column(S_g0)
-    if column0 is None:
-        adj_g0 = stack_adjugate(S_g0)
-
-        def lift(H):
-            return 0.5 * _polarised_adjugate(H, S_g0, adj_g0)
-
-        def polarised(lam, adj_lam, dets):
-            # adj(adj Lambda) = det(Lambda) Lambda for 3x3 matrices, and
-            # det Lambda = dets^2
-            M = stack_adjugate(adj_lam + S_g0)
-            M -= (dets * dets) * lam
-            M -= adj_g0
-            return M
-
-    else:
-        T = _polarised_adjugate_table(column0)
-        half_T = 0.5 * T
-
-        def lift(H):
-            return _apply_table(half_T, H)
-
-        def polarised(lam, adj_lam, dets):
-            return _apply_table(T, adj_lam)
-
-    def residual(L, b):
-        lam = adj_g + L
+    def residual(H, b):
+        lam = adj_g + P(H)
         adj_lam = stack_adjugate(lam)
         # Sylvester's test on the leading minors Lambda_11, adj(Lambda)_33
         # and det Lambda, all three from adj Lambda
@@ -660,17 +642,17 @@ def solve_ma3(
             raise SolverError("(n-1)-positivity lost", [])
         dets = np.sqrt(det)  # det of the root metric
         R = dets - np.exp(b) * eF_detg
-        return R, (lam, adj_lam, dets)
+        return R, (adj_lam, dets)
 
     def coefficients(state):
-        lam, adj_lam, dets = state
-        M = polarised(lam, adj_lam, dets)
-        M /= 4.0 * dets
-        return M, dets
+        adj_lam, dets = state
+        WK = P(adj_lam)
+        WK /= 2.0 * dets
+        return WK, dets
 
     b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, lift, initial_phi, b0)
-    _, adj_lam, dets = state
+    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
+    adj_lam, dets = state
     # adj Lambda / det(Lambda)^{1/2}, positive definite as Lambda is
     metric_out = HermitianMetricField._unchecked(grid, adj_lam / dets)
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)

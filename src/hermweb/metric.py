@@ -7,10 +7,8 @@ ricci_tensor and ricci_norm read the flow's real Hessian stack of log det g.
 classify and solve_ma3's Kahler check build no form: the residuals of the
 metric classes are linear in g and in adj g, the matrix of omega^{n-1}, and
 come from real transforms of their stacks (_complex_residuals).  The Kahler
-check (kahler_excess) accepts a stack constant over the grid
-(smallmat.constant_column) with no transform and inverts the residual
-spectra of any other only when their spectral bound on the max exceeds the
-tolerance.  The forms
+check (kahler_excess) is the exact max of classify's Kahler residual, from
+one real transform pair of the stack of g.  The forms
 (fundamental_form, chern_ricci, bott_chern_defect) remain for callers and
 as the tests' oracle.
 """
@@ -398,33 +396,12 @@ def _max_moduli(spectra: list[np.ndarray], grid: PeriodicGrid) -> list[float]:
     return maxima
 
 
-def _spectral_bound(X: np.ndarray, grid: PeriodicGrid) -> float:
-    """An upper bound of the max-modulus that _max_moduli gives for X:
-    max over the fields of sum_k |X(k)| + |X(-k)| over the half spectrum,
-    divided by num_points.  With numpy's unnormalised forward transform a
-    field is the mean of its spectrum's waves, so its modulus is at most
-    the mean of its spectrum's moduli.  The bins at 0 and N/2 of the last
-    active axis, whose -k the half spectrum holds too, count twice, which
-    only loosens the bound."""
-    return float(np.abs(X).reshape(len(X), -1).sum(axis=1).max()) / grid.num_points
-
-
 def kahler_excess(S: np.ndarray, grid: PeriodicGrid, tol: float) -> float | None:
     """None if max|d omega| <= tol for the metric with real stack S, read as
     max|del omega| like classify's Kahler residual; otherwise that max.
-
-    A stack constant over the grid is accepted with no transform: its
-    spectrum lives at k = 0, where every derivative symbol is zero, so
-    d omega = 0 exactly.  Otherwise the residual fields come from one
-    rfft_active of S.  Within tol by _spectral_bound, the metric is
-    accepted without an inverse transform; only above it are the same
-    spectra inverted for the exact max."""
-    if smallmat.constant_column(S) is not None:
-        return None
-    (X,) = _residual_spectra(S, grid, False)
-    if _spectral_bound(X, grid) <= tol:
-        return None
-    (d_omega,) = _max_moduli([X], grid)
+    The residual fields come from one rfft_active of S and one irfft_active
+    of their spectra."""
+    (d_omega,) = _max_moduli(_residual_spectra(S, grid, False), grid)
     return d_omega if d_omega > tol else None
 
 

@@ -12,7 +12,8 @@ polarised adjugate M(a, b) = adj(a + b) - adj a - adj b.  Given adj a,
 stack_det_from_adjugate expands det a along the first row, and adj(a)_nn
 is the leading (n-1)-minor, so one adjugate gives all three leading
 minors of a 3x3 field.  constant_column tells whether a stack is constant
-over the grid, for the Kahler check and solve_ma3's table of M(., g0).
+over the grid: solve_ma3 takes M(., g0) of a constant reference as a 9x9
+matrix.
 
 Metrics here are 2x2 or 3x3 at every grid point.  Cofactor expansion costs a
 few whole-field array operations per entry, where a batched LAPACK call pays

@@ -18,8 +18,9 @@ small cross-checks that the package itself never calls: the (p,q) basis
 keys, d/dz_i and d/dzbar_i of a field read from exterior_d, the grid mean,
 a realness test, the Hermitian part of a matrix field, the inverse of
 fundamental_form, a uniqueness probe for the Monge-Ampere solvers, a check
-and a guard for the real stack a HermitianMetricField carries, and the
-expression form of the stack adjugate, one fresh array per entry.
+and a guard for the real stack a HermitianMetricField carries, the
+expression form of the stack adjugate, one fresh array per entry, and a
+capture of solve_ma3's Newton closures.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from hermweb.forms import FormField, exterior_d, sort_sign, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
 from hermweb.metric import ClassReport, HermitianMetricField, MetricError, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
-from hermweb import smallmat
+from hermweb import ma, smallmat
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +486,26 @@ def stack_adjugate_expressions(S: np.ndarray) -> np.ndarray:
         x01 * y12 + y01 * x12 - d1 * y02,
         x01 * y02 - y01 * x02 - d0 * y12,
     ])
+
+
+class _Captured(Exception):
+    pass
+
+
+def ma3_closures(monkeypatch, g, g0, F):
+    """The residual and coefficients closures solve_ma3 builds for (g, g0, F),
+    taken from its call of _newton_loop, which does not run."""
+    closures = []
+
+    def newton_loop(grid, cfg, residual_fn, coefficients_fn, *args):
+        closures.extend([residual_fn, coefficients_fn])
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ma, "_newton_loop", newton_loop)
+        try:
+            ma.solve_ma3(g, g0, F)
+        except _Captured:
+            pass
+    residual, coefficients = closures
+    return residual, coefficients

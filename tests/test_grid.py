@@ -61,6 +61,23 @@ def test_grid_rejects_bad_sizes(n, sizes):
         PeriodicGrid(n, sizes)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_scalar_field_rejects_a_non_finite_value(bad):
+    # a field enters through this constructor, so one bad point stops it
+    # there, before a solver can run on it
+    grid = PeriodicGrid(2, (8, 8, 1, 1))
+    values = np.zeros(grid.shape)
+    values[3, 5] = bad
+    with pytest.raises(GridError, match=r"at index \(3, 5, 0, 0\) is not finite"):
+        ScalarField(grid, values)
+    imaginary = np.zeros(grid.shape, dtype=np.complex128)
+    imaginary[3, 5] = complex(0.0, bad)
+    with pytest.raises(GridError, match=r"at index \(3, 5, 0, 0\) is not finite"):
+        ScalarField(grid, imaginary)
+    with pytest.raises(GridError, match=r"at index \(3, 5, 0, 0\) is not finite"):
+        from_function(grid, lambda x1, x2, **_: np.where((x1 == 3 / 8) & (x2 == 5 / 8), bad, 0.0))
+
+
 def test_coordinates_cover_unit_cell():
     grid = PeriodicGrid(2, (8, 1, 16, 1))
     x1 = grid.coordinate(0)

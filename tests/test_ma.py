@@ -57,6 +57,7 @@ from helpers import (
     assert_carries_its_stack,
     random_bandlimited,
     random_metric,
+    ma3_closures,
     refuse_hermitian_stack,
     uniqueness_probe,
 )
@@ -265,10 +266,36 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    # range() in the Newton loop takes integers only
+    for count in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            SolverConfig(max_iterations=count)
+    assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
     # a NaN tolerance is never met: Newton would run to its round-off floor
     for tol in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             SolverConfig(tolerance=tol)
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_solvers_reject_a_bad_initial_phi(solver, monkeypatch):
+    # a wrong shape or a non-finite entry is refused, naming initial_phi,
+    # before the Newton loop or solve_ma3's Kahler check runs
+    grid = GRID3 if solver == "ma3" else PeriodicGrid(2, (16, 16, 1, 1))
+    g = random_metric(grid, np.random.default_rng(4), amp=0.05, kmax=1)
+    F = ricci_potential(g)
+    g0 = hessian_reference(grid, np.random.default_rng(5)) if solver == "ma3" else None
+    solve = (lambda phi: solve_ma2(g, F, initial_phi=phi)) if solver == "ma2" else (lambda phi: solve_ma3(g, g0, F, initial_phi=phi))
+    for name in ("_newton_loop", "kahler_excess"):
+        monkeypatch.setattr(ma_module, name, None)
+    bad_shape = np.zeros(grid.num_points)
+    with pytest.raises(ValueError, match=r"^initial_phi has shape \(%d,\)" % grid.num_points):
+        solve(bad_shape)
+    for bad in (np.nan, np.inf, -np.inf):
+        phi = np.zeros(grid.shape)
+        phi[(0,) * len(grid.shape)] = bad
+        with pytest.raises(ValueError, match="^initial_phi has non-finite entries"):
+            solve(phi)
 
 
 def test_solve_ma2_flat_input_trivial():
@@ -590,7 +617,7 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
 
     monkeypatch.setattr(ma_module, "_make_system", make_system)
     monkeypatch.setattr(ma_module, "gmres", gmres)
-    # solve_ma3's Kahler check of g0 sees a constant stack
+    # solve_ma3's g0 = I is constant: no Kahler check
     monkeypatch.setattr(ma_module, "kahler_excess", counted("kahler", ma_module.kahler_excess))
     sol = solve()
     # one grid.rfft_active/irfft_active pair: an rfft and an irfft, each with
@@ -603,16 +630,15 @@ def test_solvers_make_one_real_transform_pair_per_apply(solver, monkeypatch):
     assert per_apply["M"] and all(c == pair and rows == [1 + hessian_rows] for c, rows in per_apply["M"])
     # M once per Newton step, after its GMRES solve
     assert M_per_system == [1] * sol.iterations
-    # every transform is inside an apply or the Kahler check: none in the
-    # residuals, whose Hessian stacks are carried from the applies of M
-    # the check of the constant g0 = I makes no transform
-    assert per_apply["kahler"] == ([(Counter(), [])] if solver == "ma3" else [])
+    # every transform is inside an apply: none in the residuals, whose
+    # Hessian stacks are carried from the applies of M
+    assert per_apply["kahler"] == []
     assert sum((c for c, _ in sum(per_apply.values(), [])), Counter()) == counts
     assert counts["fftn"] == counts["ifftn"] == counts["rfftn"] == counts["irfftn"] == 0
 
 
 # ---------------------------------------------------------------------------
-# solve_ma3's Kahler check of the reference: the spectral bound, then the max
+# solve_ma3's Kahler check of a varying reference: the exact max
 # ---------------------------------------------------------------------------
 
 # OPERATOR_GRIDS and a grid whose third complex direction is collapsed
@@ -621,38 +647,39 @@ KAHLER_CHECK_GRIDS = OPERATOR_GRIDS + [(3, (16, 16, 1, 16, 1, 1))]
 
 @pytest.mark.parametrize("n, sizes", KAHLER_CHECK_GRIDS)
 def test_kahler_check_bound_is_at_least_the_kahler_residual(n, sizes):
-    # the check accepts on the bound without the inverse transform, so the
-    # bound must not fall below max|del omega|, Nyquist modes included
-    # (kmax = 4 on 8-point axes)
+    # the check accepts exactly when its bound tol is at least
+    # max|del omega|, Nyquist modes included (kmax = 4 on 8-point axes),
+    # and below it returns that max
     grid = PeriodicGrid(n, sizes)
     rng = np.random.default_rng(sum(sizes))
     for kmax in (1, 2, 4) * 2:
         g = random_metric(grid, rng, amp=0.1, kmax=kmax)
         exact = classify(g, 1.0).kahler_residual
-        (X,) = metric_module._residual_spectra(g.stack, grid, False)
-        bound = metric_module._spectral_bound(X, grid)
-        assert 1e-3 < exact <= bound
-        # above the bound the check accepts at once, between the two after
-        # the inverse transform, and below both it returns the max
-        assert kahler_excess(g.stack, grid, bound) is None
-        assert kahler_excess(g.stack, grid, 0.5 * (exact + bound)) is None
+        assert exact > 1e-3
+        assert kahler_excess(g.stack, grid, 2.0 * exact) is None
+        assert kahler_excess(g.stack, grid, exact) is None
+        assert kahler_excess(g.stack, grid, np.nextafter(exact, 0.0)) == exact
         assert kahler_excess(g.stack, grid, 0.5 * exact) == exact
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16, 1, 1, 1), (8, 8, 1, 8, 1, 1), (8, 8, 8, 8, 1, 8)])
 @pytest.mark.parametrize("kind", ["identity", "hessian"])
-def test_kahler_references_cost_no_inverse_transform(sizes, kind, monkeypatch):
-    # the flat metric is constant and passes with no transform; a
-    # band-limited I + Hess f passes on the spectral bound: one rfft_active
-    # of the stack of g0 and no irfft_active
+def test_kahler_references_cost_one_transform_pair_at_most(sizes, kind, monkeypatch):
+    # solve_ma3 takes the flat metric as constant and checks nothing; a
+    # band-limited I + Hess f passes the Kahler check on its exact max:
+    # one rfft_active of the stack of g0 and one irfft_active
     grid = PeriodicGrid(3, sizes)
+    rng = np.random.default_rng(sum(sizes))
     g0 = identity_metric(grid)
     if kind == "hessian":
-        g0 = hessian_reference(grid, np.random.default_rng(sum(sizes)))
+        g0 = hessian_reference(grid, rng)
         assert np.ptp(g0.g[..., 0, 0].real) > 1e-2
+    g = random_metric(grid, rng, amp=0.05, kmax=1)
+    F = ricci_potential(g)
     calls = count_transforms(monkeypatch)
-    assert kahler_excess(g0.stack, grid, KAHLER_TOL) is None
-    assert calls == (["rfft_active"] if kind == "hessian" else [])
+    sol = solve_ma3(g, g0, F)
+    assert sol.residual_history[-1] <= SolverConfig().tolerance
+    assert calls == (["rfft_active", "irfft_active"] if kind == "hessian" else [])
 
 
 def count_transforms(monkeypatch):
@@ -666,13 +693,14 @@ def count_transforms(monkeypatch):
 
 def test_constant_reference_is_accepted_without_a_transform(monkeypatch):
     # a constant g0 that is not the identity, with a complex g12: d omega0 = 0
-    # at k = 0, where every derivative symbol is zero
+    # at k = 0, where every derivative symbol is zero, so solve_ma3 runs no
+    # Kahler check
     g0 = constant_metric(GRID3, CONSTANT_G0)
     assert classify(g0, 1.0).kahler_residual == 0.0
-    calls = count_transforms(monkeypatch)
-    assert kahler_excess(g0.stack, GRID3, KAHLER_TOL) is None
     g = random_metric(GRID3, np.random.default_rng(21), amp=0.05, kmax=1)
-    sol = solve_ma3(g, g0, ricci_potential(g))
+    F = ricci_potential(g)
+    calls = count_transforms(monkeypatch)
+    sol = solve_ma3(g, g0, F)
     assert sol.residual_history[-1] <= SolverConfig().tolerance
     assert calls == []
 
@@ -680,20 +708,25 @@ def test_constant_reference_is_accepted_without_a_transform(monkeypatch):
 def test_reference_constant_but_at_one_point_is_checked(monkeypatch):
     # one point off the constant makes the stack non-constant: the check
     # transforms it and rejects the spike, which is not Kahler
-    S = constant_metric(GRID3, np.diag([2.0, 1.0, 3.0]).astype(np.complex128)).stack.copy()
+    g0 = constant_metric(GRID3, np.diag([2.0, 1.0, 3.0]).astype(np.complex128))
+    S = g0.stack.copy()
     S[0, 3, 5] += 0.1
     calls = count_transforms(monkeypatch)
     d_omega0 = kahler_excess(S, GRID3, KAHLER_TOL)
     assert calls == ["rfft_active", "irfft_active"]
     assert d_omega0 == pytest.approx(classify(HermitianMetricField.from_stack(GRID3, S), 1.0).kahler_residual, rel=1e-12)
     assert d_omega0 > 1e-3
+    g = identity_metric(GRID3)
+    with pytest.raises(MetricError, match="not Kahler"):
+        solve_ma3(g, HermitianMetricField.from_stack(GRID3, S), ricci_potential(g))
 
 
 def test_solve_ma3_takes_one_adjugate_of_lambda_per_iterate(monkeypatch):
     # grid-sized adjugates: adj g, and 1 of Lambda per residual (the start,
     # each accepted step and each backtrack).  A constant g0 maps through its
-    # 9x9 table; a varying one adds adj g0, 1 adjugate of adj Lambda + g0
-    # per coefficient field and 2 per step's lift of dH.  No stack_minors.
+    # 9x9 matrix.  A varying one adds adj g0, and each P = 1/2 M(., g0)
+    # takes 2 adjugates: one per residual's Lambda = adj g + P(H) and one
+    # per step's coefficients P(adj Lambda).  No stack_minors.
     calls = Counter()
 
     def counted(name):
@@ -717,22 +750,28 @@ def test_solve_ma3_takes_one_adjugate_of_lambda_per_iterate(monkeypatch):
     (adj0, it0, bt0), (adj1, it1, bt1), (adj2, it2, bt2) = counts
     assert adj0 == 2 + it0 + bt0
     assert adj1 == 2 + it1 + bt1 and bt1 == 1
-    assert adj2 == 3 + 4 * it2 + bt2
+    # adj g, adj g0, 3 per residual (1 + it2 + bt2 of them), 2 per step
+    assert adj2 == 2 + 3 * (1 + it2 + bt2) + 2 * it2
     assert np.ptp(problems[2][1].stack[0]) > 1e-2
 
 
 @pytest.mark.parametrize("G0", [np.eye(3), np.diag([2.0, 1.0, 3.0]), CONSTANT_G0], ids=["identity", "diagonal", "complex_g12"])
-def test_reference_table_is_the_polarised_adjugate(G0):
-    # T X = M(X, g0) on random stacks, M by the adjugate kernel
+def test_reference_table_is_the_polarised_adjugate(G0, monkeypatch):
+    # for a constant g0, solve_ma3's coefficients at the state (X, 1/2) are
+    # P(X) of its 9x9 matrix T/2, with no adjugate and no Kahler check:
+    # 1/2 M(X, g0) on random stacks, M by the adjugate kernel
+    g0 = constant_metric(GRID3, np.asarray(G0, dtype=np.complex128))
+    g = identity_metric(GRID3)
+    _, coefficients = ma3_closures(monkeypatch, g, g0, ScalarField(GRID3, np.zeros(GRID3.shape)))
     B = hermitian_stack(np.asarray(G0, dtype=np.complex128))
-    T = ma_module._polarised_adjugate_table(B)
-    assert T.shape == (9, 9)
     rng = np.random.default_rng(12)
     for shape in [(64,), (16, 16, 1, 1, 1, 1)]:
         X = hermitian_stack(random_pd_matrix(3, rng) + rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3)))
         Bs = np.broadcast_to(B.reshape((9,) + (1,) * len(shape)), X.shape).copy()
-        expected = ma_module._polarised_adjugate(X, Bs, stack_adjugate(Bs))
-        got = ma_module._apply_table(T, X)
+        expected = 0.5 * ma_module._polarised_adjugate(X, Bs, stack_adjugate(Bs))
+        with monkeypatch.context() as patch:
+            patch.setattr(ma_module, "stack_adjugate", None)
+            got, _ = coefficients((X, np.float64(0.5)))
         assert got.shape == X.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 

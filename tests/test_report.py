@@ -102,8 +102,14 @@ def test_load_field_rejects_non_finite_values(tmp_path):
     grid = PeriodicGrid(2, (8, 1, 8, 1))
     path = tmp_path / "f.fld"
     vals = np.ones(grid.shape, dtype=np.complex128)
-    vals[2, 0, 3, 0] = complex(1.0, np.nan)
+    # a ScalarField holds finite values only: write a marker, then put a
+    # NaN in its place in the file
+    marker = 12345.0
+    vals[2, 0, 3, 0] = complex(1.0, marker)
     dump_field(path, ScalarField(grid, vals))
+    blob = path.read_bytes()
+    assert blob.count(np.float64(marker).astype("<f8").tobytes()) == 1
+    path.write_bytes(blob.replace(np.float64(marker).astype("<f8").tobytes(), np.float64(np.nan).astype("<f8").tobytes()))
     with pytest.raises(ValueError, match="non-finite"):
         load_field(path)
 

@@ -19,7 +19,7 @@ from hermweb.smallmat import (
     stack_minors,
 )
 
-from helpers import stack_adjugate_expressions
+from helpers import ma3_closures, stack_adjugate_expressions
 
 RTOL = 1e-12
 
@@ -241,60 +241,54 @@ def test_sylvester_from_the_adjugate_decides_like_the_minors():
     assert minors_positive(mine)
 
 
-class _Captured(Exception):
-    pass
-
-
 MA3_GRID = PeriodicGrid(3, (8, 8, 1, 1, 1, 1))
 
 
 def ma3_newton_terms(S0, rng, monkeypatch):
     """solve_ma3's closures on a random g and the reference stack S0, at a
-    random Hessian stack H: (Lambda, its direct value adj g + 1/2 M(H, g0)),
-    and the checks of adj Lambda and of the coefficients against the
-    three-adjugate form M(adj Lambda, g0) / (4 det(Lambda)^{1/2})."""
+    random Hessian stack H: (adj Lambda from the residual, the adjugate of
+    the direct value adj g + 1/2 M(H, g0), the coefficients WK, the
+    three-adjugate form M(adj Lambda, g0) / (4 det(Lambda)^{1/2})), and the
+    checks of the weight and of WK against that form."""
     grid = MA3_GRID
     g = np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=grid.shape)
-    closures = {}
-
-    def newton_loop(grid, cfg, residual_fn, coefficients_fn, lift, initial_phi, initial_b):
-        closures.update(residual=residual_fn, coefficients=coefficients_fn, lift=lift)
-        raise _Captured
-
-    monkeypatch.setattr(ma_module, "_newton_loop", newton_loop)
-    with pytest.raises(_Captured):
-        ma_module.solve_ma3(
-            HermitianMetricField(grid, g), HermitianMetricField.from_stack(grid, S0), ScalarField(grid, np.zeros(grid.shape))
-        )
+    residual, coefficients = ma3_closures(
+        monkeypatch,
+        HermitianMetricField(grid, g),
+        HermitianMetricField.from_stack(grid, S0),
+        ScalarField(grid, np.zeros(grid.shape)),
+    )
     H = 0.05 * hermitian_stack(hermitian_field(rng, 3, "indefinite", shape=grid.shape))
-    _, (lam, adj_lam, dets) = closures["residual"](closures["lift"](H), 0.0)
-    WK, w = closures["coefficients"]((lam, adj_lam, dets))
-    assert np.array_equal(adj_lam, stack_adjugate(lam))
-    expected = ma_module._polarised_adjugate(stack_adjugate(lam), S0, stack_adjugate(S0)) / (4.0 * dets)
+    _, (adj_lam, dets) = residual(H, 0.0)
+    WK, w = coefficients((adj_lam, dets))
+    adj_S0 = stack_adjugate(S0)
+    expected = ma_module._polarised_adjugate(adj_lam, S0, adj_S0) / (4.0 * dets)
     assert np.array_equal(w, dets)
     assert np.max(np.abs(WK - expected)) <= 1e-12 * np.max(np.abs(expected))
-    return lam, stack_adjugate(hermitian_stack(g)) + 0.5 * ma_module._polarised_adjugate(H, S0, stack_adjugate(S0))
+    lam_direct = stack_adjugate(hermitian_stack(g)) + 0.5 * ma_module._polarised_adjugate(H, S0, adj_S0)
+    return adj_lam, stack_adjugate(lam_direct), WK, expected
 
 
 def test_ma3_coefficient_equals_the_three_adjugate_form(monkeypatch):
-    # a constant g0: the lift and the coefficient M(adj Lambda, g0) come
-    # from its 9x9 table, equal to the adjugates to round-off
+    # a constant g0: P(H) and the coefficient P(adj Lambda) come from its
+    # 9x9 matrix, equal to the adjugates to round-off
     rng = np.random.default_rng(50)
     S0 = hermitian_stack(np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=()))
     S0 = np.broadcast_to(S0.reshape((9,) + (1,) * 6), (9,) + MA3_GRID.shape).copy()
-    lam, lam_direct = ma3_newton_terms(S0, rng, monkeypatch)
-    assert np.max(np.abs(lam - lam_direct)) <= 1e-13 * np.max(np.abs(lam_direct))
+    adj_lam, adj_direct, _, _ = ma3_newton_terms(S0, rng, monkeypatch)
+    assert np.max(np.abs(adj_lam - adj_direct)) <= 1e-13 * np.max(np.abs(adj_direct))
 
 
 def test_ma3_coefficient_on_a_varying_reference_takes_the_adjugates(monkeypatch):
-    # a Kahler I + Hess f that varies: the carried L = lift(H) makes
-    # Lambda = adj g + 1/2 M(H, g0) bit for bit, and the coefficient takes
-    # adj(adj Lambda) as det(Lambda) Lambda
+    # a Kahler I + Hess f that varies: P(H) = 1/2 M(H, g0) by the adjugates
+    # gives Lambda = adj g + 1/2 M(H, g0) bit for bit, and the coefficient
+    # P(adj Lambda) / (2 det(Lambda)^{1/2}) is the three-adjugate form
     x1, x2 = np.meshgrid(np.arange(8) / 8, np.arange(8) / 8, indexing="ij")
     f = 0.01 * (np.cos(2 * np.pi * x1) + np.sin(2 * np.pi * (x1 - x2))).reshape(MA3_GRID.shape)
     S0 = hermitian_stack(np.broadcast_to(np.eye(3), MA3_GRID.shape + (3, 3))) + hermitian_hessian_stack(f, MA3_GRID)
-    lam, lam_direct = ma3_newton_terms(S0, np.random.default_rng(51), monkeypatch)
-    assert np.array_equal(lam, lam_direct)
+    adj_lam, adj_direct, WK, expected = ma3_newton_terms(S0, np.random.default_rng(51), monkeypatch)
+    assert np.array_equal(adj_lam, adj_direct)
+    assert np.array_equal(WK, expected)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (64,), (8, 4, 1, 1)], ids=["matrix", "one_point", "line", "grid"])
