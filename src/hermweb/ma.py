@@ -27,12 +27,21 @@ metric.kahler_excess on its stack (one real transform pair, no form),
 whose MetricError states the max; its P takes adj g0 once and two
 adjugates per stack.
 
-The Newton loop carries the Hessian stack H of phi, and the residual
-builds Lambda = adj g + P(H) and takes one adjugate of it.  Sylvester's
+The Newton loop carries the Hessian stack H of phi, and solve_ma3's left
+side builds Lambda = adj g + P(H) and takes one adjugate of it.  Sylvester's
 test reads Lambda_11, adj(Lambda)_33 (the leading 2x2 minor) and
 det Lambda, which smallmat.stack_det_from_adjugate expands from adj Lambda
 along the first row; the Newton coefficients and the output metric
 adj Lambda / det(Lambda)^{1/2} reuse the same adj Lambda.
+
+Both equations read lhs(H) = e^{F+b} det g, with H the Hessian stack of
+phi, lhs = det(g + H) for solve_ma2 and det(Lambda)^{1/2} for solve_ma3.
+_newton_loop owns the equation: the right side, the start
+b0 = log(mean det g / mean e^F det g) and the residual
+R = lhs - e^b e^F det g.  Each solver hands it lhs, which returns None for
+an iterate off the positive cone, and the Newton coefficients.  Failures
+travel as values up to _newton_loop, the one place that raises
+SolverError, once per failure and with its residual history.
 
 Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
@@ -104,7 +113,8 @@ FACTORIAL = {1: 1, 2: 2, 3: 6}
 
 
 class SolverError(RuntimeError):
-    """Raised on positivity loss or non-convergence; carries the last iterate."""
+    """Raised by _newton_loop on positivity loss or non-convergence; carries
+    the residual history and the last iterate."""
 
     def __init__(self, message: str, history: list[float], phi: np.ndarray | None = None, b: float = 0.0):
         super().__init__(message)
@@ -256,18 +266,18 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(f) / d, g / r, r
 
 
-def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type="pr_norm"):
+def gmres(A, b, *, M=None, rtol, maxiter, callback=None, callback_type="pr_norm"):
     """Solve A x = b from x = 0 by GMRES(20) with no preconditioner; the
     solvers pass their right-preconditioned A M.  M and callback_type take
     only None and "pr_norm", the benchmark tracer's call.
 
-    A cycle ends once its residual estimate is at most
-    atol = max(atol, rtol |b|), when it is full, or on a breakdown
-    h1 <= eps h0, where its solution is exact.  An early end takes the
-    residual from the kept images A v_j; a full cycle applies A to x afresh,
-    so the residual does not drift over restarts.  The solve ends once
-    |b - A x| <= atol or after maxiter cycles.  callback, if given, receives
-    the estimate over |b| after each inner iteration.
+    A cycle ends once its residual estimate is at most atol = rtol |b|,
+    when it is full, or on a breakdown h1 <= eps h0, where its solution is
+    exact.  An early end takes the residual from the kept images A v_j; a
+    full cycle applies A to x afresh, so the residual does not drift over
+    restarts.  The solve ends once |b - A x| <= atol or after maxiter
+    cycles.  callback, if given, receives the estimate over |b| after each
+    inner iteration.
     Returns (x, info, iterations): info is 0 on convergence, else maxiter.
     """
     if M is not None or callback_type != "pr_norm":
@@ -276,7 +286,7 @@ def gmres(A, b, *, M=None, rtol, atol=0.0, maxiter, callback=None, callback_type
     n = b.size
     x = np.zeros(n)
     bnrm2 = math.sqrt(b @ b)
-    atol = max(float(atol), float(rtol) * bnrm2)
+    atol = float(rtol) * bnrm2
     if bnrm2 == 0.0 or bnrm2 < atol:
         return x, 0, 0
     eps = float(np.finfo(np.float64).eps)
@@ -443,35 +453,36 @@ def _initial_phi(grid: PeriodicGrid, initial_phi) -> np.ndarray | None:
 
 def _line_search(residual_fn, H, dH, b, db, res):
     """Backtracking on the step: 1, 1/2, ... down to MIN_STEP, the first
-    whose trial residual_fn(H + step dH, b + step db) is admissible with the
-    Armijo decrease of max|R| from res.  Returns (step, H + step dH, R,
-    state, max|R|) of that trial; raises SolverError when no step passes."""
+    whose trial residual_fn(H + step dH, b + step db) is admissible (not
+    None) with the Armijo decrease of max|R| from res.  Returns (step,
+    H + step dH, R, state, max|R|) of that trial, or None when no step
+    passes."""
     step = 1.0
     while step >= MIN_STEP:
         H_new = H + step * dH
-        try:
-            R, state = residual_fn(H_new, b + step * db)
-        except SolverError:
-            R = None
-        if R is not None:
+        trial = residual_fn(H_new, b + step * db)
+        if trial is not None:
+            R, state = trial
             res_new = float(np.max(np.abs(R)))
             if res_new < res * (1.0 - ARMIJO * step):
                 return step, H_new, R, state, res_new
         step *= 0.5
-    raise SolverError("line search stalled (positivity or descent loss)", [])
+    return None
 
 
-def _newton_loop(grid, cfg, residual_fn, coefficients_fn, phi0, initial_b):
-    """Damped Newton iteration over (phi, b) for residual_fn(H, b), with H
-    the hermitian_hessian_stack of phi.  phi0 None starts from phi = 0,
-    whose H is zero; another start (a mean-zero phi0 from _initial_phi)
-    takes one transform pair for H.
+def _newton_loop(grid, cfg, lhs_fn, coefficients_fn, phi0, F, detg):
+    """Damped Newton iteration over (phi, b) for the equation
+        lhs(H) = e^{F+b} det g,
+    with H the hermitian_hessian_stack of phi.  phi0 None starts from
+    phi = 0, whose H is zero; another start (a mean-zero phi0 from
+    _initial_phi) takes one transform pair for H.  b starts at
+    b0 = log(mean det g / mean e^F det g), and the residual is
+    R = lhs - e^b e^F det g.
 
-    residual_fn returns (R, state) where R is the pointwise equation residual
-    and state is whatever coefficients_fn needs; it raises SolverError
-    (positivity) for inadmissible iterates.  coefficients_fn(state) returns
-    the real stack WK of w K and the weight field w of the linearised
-    residual
+    lhs_fn(H) returns (lhs, state), state being whatever coefficients_fn
+    needs, or None for an inadmissible iterate (positivity lost).
+    coefficients_fn(state) returns the real stack WK of w K and the weight
+    field w of the linearised residual
         (dphi, db) -> w Re tr(K Hess dphi) - db w;
     the border column -w is exact at a solution, where e^b e^F det g = w.
     GMRES solves the system right-preconditioned, A M u = rhs, by
@@ -481,25 +492,34 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, phi0, initial_b):
     batched over the Hessian rows that are not identically zero.  The apply
     of M gives the Hessian stack dH of the step from its own transform pair,
     so H is carried along with phi, and a line-search trial is
-    residual_fn(H + step dH, b + step db): the residuals make no transform.
+    lhs_fn(H + step dH): the residuals make no transform.
     GMRES stops at the relative tolerance _forcing_term picks from the last
     two residuals: loose while Newton is far from the solution, tighter as
     it converges quadratically.
 
-    Returns (phi, b, state, record), record holding MASolution's
-    residual_history, trace, linear_iterations and linear_rtols.
+    Raises SolverError, with the residual history and the last iterate, on
+    an inadmissible start, a stalled line search, a failed GMRES solve or
+    the iteration cap.  Returns (phi, b, state, record), record holding
+    MASolution's residual_history, trace, linear_iterations and
+    linear_rtols.
     """
+    eF_detg = np.exp(F.values.real) * detg
+
+    def residual(H, b):  # (R, state), or None for an inadmissible H
+        trial = lhs_fn(H)
+        return None if trial is None else (trial[0] - np.exp(b) * eF_detg, trial[1])
+
     if phi0 is None:
         phi = np.zeros(grid.shape)
         H = np.zeros((grid.n**2,) + grid.shape)
     else:
         phi = phi0
         H = hermitian_hessian_stack(phi, grid)
-    b = float(initial_b)
-    try:
-        R, state = residual_fn(H, b)
-    except SolverError as err:
-        raise SolverError(str(err), [], phi, b) from None
+    b = float(np.log(np.mean(detg) / np.mean(eF_detg)))
+    trial = residual(H, b)
+    if trial is None:
+        raise SolverError("initial iterate is not admissible (positivity lost)", [], phi, b)
+    R, state = trial
     res = float(np.max(np.abs(R)))
     history = [res]
     trace = [(0, res, b, 0.0)]
@@ -510,22 +530,23 @@ def _newton_loop(grid, cfg, residual_fn, coefficients_fn, phi0, initial_b):
         if res <= cfg.tolerance:
             break
         WK, w = coefficients_fn(state)
-        # only the accepted trial's state is read again: not held through GMRES
-        del state
+        # the state is read only here: neither it nor the trial tuple that
+        # holds it is kept through GMRES
+        del state, trial
         AM, apply_M = _make_system(grid, WK, w)
         rhs = np.concatenate([(-R).ravel(), [0.0]])
         rtol = _forcing_term(rtol, res, history[-2] if len(history) > 1 else None, cfg.tolerance)
-        u, info, iterations = gmres(AM, rhs, rtol=rtol, atol=0.0, maxiter=LINEAR_MAXITER)
+        u, info, iterations = gmres(AM, rhs, rtol=rtol, maxiter=LINEAR_MAXITER)
         if info != 0:
             raise SolverError(f"linear solve failed (gmres info={info})", history, phi, b)
         linear_iterations.append(iterations)
         linear_rtols.append(rtol)
         dphi, dH, db = apply_M(u)
         dphi = dphi - dphi.mean()
-        try:
-            step, H, R, state, res = _line_search(residual_fn, H, dH, b, db, res)
-        except SolverError as err:
-            raise SolverError(str(err), history, phi, b) from None
+        trial = _line_search(residual, H, dH, b, db, res)
+        if trial is None:
+            raise SolverError("line search stalled (positivity or descent loss)", history, phi, b)
+        step, H, R, state, res = trial
         phi, b = phi + step * dphi, b + step * db
         history.append(res)
         trace.append((len(history) - 1, res, b, step))
@@ -559,24 +580,21 @@ def solve_ma2(
     _check_grids(grid, F=F)
     phi0 = _initial_phi(grid, initial_phi)
     S_g = g.stack
-    detg = stack_minors(S_g)[-1]
-    eF_detg = np.exp(F.values.real) * detg
 
-    def residual(H, b):
+    def lhs(H):
         S = S_g + H
         minors = stack_minors(S)
         if not minors_positive(minors):
-            raise SolverError("positivity lost", [])
-        R = minors[-1] - np.exp(b) * eF_detg
-        return R, (S, minors[-1])
+            return None
+        return minors[-1], (S, minors[-1])
 
     def coefficients(state):
         S, detgt = state
         return stack_adjugate(S), detgt
 
-    b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
-    # residual() checked the positivity of the stack
+    detg = stack_minors(S_g)[-1]
+    phi, b, state, record = _newton_loop(grid, cfg, lhs, coefficients, phi0, F, detg)
+    # lhs() checked the positivity of the stack
     metric_out = HermitianMetricField._unchecked(grid, state[0])
     return MASolution(ScalarField(grid, phi), b, metric_out=metric_out, **record)
 
@@ -629,20 +647,17 @@ def solve_ma3(
             return (half_T @ X.reshape(9, -1)).reshape(X.shape)
 
     adj_g = stack_adjugate(S_g)
-    detg = stack_det_from_adjugate(S_g, adj_g)
-    eF_detg = np.exp(F.values.real) * detg
 
-    def residual(H, b):
+    def lhs(H):
         lam = adj_g + P(H)
         adj_lam = stack_adjugate(lam)
         # Sylvester's test on the leading minors Lambda_11, adj(Lambda)_33
         # and det Lambda, all three from adj Lambda
         det = stack_det_from_adjugate(lam, adj_lam)
         if not minors_positive([lam[0], adj_lam[2], det]):
-            raise SolverError("(n-1)-positivity lost", [])
+            return None
         dets = np.sqrt(det)  # det of the root metric
-        R = dets - np.exp(b) * eF_detg
-        return R, (adj_lam, dets)
+        return dets, (adj_lam, dets)
 
     def coefficients(state):
         adj_lam, dets = state
@@ -650,8 +665,8 @@ def solve_ma3(
         WK /= 2.0 * dets
         return WK, dets
 
-    b0 = float(np.log(np.mean(detg) / np.mean(eF_detg)))
-    phi, b, state, record = _newton_loop(grid, cfg, residual, coefficients, phi0, b0)
+    detg = stack_det_from_adjugate(S_g, adj_g)
+    phi, b, state, record = _newton_loop(grid, cfg, lhs, coefficients, phi0, F, detg)
     adj_lam, dets = state
     # adj Lambda / det(Lambda)^{1/2}, positive definite as Lambda is
     metric_out = HermitianMetricField._unchecked(grid, adj_lam / dets)

@@ -7,6 +7,13 @@ nakamura_check the deformed parallelizable solvmanifold coframe, whose top
 yoshihara_check / flat_volume_descent_check
                the torus automorphism arithmetic behind the suspension
                3-fold with vanishing first Bott-Chern class
+
+Each check returns an ExampleReport, whose computed values, including the
+roots yoshihara_roots computes, are tested only by its tolerance entries:
+a failed check is a report that did not pass (exit 2 from the command
+line), not an exception.  ExampleError (a ValueError, exit 1) is raised
+only for inputs: no or malformed sample points, |t| > 0.5, bound < 1.
+hopf_points and nakamura_samples draw their seeded samples as arrays.
 """
 
 from __future__ import annotations
@@ -121,17 +128,14 @@ def _fd_ricci(z: np.ndarray, h: np.ndarray) -> np.ndarray:
     return ric
 
 
-def hopf_points(num: int, n: int, seed: int = 0) -> list[np.ndarray]:
-    """Sample points of C^n \\ {0} with 0.5 <= |z| <= 2."""
+def hopf_points(num: int, n: int, seed: int = 0) -> np.ndarray:
+    """num sample points of C^n \\ {0} with 0.5 <= |z| <= 2, as a (num, n)
+    array, empty for num <= 0: complex Gaussian directions scaled to radii
+    uniform on [0.5, 2]."""
     rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < num:
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        r = np.abs(np.linalg.norm(z))
-        if r < 1e-3:
-            continue
-        pts.append(z * rng.uniform(0.5, 2.0) / r)
-    return pts
+    size = (max(num, 0), n)
+    z = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return z * (rng.uniform(0.5, 2.0, size=size[0]) / np.linalg.norm(z, axis=1))[:, None]
 
 
 def hopf_check(points: list[np.ndarray], n: int) -> ExampleReport:
@@ -195,13 +199,13 @@ def nakamura_top_coefficient(z1, t):
 
 
 def nakamura_samples(num: int, t_values, seed: int = 0) -> list[tuple[complex, complex]]:
+    """num samples (z_1, t), none for num <= 0: z_1 uniform on the square
+    |Re z_1|, |Im z_1| <= 1 and t drawn uniformly from t_values."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(num):
-        z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        t = complex(t_values[rng.integers(len(t_values))])
-        samples.append((z1, t))
-    return samples
+    num = max(num, 0)
+    z1 = rng.uniform(-1, 1, size=num) + 1j * rng.uniform(-1, 1, size=num)
+    t = np.asarray(t_values, dtype=np.complex128)[rng.integers(len(t_values), size=num)]
+    return list(zip(z1.tolist(), t.tolist()))
 
 
 def nakamura_check(samples: list[tuple[complex, complex]]) -> ExampleReport:
@@ -238,13 +242,6 @@ class YoshiharaData:
 
     alpha: complex
     beta: complex
-    tau: complex = 1j
-
-    def __post_init__(self):
-        if abs(self.alpha * self.beta - 1.0) > 1e-12:
-            raise ExampleError("alpha * beta must equal 1")
-        if abs(abs(self.lam) - 1.0) > 1e-12:
-            raise ExampleError("|alpha * conj(beta)| must equal 1")
 
     @property
     def lam(self) -> complex:
@@ -379,5 +376,4 @@ def flat_volume_descent_check() -> ExampleReport:
         "lattice_map_characteristic_polynomial",
         list(np.round(charpoly, 10)), list(QUARTIC), 1e-10, float(np.max(np.abs(charpoly - QUARTIC))),
     )
-    report.add("identity_preserves_volume", 1.0, 1.0, 1e-15, 0.0)
     return report

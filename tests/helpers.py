@@ -493,12 +493,12 @@ class _Captured(Exception):
 
 
 def ma3_closures(monkeypatch, g, g0, F):
-    """The residual and coefficients closures solve_ma3 builds for (g, g0, F),
+    """The lhs and coefficients closures solve_ma3 builds for (g, g0, F),
     taken from its call of _newton_loop, which does not run."""
     closures = []
 
-    def newton_loop(grid, cfg, residual_fn, coefficients_fn, *args):
-        closures.extend([residual_fn, coefficients_fn])
+    def newton_loop(grid, cfg, lhs_fn, coefficients_fn, *args):
+        closures.extend([lhs_fn, coefficients_fn])
         raise _Captured
 
     with monkeypatch.context() as patch:
@@ -507,5 +507,5 @@ def ma3_closures(monkeypatch, g, g0, F):
             ma.solve_ma3(g, g0, F)
         except _Captured:
             pass
-    residual, coefficients = closures
-    return residual, coefficients
+    lhs, coefficients = closures
+    return lhs, coefficients

@@ -41,6 +41,7 @@ from hermweb.ma import (
     solve_ma3,
     volume_coefficient,
     _forcing_term,
+    _line_search,
     _make_system,
 )
 
@@ -259,6 +260,37 @@ def test_solve_ma2_nonconvergence_raises():
     err = exc_info.value
     assert len(err.history) >= 1
     assert err.phi is not None
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_inadmissible_initial_phi_raises_with_an_empty_history(solver):
+    # the start is the one iterate no line search vets: phi = 10 cos(2 pi x1)
+    # takes g + Hess phi (ma2) and Lambda (ma3) out of the positive cone
+    grid = PeriodicGrid(3, (16, 1, 1, 1, 1, 1)) if solver == "ma3" else PeriodicGrid(2, (16, 1, 1, 1))
+    g = identity_metric(grid)
+    F = ScalarField(grid, np.zeros(grid.shape))
+    x1 = np.arange(16) / 16
+    phi = (10.0 * np.cos(2 * np.pi * x1)).reshape(grid.shape)
+    with pytest.raises(SolverError, match="^initial iterate is not admissible") as exc_info:
+        if solver == "ma2":
+            solve_ma2(g, F, initial_phi=phi)
+        else:
+            solve_ma3(g, identity_metric(grid), F, initial_phi=phi)
+    err = exc_info.value
+    assert err.history == []
+    assert np.array_equal(err.phi, phi - phi.mean()) and err.b == 0.0
+
+
+def test_line_search_returns_none_when_every_trial_is_inadmissible():
+    steps = []
+
+    def residual(H, b):
+        steps.append(b)
+        return None
+
+    assert _line_search(residual, np.zeros((4, 3)), np.ones((4, 3)), 0.0, 1.0, 1.0) is None
+    # every step 1, 1/2, ... that is at least MIN_STEP was tried
+    assert steps == [0.5**k for k in range(20)] and 0.5**19 >= ma_module.MIN_STEP > 0.5**20
 
 
 def test_solver_config_validation():
@@ -822,7 +854,8 @@ def test_givens_rotation_matches_lapack_lartg():
 
 def both_gmres(A, b, **kwargs):
     """(x, info, callback values) from hermweb's gmres and from scipy's, both
-    without a preconditioner."""
+    without a preconditioner; scipy's with atol = 0, so that both stop at
+    rtol |b|."""
     n = b.size
     ours, theirs = [], []
     x, info, iterations = ma_module.gmres(
@@ -838,6 +871,7 @@ def both_gmres(A, b, **kwargs):
         b,
         callback=theirs.append,
         callback_type="pr_norm",
+        atol=0.0,
         **kwargs,
     )
     return (x, info, np.array(ours)), (x_ref, info_ref, np.array(theirs))
@@ -847,7 +881,7 @@ def both_gmres(A, b, **kwargs):
 def test_gmres_matches_scipy(n, seed):
     # the Newton solvers' use: (A M) u = b right-preconditioned, x = M u
     A, M, b = preconditioned_system(n, seed)
-    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(A @ M, b, rtol=1e-12, atol=0.0, maxiter=400)
+    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(A @ M, b, rtol=1e-12, maxiter=400)
     assert info == info_ref == 0
     if n == 5:
         # the Krylov space is the whole space after n steps: no restart
@@ -864,7 +898,7 @@ def test_gmres_matches_scipy(n, seed):
 def test_gmres_without_a_preconditioner_matches_scipy(n, seed):
     # A alone; test_gmres_matches_scipy solves the solvers' A M
     A, _, b = preconditioned_system(n, seed)
-    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-12, atol=0.0, maxiter=400)
+    (u, info, res), (u_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-12, maxiter=400)
     assert info == info_ref == 0
     if n == 5:
         assert len(res) <= n
@@ -881,7 +915,7 @@ def test_gmres_breakdown_gives_the_exact_solution():
     n = 5
     A = np.roll(np.eye(n), 1, axis=0)
     b = np.eye(n)[0]
-    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-12, atol=0.0, maxiter=400)
+    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-12, maxiter=400)
     assert info == info_ref == 0
     assert res.tolist() == res_ref.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0]
     assert x.tolist() == x_ref.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
@@ -889,7 +923,7 @@ def test_gmres_breakdown_gives_the_exact_solution():
 
 def test_gmres_reports_maxiter_when_capped():
     A, _, b = preconditioned_system(300, 4)
-    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-14, atol=0.0, maxiter=1)
+    (x, info, res), (x_ref, info_ref, res_ref) = both_gmres(A, b, rtol=1e-14, maxiter=1)
     assert info == info_ref == 1
     assert len(res) == len(res_ref) == ma_module._LINEAR_RESTART
     assert np.all(np.abs(res - res_ref) <= 1e-10 * res_ref)
@@ -1007,7 +1041,7 @@ def test_gmres_exit_residual_agrees_with_a_fresh_apply(solver, monkeypatch):
 
         counted = ma_module.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
         x, info, iterations = real_gmres(counted, b, **kwargs)
-        atol = max(kwargs["atol"], kwargs["rtol"] * np.linalg.norm(b))
+        atol = kwargs["rtol"] * np.linalg.norm(b)
         returns.append((info, np.linalg.norm(b - A.matvec(x)) / atol, len(applies), iterations))
         return x, info, iterations
 

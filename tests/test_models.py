@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hermweb import models
+from hermweb.cli import main
 from hermweb.models import (
     QUARTIC,
     RECURRENCE,
@@ -109,6 +110,13 @@ def test_hopf_points_respect_radius_window():
         assert 0.5 - 1e-12 <= r <= 2.0 + 1e-12
 
 
+def test_hopf_points_deterministic():
+    a = hopf_points(7, 3, seed=4)
+    assert a.shape == (7, 3)
+    assert np.array_equal(a, hopf_points(7, 3, seed=4))
+    assert not np.array_equal(a, hopf_points(7, 3, seed=5))
+
+
 def test_hopf_check_scaling_invariance():
     # Ric is invariant under z -> 2z composed with the 1/|z|^2 scaling law:
     # Ric(c z) = Ric(z) / |c|^2
@@ -185,9 +193,11 @@ def test_nakamura_check_passes():
 
 
 def test_nakamura_samples_deterministic():
-    a = nakamura_samples(10, [0.05], seed=4)
-    b = nakamura_samples(10, [0.05], seed=4)
-    assert a == b
+    a = nakamura_samples(10, [0.05, 0.3], seed=4)
+    b = nakamura_samples(10, [0.05, 0.3], seed=4)
+    assert a == b and len(a) == 10
+    assert all(isinstance(z1, complex) and t in (0.05, 0.3) for z1, t in a)
+    assert a != nakamura_samples(10, [0.05, 0.3], seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +243,15 @@ def test_yoshihara_companion_matrix():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_yoshihara_data_validation():
-    with pytest.raises(ExampleError):
-        YoshiharaData(2.0 + 0j, 1.0 + 0j)
+def test_yoshihara_check_reports_bad_roots(monkeypatch, capsys):
+    # the roots are tested by the report alone: bad roots fail its checks,
+    # and the command exits 2 (a failed check), not 1 (an input error)
+    monkeypatch.setattr(models, "yoshihara_roots", lambda: YoshiharaData(2.0 + 0j, 1.0 + 0j))
+    checks = {c.name: c for c in yoshihara_check(100).checks}
+    assert not checks["alpha_beta_product"].passed
+    assert not checks["lambda_modulus"].passed
+    assert main(["verify-example", "--name", "yoshihara"]) == 2
+    assert "passed: false" in capsys.readouterr().out
 
 
 def test_cyclotomic_indices():

@@ -252,14 +252,14 @@ def ma3_newton_terms(S0, rng, monkeypatch):
     checks of the weight and of WK against that form."""
     grid = MA3_GRID
     g = np.eye(3) + 0.05 * hermitian_field(rng, 3, "indefinite", shape=grid.shape)
-    residual, coefficients = ma3_closures(
+    lhs, coefficients = ma3_closures(
         monkeypatch,
         HermitianMetricField(grid, g),
         HermitianMetricField.from_stack(grid, S0),
         ScalarField(grid, np.zeros(grid.shape)),
     )
     H = 0.05 * hermitian_stack(hermitian_field(rng, 3, "indefinite", shape=grid.shape))
-    _, (adj_lam, dets) = residual(H, 0.0)
+    _, (adj_lam, dets) = lhs(H)
     WK, w = coefficients((adj_lam, dets))
     adj_S0 = stack_adjugate(S0)
     expected = ma_module._polarised_adjugate(adj_lam, S0, adj_S0) / (4.0 * dets)
