@@ -1,5 +1,10 @@
 """Command-line entry points.
 
+ricci, classify and flatten-conformal read the metric alone, so they run on
+the spec's metric_grid of the requested grid: the axes no metric expression
+reads are collapsed, and flatten-conformal dumps its potential on the
+requested grid.  The solvers and flow run on the requested grid.
+
 Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
 """
 
@@ -149,13 +154,17 @@ def _dispatch(args, spec):
         sizes = tuple(int(s) for s in args.grid.split(","))
         spec = replace(spec, sizes=sizes)
     grid = spec.build_grid()
-    g = spec.build_metric(grid)
+    if cmd in ("ricci", "flatten-conformal", "classify"):
+        # these read the metric alone, so they run on the axes it reads
+        g = spec.build_metric(spec.metric_grid(grid))
+    else:
+        g = spec.build_metric(grid)
     tol = getattr(args, "tol", None)
 
     if cmd == "ricci":
         # Ric's stack up to sign, as ricci_norm reads it.  Its row means are the
         # stack of the Bott-Chern defect; Ric is del-dbar-exact, so not re-checked
-        S = hermitian_hessian_stack(log_det(g), grid)
+        S = hermitian_hessian_stack(log_det(g), g.grid)
         results = {
             "ricci_max_norm": {"value": stack_max_modulus(S)},
             "bott_chern_defect_max": {"value": stack_max_modulus(S.reshape(len(S), -1).mean(axis=1))},
@@ -171,7 +180,8 @@ def _dispatch(args, spec):
             "output_ricci_max_norm": {"value": ricci_norm(flat), "tolerance": 1e-10},
             "det_relative_spread": {"value": float(np.ptp(d) / np.mean(d)), "tolerance": 1e-12},
         }
-        return results, None, {"ricci_potential": F}, 0
+        # dumped on the requested grid, constant along the axes g does not read
+        return results, None, {"ricci_potential": ScalarField(grid, np.broadcast_to(F.values, grid.shape))}, 0
 
     if cmd == "classify":
         return {"classify": classify(g, 1e-8 if tol is None else tol).as_dict()}, None, {}, 0

@@ -24,6 +24,8 @@ conjugate symmetry.  '#' starts a comment.
 A metric section is loaded as its real stack (smallmat's layout): each entry
 is evaluated straight into its stack row, and the stack is checked by
 HermitianMetricField.from_stack.  No complex (n, n) field is built.
+ManifoldSpec.metric_grid collapses the axes of a grid that no metric
+expression reads, along which the metric is constant.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ class ManifoldSpec:
 
     def build_grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.n, self.sizes)
+
+    def metric_grid(self, grid: PeriodicGrid) -> PeriodicGrid:
+        """grid with every axis that no metric expression reads collapsed to
+        size 1.  The metric is constant along such an axis, so on the torus
+        every field computed from the metric alone is too."""
+        asts = [ast for pair in self.metric_exprs.values() for ast in pair if ast is not None]
+        read = set().union(*map(expr.variables, asts))
+        names = [f"{part}{i}" for part in "xy" for i in range(1, grid.n + 1)]
+        return PeriodicGrid(grid.n, tuple(s if name in read else 1 for name, s in zip(names, grid.sizes)))
 
     def build_metric(self, grid: PeriodicGrid | None = None) -> HermitianMetricField:
         return self._build(self.metric_exprs, grid, "metric")

@@ -9,9 +9,10 @@ on complex spectra and a closed-form (Koszul) projection for the strongly
 Gauduchon defect, where the package works on the real stacks of g and
 adj g.  The pseudo-inverse strongly-Gauduchon oracle solves that
 least-squares problem at every wavenumber instead.  The Hopf
-finite-difference oracle evaluates its potential one stencil point at a
-time, where the package evaluates every stencil point of a block of sample
-points in one array.  The Newton operator and preconditioner oracles are
+finite-difference oracles evaluate their potential on all 5 x 5 stencil
+points of every ordered pair of axes, one point at a time or in one array,
+where the package evaluates only the points with a nonzero weight, each
+unordered pair once.  The Newton operator and preconditioner oracles are
 the solvers' complex forms: the full complex Hessian contracted with K,
 and the flat-Laplacian solve on complex spectra.  The last section holds
 small cross-checks that the package itself never calls: the (p,q) basis
@@ -255,6 +256,31 @@ def fd_ricci_pointwise(z: np.ndarray, h: float) -> np.ndarray:
             yy = _mixed_partial(u, point, n + i, n + j, h)
             ric[i, j] = 0.25 * (xx + 1j * xy - 1j * yx + yy)
     return ric
+
+
+def fd_ricci_full_stencil(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The finite differences of fd_ricci_pointwise at each row of z (P, n)
+    with step h (P,), batched: the potential on all 5 x 5 points of the
+    stencil of every ordered pair of axes, zero weights included."""
+    num, n = z.shape
+    m = 2 * n
+    eye = np.eye(m)
+    shift = (
+        eye[:, None, None, None, :] * OFFSETS[None, None, :, None, None]
+        + eye[None, :, None, None, :] * OFFSETS[None, None, None, :, None]
+    )  # (2n, 2n, 5, 5, 2n)
+    diag = np.arange(m)
+    point = np.concatenate([z.real, z.imag], axis=1)
+    p = point[:, None, None, None, None, :] + h[:, None, None, None, None, None] * shift
+    u = -np.log(smallmat.stack_minors(smallmat.hermitian_stack(hopf_metric_matrix(p[..., :n] + 1j * p[..., n:])))[-1])
+    # DEGREE1_FD on both offsets off the diagonal, DEGREE2_FD along the one
+    # shifted axis on it
+    d2 = np.einsum("pabst,s,t->pab", u, DEGREE1_FD, DEGREE1_FD)
+    d2[:, diag, diag] = u[..., 2][:, diag, diag] @ DEGREE2_FD
+    d2 /= h[:, None, None] ** 2
+    xx, xy = d2[:, :n, :n], d2[:, :n, n:]
+    yx, yy = d2[:, n:, :n], d2[:, n:, n:]
+    return 0.25 * (xx + 1j * xy - 1j * yx + yy)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import hermweb.metric
 import hermweb.smallmat
 from hermweb.cli import build_parser, main
 from hermweb.metric import bott_chern_defect, chern_ricci, ricci_norm, ricci_tensor
-from hermweb.report import sha256_digest
+from hermweb.report import load_field, sha256_digest
 from hermweb.specfile import loads
 
 from helpers import count_hermitian_from_stack
@@ -454,8 +454,9 @@ def test_grid_override(bump_spec, capsys):
 
 
 def test_spec_fields_are_built_once_per_grid(bump_spec, capsys, monkeypatch):
-    # loads builds and validates the metric on the spec's grid; the command
-    # reuses that field, and a --grid override builds its own
+    # loads builds and validates the metric on the spec's grid; the command,
+    # whose metric reads that grid's one active axis, reuses that field, and
+    # a --grid override builds its own
     import hermweb.specfile
 
     probed = []
@@ -473,6 +474,125 @@ def test_spec_fields_are_built_once_per_grid(bump_spec, capsys, monkeypatch):
     code, _ = run(capsys, "ricci", "--spec", bump_spec, "--grid", "1,16,1,1")
     assert code == 0
     assert sorted(size for _, size in probed) == [(1, 16, 1, 1)] * 2 + [(1, 32, 1, 1)] * 2
+
+
+ONE_AXIS2 = """
+[manifold]
+name = one_axis2
+n = 2
+sizes = 8 8 16 8
+
+[metric]
+g[1][1] = 1 + 0.4*cos(2*pi*y1) + 0.1*sin(4*pi*y1)
+g[1][2] = 0.1 | 0.05*sin(2*pi*y1)
+g[2][2] = 1.5
+"""
+
+ONE_AXIS3 = """
+[manifold]
+name = one_axis3
+n = 3
+sizes = 8 16 8 1 1 1
+
+[metric]
+g[1][1] = 1 + 0.3*cos(2*pi*x2)
+g[1][3] = 0.1*sin(2*pi*x2) | 0.05
+g[2][2] = 1.2
+g[3][3] = 1 + 0.2*sin(2*pi*x2)
+"""
+
+
+def spy_classify_grids(monkeypatch) -> list:
+    grids = []
+    original = hermweb.cli.classify
+    monkeypatch.setattr(hermweb.cli, "classify", lambda g, tol: grids.append(g.grid.sizes) or original(g, tol))
+    return grids
+
+
+@pytest.mark.parametrize(
+    "text, read_sizes", [(ONE_AXIS2, (1, 1, 16, 1)), (ONE_AXIS3, (1, 16, 1, 1, 1, 1))], ids=["n2", "n3"]
+)
+def test_analysis_commands_run_on_the_axes_the_metric_reads(text, read_sizes, tmp_path, monkeypatch, capsys):
+    # each report is that of the library on the spec's whole grid, and the
+    # dumped potential has that grid's shape; values that are round-off are
+    # compared within 1e-13
+    p = tmp_path / "spec.hwspec"
+    p.write_text(text, encoding="utf-8")
+    g = loads(text).build_metric()
+    grids = spy_classify_grids(monkeypatch)
+    close = lambda want: pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    results = reported_results(monkeypatch, capsys, ["ricci", "--spec", str(p)])["results"]
+    S = hermweb.grid.hermitian_hessian_stack(hermweb.metric.log_det(g), g.grid)
+    assert results["ricci_max_norm"]["value"] == close(ricci_norm(g))
+    assert ricci_norm(g) > 0.1
+    defect = hermweb.smallmat.stack_max_modulus(S.reshape(len(S), -1).mean(axis=1))
+    assert results["bott_chern_defect_max"]["value"] == close(defect)
+
+    results = reported_results(monkeypatch, capsys, ["classify", "--spec", str(p)])["results"]
+    assert grids == [read_sizes]
+    want = hermweb.metric.classify(g, 1e-8).as_dict()
+    got = results["classify"]
+    for name, entry in want.items():
+        if name == "tolerance" or entry["residual"] is None:
+            assert got[name] == entry
+            continue
+        assert got[name]["residual"] == close(entry["residual"])
+        assert got[name]["flag"] == entry["flag"]
+    assert not want["kahler"]["flag"]
+
+    out = tmp_path / "out"
+    results = reported_results(monkeypatch, capsys, ["flatten-conformal", "--spec", str(p), "--out", str(out)])
+    results = results["results"]
+    flat = hermweb.metric.conformal_flatten(g)
+    d = flat.det()
+    assert results["output_ricci_max_norm"]["value"] == close(ricci_norm(flat))
+    assert results["det_relative_spread"]["value"] == close(float(np.ptp(d) / np.mean(d)))
+    F = load_field(out / "ricci_potential.fld")
+    assert F.grid == g.grid
+    assert np.max(np.abs(F.values - hermweb.metric.ricci_potential(g).values)) < 1e-13
+
+
+@pytest.mark.parametrize("text", [TWO_AXIS, BUMP3], ids=["two_axis", "bump3"])
+def test_a_metric_that_reads_every_active_axis_keeps_its_grid(text, tmp_path, monkeypatch, capsys):
+    p = tmp_path / "spec.hwspec"
+    p.write_text(text, encoding="utf-8")
+    grids = spy_classify_grids(monkeypatch)
+    assert main(["classify", "--spec", str(p)]) == 0
+    capsys.readouterr()
+    assert grids == [loads(text).sizes]
+
+
+def test_a_constant_metric_runs_on_no_active_axis(flat_spec, tmp_path, monkeypatch, capsys):
+    grids = spy_classify_grids(monkeypatch)
+    results = reported_results(monkeypatch, capsys, ["classify", "--spec", flat_spec])["results"]
+    assert grids == [(1, 1, 1, 1)]
+    assert all(results["classify"][name] == {"residual": 0.0, "flag": True} for name in ("kahler", "gauduchon"))
+    results = reported_results(monkeypatch, capsys, ["ricci", "--spec", flat_spec])["results"]
+    assert results["ricci_max_norm"]["value"] == results["bott_chern_defect_max"]["value"] == 0.0
+    out = tmp_path / "out"
+    assert main(["flatten-conformal", "--spec", flat_spec, "--out", str(out)]) == 0
+    capsys.readouterr()
+    F = load_field(out / "ricci_potential.fld")
+    assert F.grid.sizes == (16, 1, 16, 1)
+    assert np.all(F.values == 0.0)
+
+
+@pytest.mark.parametrize(
+    "sizes, read_sizes",
+    [("16,8,16,1,1,1", (1, 8, 1, 1, 1, 1)), ("8,1,8,1,1,1", (1, 1, 1, 1, 1, 1))],
+    ids=["finer", "read_axis_collapsed"],
+)
+def test_the_axes_the_metric_reads_are_taken_from_the_grid_override(sizes, read_sizes, tmp_path, monkeypatch, capsys):
+    p = tmp_path / "spec.hwspec"
+    p.write_text(ONE_AXIS3, encoding="utf-8")
+    grids = spy_classify_grids(monkeypatch)
+    assert main(["classify", "--spec", str(p), "--grid", sizes]) == 0
+    out = tmp_path / "out"
+    assert main(["flatten-conformal", "--spec", str(p), "--grid", sizes, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert grids == [read_sizes]
+    assert load_field(out / "ricci_potential.fld").grid.sizes == tuple(int(s) for s in sizes.split(","))
 
 
 def test_verify_example_commands(capsys):

@@ -23,7 +23,7 @@ from hermweb.models import (
     yoshihara_roots,
 )
 
-from helpers import brute_wedge, fd_ricci_pointwise, sort_parity
+from helpers import brute_wedge, fd_ricci_full_stencil, fd_ricci_pointwise, sort_parity
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,27 @@ def test_batched_fd_ricci_matches_the_pointwise_oracle(n, monkeypatch):
     want = np.stack([fd_ricci_pointwise(p, 0.01 * float(np.linalg.norm(p))) for p in points])
     assert got.shape == (50, n, n)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("n, per_sample", [(2, 113), (3, 265)])
+def test_fd_ricci_evaluates_only_the_weighted_stencil_points(n, per_sample, monkeypatch):
+    # the centre once, 4 points along each axis and 16 per unordered pair of
+    # axes; the sums are the full stencil's up to round-off times 1/h^2
+    monkeypatch.setattr(models, "FD_BLOCK", 16)
+    evaluated = []
+    metric = models.hopf_metric_matrix
+
+    def counting(z):
+        evaluated.append(z.size // z.shape[-1])
+        return metric(z)
+
+    monkeypatch.setattr(models, "hopf_metric_matrix", counting)
+    z = hopf_points(50, n, seed=1)
+    h = 0.01 * np.linalg.norm(z, axis=1)
+    got = models._fd_ricci(z, h)
+    assert sum(evaluated) == per_sample * 50
+    assert np.max(np.abs(got - fd_ricci_full_stencil(z, h))) < 1e-10
+    assert np.max(np.abs(got - hopf_ricci_closed_form(z))) < models.FD_TOL
 
 
 def test_hopf_closed_form_is_batched():
