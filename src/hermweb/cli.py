@@ -1,9 +1,12 @@
 """Command-line entry points.
 
-ricci, classify and flatten-conformal read the metric alone, so they run on
-the spec's metric_grid of the requested grid: the axes no metric expression
-reads are collapsed, and flatten-conformal dumps its potential on the
-requested grid.  The solvers and flow run on the requested grid.
+Every spec command runs on the spec's data_grid of the requested grid: the
+axes that no expression of [metric], [reference] or [prescribed] reads are
+collapsed, since every field the command computes is constant along them.
+The field dumps are broadcast back to the requested grid, and flow takes its
+default first step from the requested grid.  --random-init is the exception:
+its noise reads every active axis, so a solve with it runs on the requested
+grid.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
 """
@@ -154,17 +157,15 @@ def _dispatch(args, spec):
         sizes = tuple(int(s) for s in args.grid.split(","))
         spec = replace(spec, sizes=sizes)
     grid = spec.build_grid()
-    if cmd in ("ricci", "flatten-conformal", "classify"):
-        # these read the metric alone, so they run on the axes it reads
-        g = spec.build_metric(spec.metric_grid(grid))
-    else:
-        g = spec.build_metric(grid)
+    # the axes the spec reads; random start noise reads every active axis
+    data = grid if getattr(args, "random_init", False) else spec.data_grid(grid)
+    g = spec.build_metric(data)
     tol = getattr(args, "tol", None)
 
     if cmd == "ricci":
         # Ric's stack up to sign, as ricci_norm reads it.  Its row means are the
         # stack of the Bott-Chern defect; Ric is del-dbar-exact, so not re-checked
-        S = hermitian_hessian_stack(log_det(g), g.grid)
+        S = hermitian_hessian_stack(log_det(g), data)
         results = {
             "ricci_max_norm": {"value": stack_max_modulus(S)},
             "bott_chern_defect_max": {"value": stack_max_modulus(S.reshape(len(S), -1).mean(axis=1))},
@@ -180,15 +181,14 @@ def _dispatch(args, spec):
             "output_ricci_max_norm": {"value": ricci_norm(flat), "tolerance": 1e-10},
             "det_relative_spread": {"value": float(np.ptp(d) / np.mean(d)), "tolerance": 1e-12},
         }
-        # dumped on the requested grid, constant along the axes g does not read
-        return results, None, {"ricci_potential": ScalarField(grid, np.broadcast_to(F.values, grid.shape))}, 0
+        return results, None, {"ricci_potential": _on_grid(F.values, grid)}, 0
 
     if cmd == "classify":
         return {"classify": classify(g, 1e-8 if tol is None else tol).as_dict()}, None, {}, 0
 
     if cmd in ("solve-ma2", "solve-ma3"):
         cfg = SolverConfig(tolerance=1e-11 if tol is None else tol, max_iterations=args.max_iter)
-        F = spec.build_F(grid)
+        F = spec.build_F(data)
         if F is None:
             F = ricci_potential(g)
         init = _random_start(grid, args.seed) if args.random_init else None
@@ -196,7 +196,7 @@ def _dispatch(args, spec):
             if cmd == "solve-ma2":
                 sol = solve_ma2(g, F, cfg, initial_phi=init)
             else:
-                g0 = spec.build_reference(grid)
+                g0 = spec.build_reference(data)
                 if g0 is None:
                     raise SpecError("solve-ma3 needs a [reference] metric section")
                 sol = solve_ma3(g, g0, F, cfg, initial_phi=init)
@@ -226,10 +226,12 @@ def _dispatch(args, spec):
             ["iteration", "residual", "b", "step", "gmres_iters", "gmres_rtol"],
             [row + its_rtol for row, its_rtol in zip(sol.trace, linear)],
         )
-        return results, rows, {"phi": sol.phi, "F": F}, 0
+        return results, rows, {"phi": _on_grid(sol.phi.values, grid), "F": _on_grid(F.values, grid)}, 0
 
     if cmd == "flow":
         flow_tol = 1e-6 if tol is None else tol
+        # the requested grid's first step, so that a flow on the data grid,
+        # whose max_dt is the same, takes the same steps
         dt0 = _default_dt(grid) if args.dt is None else args.dt
         try:
             final, history = run_flow(g, flow_tol, dt0, args.max_steps)
@@ -247,13 +249,19 @@ def _dispatch(args, spec):
             [(h.t, h.dt, h.ricci_norm, h.rejected) for h in history],
         )
         fields = {
-            f"g_{i + 1}{j + 1}": ScalarField(grid, final.g.g[..., i, j])
+            f"g_{i + 1}{j + 1}": _on_grid(final.g.g[..., i, j], grid)
             for i in range(grid.n)
             for j in range(grid.n)
         }
         return results, rows, fields, 0
 
     raise ValueError(f"unknown command {cmd}")
+
+
+def _on_grid(values, grid):
+    # a field of the data grid, constant along the axes it collapses, as a
+    # dump on the requested grid
+    return ScalarField(grid, np.broadcast_to(values, grid.shape))
 
 
 def _random_start(grid, seed):

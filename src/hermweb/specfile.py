@@ -24,8 +24,11 @@ conjugate symmetry.  '#' starts a comment.
 A metric section is loaded as its real stack (smallmat's layout): each entry
 is evaluated straight into its stack row, and the stack is checked by
 HermitianMetricField.from_stack.  No complex (n, n) field is built.
-ManifoldSpec.metric_grid collapses the axes of a grid that no metric
-expression reads, along which the metric is constant.
+ManifoldSpec.data_grid collapses the axes of a grid that no expression of
+[metric], [reference] or [prescribed] reads: every field of the spec is
+constant along them, so its values, finiteness and positivity on the
+collapsed grid are those on the whole one.  loads checks the metric and the
+reference there only, and the fields it builds are kept for reuse.
 """
 
 from __future__ import annotations
@@ -66,11 +69,12 @@ class ManifoldSpec:
     def build_grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.n, self.sizes)
 
-    def metric_grid(self, grid: PeriodicGrid) -> PeriodicGrid:
-        """grid with every axis that no metric expression reads collapsed to
-        size 1.  The metric is constant along such an axis, so on the torus
-        every field computed from the metric alone is too."""
-        asts = [ast for pair in self.metric_exprs.values() for ast in pair if ast is not None]
+    def data_grid(self, grid: PeriodicGrid) -> PeriodicGrid:
+        """grid with every axis that no expression of the spec reads collapsed
+        to size 1.  The metric, the reference and F are constant along such an
+        axis, so on the torus every field computed from them is too."""
+        pairs = [*self.metric_exprs.values(), *(self.reference_exprs or {}).values(), (self.F_expr, None)]
+        asts = [ast for pair in pairs for ast in pair if ast is not None]
         read = set().union(*map(expr.variables, asts))
         names = [f"{part}{i}" for part in "xy" for i in range(1, grid.n + 1)]
         return PeriodicGrid(grid.n, tuple(s if name in read else 1 for name, s in zip(names, grid.sizes)))
@@ -249,9 +253,10 @@ def loads(text: str) -> ManifoldSpec:
         grid = spec.build_grid()
     except Exception as exc:
         raise SpecError(f"manifold.sizes: {exc}") from exc
-    spec.build_metric(grid)  # validates Hermitian positivity up front, kept for reuse
-    if reference_exprs is not None:
-        spec.build_reference(grid)
+    # validates Hermitian positivity up front, on the axes the spec reads
+    data = spec.data_grid(grid)
+    spec.build_metric(data)
+    spec.build_reference(data)
     return spec
 
 

@@ -16,7 +16,8 @@ unordered pair once.  The Newton operator and preconditioner oracles are
 the solvers' complex forms: the full complex Hessian contracted with K,
 and the flat-Laplacian solve on complex spectra.  The last section holds
 small cross-checks that the package itself never calls: the (p,q) basis
-keys, d/dz_i and d/dzbar_i of a field read from exterior_d, the grid mean,
+keys, d/dz_i and d/dzbar_i of a field read from exterior_d, the Chern
+connection of all n^2 entries of g on complex spectra, the grid mean,
 a realness test, the Hermitian part of a matrix field, the inverse of
 fundamental_form, a uniqueness probe for the Monge-Ampere solvers, a check
 and a guard for the real stack a HermitianMetricField carries, the
@@ -389,6 +390,22 @@ def spectral_partial(values: np.ndarray, grid: PeriodicGrid, i: int):
     (del f, dbar f) for the 0-form f."""
     del_f, dbar_f = exterior_d(FormField(grid, 0, 0, {((), ()): values}))
     return del_f.coefficient((i - 1,), ()), dbar_f.coefficient((), (i - 1,))
+
+
+def chern_connection(g: HermitianMetricField) -> np.ndarray:
+    """Connection coefficients Gamma[..., k, i, j] = Gamma^k_{ij}
+    = g^{k lbar} d g_{j lbar} / dz_i, on the complex spectra of all n^2
+    entries.  The oracle of the trace that metric.parallel_section_check
+    takes from log det g."""
+    axes = g.grid.active_axes
+    ghat = np.fft.fftn(g.g, axes=axes)
+    # dg[..., i, j, l] = d g_{j lbar} / dz_i
+    dg = np.fft.ifftn(
+        np.stack([s[..., None, None] * ghat for s in _z_symbols(g.grid)], axis=-3), axes=axes
+    )
+    # g^{k lbar}: sum_l up[k, l] g_{m lbar} = delta_km  =>  up = inv(g^T) = inv(g)^T
+    up = np.swapaxes(g.inverse(), -1, -2)
+    return np.einsum("...kl,...ijl->...kij", up, dg)
 
 
 def mean(f: ScalarField) -> complex:

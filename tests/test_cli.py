@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import hermweb.cli
+import hermweb.flow
 import hermweb.forms
 import hermweb.grid
+import hermweb.ma
 import hermweb.metric
 import hermweb.smallmat
 from hermweb.cli import build_parser, main
@@ -453,29 +455,6 @@ def test_grid_override(bump_spec, capsys):
     assert code == 1
 
 
-def test_spec_fields_are_built_once_per_grid(bump_spec, capsys, monkeypatch):
-    # loads builds and validates the metric on the spec's grid; the command,
-    # whose metric reads that grid's one active axis, reuses that field, and
-    # a --grid override builds its own
-    import hermweb.specfile
-
-    probed = []
-    evaluate = hermweb.specfile._evaluate_periodic
-
-    def probe(ast, grid, path):
-        probed.append((path, grid.sizes))
-        return evaluate(ast, grid, path)
-
-    monkeypatch.setattr(hermweb.specfile, "_evaluate_periodic", probe)
-    code, _ = run(capsys, "ricci", "--spec", bump_spec)
-    assert code == 0
-    assert sorted(probed) == [("metric.g[1][1]", (1, 32, 1, 1)), ("metric.g[2][2]", (1, 32, 1, 1))]
-    probed.clear()
-    code, _ = run(capsys, "ricci", "--spec", bump_spec, "--grid", "1,16,1,1")
-    assert code == 0
-    assert sorted(size for _, size in probed) == [(1, 16, 1, 1)] * 2 + [(1, 32, 1, 1)] * 2
-
-
 ONE_AXIS2 = """
 [manifold]
 name = one_axis2
@@ -502,11 +481,143 @@ g[3][3] = 1 + 0.2*sin(2*pi*x2)
 """
 
 
-def spy_classify_grids(monkeypatch) -> list:
+ONE_AXIS3_REF = ONE_AXIS3 + """
+[reference]
+g[1][1] = 1
+g[2][2] = 1
+g[3][3] = 1
+"""
+
+
+def test_spec_fields_are_built_once_per_grid(tmp_path, capsys, monkeypatch):
+    # every spec command evaluates each expression it reads once per call,
+    # on the axes the spec reads: loads builds and checks the metric and the
+    # reference there, the command reuses them and builds F there, and
+    # nothing is evaluated on the whole grid; a --grid override collapses
+    # its own grid
+    import hermweb.specfile
+
+    p = tmp_path / "spec.hwspec"
+    p.write_text(ONE_AXIS3_REF + "\n[prescribed]\nF = 0.1*cos(2*pi*x2)\n", encoding="utf-8")
+    whole = loads(ONE_AXIS3_REF).sizes
+    probed = []
+    evaluate = hermweb.specfile._evaluate_periodic
+
+    def probe(ast, grid, path):
+        probed.append((path, id(ast), grid.sizes))
+        return evaluate(ast, grid, path)
+
+    monkeypatch.setattr(hermweb.specfile, "_evaluate_periodic", probe)
+    section = lambda paths: sorted(path.split(".")[0] for path in paths)
+    loaded = ["metric"] * 5 + ["reference"] * 3
+    for argv in (["ricci"], ["classify"], ["flatten-conformal"], ["solve-ma2"], ["solve-ma3"], ["flow", "--tol", "1e-4"]):
+        F = ["prescribed"] if argv[0].startswith("solve") else []
+        read = ["metric"] * 5 + (["reference"] * 3 if argv[0] == "solve-ma3" else []) + F
+        probed.clear()
+        assert main(argv + ["--spec", str(p)]) == 0
+        capsys.readouterr()
+        assert section(path for path, _, _ in probed) == sorted(loaded + F)
+        assert len({(path, ast) for path, ast, _ in probed}) == len(probed)
+        assert {size for _, _, size in probed} == {(1, 16, 1, 1, 1, 1)} != {whole}
+        probed.clear()
+        assert main(argv + ["--spec", str(p), "--grid", "8,8,8,1,1,1"]) == 0
+        capsys.readouterr()
+        loader = [path for path, _, size in probed if size == (1, 16, 1, 1, 1, 1)]
+        command = [path for path, _, size in probed if size == (1, 8, 1, 1, 1, 1)]
+        assert section(loader) == sorted(loaded) and section(command) == sorted(read)
+        assert len(probed) == len(loader) + len(command)
+
+
+def spy_grids(monkeypatch, name) -> list:
+    """The grids of the metrics that hermweb.cli hands to its function name."""
     grids = []
-    original = hermweb.cli.classify
-    monkeypatch.setattr(hermweb.cli, "classify", lambda g, tol: grids.append(g.grid.sizes) or original(g, tol))
+    original = getattr(hermweb.cli, name)
+    monkeypatch.setattr(hermweb.cli, name, lambda g, *a, **kw: grids.append(g.grid.sizes) or original(g, *a, **kw))
     return grids
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("solve-ma2", ONE_AXIS2), ("solve-ma2", ONE_AXIS3_REF), ("solve-ma3", ONE_AXIS3_REF),
+     ("flow", ONE_AXIS2), ("flow", ONE_AXIS3_REF)],
+    ids=["ma2-n2", "ma2-n3", "ma3", "flow-n2", "flow-n3"],
+)
+def test_solvers_and_flow_run_on_the_axes_the_spec_reads(command, text, tmp_path, monkeypatch, capsys):
+    # each report is that of the library on the spec's whole grid, with the
+    # same Newton, GMRES and flow-step counts, and every dump has that grid's
+    # shape; values are compared within round-off, which a Ricci norm, a
+    # second derivative, amplifies by about (pi N)^2 to 1e-13 on N = 16
+    p = tmp_path / "spec.hwspec"
+    p.write_text(text, encoding="utf-8")
+    spec = loads(text)
+    g = spec.build_metric()
+    grids = spy_grids(monkeypatch, {"solve-ma2": "solve_ma2", "solve-ma3": "solve_ma3", "flow": "run_flow"}[command])
+    out = tmp_path / "out"
+    results = reported_results(monkeypatch, capsys, [command, "--spec", str(p), "--out", str(out)])["results"]
+    assert grids == [spec.data_grid(g.grid).sizes] and len(g.grid.active_axes) >= 3
+    close = lambda want: pytest.approx(want, rel=1e-12, abs=1e-13)
+    ricci_close = lambda want: pytest.approx(want, abs=1e-12)
+
+    if command == "flow":
+        final, history = hermweb.flow.run_flow(g, 1e-6, hermweb.cli._default_dt(g.grid), 100_000)
+        assert results["steps"]["value"] == len(history) - 1 > 10
+        assert results["rejected_steps"]["value"] == sum(h.rejected for h in history)
+        assert results["final_time"]["value"] == close(final.t)
+        assert results["final_ricci_max_norm"]["value"] == ricci_close(final.ricci_norm)
+        dumps = {f"g_{i + 1}{j + 1}": final.g.g[..., i, j] for i in range(g.n) for j in range(g.n)}
+    else:
+        F = hermweb.metric.ricci_potential(g)
+        if command == "solve-ma2":
+            sol = hermweb.ma.solve_ma2(g, F, hermweb.ma.SolverConfig())
+        else:
+            sol = hermweb.ma.solve_ma3(g, spec.build_reference(), F, hermweb.ma.SolverConfig())
+        assert results["iterations"]["value"] == sol.iterations
+        assert results["gmres_iterations"]["value"] == sum(sol.linear_iterations)
+        backtracks = sum(round(-math.log2(row[3])) for row in sol.trace[1:])
+        assert results["line_search_backtracks"]["value"] == backtracks
+        assert results["b"]["value"] == close(sol.b)
+        assert results["final_residual"]["value"] == close(sol.residual_history[-1])
+        assert results["output_ricci_max_norm"]["value"] == ricci_close(ricci_norm(sol.metric_out))
+        dumps = {"phi": sol.phi.values, "F": F.values}
+    for name, want in dumps.items():
+        f = load_field(out / f"{name}.fld")
+        assert f.grid == g.grid
+        assert np.max(np.abs(f.values - want)) < 1e-13
+
+
+def test_random_init_keeps_the_requested_grid(tmp_path, monkeypatch, capsys):
+    # the noise of the random start reads every active axis
+    p = tmp_path / "spec.hwspec"
+    p.write_text(ONE_AXIS2, encoding="utf-8")
+    g = loads(ONE_AXIS2).build_metric()
+    grids = spy_grids(monkeypatch, "solve_ma2")
+    out = tmp_path / "out"
+    argv = ["solve-ma2", "--spec", str(p), "--random-init", "--seed", "3", "--out", str(out)]
+    results = reported_results(monkeypatch, capsys, argv)["results"]
+    assert grids == [g.grid.sizes]
+    init = hermweb.cli._random_start(g.grid, 3)
+    sol = hermweb.ma.solve_ma2(g, hermweb.metric.ricci_potential(g), hermweb.ma.SolverConfig(), initial_phi=init)
+    assert results["iterations"]["value"] == sol.iterations
+    assert results["gmres_iterations"]["value"] == sum(sol.linear_iterations)
+    assert results["b"]["value"] == sol.b
+    assert np.array_equal(load_field(out / "phi.fld").values, sol.phi.values)
+
+
+@pytest.mark.parametrize(
+    "command, section, read_sizes",
+    [("solve-ma3", "[reference]\ng[1][1] = 1 + 0.1*cos(2*pi*x1)\ng[2][2] = 1\ng[3][3] = 1\n", (8, 16, 1, 1, 1, 1)),
+     ("solve-ma2", "[prescribed]\nF = 0.1*sin(2*pi*x3)\n", (1, 16, 8, 1, 1, 1))],
+    ids=["reference", "prescribed"],
+)
+def test_an_axis_that_only_the_reference_or_f_reads_stays_active(command, section, read_sizes, tmp_path, monkeypatch, capsys):
+    p = tmp_path / "spec.hwspec"
+    p.write_text(ONE_AXIS3 + "\n" + section, encoding="utf-8")
+    solver_grids = spy_grids(monkeypatch, command.replace("-", "_"))
+    classify_grids = spy_grids(monkeypatch, "classify")
+    assert main([command, "--spec", str(p)]) == 0
+    assert main(["classify", "--spec", str(p)]) == 0
+    capsys.readouterr()
+    assert solver_grids == classify_grids == [read_sizes]
 
 
 @pytest.mark.parametrize(
@@ -519,7 +630,7 @@ def test_analysis_commands_run_on_the_axes_the_metric_reads(text, read_sizes, tm
     p = tmp_path / "spec.hwspec"
     p.write_text(text, encoding="utf-8")
     g = loads(text).build_metric()
-    grids = spy_classify_grids(monkeypatch)
+    grids = spy_grids(monkeypatch, "classify")
     close = lambda want: pytest.approx(want, rel=1e-12, abs=1e-13)
 
     results = reported_results(monkeypatch, capsys, ["ricci", "--spec", str(p)])["results"]
@@ -557,14 +668,14 @@ def test_analysis_commands_run_on_the_axes_the_metric_reads(text, read_sizes, tm
 def test_a_metric_that_reads_every_active_axis_keeps_its_grid(text, tmp_path, monkeypatch, capsys):
     p = tmp_path / "spec.hwspec"
     p.write_text(text, encoding="utf-8")
-    grids = spy_classify_grids(monkeypatch)
+    grids = spy_grids(monkeypatch, "classify")
     assert main(["classify", "--spec", str(p)]) == 0
     capsys.readouterr()
     assert grids == [loads(text).sizes]
 
 
 def test_a_constant_metric_runs_on_no_active_axis(flat_spec, tmp_path, monkeypatch, capsys):
-    grids = spy_classify_grids(monkeypatch)
+    grids = spy_grids(monkeypatch, "classify")
     results = reported_results(monkeypatch, capsys, ["classify", "--spec", flat_spec])["results"]
     assert grids == [(1, 1, 1, 1)]
     assert all(results["classify"][name] == {"residual": 0.0, "flag": True} for name in ("kahler", "gauduchon"))
@@ -586,7 +697,7 @@ def test_a_constant_metric_runs_on_no_active_axis(flat_spec, tmp_path, monkeypat
 def test_the_axes_the_metric_reads_are_taken_from_the_grid_override(sizes, read_sizes, tmp_path, monkeypatch, capsys):
     p = tmp_path / "spec.hwspec"
     p.write_text(ONE_AXIS3, encoding="utf-8")
-    grids = spy_classify_grids(monkeypatch)
+    grids = spy_grids(monkeypatch, "classify")
     assert main(["classify", "--spec", str(p), "--grid", sizes]) == 0
     out = tmp_path / "out"
     assert main(["flatten-conformal", "--spec", str(p), "--grid", sizes, "--out", str(out)]) == 0

@@ -14,7 +14,6 @@ from hermweb.metric import (
     HermitianMetricField,
     MetricError,
     bott_chern_defect,
-    chern_connection,
     chern_ricci,
     classify,
     conformal_flatten,
@@ -30,6 +29,7 @@ from hermweb.metric import (
 from helpers import (
     assert_carries_its_stack,
     bump_metric,
+    chern_connection,
     classify_forms,
     count_hermitian_from_stack,
     fd_partial_z,
@@ -85,7 +85,9 @@ def test_unchecked_path_is_internal(monkeypatch):
     """Fields from outside keep every check: the spec loader, the report
     reader and the public constructor never take the unchecked path, while
     identity_metric and conformal_flatten build from stacks through it.  The
-    spec loader's stacks pass the positivity check of from_stack."""
+    spec loader's stacks pass the positivity check of from_stack: loads
+    checks them on the axes the spec reads, the builds on the whole grid
+    check their own."""
     import inspect
 
     import hermweb.report
@@ -119,9 +121,10 @@ def test_unchecked_path_is_internal(monkeypatch):
         "[metric]\ng[1][1] = 1 + 0.5*cos(2*pi*x2)\ng[2][2] = 1\n"
         "[reference]\ng[1][1] = 1\ng[2][2] = 1\n"
     )
+    assert checked == [(4, 1, 8, 1, 1)] * 2
     spec.build_metric()
     spec.build_reference()
-    assert checked == [(4, 8, 8, 1, 1)] * 2
+    assert checked == [(4, 1, 8, 1, 1)] * 2 + [(4, 8, 8, 1, 1)] * 2
     with pytest.raises(MetricError, match="positive definite"):
         HermitianMetricField(GRID2, -g.g)
 
@@ -206,7 +209,7 @@ def test_identity_metric_is_flat_and_kahler():
     assert np.max(np.abs(log_det(g))) < 1e-14
     rep = classify(g, 1e-10)
     assert rep.kahler and rep.balanced and rep.gauduchon and rep.strongly_gauduchon
-    assert rep.astheno_kahler and rep.astheno_vacuous  # vacuous for n = 2
+    assert rep.astheno_kahler and rep.astheno_residual is None  # vacuous for n = 2
 
 
 def test_fundamental_form_round_trip():
@@ -414,6 +417,27 @@ def test_chern_connection_vanishes_for_flat():
     assert np.max(np.abs(chern_connection(g))) < 1e-14
 
 
+def test_parallel_section_check_takes_the_connection_trace_from_log_det(monkeypatch):
+    # |grad eta| from the trace of the oracle's connection, on x1 and y2, so
+    # that d/dz_1 log det g is real and d/dz_2 log det g imaginary.  The two
+    # traces differ at Nyquist modes alone, which a resolved metric leaves at
+    # round-off.  The check makes no complex transform
+    grid = PeriodicGrid(2, (64, 1, 1, 64))
+    g = random_metric(grid, np.random.default_rng(8), amp=0.05)
+    a = np.einsum("...jij->...i", chern_connection(g))
+    up = np.swapaxes(g.inverse(), -1, -2)
+    grad2 = 4.0 * np.einsum("...ij,...i,...j->...", up, a, np.conj(a)).real * g.det() ** -2.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex transform")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    rep = parallel_section_check(g, 2)
+    assert rep.grad_eta_norm == pytest.approx(float(np.max(np.sqrt(grad2))), rel=1e-12)
+    assert rep.identity_residual < 1e-8
+
+
 @pytest.mark.parametrize("ell", [1, 2])
 def test_weitzenboeck_identity(ell):
     grid = PeriodicGrid(2, (64, 64, 1, 1))
@@ -577,5 +601,5 @@ def test_classify_gauduchon_conformal_metric_n2():
 def test_classify_n3_astheno_not_vacuous():
     grid = PeriodicGrid(3, (16, 16, 1, 1, 1, 1))
     rep = classify(identity_metric(grid), 1e-10)
-    assert rep.astheno_kahler and not rep.astheno_vacuous
+    assert rep.astheno_kahler
     assert rep.astheno_residual is not None and rep.astheno_residual < 1e-12

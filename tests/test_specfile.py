@@ -125,26 +125,23 @@ def test_prescribed_f_must_be_real():
         loads(text)
 
 
-def test_metric_grid_collapses_the_axes_no_metric_expression_reads():
-    # both parts of every metric entry count; the reference and F do not
-    text = (
-        FLAT.replace("sizes = 8 8 1 1", "sizes = 8 8 8 8").replace(
-            "g[2][2] = 1", "g[2][2] = 1 + 0.1*cos(2*pi*x2)\ng[1][2] = 0.1 | 0.05*sin(2*pi*y2)"
-        )
-        + """
-[reference]
-g[1][1] = 1 + 0.1*cos(2*pi*x1)
-g[2][2] = 1
-
-[prescribed]
-F = 0.01 * sin(2*pi*y1)
-"""
+def test_data_grid_collapses_the_axes_no_spec_expression_reads():
+    # both parts of every metric entry count, and so do the reference and F:
+    # an axis that only one of them reads stays active
+    metric = FLAT.replace("sizes = 8 8 1 1", "sizes = 8 8 8 8").replace(
+        "g[2][2] = 1", "g[2][2] = 1 + 0.1*cos(2*pi*x2)\ng[1][2] = 0.1 | 0.05*sin(2*pi*y2)"
     )
-    spec = loads(text)
-    assert spec.metric_grid(spec.build_grid()) == PeriodicGrid(2, (1, 8, 1, 8))
-    assert spec.metric_grid(PeriodicGrid(2, (16, 1, 16, 16))) == PeriodicGrid(2, (1, 1, 1, 16))
-    assert loads(FLAT).metric_grid(PeriodicGrid(2, (8, 8, 1, 1))) == PeriodicGrid(2, (1, 1, 1, 1))
-    assert loads(BUMP).metric_grid(PeriodicGrid(2, (1, 16, 1, 1))) == PeriodicGrid(2, (1, 16, 1, 1))
+    reference = "\n[reference]\ng[1][1] = 1 + 0.1*cos(2*pi*x1)\ng[2][2] = 1\n"
+    prescribed = "\n[prescribed]\nF = 0.01 * sin(2*pi*y1)\n"
+    whole = PeriodicGrid(2, (8, 8, 8, 8))
+    assert loads(metric).data_grid(whole) == PeriodicGrid(2, (1, 8, 1, 8))
+    assert loads(metric + reference).data_grid(whole) == PeriodicGrid(2, (8, 8, 1, 8))
+    assert loads(metric + prescribed).data_grid(whole) == PeriodicGrid(2, (1, 8, 8, 8))
+    spec = loads(metric + reference + prescribed)
+    assert spec.data_grid(whole) == whole
+    assert spec.data_grid(PeriodicGrid(2, (16, 1, 16, 16))) == PeriodicGrid(2, (16, 1, 16, 16))
+    assert loads(FLAT).data_grid(PeriodicGrid(2, (8, 8, 1, 1))) == PeriodicGrid(2, (1, 1, 1, 1))
+    assert loads(BUMP).data_grid(PeriodicGrid(2, (1, 16, 1, 1))) == PeriodicGrid(2, (1, 16, 1, 1))
 
 
 def test_periodicity_warning():
