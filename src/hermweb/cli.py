@@ -3,10 +3,9 @@
 Every spec command runs on the spec's data_grid of the requested grid: the
 axes that no expression of [metric], [reference] or [prescribed] reads are
 collapsed, since every field the command computes is constant along them.
-The field dumps are broadcast back to the requested grid, and flow takes its
-default first step from the requested grid.  --random-init is the exception:
-its noise reads every active axis, so a solve with it runs on the requested
-grid.
+A --random-init start is noise on the axes the spec reads.  The field dumps
+are broadcast back to the requested grid, and flow takes its default first
+step from the requested grid.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
 """
@@ -157,8 +156,7 @@ def _dispatch(args, spec):
         sizes = tuple(int(s) for s in args.grid.split(","))
         spec = replace(spec, sizes=sizes)
     grid = spec.build_grid()
-    # the axes the spec reads; random start noise reads every active axis
-    data = grid if getattr(args, "random_init", False) else spec.data_grid(grid)
+    data = spec.data_grid(grid)
     g = spec.build_metric(data)
     tol = getattr(args, "tol", None)
 
@@ -191,7 +189,7 @@ def _dispatch(args, spec):
         F = spec.build_F(data)
         if F is None:
             F = ricci_potential(g)
-        init = _random_start(grid, args.seed) if args.random_init else None
+        init = _random_start(data, args.seed) if args.random_init else None
         try:
             if cmd == "solve-ma2":
                 sol = solve_ma2(g, F, cfg, initial_phi=init)
@@ -245,8 +243,8 @@ def _dispatch(args, spec):
             "final_ricci_max_norm": {"value": final.ricci_norm, "tolerance": flow_tol},
         }
         rows = (
-            ["t", "dt", "ricci_norm", "rejected"],
-            [(h.t, h.dt, h.ricci_norm, h.rejected) for h in history],
+            ["t", "dt", "ricci_norm", "rejected", "reason"],
+            [(h.t, h.dt, h.ricci_norm, h.rejected, h.reason) for h in history],
         )
         fields = {
             f"g_{i + 1}{j + 1}": _on_grid(final.g.g[..., i, j], grid)

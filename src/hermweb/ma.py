@@ -47,14 +47,15 @@ Both use damped Newton iterations with one linearisation,
     dR[v] = w Re tr(K Hess v),
 where w K = det(gt) gt^{-1} = adj gt for solve_ma2 and, since
 tr(X M(H, B)) = tr(M(X, B) H), w K = P(adj Lambda) / (2 det(Lambda)^{1/2})
-for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  The linear systems
-carry the constant b as an extra unknown in a bordered system A.  GMRES
-solves it right-preconditioned (Saad, Iterative Methods for Sparse Linear
-Systems, 2nd ed., 2003, 9.3): A M u = rhs, then
-(dphi, db) = M u, with M a flat-Laplacian Fourier multiplier.  GMRES's
-relative tolerance is an Eisenstat-Walker forcing term (_forcing_term):
-loose on the early Newton steps, tight near the solution.  Convergence is
-the Newton test alone.
+for solve_ma3, with w = det gt and w = det(Lambda)^{1/2}.  A Newton step
+solves for dphi and the constant db, on vectors of the grid's points
+alone: GMRES solves A M u = -R right-preconditioned (Saad, Iterative
+Methods for Sparse Linear Systems, 2nd ed., 2003, 9.3), and
+(dphi, db) = M u, with M a flat-Laplacian Fourier multiplier that sends
+the mean of u, which the Laplacian does not see, to db.  GMRES's relative
+tolerance is an Eisenstat-Walker forcing term (_forcing_term): loose on
+the early Newton steps, tight near the solution.  Convergence is the
+Newton test alone.
 
 The GMRES is restarted GMRES(20) with modified Gram-Schmidt (Saad and
 Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) and no preconditioner: the
@@ -369,17 +370,17 @@ def _check_grids(grid: PeriodicGrid, **fields) -> None:
 
 
 def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
-    """The bordered Newton operator A right-preconditioned by M, and M:
+    """The Newton operator A right-preconditioned by M, and M:
     (A M as a LinearOperator for gmres, the function apply_M).
 
-    A (dphi, db) = (w Re tr(K Hess dphi) - db w, mean dphi) contracts the
-    stack WK of w K, whose off-diagonal rows count twice in the trace, with
-    the Hessian stack of dphi.  M solves c Lap on the field block, with
-    c = mean(w tr K)/n the mean of the n diagonal rows of WK, and does the
-    mean bookkeeping of the border:
-        M (u, u_b) = (Lap^{-1}(u - mean u) / c + u_b, -mean u / mean w).
+    A (dphi, db) = w Re tr(K Hess dphi) - db w contracts the stack WK of
+    w K, whose off-diagonal rows count twice in the trace, with the Hessian
+    stack of dphi.  M takes a field u of grid.num_points entries (raveled)
+    to the step: it solves c Lap, with c = mean(w tr K)/n the mean of the n
+    diagonal rows of WK, and moves the mean of u into db,
+        M u = (Lap^{-1}(u - mean u) / c, -mean u / mean w).
     M is a Fourier multiplier and a constant has no Hessian, so
-        A M (u, u_b) = (Re tr(WK/c Hess Lap^{-1} u) + (mean u / mean w) w, u_b):
+        A M u = Re tr(WK/c Hess Lap^{-1} u) + (mean u / mean w) w:
     one rfft_active and one irfft_active over the Hessian rows that are not
     identically zero on the grid, with P = Q[1:] of grid's cached
     _laplacian_solve_multipliers, the multipliers of Hess Lap^{-1}.
@@ -399,21 +400,21 @@ def _make_system(grid: PeriodicGrid, WK: np.ndarray, w: np.ndarray):
     wmean = float(np.mean(w))
 
     def apply_AM(u: np.ndarray) -> np.ndarray:
-        uhat = rfft_active(u[:-1].reshape(grid.shape), grid)
+        uhat = rfft_active(u.reshape(grid.shape), grid)
         row = np.einsum("k...,k...->...", C, irfft_active(P * uhat, grid, 1))
         row += (uhat[zero].real / npts / wmean) * w
-        return np.concatenate([row.ravel(), [u[-1]]])
+        return row.ravel()
 
     def apply_M(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        uhat = rfft_active(u[:-1].reshape(grid.shape), grid)
+        uhat = rfft_active(u.reshape(grid.shape), grid)
         db = -uhat[zero].real / npts / wmean
         uhat *= 1.0 / c
         out = irfft_active(Q * uhat, grid, 1)
         dH = np.zeros((n * n,) + grid.shape)
         dH[rows] = out[1:]
-        return out[0] + u[-1], dH, db
+        return out[0], dH, db
 
-    return LinearOperator((npts + 1, npts + 1), matvec=apply_AM, dtype=np.float64), apply_M
+    return LinearOperator((npts, npts), matvec=apply_AM, dtype=np.float64), apply_M
 
 
 def _forcing_term(eta_prev: float | None, res: float, res_prev: float | None, tol: float) -> float:
@@ -484,9 +485,10 @@ def _newton_loop(grid, cfg, lhs_fn, coefficients_fn, phi0, F, detg):
     coefficients_fn(state) returns the real stack WK of w K and the weight
     field w of the linearised residual
         (dphi, db) -> w Re tr(K Hess dphi) - db w;
-    the border column -w is exact at a solution, where e^b e^F det g = w.
-    GMRES solves the system right-preconditioned, A M u = rhs, by
-    _make_system's A M, and the step is (dphi, db) = M u.  M inverts c times
+    its db term -w is exact at a solution, where e^b e^F det g = w.
+    GMRES solves the system right-preconditioned, A M u = -R, over fields u
+    of grid.num_points entries, by _make_system's A M, and the step is
+    (dphi, db) = M u: M sends the mean of u to db.  M inverts c times
     the flat Laplacian, c = mean(w tr K)/n, the mean of the n diagonal rows
     of WK.  Each GMRES iteration makes one rfft_active and one irfft_active
     batched over the Hessian rows that are not identically zero.  The apply
@@ -534,7 +536,7 @@ def _newton_loop(grid, cfg, lhs_fn, coefficients_fn, phi0, F, detg):
         # holds it is kept through GMRES
         del state, trial
         AM, apply_M = _make_system(grid, WK, w)
-        rhs = np.concatenate([(-R).ravel(), [0.0]])
+        rhs = -R.ravel()
         rtol = _forcing_term(rtol, res, history[-2] if len(history) > 1 else None, cfg.tolerance)
         u, info, iterations = gmres(AM, rhs, rtol=rtol, maxiter=LINEAR_MAXITER)
         if info != 0:

@@ -19,7 +19,8 @@ sections (documented byte-exactly in docs/spec-file-format.md).
     F = ...
 
 Only entries g[i][j] with j >= i are given; the lower triangle is filled by
-conjugate symmetry.  '#' starts a comment.
+conjugate symmetry.  '#' starts a comment.  Any other section, or another
+key in [manifold] or [prescribed], is a SpecError.
 
 A metric section is loaded as its real stack (smallmat's layout): each entry
 is evaluated straight into its stack row, and the stack is checked by
@@ -44,6 +45,9 @@ from .grid import PeriodicGrid, ScalarField
 from .metric import HERMITIAN_TOL, HermitianMetricField, MetricError
 
 _SECTION = re.compile(r"\[([a-z_]+)\]\s*$")
+# the keys of each section; a metric section's keys g[i][j] are checked
+# when the section is read
+_KEYS = {"manifold": ("name", "n", "sizes"), "metric": None, "reference": None, "prescribed": ("F",)}
 _GKEY = re.compile(r"g\[([1-9])\]\[([1-9])\]$")
 
 PERIODICITY_WARN_TOL = 1e-8
@@ -184,6 +188,9 @@ def loads(text: str) -> ManifoldSpec:
         m = _SECTION.match(line)
         if m:
             current_name = m.group(1)
+            if current_name not in _KEYS:
+                known = ", ".join(f"[{name}]" for name in _KEYS)
+                raise SpecError(f"line {lineno}: unknown section [{current_name}]; the sections are {known}")
             if current_name in sections:
                 raise SpecError(f"line {lineno}: duplicate section [{current_name}]")
             current = sections.setdefault(current_name, {})
@@ -195,6 +202,9 @@ def loads(text: str) -> ManifoldSpec:
         key, value = (s.strip() for s in line.split("=", 1))
         if key in current:
             raise SpecError(f"line {lineno}: duplicate key {key!r} in [{current_name}]")
+        allowed = _KEYS[current_name]
+        if allowed is not None and key not in allowed:
+            raise SpecError(f"line {lineno}: {current_name}.{key}: unknown key, [{current_name}] takes {', '.join(allowed)}")
         current[key] = value
 
     man = sections.get("manifold")

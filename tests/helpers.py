@@ -350,28 +350,25 @@ def field(grid: PeriodicGrid, values) -> ScalarField:
 # Complex forms of the Newton operator and its preconditioner
 # ---------------------------------------------------------------------------
 
-def complex_newton_row(grid: PeriodicGrid, K: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Field row of the bordered Newton operator, (w Re tr(K Hess dphi) - db w),
-    from the full complex Hessian of dphi = v[:-1] and db = v[-1]."""
-    dphi = v[:-1].reshape(grid.shape)
+def complex_newton_row(grid: PeriodicGrid, K: np.ndarray, w: np.ndarray, dphi: np.ndarray, db: float) -> np.ndarray:
+    """The Newton operator, w Re tr(K Hess dphi) - db w, from the full
+    complex Hessian of dphi."""
     H = hessian_values(dphi.astype(np.complex128), grid)
-    return (w * np.einsum("...ij,...ji->...", K, H)).real - v[-1] * w
+    return (w * np.einsum("...ij,...ji->...", K, H)).real - db * w
 
 
-def complex_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Flat-Laplacian solve of the field block on complex spectra, with the
-    mean bookkeeping of the border."""
+def complex_preconditioner(grid: PeriodicGrid, c: float, rhs_weight: np.ndarray, r: np.ndarray):
+    """The step (dphi, db) of a vector r of grid.num_points entries: a
+    flat-Laplacian solve on complex spectra, with the mean of r sent to db."""
     sym = -sum(np.abs(s) ** 2 for s in _z_symbols(grid))  # over the full spectrum
     axes = grid.active_axes
     npts = grid.num_points
-    rhat = np.fft.fftn(r[:-1].reshape(grid.shape), axes=axes)
+    rhat = np.fft.fftn(r.reshape(grid.shape), axes=axes)
     zero = (0,) * len(grid.shape)
     db = -rhat[zero].real / npts / float(np.mean(rhs_weight))
     with np.errstate(divide="ignore", invalid="ignore"):
         phat = np.where(sym != 0.0, rhat / (c * sym), 0.0)
-    phat[zero] = r[-1] * npts
-    v = np.fft.ifftn(phat, axes=axes).real
-    return np.concatenate([v.ravel(), [db]])
+    return np.fft.ifftn(phat, axes=axes).real, db
 
 
 # ---------------------------------------------------------------------------

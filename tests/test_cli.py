@@ -361,8 +361,27 @@ def test_flow_command(bump_spec, tmp_path, capsys):
     assert code == 0
     assert "final_ricci_max_norm" in out
     csv_lines = (outdir / "history.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == "t,dt,ricci_norm,rejected"
+    assert csv_lines[0] == "t,dt,ricci_norm,rejected,reason"
     assert (outdir / "g_11.fld").exists()
+
+
+def test_flow_csv_records_why_attempts_were_rejected(tmp_path, capsys):
+    # the two-axis bump's flow from a large first step rejects attempts; a
+    # row after rejected attempts carries the reason of the last, as
+    # run_flow's history does
+    p = tmp_path / "twoaxis.hwspec"
+    text = BUMP.replace("sizes = 1 32 1 1", "sizes = 16 16 1 1").replace("0.5", "0.4")
+    text = text.replace("g[2][2] = 1", "g[2][2] = 1 + 0.4*cos(2*pi*x1)")
+    p.write_text(text, encoding="utf-8")
+    outdir = tmp_path / "flowout"
+    code, _ = run(capsys, "flow", "--spec", str(p), "--tol", "1e-4", "--dt", "1.5", "--out", str(outdir), "--csv")
+    assert code == 0
+    header, *rows = [line.split(",") for line in (outdir / "history.csv").read_text().strip().splitlines()]
+    assert header == ["t", "dt", "ricci_norm", "rejected", "reason"]
+    _, history = hermweb.flow.run_flow(loads(text).build_metric(), 1e-4, 1.5, 100_000)
+    assert [(int(row[3]), row[4]) for row in rows] == [(h.rejected, h.reason) for h in history]
+    assert all((row[3] == "0") == (row[4] == "") for row in rows)
+    assert {row[4] for row in rows if row[3] != "0"} >= {"step error"}
 
 
 def test_flow_converges_on_a_two_axis_metric(tmp_path, capsys):
@@ -585,22 +604,52 @@ def test_solvers_and_flow_run_on_the_axes_the_spec_reads(command, text, tmp_path
         assert np.max(np.abs(f.values - want)) < 1e-13
 
 
-def test_random_init_keeps_the_requested_grid(tmp_path, monkeypatch, capsys):
-    # the noise of the random start reads every active axis
+@pytest.mark.parametrize(
+    "command, text", [("solve-ma2", ONE_AXIS2), ("solve-ma3", ONE_AXIS3_REF)], ids=["ma2", "ma3"]
+)
+def test_random_init_runs_on_the_axes_the_spec_reads(command, text, tmp_path, monkeypatch, capsys):
+    # the random start is noise on the data grid, so a --random-init solve
+    # is the library's solve there from _random_start(data, seed), each
+    # expression is evaluated once, and the dump has the requested grid
+    import hermweb.specfile
+
     p = tmp_path / "spec.hwspec"
-    p.write_text(ONE_AXIS2, encoding="utf-8")
-    g = loads(ONE_AXIS2).build_metric()
-    grids = spy_grids(monkeypatch, "solve_ma2")
+    p.write_text(text, encoding="utf-8")
+    spec = loads(text)
+    whole = spec.build_grid()
+    data = spec.data_grid(whole)
+    assert data != whole
+    solver = command.replace("-", "_")
+    grids = spy_grids(monkeypatch, solver)
+    probed = []
+    evaluate = hermweb.specfile._evaluate_periodic
+
+    def probe(ast, grid, path):
+        probed.append((path, id(ast), grid.sizes))
+        return evaluate(ast, grid, path)
+
+    monkeypatch.setattr(hermweb.specfile, "_evaluate_periodic", probe)
     out = tmp_path / "out"
-    argv = ["solve-ma2", "--spec", str(p), "--random-init", "--seed", "3", "--out", str(out)]
+    argv = [command, "--spec", str(p), "--random-init", "--seed", "3", "--out", str(out)]
     results = reported_results(monkeypatch, capsys, argv)["results"]
-    assert grids == [g.grid.sizes]
-    init = hermweb.cli._random_start(g.grid, 3)
-    sol = hermweb.ma.solve_ma2(g, hermweb.metric.ricci_potential(g), hermweb.ma.SolverConfig(), initial_phi=init)
+    assert grids == [data.sizes]
+    assert len({(path, ast) for path, ast, _ in probed}) == len(probed) > 0
+    assert {size for _, _, size in probed} == {data.sizes}
+
+    g = spec.build_metric(data)
+    F = hermweb.metric.ricci_potential(g)
+    cfg = hermweb.ma.SolverConfig()
+    init = hermweb.cli._random_start(data, 3)
+    if command == "solve-ma2":
+        sol = hermweb.ma.solve_ma2(g, F, cfg, initial_phi=init)
+    else:
+        sol = hermweb.ma.solve_ma3(g, spec.build_reference(data), F, cfg, initial_phi=init)
     assert results["iterations"]["value"] == sol.iterations
     assert results["gmres_iterations"]["value"] == sum(sol.linear_iterations)
     assert results["b"]["value"] == sol.b
-    assert np.array_equal(load_field(out / "phi.fld").values, sol.phi.values)
+    phi = load_field(out / "phi.fld")
+    assert phi.grid == whole
+    assert np.array_equal(phi.values, np.broadcast_to(sol.phi.values, whole.shape))
 
 
 @pytest.mark.parametrize(

@@ -539,7 +539,7 @@ def newton_system(n, sizes, seed):
     A = rng.standard_normal(grid.shape + (n, n)) + 1j * rng.standard_normal(grid.shape + (n, n))
     K = A + np.conj(np.swapaxes(A, -1, -2))
     w = rng.uniform(0.5, 2.0, grid.shape)
-    u = rng.standard_normal(grid.num_points + 1)
+    u = rng.standard_normal(grid.num_points)
     WK = w * hermitian_stack(K)
     c = float(np.mean(WK[:n]))
     return grid, K, w, _make_system(grid, WK, w), c, u
@@ -549,10 +549,9 @@ def newton_system(n, sizes, seed):
 def test_newton_operator_matches_complex_form(n, sizes):
     grid, K, w, (AM, _), c, u = newton_system(n, sizes, sum(sizes))
     out = AM.matvec(u)
-    Mu = complex_preconditioner(grid, c, w, u)
-    expected = complex_newton_row(grid, K, w, Mu)
-    assert np.max(np.abs(out[:-1] - expected.ravel())) <= 1e-12 * np.max(np.abs(expected))
-    assert out[-1] == u[-1] == pytest.approx(Mu[:-1].mean(), abs=1e-15)
+    expected = complex_newton_row(grid, K, w, *complex_preconditioner(grid, c, w, u))
+    assert AM.shape == (grid.num_points, grid.num_points) and out.shape == (grid.num_points,)
+    assert np.max(np.abs(out - expected.ravel())) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("n, sizes", OPERATOR_GRIDS)
@@ -561,11 +560,46 @@ def test_preconditioner_matches_complex_form(n, sizes):
     grid, _, w, (_, apply_M), c, u = newton_system(n, sizes, sum(sizes) + 1)
     dphi, dH, db = apply_M(u)
     out = np.concatenate([dphi.ravel(), [db]])
-    expected = complex_preconditioner(grid, c, w, u)
+    want_dphi, want_db = complex_preconditioner(grid, c, w, u)
+    expected = np.concatenate([want_dphi.ravel(), [want_db]])
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert dphi.mean() == pytest.approx(0.0, abs=1e-15)
     H = hermitian_hessian_stack(dphi, grid)
     assert dH.shape == H.shape
     assert np.max(np.abs(dH - H)) <= 1e-12 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("solver", ["ma2", "ma3"])
+def test_gmres_runs_on_the_grid_points_alone(solver, monkeypatch):
+    # a Newton step's unknowns are dphi and db, and M sends the mean of u to
+    # db: every GMRES vector has one entry per grid point
+    rng = np.random.default_rng(1)
+    if solver == "ma2":
+        g, F, _, _ = manufactured_problem(PeriodicGrid(2, (16, 16, 1, 1)), rng)
+        solve = lambda: solve_ma2(g, F)
+    else:
+        g, g0, F, _, _ = ma3_manufactured(PeriodicGrid(3, (8, 8, 8, 1, 1, 1)), rng)
+        solve = lambda: solve_ma3(g, g0, F)
+    npts = g.grid.num_points
+    operators, shapes = [], set()
+    real_gmres = ma_module.gmres
+
+    def gmres(A, b, **kwargs):
+        def matvec(u):
+            out = A.matvec(u)
+            shapes.update((u.shape, out.shape))
+            return out
+
+        operators.append(A.shape)
+        shapes.add(b.shape)
+        x, info, iterations = real_gmres(ma_module.LinearOperator(A.shape, matvec, A.dtype), b, **kwargs)
+        shapes.add(x.shape)
+        return x, info, iterations
+
+    monkeypatch.setattr(ma_module, "gmres", gmres)
+    sol = solve()
+    assert operators == [(npts, npts)] * sol.iterations and sol.iterations >= 2
+    assert shapes == {(npts,)}
 
 
 class _CountingFFT:

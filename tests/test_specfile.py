@@ -102,6 +102,9 @@ def test_build_reference_none_when_absent():
         (lambda t: t.replace("n = 2", "n = 2\nn = 3"), "duplicate key"),
         (lambda t: "stray = 1\n" + t, "before any section"),
         (lambda t: t.replace("g[1][1] = 1", "g[1][1] = 1 | 2 | 3"), "|"),
+        (lambda t: t + "\n[prescibed]\nF = 0.1*cos(2*pi*x1)\n", "[manifold], [metric], [reference], [prescribed]"),
+        (lambda t: t.replace("n = 2", "n = 2\ncolour = red"), "manifold.colour"),
+        (lambda t: t + "\n[prescribed]\nF = 0.1*cos(2*pi*x1)\nG = 1\n", "prescribed.G"),
     ],
 )
 def test_spec_errors(mutate, needle):
