@@ -3,9 +3,10 @@
 Every spec command runs on the spec's data_grid of the requested grid: the
 axes that no expression of [metric], [reference] or [prescribed] reads are
 collapsed, since every field the command computes is constant along them.
-A --random-init start is noise on the axes the spec reads.  The field dumps
-are broadcast back to the requested grid, and flow takes its default first
-step from the requested grid.
+Each command builds the sections it reads, once, on that grid.  A
+--random-init start is noise on the axes the spec reads.  The field dumps
+are broadcast to the requested grid only when --out writes them, and flow
+takes its default first step from the requested grid.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
 """
@@ -107,6 +108,8 @@ def main(argv=None) -> int:
                 raw = fh.read()
             out["spec_digest"] = rpt.sha256_digest(raw)
             spec = loads(raw.decode("utf-8"))
+            if args.grid:
+                spec = replace(spec, sizes=tuple(int(s) for s in args.grid.split(",")))
             out["spec_name"] = spec.name
         results, rows_csv, fields, exit_code = _dispatch(args, spec)
         out["results"] = results
@@ -125,8 +128,11 @@ def main(argv=None) -> int:
             if getattr(args, "csv", False) and rows_csv is not None:
                 header, rows = rows_csv
                 rpt.write_csv(outdir / "history.csv", header, rows)
-            for name, f in fields.items():
-                rpt.dump_field(outdir / f"{name}.fld", f)
+            # a field of the data grid, constant along the axes it
+            # collapses, dumped on the requested grid
+            grid = spec.build_grid() if fields else None
+            for name, values in fields.items():
+                rpt.dump_field(outdir / f"{name}.fld", ScalarField(grid, np.broadcast_to(values, grid.shape)))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -152,9 +158,6 @@ def _dispatch(args, spec):
             return results, None, {}, 0 if ok else 2
         return {args.name: report.as_dict()}, None, {}, 0 if report.passed else 2
 
-    if getattr(args, "grid", None):
-        sizes = tuple(int(s) for s in args.grid.split(","))
-        spec = replace(spec, sizes=sizes)
     grid = spec.build_grid()
     data = spec.data_grid(grid)
     g = spec.build_metric(data)
@@ -179,7 +182,7 @@ def _dispatch(args, spec):
             "output_ricci_max_norm": {"value": ricci_norm(flat), "tolerance": 1e-10},
             "det_relative_spread": {"value": float(np.ptp(d) / np.mean(d)), "tolerance": 1e-12},
         }
-        return results, None, {"ricci_potential": _on_grid(F.values, grid)}, 0
+        return results, None, {"ricci_potential": F.values}, 0
 
     if cmd == "classify":
         return {"classify": classify(g, 1e-8 if tol is None else tol).as_dict()}, None, {}, 0
@@ -224,7 +227,7 @@ def _dispatch(args, spec):
             ["iteration", "residual", "b", "step", "gmres_iters", "gmres_rtol"],
             [row + its_rtol for row, its_rtol in zip(sol.trace, linear)],
         )
-        return results, rows, {"phi": _on_grid(sol.phi.values, grid), "F": _on_grid(F.values, grid)}, 0
+        return results, rows, {"phi": sol.phi.values, "F": F.values}, 0
 
     if cmd == "flow":
         flow_tol = 1e-6 if tol is None else tol
@@ -247,19 +250,13 @@ def _dispatch(args, spec):
             [(h.t, h.dt, h.ricci_norm, h.rejected, h.reason) for h in history],
         )
         fields = {
-            f"g_{i + 1}{j + 1}": _on_grid(final.g.g[..., i, j], grid)
+            f"g_{i + 1}{j + 1}": final.g.g[..., i, j]
             for i in range(grid.n)
             for j in range(grid.n)
         }
         return results, rows, fields, 0
 
     raise ValueError(f"unknown command {cmd}")
-
-
-def _on_grid(values, grid):
-    # a field of the data grid, constant along the axes it collapses, as a
-    # dump on the requested grid
-    return ScalarField(grid, np.broadcast_to(values, grid.shape))
 
 
 def _random_start(grid, seed):

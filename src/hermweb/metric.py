@@ -71,7 +71,7 @@ class HermitianMetricField:
 
     The constructor HermitianMetricField(grid, g) checks a complex field from
     outside and keeps the stack of its Hermitian part; from_stack checks a
-    stack from outside (the spec loader's).  Every metric hermweb derives is
+    stack from outside (a spec section's).  Every metric hermweb derives is
     built from its stack by _unchecked."""
 
     grid: PeriodicGrid

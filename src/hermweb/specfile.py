@@ -28,15 +28,19 @@ HermitianMetricField.from_stack.  No complex (n, n) field is built.
 ManifoldSpec.data_grid collapses the axes of a grid that no expression of
 [metric], [reference] or [prescribed] reads: every field of the spec is
 constant along them, so its values, finiteness and positivity on the
-collapsed grid are those on the whole one.  loads checks the metric and the
-reference there only, and the fields it builds are kept for reuse.
+collapsed grid are those on the whole one.
+
+loads parses the file and checks its structure, its expressions' syntax and
+its sizes; it evaluates no expression.  Each build_* evaluates its section
+on the grid it is given and checks it there, so a command builds and checks
+only the sections it reads.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +48,7 @@ from . import expr, smallmat
 from .grid import PeriodicGrid, ScalarField
 from .metric import HERMITIAN_TOL, HermitianMetricField, MetricError
 
-_SECTION = re.compile(r"\[([a-z_]+)\]\s*$")
+_SECTION = re.compile(r"\[(.*)\]$")
 # the keys of each section; a metric section's keys g[i][j] are checked
 # when the section is read
 _KEYS = {"manifold": ("name", "n", "sizes"), "metric": None, "reference": None, "prescribed": ("F",)}
@@ -57,7 +61,7 @@ class SpecError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifoldSpec:
     name: str
     n: int
@@ -65,10 +69,6 @@ class ManifoldSpec:
     metric_exprs: dict  # (i, j) 1-based upper triangle -> (re AST, im AST | None)
     reference_exprs: dict | None = None
     F_expr: object | None = None
-    source_text: str = ""
-    # the metric fields built so far, by (section, grid); their arrays are
-    # read-only, so a field is built, probed and validated once per grid
-    _fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def build_grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.n, self.sizes)
@@ -84,25 +84,18 @@ class ManifoldSpec:
         return PeriodicGrid(grid.n, tuple(s if name in read else 1 for name, s in zip(names, grid.sizes)))
 
     def build_metric(self, grid: PeriodicGrid | None = None) -> HermitianMetricField:
-        return self._build(self.metric_exprs, grid, "metric")
+        return self._evaluate(self.metric_exprs, grid or self.build_grid(), "metric")
 
     def build_reference(self, grid: PeriodicGrid | None = None) -> HermitianMetricField | None:
         if self.reference_exprs is None:
             return None
-        return self._build(self.reference_exprs, grid, "reference")
+        return self._evaluate(self.reference_exprs, grid or self.build_grid(), "reference")
 
     def build_F(self, grid: PeriodicGrid | None = None) -> ScalarField | None:
         if self.F_expr is None:
             return None
         grid = grid or self.build_grid()
         return ScalarField(grid, _evaluate_periodic(self.F_expr, grid, "prescribed.F"))
-
-    def _build(self, exprs: dict, grid: PeriodicGrid | None, section: str) -> HermitianMetricField:
-        grid = grid or self.build_grid()
-        key = (section, grid)
-        if key not in self._fields:
-            self._fields[key] = self._evaluate(exprs, grid, section)
-        return self._fields[key]
 
     def _evaluate(self, exprs: dict, grid: PeriodicGrid, section: str) -> HermitianMetricField:
         """The metric of a section, each entry evaluated into its stack row:
@@ -257,16 +250,11 @@ def loads(text: str) -> ManifoldSpec:
         metric_exprs=metric_exprs,
         reference_exprs=reference_exprs,
         F_expr=F_ast,
-        source_text=text,
     )
     try:
-        grid = spec.build_grid()
+        spec.build_grid()
     except Exception as exc:
         raise SpecError(f"manifold.sizes: {exc}") from exc
-    # validates Hermitian positivity up front, on the axes the spec reads
-    data = spec.data_grid(grid)
-    spec.build_metric(data)
-    spec.build_reference(data)
     return spec
 
 

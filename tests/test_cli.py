@@ -509,16 +509,13 @@ g[3][3] = 1
 
 
 def test_spec_fields_are_built_once_per_grid(tmp_path, capsys, monkeypatch):
-    # every spec command evaluates each expression it reads once per call,
-    # on the axes the spec reads: loads builds and checks the metric and the
-    # reference there, the command reuses them and builds F there, and
-    # nothing is evaluated on the whole grid; a --grid override collapses
-    # its own grid
+    # every spec command evaluates each expression of the sections it reads
+    # once, on the data grid of the requested grid, and no other section:
+    # only solve-ma3 reads [reference], and only the solvers [prescribed]
     import hermweb.specfile
 
     p = tmp_path / "spec.hwspec"
     p.write_text(ONE_AXIS3_REF + "\n[prescribed]\nF = 0.1*cos(2*pi*x2)\n", encoding="utf-8")
-    whole = loads(ONE_AXIS3_REF).sizes
     probed = []
     evaluate = hermweb.specfile._evaluate_periodic
 
@@ -527,24 +524,37 @@ def test_spec_fields_are_built_once_per_grid(tmp_path, capsys, monkeypatch):
         return evaluate(ast, grid, path)
 
     monkeypatch.setattr(hermweb.specfile, "_evaluate_periodic", probe)
-    section = lambda paths: sorted(path.split(".")[0] for path in paths)
-    loaded = ["metric"] * 5 + ["reference"] * 3
     for argv in (["ricci"], ["classify"], ["flatten-conformal"], ["solve-ma2"], ["solve-ma3"], ["flow", "--tol", "1e-4"]):
-        F = ["prescribed"] if argv[0].startswith("solve") else []
-        read = ["metric"] * 5 + (["reference"] * 3 if argv[0] == "solve-ma3" else []) + F
-        probed.clear()
-        assert main(argv + ["--spec", str(p)]) == 0
-        capsys.readouterr()
-        assert section(path for path, _, _ in probed) == sorted(loaded + F)
-        assert len({(path, ast) for path, ast, _ in probed}) == len(probed)
-        assert {size for _, _, size in probed} == {(1, 16, 1, 1, 1, 1)} != {whole}
-        probed.clear()
-        assert main(argv + ["--spec", str(p), "--grid", "8,8,8,1,1,1"]) == 0
-        capsys.readouterr()
-        loader = [path for path, _, size in probed if size == (1, 16, 1, 1, 1, 1)]
-        command = [path for path, _, size in probed if size == (1, 8, 1, 1, 1, 1)]
-        assert section(loader) == sorted(loaded) and section(command) == sorted(read)
-        assert len(probed) == len(loader) + len(command)
+        read = ["metric"] * 5
+        read += ["reference"] * 3 if argv[0] == "solve-ma3" else []
+        read += ["prescribed"] if argv[0].startswith("solve") else []
+        for grid, data in (([], (1, 16, 1, 1, 1, 1)), (["--grid", "8,8,8,1,1,1"], (1, 8, 1, 1, 1, 1))):
+            probed.clear()
+            assert main(argv + ["--spec", str(p)] + grid) == 0
+            capsys.readouterr()
+            assert sorted(path.split(".")[0] for path, _, _ in probed) == sorted(read)
+            assert len({(path, ast) for path, ast, _ in probed}) == len(probed)
+            assert {size for _, _, size in probed} == {data}
+
+
+@pytest.mark.parametrize("command", ["solve-ma2", "flatten-conformal", "flow"])
+def test_dumps_are_built_on_the_requested_grid_only_when_written(command, tmp_path, monkeypatch, capsys):
+    # a command computes on the data grid; each dump is broadcast to the
+    # requested grid by the --out loop that writes it, and by nothing else
+    p = tmp_path / "spec.hwspec"
+    p.write_text(ONE_AXIS3, encoding="utf-8")
+    whole = loads(ONE_AXIS3).build_grid()
+    grids = []
+    post_init = hermweb.grid.ScalarField.__post_init__
+    monkeypatch.setattr(hermweb.grid.ScalarField, "__post_init__", lambda f: grids.append(f.grid) or post_init(f))
+    argv = [command, "--spec", str(p)] + (["--tol", "1e-4"] if command == "flow" else [])
+    assert main(argv) == 0
+    assert whole not in grids
+    grids.clear()
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert grids.count(whole) == len(list(out.glob("*.fld"))) > 0
 
 
 def spy_grids(monkeypatch, name) -> list:

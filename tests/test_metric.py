@@ -85,9 +85,9 @@ def test_unchecked_path_is_internal(monkeypatch):
     """Fields from outside keep every check: the spec loader, the report
     reader and the public constructor never take the unchecked path, while
     identity_metric and conformal_flatten build from stacks through it.  The
-    spec loader's stacks pass the positivity check of from_stack: loads
-    checks them on the axes the spec reads, the builds on the whole grid
-    check their own."""
+    spec's stacks pass the positivity check of from_stack: loads evaluates
+    none, and build_metric and build_reference check each stack they build,
+    on whatever grid."""
     import inspect
 
     import hermweb.report
@@ -121,6 +121,10 @@ def test_unchecked_path_is_internal(monkeypatch):
         "[metric]\ng[1][1] = 1 + 0.5*cos(2*pi*x2)\ng[2][2] = 1\n"
         "[reference]\ng[1][1] = 1\ng[2][2] = 1\n"
     )
+    assert checked == []
+    data = spec.data_grid(spec.build_grid())
+    spec.build_metric(data)
+    spec.build_reference(data)
     assert checked == [(4, 1, 8, 1, 1)] * 2
     spec.build_metric()
     spec.build_reference()

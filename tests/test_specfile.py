@@ -85,6 +85,9 @@ def test_build_reference_none_when_absent():
     assert spec.build_F() is None
 
 
+SECTIONS = "[manifold], [metric], [reference], [prescribed]"
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
@@ -102,14 +105,20 @@ def test_build_reference_none_when_absent():
         (lambda t: t.replace("n = 2", "n = 2\nn = 3"), "duplicate key"),
         (lambda t: "stray = 1\n" + t, "before any section"),
         (lambda t: t.replace("g[1][1] = 1", "g[1][1] = 1 | 2 | 3"), "|"),
-        (lambda t: t + "\n[prescibed]\nF = 0.1*cos(2*pi*x1)\n", "[manifold], [metric], [reference], [prescribed]"),
+        (lambda t: t + "\n[prescibed]\nF = 0.1*cos(2*pi*x1)\n", SECTIONS),
         (lambda t: t.replace("n = 2", "n = 2\ncolour = red"), "manifold.colour"),
         (lambda t: t + "\n[prescribed]\nF = 0.1*cos(2*pi*x1)\nG = 1\n", "prescribed.G"),
+        # every bracketed line is a section header, named as written
+        *(
+            pytest.param(lambda t, h=header: t + f"\n{h}\nF = 0.1*cos(2*pi*x1)\n", SECTIONS, id=header)
+            for header in ("[Prescribed]", "[prescribed ]", "[metric2]")
+        ),
     ],
 )
 def test_spec_errors(mutate, needle):
+    # loads rejects a malformed file, and the metric's build an invalid metric
     with pytest.raises(SpecError) as exc_info:
-        loads(mutate(FLAT))
+        loads(mutate(FLAT)).build_metric()
     assert needle in str(exc_info.value)
 
 
@@ -148,9 +157,9 @@ def test_data_grid_collapses_the_axes_no_spec_expression_reads():
 
 
 def test_periodicity_warning():
-    text = FLAT.replace("g[1][1] = 1", "g[1][1] = 2 + x1")
+    spec = loads(FLAT.replace("g[1][1] = 1", "g[1][1] = 2 + x1"))
     with pytest.warns(UserWarning, match="periodic"):
-        loads(text)
+        spec.build_metric()
 
 
 def test_periodic_coefficient_no_warning():
@@ -158,7 +167,7 @@ def test_periodic_coefficient_no_warning():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loads(BUMP)
+        loads(BUMP).build_metric()
 
 
 def test_load_spec_from_path(tmp_path):
@@ -166,7 +175,7 @@ def test_load_spec_from_path(tmp_path):
     path.write_text(FLAT, encoding="utf-8")
     spec = load_spec(path)
     assert isinstance(spec, ManifoldSpec)
-    assert spec.source_text == FLAT
+    assert spec == loads(FLAT)
 
 
 def test_each_expression_is_evaluated_once_plus_once_per_active_axis(monkeypatch):
@@ -203,7 +212,8 @@ F = 0.2*cos(2*pi*x1)
     spec = loads(text)
     grid = spec.build_grid()
     spec.build_F(grid)
-    spec.build_metric(grid)  # built by loads, and reused
+    spec.build_metric(grid)
+    spec.build_reference(grid)
     asts = [spec.F_expr] + [
         ast
         for exprs in (spec.metric_exprs, spec.reference_exprs)
@@ -218,6 +228,29 @@ F = 0.2*cos(2*pi*x1)
     # the values are those of a plain evaluation on the grid
     F = hermweb.expr.evaluate(spec.F_expr, grid)
     assert np.array_equal(spec.build_F(grid).values, F.values)
+
+
+def test_loads_evaluates_no_expression(monkeypatch):
+    # loads checks the file's structure and syntax; each section's values are
+    # checked by its build, so a spec whose metric is not positive definite
+    # and whose reference is not Hermitian loads, and each build rejects it
+    import hermweb.specfile
+
+    text = FLAT.replace("g[1][1] = 1", "g[1][1] = -1") + (
+        "\n[reference]\ng[1][1] = 1 | 0.5\ng[2][2] = 1\n\n[prescribed]\nF = 0.1*cos(2*pi*x1)\n"
+    )
+
+    def refuse(*args):
+        raise AssertionError("loads evaluated an expression")
+
+    monkeypatch.setattr(hermweb.specfile, "_evaluate_periodic", refuse)
+    spec = loads(text)
+    monkeypatch.undo()
+    with pytest.raises(SpecError, match=r"^metric: invalid metric: .*positive definite"):
+        spec.build_metric()
+    with pytest.raises(SpecError, match=r"^reference: invalid metric: metric not Hermitian"):
+        spec.build_reference()
+    assert spec.build_F().grid == spec.build_grid()
 
 
 SPECS_AS_STACKS = {
@@ -301,8 +334,9 @@ def test_spec_checks_imaginary_diagonal_parts(value, accepted):
     g[..., 0, 0] = complex(*(float(part) for part in value.split("|")))
     g[..., 1, 1] = 1.0
     if not accepted:
+        spec = loads(text)
         with pytest.raises(SpecError, match=r"^metric: invalid metric: metric not Hermitian \(defect") as exc_info:
-            loads(text)
+            spec.build_metric()
         with pytest.raises(MetricError) as constructor_info:
             HermitianMetricField(grid, g)
         assert str(exc_info.value) == f"metric: invalid metric: {constructor_info.value}"
