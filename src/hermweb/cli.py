@@ -4,9 +4,13 @@ Every spec command runs on the spec's data_grid of the requested grid: the
 axes that no expression of [metric], [reference] or [prescribed] reads are
 collapsed, since every field the command computes is constant along them.
 Each command builds the sections it reads, once, on that grid.  A
---random-init start is noise on the axes the spec reads.  The field dumps
-are broadcast to the requested grid only when --out writes them, and flow
-takes its default first step from the requested grid.
+--random-init start is noise on the axes the spec reads, and flow takes its
+default first step from the requested grid.
+
+--out DIR writes report.txt for every command; the solvers and flow also
+write their rows to history.csv (a failed solve its residual rows), and
+each field dump, DIR/<name>.fld, is written straight from the data-grid
+array, broadcast to the requested grid.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence / failed check.
 """
@@ -26,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import report as rpt
 from .flow import FlowError, run_flow
-from .grid import ScalarField, _half_spectrum, hermitian_hessian_stack, irfft_active, rfft_active
+from .grid import _half_spectrum, hermitian_hessian_stack, irfft_active, rfft_active
 from .ma import SolverConfig, SolverError, solve_ma2, solve_ma3
 from .metric import _conformal_rescaling, classify, log_det, ricci_norm, ricci_potential
 from .models import (
@@ -46,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_command(name, summary, tol=True, csv=False):
+    def add_spec_command(name, summary, tol=True):
         # each command takes only the flags it reads
         p = sub.add_parser(name, help=summary)
         p.add_argument("--spec", required=True, help="manifold spec file")
@@ -54,9 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory for report/CSV/field dumps")
         if tol:
             p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        if csv:
-            p.add_argument("--csv", action="store_true", help="emit CSV time series")
         return p
+
+    def re_im(text):
+        # argparse reports a ValueError here as an invalid --t
+        re_s, im_s = text.split(",")
+        return complex(float(re_s), float(im_s))
 
     add_spec_command("ricci", "Chern-Ricci form and Bott-Chern defect", tol=False)
     add_spec_command("flatten-conformal", "conformal Chern-Ricci-flat rescaling", tol=False)
@@ -65,17 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("solve-ma2", "Monge-Ampere potential solver"),
         ("solve-ma3", "form-type solver (n=3, Kahler reference)"),
     ):
-        p = add_spec_command(name, summary, csv=True)
-        p.add_argument("--max-iter", type=int, default=40)
+        p = add_spec_command(name, summary)
+        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
         p.add_argument("--random-init", action="store_true", help="random small initial guess")
         p.add_argument("--seed", type=int, default=0, help="seed of the random initial guess")
-    p = add_spec_command("flow", "Chern-Ricci flow integration", csv=True)
+    p = add_spec_command("flow", "Chern-Ricci flow integration")
     p.add_argument("--dt", type=float, default=None, help="initial time step")
     p.add_argument("--max-steps", type=int, default=100_000)
     p = sub.add_parser("verify-example", help="machine-check a built-in worked example")
     p.add_argument("--name", required=True, choices=["hopf", "nakamura", "yoshihara"])
     p.add_argument("--bound", type=int, default=1000, help="power bound for yoshihara")
-    p.add_argument("--t", default=None, help="extra nakamura deformation parameter re,im")
+    p.add_argument("--t", type=re_im, default=None, help="extra nakamura deformation parameter re,im")
     p.add_argument("--points", type=int, default=50, help="sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -98,67 +105,59 @@ def main(argv=None) -> int:
     t_start = time.time()
     out = {"version": __version__, "command": args.command}
 
-    # a flag's value is checked by the library function that reads it
-    # (SolverConfig, classify, run_flow), which raises a ValueError
+    # a flag's value is checked by the function that reads it (SolverConfig,
+    # classify, run_flow, the seeded samplers), which raises a ValueError
     try:
-        spec = None
+        spec = grid = None
         if getattr(args, "spec", None) is not None:
             # one read, so the digest is that of the text parsed
             with open(args.spec, "rb") as fh:
                 raw = fh.read()
             out["spec_digest"] = rpt.sha256_digest(raw)
             spec = loads(raw.decode("utf-8"))
-            if args.grid:
-                spec = replace(spec, sizes=tuple(int(s) for s in args.grid.split(",")))
             out["spec_name"] = spec.name
-        results, rows_csv, fields, exit_code = _dispatch(args, spec)
-        out["results"] = results
-    except (SpecError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    out["elapsed_seconds"] = time.time() - t_start
-    text = rpt.render_report(out)
-    print(text, end="")
-    if getattr(args, "out", None):
-        outdir = Path(args.out)
-        try:
+            # loads checked the file's own sizes, so only --grid can fail here
+            try:
+                if args.grid:
+                    spec = replace(spec, sizes=tuple(int(s) for s in args.grid.split(",")))
+                grid = spec.build_grid()
+            except ValueError as exc:
+                raise ValueError(f"--grid: {exc}") from None
+        out["results"], rows, fields, exit_code = _dispatch(args, spec, grid)
+        out["elapsed_seconds"] = time.time() - t_start
+        text = rpt.render_report(out)
+        print(text, end="")
+        if args.out:
+            outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)
             (outdir / "report.txt").write_text(text, encoding="utf-8")
-            if getattr(args, "csv", False) and rows_csv is not None:
-                header, rows = rows_csv
-                rpt.write_csv(outdir / "history.csv", header, rows)
+            if rows is not None:
+                rpt.write_csv(outdir / "history.csv", *rows)
             # a field of the data grid, constant along the axes it
             # collapses, dumped on the requested grid
-            grid = spec.build_grid() if fields else None
             for name, values in fields.items():
-                rpt.dump_field(outdir / f"{name}.fld", ScalarField(grid, np.broadcast_to(values, grid.shape)))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+                rpt.dump_field(outdir / f"{name}.fld", grid, values)
+    except (SpecError, OSError, ValueError) as exc:
+        # an input that cannot be read or an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return exit_code
 
 
-def _dispatch(args, spec):
+def _dispatch(args, spec, grid):
     cmd = args.command
 
     if cmd == "verify-example":
         if args.name == "hopf":
-            report = hopf_check(hopf_points(args.points, 2, seed=args.seed), 2)
+            reports = [hopf_check(hopf_points(args.points, 2, seed=args.seed), 2)]
         elif args.name == "nakamura":
-            ts = [0.05, 0.1 + 0.1j, 0.3]
-            if args.t:
-                re_s, im_s = args.t.split(",")
-                ts.append(complex(float(re_s), float(im_s)))
-            report = nakamura_check(nakamura_samples(args.points, ts, seed=args.seed))
+            ts = [0.05, 0.1 + 0.1j, 0.3] + ([] if args.t is None else [args.t])
+            reports = [nakamura_check(nakamura_samples(args.points, ts, seed=args.seed))]
         else:
             reports = [yoshihara_check(args.bound), flat_volume_descent_check()]
-            results = {r.example: r.as_dict() for r in reports}
-            ok = all(r.passed for r in reports)
-            return results, None, {}, 0 if ok else 2
-        return {args.name: report.as_dict()}, None, {}, 0 if report.passed else 2
+        results = {r.example: r.as_dict() for r in reports}
+        return results, None, {}, 0 if all(r.passed for r in reports) else 2
 
-    grid = spec.build_grid()
     data = spec.data_grid(grid)
     g = spec.build_metric(data)
     tol = getattr(args, "tol", None)
@@ -188,7 +187,7 @@ def _dispatch(args, spec):
         return {"classify": classify(g, 1e-8 if tol is None else tol).as_dict()}, None, {}, 0
 
     if cmd in ("solve-ma2", "solve-ma3"):
-        cfg = SolverConfig(tolerance=1e-11 if tol is None else tol, max_iterations=args.max_iter)
+        cfg = SolverConfig(tolerance=SolverConfig.tolerance if tol is None else tol, max_iterations=args.max_iter)
         F = spec.build_F(data)
         if F is None:
             F = ricci_potential(g)
@@ -262,6 +261,8 @@ def _dispatch(args, spec):
 def _random_start(grid, seed):
     # noise with |k| <= 2 on each active axis, at max-norm 1e-3: white noise
     # has a Hessian that grows like N^2 and loses positivity on fine grids
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     keep = np.ones(grid.shape, dtype=bool)
     for a in grid.active_axes:

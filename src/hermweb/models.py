@@ -12,7 +12,8 @@ Each check returns an ExampleReport, whose computed values, including the
 roots yoshihara_roots computes, are tested only by its tolerance entries:
 a failed check is a report that did not pass (exit 2 from the command
 line), not an exception.  ExampleError (a ValueError, exit 1) is raised
-only for inputs: no or malformed sample points, |t| > 0.5, bound < 1.
+only for inputs: no or malformed sample points, |t| > 0.5, bound < 1, a
+negative seed.
 hopf_points and nakamura_samples draw their seeded samples as arrays.
 """
 
@@ -151,6 +152,8 @@ def hopf_points(num: int, n: int, seed: int = 0) -> np.ndarray:
     """num sample points of C^n \\ {0} with 0.5 <= |z| <= 2, as a (num, n)
     array, empty for num <= 0: complex Gaussian directions scaled to radii
     uniform on [0.5, 2]."""
+    if seed < 0:
+        raise ExampleError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     size = (max(num, 0), n)
     z = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -220,6 +223,8 @@ def nakamura_top_coefficient(z1, t):
 def nakamura_samples(num: int, t_values, seed: int = 0) -> list[tuple[complex, complex]]:
     """num samples (z_1, t), none for num <= 0: z_1 uniform on the square
     |Re z_1|, |Im z_1| <= 1 and t drawn uniformly from t_values."""
+    if seed < 0:
+        raise ExampleError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     num = max(num, 0)
     z1 = rng.uniform(-1, 1, size=num) + 1j * rng.uniform(-1, 1, size=num)

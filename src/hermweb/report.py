@@ -1,5 +1,11 @@
 """Machine-readable run reports: nested key-value text, CSV series, and
-binary field dumps (32-byte header + IEEE double pairs)."""
+binary field dumps.
+
+A field dump (version 1) is a 32-byte header (magic, version, n, the six
+axis sizes with 0 past 2n) followed by each grid point's value as a
+little-endian (re, im) pair of doubles in C order, which is numpy's "<c16"
+layout.  dump_field writes the array it is given, broadcast to its grid;
+load_field checks the header, the payload length and finiteness."""
 
 from __future__ import annotations
 
@@ -62,14 +68,11 @@ def write_csv(path, header: list[str], rows) -> None:
             writer.writerow([format_value(v) if isinstance(v, float) else v for v in row])
 
 
-def dump_field(path, f: ScalarField) -> None:
-    sizes = list(f.grid.sizes) + [0] * (6 - len(f.grid.sizes))
-    header = _HEADER.pack(MAGIC, DUMP_VERSION, f.grid.n, *sizes)
-    flat = np.ascontiguousarray(f.values, dtype=np.complex128)
-    pairs = np.empty(flat.size * 2, dtype="<f8")
-    pairs[0::2] = flat.real.ravel()
-    pairs[1::2] = flat.imag.ravel()
-    Path(path).write_bytes(header + pairs.tobytes())
+def dump_field(path, grid: PeriodicGrid, values) -> None:
+    """Dump values, real or complex, broadcast to grid's shape."""
+    sizes = list(grid.sizes) + [0] * (6 - len(grid.sizes))
+    header = _HEADER.pack(MAGIC, DUMP_VERSION, grid.n, *sizes)
+    Path(path).write_bytes(header + np.broadcast_to(values, grid.shape).astype("<c16").tobytes())
 
 
 def load_field(path) -> ScalarField:
@@ -82,15 +85,13 @@ def load_field(path) -> ScalarField:
         raise ValueError(f"bad field dump magic {magic!r}")
     if version != DUMP_VERSION:
         raise ValueError(f"unsupported field dump version {version}")
-    sizes = tuple(s for s in sizes if s > 0)
-    grid = PeriodicGrid(n, sizes)
+    grid = PeriodicGrid(n, tuple(s for s in sizes if s > 0))
     payload = len(blob) - _HEADER.size
     if payload != 16 * grid.num_points:
         raise ValueError(
-            f"field dump payload is {payload} bytes; the header's grid {sizes} needs {16 * grid.num_points}"
+            f"field dump payload is {payload} bytes; the header's grid {grid.sizes} needs {16 * grid.num_points}"
         )
-    pairs = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    if not np.isfinite(pairs).all():
+    values = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
+    if not np.isfinite(values).all():
         raise ValueError("field dump holds non-finite values")
-    values = (pairs[0::2] + 1j * pairs[1::2]).reshape(grid.shape)
-    return ScalarField(grid, values)
+    return ScalarField(grid, values.reshape(grid.shape))

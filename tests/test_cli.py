@@ -281,7 +281,7 @@ def test_spec_is_read_once_and_digested_as_parsed(argv, bump_spec, monkeypatch, 
 def test_solve_ma2_success_and_artifacts(bump_spec, tmp_path, capsys):
     outdir = tmp_path / "out"
     code, out = run(
-        capsys, "solve-ma2", "--spec", bump_spec, "--out", str(outdir), "--csv"
+        capsys, "solve-ma2", "--spec", bump_spec, "--out", str(outdir)
     )
     assert code == 0
     assert re.search(r"converged:\n\s+value: true", out)
@@ -308,6 +308,26 @@ def test_solve_ma2_forced_nonconvergence_exits_2(bump_spec, capsys):
     assert code == 2
     assert re.search(r"converged:\n\s+value: false", out)
     assert "residual_history" in out
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [(["solve-ma2"], "iteration,residual,b,step,gmres_iters,gmres_rtol"),
+     (["solve-ma2", "--max-iter", "1"], "iteration,residual"),
+     (["flow", "--tol", "1e-4"], "t,dt,ricci_norm,rejected,reason")],
+    ids=["solve", "failed_solve", "flow"],
+)
+def test_out_writes_the_history_of_every_command_with_rows(bump_spec, argv, header, tmp_path, capsys):
+    # --out alone writes history.csv; a failed solve's rows are its residuals
+    outdir = tmp_path / "out"
+    code, out = run(capsys, *argv, "--spec", bump_spec, "--out", str(outdir))
+    assert code == (2 if "--max-iter" in argv else 0)
+    assert sorted(f.name for f in outdir.glob("*.csv")) == ["history.csv"]
+    first, *rows = (outdir / "history.csv").read_text().strip().splitlines()
+    assert first == header and rows
+    if "--max-iter" in argv:
+        history = re.search(r"residual_history:\n\s+values: \[(.*)\]", out).group(1).split(", ")
+        assert rows == [f"{i},{value}" for i, value in enumerate(history)]
 
 
 def test_solve_ma3_requires_reference(tmp_path, capsys):
@@ -356,7 +376,7 @@ g[3][3] = 1
 def test_flow_command(bump_spec, tmp_path, capsys):
     outdir = tmp_path / "flowout"
     code, out = run(
-        capsys, "flow", "--spec", bump_spec, "--tol", "1e-4", "--out", str(outdir), "--csv"
+        capsys, "flow", "--spec", bump_spec, "--tol", "1e-4", "--out", str(outdir)
     )
     assert code == 0
     assert "final_ricci_max_norm" in out
@@ -374,7 +394,7 @@ def test_flow_csv_records_why_attempts_were_rejected(tmp_path, capsys):
     text = text.replace("g[2][2] = 1", "g[2][2] = 1 + 0.4*cos(2*pi*x1)")
     p.write_text(text, encoding="utf-8")
     outdir = tmp_path / "flowout"
-    code, _ = run(capsys, "flow", "--spec", str(p), "--tol", "1e-4", "--dt", "1.5", "--out", str(outdir), "--csv")
+    code, _ = run(capsys, "flow", "--spec", str(p), "--tol", "1e-4", "--dt", "1.5", "--out", str(outdir))
     assert code == 0
     header, *rows = [line.split(",") for line in (outdir / "history.csv").read_text().strip().splitlines()]
     assert header == ["t", "dt", "ricci_norm", "rejected", "reason"]
@@ -434,9 +454,11 @@ def test_flow_rejects_a_step_cap_below_one(bump_spec, value, capsys):
     "command, option",
     [(cmd, opt) for cmd in ("ricci", "flatten-conformal") for opt in ("--tol", "--csv", "--seed")]
     + [("classify", "--csv"), ("classify", "--seed"), ("flow", "--seed"),
-       ("verify-example", "--tol"), ("verify-example", "--csv")],
+       ("verify-example", "--tol"), ("verify-example", "--csv")]
+    + [(cmd, "--csv") for cmd in ("solve-ma2", "solve-ma3", "flow")],
 )
 def test_commands_reject_flags_they_do_not_read(bump_spec, command, option, capsys):
+    # no command takes --csv: --out writes history.csv wherever there are rows
     argv = [command] + (["--name", "hopf"] if command == "verify-example" else ["--spec", bump_spec])
     argv += [option] if option == "--csv" else [option, "3"]
     with pytest.raises(SystemExit) as exc_info:
@@ -472,6 +494,52 @@ def test_grid_override(bump_spec, capsys):
     assert code == 0
     code, _ = run(capsys, "classify", "--spec", bump_spec, "--grid", "1,3,1,1")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [("8,x,1,1", "error: --grid: invalid literal for int() with base 10: 'x'"),
+     ("8,8", "error: --grid: need 4 axis sizes for n=2, got 2"),
+     ("1,3,1,1", "error: --grid: active axis 1 size 3 must be even and >= 8")],
+)
+def test_a_bad_grid_override_names_the_flag(bump_spec, grid, message, capsys):
+    assert main(["classify", "--spec", bump_spec, "--grid", grid]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("value", ["0.1", "", "0.1,0.2,0.3", "a,b"])
+def test_nakamura_t_takes_exactly_re_im(value, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify-example", "--name", "nakamura", "--t", value])
+    assert exc_info.value.code == 1
+    assert f"argument --t: invalid re_im value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-example", "--name", "hopf"], ["verify-example", "--name", "nakamura"],
+     ["solve-ma2", "--random-init"], ["solve-ma3", "--random-init"]],
+    ids=["hopf", "nakamura", "ma2", "ma3"],
+)
+def test_a_negative_seed_is_rejected_by_name(bump_spec, argv, capsys):
+    # the function that draws from the seed checks it: hopf_points,
+    # nakamura_samples or _random_start
+    spec = [] if argv[0] == "verify-example" else ["--spec", bump_spec]
+    assert main(argv + spec + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["solve-ma2", "solve-ma3"])
+def test_solver_flags_default_to_the_solver_config(command, monkeypatch, tmp_path, capsys):
+    # the CLI reads its defaults from SolverConfig, so the two cannot drift
+    p = tmp_path / "spec.hwspec"
+    p.write_text(ONE_AXIS3_REF, encoding="utf-8")
+    configs = []
+    solver = getattr(hermweb.cli, command.replace("-", "_"))
+    monkeypatch.setattr(hermweb.cli, command.replace("-", "_"), lambda *a, **kw: configs.append(a[-1]) or solver(*a, **kw))
+    assert main([command, "--spec", str(p)]) == 0
+    capsys.readouterr()
+    assert configs == [hermweb.ma.SolverConfig()]
 
 
 ONE_AXIS2 = """
@@ -539,22 +607,27 @@ def test_spec_fields_are_built_once_per_grid(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve-ma2", "flatten-conformal", "flow"])
 def test_dumps_are_built_on_the_requested_grid_only_when_written(command, tmp_path, monkeypatch, capsys):
-    # a command computes on the data grid; each dump is broadcast to the
-    # requested grid by the --out loop that writes it, and by nothing else
+    # a command computes on the data grid; main hands each dump, a data-grid
+    # array, to dump_field with the requested grid, once per file it writes
+    # under --out, and never without it
     p = tmp_path / "spec.hwspec"
     p.write_text(ONE_AXIS3, encoding="utf-8")
     whole = loads(ONE_AXIS3).build_grid()
-    grids = []
-    post_init = hermweb.grid.ScalarField.__post_init__
-    monkeypatch.setattr(hermweb.grid.ScalarField, "__post_init__", lambda f: grids.append(f.grid) or post_init(f))
+    calls = []
+    dump = hermweb.cli.rpt.dump_field
+    monkeypatch.setattr(
+        hermweb.cli.rpt, "dump_field", lambda path, grid, values: calls.append((Path(path), grid)) or dump(path, grid, values)
+    )
     argv = [command, "--spec", str(p)] + (["--tol", "1e-4"] if command == "flow" else [])
     assert main(argv) == 0
-    assert whole not in grids
-    grids.clear()
+    assert calls == []
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    assert grids.count(whole) == len(list(out.glob("*.fld"))) > 0
+    written = sorted(out.glob("*.fld"))
+    assert sorted(path for path, _ in calls) == written and written
+    assert all(grid == whole for _, grid in calls)
+    assert all(path.stat().st_size == 32 + 16 * whole.num_points for path in written)
 
 
 def spy_grids(monkeypatch, name) -> list:
@@ -820,14 +893,14 @@ def test_parser_is_built_once_and_keeps_fresh_defaults(bump_spec, tmp_path, caps
     cli._parser.cache_clear()
     first, second = tmp_path / "first", tmp_path / "second"
     argv = ["solve-ma2", "--spec", bump_spec, "--out"]
-    assert main(argv + [str(first), "--random-init", "--csv", "--seed", "3"]) == 0
+    assert main(argv + [str(first), "--random-init", "--max-iter", "30", "--seed", "3"]) == 0
     assert main(argv + [str(second)]) == 0
     capsys.readouterr()
     assert builds == [1]
     assert (first / "history.csv").exists()
-    assert not (second / "history.csv").exists()
+    assert (second / "history.csv").exists()
     args = cli._parser().parse_args(argv + [str(second)])
-    assert (args.random_init, args.csv, args.seed) == (False, False, 0)
+    assert (args.random_init, args.max_iter, args.seed) == (False, 40, 0)
     cli._parser.cache_clear()
 
 

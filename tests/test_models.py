@@ -221,6 +221,16 @@ def test_nakamura_samples_deterministic():
     assert a != nakamura_samples(10, [0.05, 0.3], seed=5)
 
 
+@pytest.mark.parametrize(
+    "draw", [lambda seed: hopf_points(3, 2, seed=seed), lambda seed: nakamura_samples(3, [0.05], seed=seed)],
+    ids=["hopf", "nakamura"],
+)
+def test_samplers_reject_a_negative_seed_by_name(draw):
+    with pytest.raises(ExampleError, match="seed must be non-negative, got -1"):
+        draw(-1)
+    assert len(draw(0)) == 3
+
+
 # ---------------------------------------------------------------------------
 # Yoshihara
 # ---------------------------------------------------------------------------

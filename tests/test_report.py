@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from hermweb.grid import PeriodicGrid, ScalarField
+from hermweb.grid import PeriodicGrid
 from hermweb.report import (
     MAGIC,
     dump_field,
@@ -56,18 +56,51 @@ def test_field_dump_round_trip(tmp_path):
     grid = PeriodicGrid(2, (8, 1, 16, 1))
     rng = np.random.default_rng(0)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    f = ScalarField(grid, vals)
     path = tmp_path / "f.fld"
-    dump_field(path, f)
+    dump_field(path, grid, vals)
     back = load_field(path)
     assert back.grid == grid
-    assert np.array_equal(back.values, f.values)
+    assert np.array_equal(back.values, vals)
+
+
+def interleaved(values) -> bytes:
+    """The payload as each point's little-endian (re, im) doubles, in C order."""
+    out = b""
+    for v in np.asarray(values, dtype=complex).ravel():
+        out += struct.pack("<dd", v.real, v.imag)
+    return out
+
+
+@pytest.mark.parametrize("case", ["signed_zeros", "broadcast"])
+def test_field_dump_payload_is_the_le_re_im_interleave(case, tmp_path):
+    # dump_field writes the <c16 bytes of its values broadcast to the grid;
+    # they are the explicit (re, im) pairs, and load_field reads them back
+    # bit for bit
+    grid = PeriodicGrid(2, (8, 1, 16, 1))
+    rng = np.random.default_rng(1)
+    if case == "signed_zeros":
+        vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        vals.imag[::2] = -0.0
+        vals.real[1, 0, :4, 0] = -0.0
+        want = vals
+    else:
+        # a real array of a data grid whose first axis is collapsed
+        vals = rng.normal(size=(1, 1, 16, 1))
+        want = np.broadcast_to(vals, grid.shape)
+    path = tmp_path / "f.fld"
+    dump_field(path, grid, vals)
+    blob = path.read_bytes()
+    assert blob[32:] == interleaved(want)
+    back = load_field(path).values
+    assert back.shape == grid.shape
+    assert np.array_equal(back.real.view(np.int64), np.real(want).astype(float).view(np.int64))
+    assert np.array_equal(back.imag.view(np.int64), np.imag(want).astype(float).view(np.int64))
 
 
 def test_field_dump_header_layout(tmp_path):
     grid = PeriodicGrid(2, (8, 1, 8, 1))
     path = tmp_path / "f.fld"
-    dump_field(path, ScalarField(grid, np.zeros(grid.shape)))
+    dump_field(path, grid, np.zeros(grid.shape))
     raw = path.read_bytes()
     assert len(raw) == 32 + 16 * grid.num_points  # header + re/im doubles
     magic, version, n, *sizes = struct.unpack("<8sII6Hxxxx", raw[:32])
@@ -86,7 +119,7 @@ def test_load_field_rejects_bad_magic(tmp_path):
 def test_load_field_checks_payload_against_header(tmp_path):
     grid = PeriodicGrid(2, (8, 1, 8, 1))
     path = tmp_path / "f.fld"
-    dump_field(path, ScalarField(grid, np.ones(grid.shape)))
+    dump_field(path, grid, np.ones(grid.shape))
     raw = path.read_bytes()
     for blob, message in [
         (raw[:-16], "payload is 1008 bytes"),
@@ -102,11 +135,10 @@ def test_load_field_rejects_non_finite_values(tmp_path):
     grid = PeriodicGrid(2, (8, 1, 8, 1))
     path = tmp_path / "f.fld"
     vals = np.ones(grid.shape, dtype=np.complex128)
-    # a ScalarField holds finite values only: write a marker, then put a
-    # NaN in its place in the file
+    # write a marker, then put a NaN in its place in the file
     marker = 12345.0
     vals[2, 0, 3, 0] = complex(1.0, marker)
-    dump_field(path, ScalarField(grid, vals))
+    dump_field(path, grid, vals)
     blob = path.read_bytes()
     assert blob.count(np.float64(marker).astype("<f8").tobytes()) == 1
     path.write_bytes(blob.replace(np.float64(marker).astype("<f8").tobytes(), np.float64(np.nan).astype("<f8").tobytes()))
