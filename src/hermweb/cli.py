@@ -8,7 +8,8 @@ Each command builds the sections it reads, once, on that grid.  A
 default first step from the requested grid.
 
 --out DIR writes report.txt for every command; the solvers and flow also
-write their rows to history.csv (a failed solve its residual rows), and
+write their rows to history.csv (a failed solve its residual rows, a failed
+flow its rows up to the failure), and
 each field dump, DIR/<name>.fld, is written straight from the data-grid
 array, broadcast to the requested grid.
 
@@ -236,7 +237,9 @@ def _dispatch(args, spec, grid):
         try:
             final, history = run_flow(g, flow_tol, dt0, args.max_steps)
         except FlowError as exc:
-            return {"converged": {"value": False}, "message": {"value": str(exc)}}, None, {}, 2
+            # a failed flow keeps its rows, as a failed solve keeps its residuals
+            results = {"converged": {"value": False}, "message": {"value": str(exc)}}
+            return results, _flow_rows(exc.history), {}, 2
         results = {
             "converged": {"value": True, "tolerance": flow_tol},
             "steps": {"value": len(history) - 1},
@@ -244,18 +247,20 @@ def _dispatch(args, spec, grid):
             "final_time": {"value": final.t},
             "final_ricci_max_norm": {"value": final.ricci_norm, "tolerance": flow_tol},
         }
-        rows = (
-            ["t", "dt", "ricci_norm", "rejected", "reason"],
-            [(h.t, h.dt, h.ricci_norm, h.rejected, h.reason) for h in history],
-        )
         fields = {
             f"g_{i + 1}{j + 1}": final.g.g[..., i, j]
             for i in range(grid.n)
             for j in range(grid.n)
         }
-        return results, rows, fields, 0
+        return results, _flow_rows(history), fields, 0
 
     raise ValueError(f"unknown command {cmd}")
+
+
+def _flow_rows(history):
+    return ["t", "dt", "ricci_norm", "rejected", "reason"], [
+        (h.t, h.dt, h.ricci_norm, h.rejected, h.reason) for h in history
+    ]
 
 
 def _random_start(grid, seed):

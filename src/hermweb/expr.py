@@ -13,10 +13,15 @@ Grammar (EBNF, also published in docs/expression-grammar.md):
 Precedence: ^ binds tighter than unary minus, which binds tighter than * /,
 which bind tighter than + -.  Binary + - * / are left associative; the
 exponent of ^ must be a (possibly negated) numeric literal.
+
+evaluate_on walks the AST with numpy's overflow, divide and invalid traps on
+and scans its subexpressions for finiteness only when it reruns the walk to
+name a failure, after a trap or a literal that is not finite.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -264,13 +269,22 @@ def variables(e) -> set[str]:
 
 
 def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate on broadcastable coordinate arrays keyed 'x1'.. 'yn'.
+    """Evaluate on finite, broadcastable coordinate arrays keyed 'x1'.. 'yn'.
 
     Raises ExprDomainError at the first point where a subexpression leaves
     its domain or is not finite (overflow in exp or ^, division by a
     subnormal, a literal too large for a double).
+
+    The AST is walked once with numpy's overflow, divide and invalid traps
+    on and no finiteness scan: from finite coordinates and literals only a
+    trapped operation or a failed domain test makes a value that is not
+    finite, and a domain test fails in this walk where it fails in the
+    scanning one.  A trap or a literal that is not finite reruns the same
+    walk with a scan of every subexpression, which names the first that
+    fails.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in coords.values()))
+    scan = False
 
     def fail(message, bad_mask):
         idx = tuple(np.argwhere(np.broadcast_to(bad_mask, shape))[0])
@@ -281,13 +295,18 @@ def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
 
     def ev(node):
         value = ev_node(node)
-        finite = np.isfinite(value)
-        if not np.all(finite):
-            fail(f"non-finite value of {to_source(node)!r}", ~finite)
+        if scan:
+            finite = np.isfinite(value)
+            if not np.all(finite):
+                fail(f"non-finite value of {to_source(node)!r}", ~finite)
         return value
 
     def ev_node(node):
         if isinstance(node, Num):
+            # inf arithmetic sets no trap: 1 / 1e999 would pass as 0
+            if not (scan or math.isfinite(node.value)):
+                raise FloatingPointError
+            # a numpy value, not a Python float, so that the traps see it
             return np.asarray(node.value, dtype=float)
         if isinstance(node, Var):
             return np.asarray(coords[f"{node.part}{node.index}"], dtype=float)
@@ -321,6 +340,11 @@ def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
             return FUNCTIONS[node.func](arg)
         raise TypeError(f"not an expression node: {node!r}")
 
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return np.broadcast_to(ev(e), shape)
+    except FloatingPointError:
+        scan = True
     with np.errstate(over="ignore"):
         return np.broadcast_to(ev(e), shape)
 

@@ -60,11 +60,13 @@ MIN_DT = 1e-12  # run_flow gives up when a rejected attempt halves dt below this
 
 class FlowError(RuntimeError):
     """The flow cannot go on: the step cap, dt below MIN_DT or (StepRejected)
-    positivity loss; `state` is the last accepted FlowState, if any."""
+    positivity loss; `state` is the last accepted FlowState, if any, and
+    `history` run_flow's rows up to it."""
 
-    def __init__(self, message: str, state: "FlowState | None" = None):
+    def __init__(self, message: str, state: "FlowState | None" = None, history: list | None = None):
         super().__init__(message)
         self.state = state
+        self.history = [] if history is None else history
 
 
 class StepRejected(FlowError):
@@ -278,8 +280,9 @@ def run_flow(
     (by cap at r = 0); cap is 2 until the first rejected attempt, then 1.1.
     No step exceeds max_dt: a longer one can pass the error test with no
     accuracy in time.  ValueError names the first of tol, dt0 and max_steps
-    that is not finite and positive.  FlowError, carrying the last state,
-    stops the flow at the step cap or when dt falls below MIN_DT.
+    that is not finite and positive.  FlowError, carrying the last state
+    and the history up to it, stops the flow at the step cap or when dt
+    falls below MIN_DT.
     """
     # a NaN or infinite dt never halves below MIN_DT, and a NaN tol would end
     # the flow before its first step
@@ -296,7 +299,7 @@ def run_flow(
     while state.ricci_norm > tol:
         if steps >= max_steps:
             raise FlowError(
-                f"step cap {max_steps} exceeded (ricci_norm {state.ricci_norm:.3e})", state
+                f"step cap {max_steps} exceeded (ricci_norm {state.ricci_norm:.3e})", state, history
             )
         try:
             new = flow_step(state, dt)
@@ -310,7 +313,7 @@ def run_flow(
             dt *= 0.5
             if dt < MIN_DT:
                 raise FlowError(
-                    f"dt underflow after {rejected} rejected attempts (last: {reason})", state
+                    f"dt underflow after {rejected} rejected attempts (last: {reason})", state, history
                 )
             continue
         state = new

@@ -3,7 +3,9 @@
 Coordinates are x_1..x_n, y_1..y_n in [0,1) with z_j = x_j + i y_j.  The
 value array axis order is (x_1, ..., x_n, y_1, ..., y_n).  Axes with size 1
 are "collapsed": fields do not vary along them and derivatives there are
-identically zero.
+identically zero.  The coordinate arrays are built once per grid, read-only,
+in a cached table (_coordinate_table) like the grid's Fourier tables;
+coordinates() hands out a fresh dict over them.
 
 The form layer's complex derivatives (hessian_values, for ddbar, and
 exterior_d) are ifftn(symbol * fftn(f)) over the active axes, with the
@@ -94,12 +96,9 @@ class PeriodicGrid:
         return c.reshape(shape)
 
     def coordinates(self) -> dict[str, np.ndarray]:
-        """All coordinates keyed 'x1'..'xn', 'y1'..'yn' (broadcastable)."""
-        out = {}
-        for i in range(1, self.n + 1):
-            out[f"x{i}"] = self.coordinate(self.axis_of("x", i))
-            out[f"y{i}"] = self.coordinate(self.axis_of("y", i))
-        return out
+        """All coordinates keyed 'x1'..'xn', 'y1'..'yn' (broadcastable): a
+        fresh dict over the read-only arrays of _coordinate_table."""
+        return dict(_coordinate_table(self))
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         """Integer Fourier wavenumbers along a real axis (broadcastable)."""
@@ -136,6 +135,17 @@ def constant_field(grid: PeriodicGrid, value: complex) -> ScalarField:
 def from_function(grid: PeriodicGrid, fn) -> ScalarField:
     """Sample fn(**coords) on the grid; fn receives broadcastable arrays."""
     return ScalarField(grid, np.broadcast_to(fn(**grid.coordinates()), grid.shape))
+
+
+@lru_cache(maxsize=32)
+def _coordinate_table(grid: PeriodicGrid) -> dict[str, np.ndarray]:
+    """The coordinate arrays of grid, keyed 'x1'..'xn', 'y1'..'yn', read-only."""
+    out = {}
+    for i in range(1, grid.n + 1):
+        for part in "xy":
+            c = out[f"{part}{i}"] = grid.coordinate(grid.axis_of(part, i))
+            c.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -21,8 +21,9 @@ connection of all n^2 entries of g on complex spectra, the grid mean,
 a realness test, the Hermitian part of a matrix field, the inverse of
 fundamental_form, a uniqueness probe for the Monge-Ampere solvers, a check
 and a guard for the real stack a HermitianMetricField carries, the
-expression form of the stack adjugate, one fresh array per entry, and a
-capture of solve_ma3's Newton closures.
+expression form of the stack adjugate, one fresh array per entry, a
+capture of solve_ma3's Newton closures, and the expression evaluator that
+scans every subexpression for finiteness.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
 from hermweb.metric import ClassReport, HermitianMetricField, MetricError, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
 from hermweb import ma, smallmat
+from hermweb.expr import FUNCTIONS, Bin, Call, ExprDomainError, Neg, Num, Pow, Var, to_source
 
 
 # ---------------------------------------------------------------------------
@@ -549,3 +551,62 @@ def ma3_closures(monkeypatch, g, g0, F):
             pass
     lhs, coefficients = closures
     return lhs, coefficients
+
+
+def scanning_evaluate_on(e, coords):
+    """expr.evaluate_on as one walk that scans every subexpression for
+    finiteness, the reference of the trapped walk: the same values and the
+    same ExprDomainError for the first failing subexpression and point."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in coords.values()))
+
+    def fail(message, bad_mask):
+        idx = tuple(np.argwhere(np.broadcast_to(bad_mask, shape))[0])
+        point = {
+            k: float(np.broadcast_to(v, shape)[idx]) for k, v in sorted(coords.items())
+        }
+        raise ExprDomainError(message, point)
+
+    def ev(node):
+        value = ev_node(node)
+        finite = np.isfinite(value)
+        if not np.all(finite):
+            fail(f"non-finite value of {to_source(node)!r}", ~finite)
+        return value
+
+    def ev_node(node):
+        if isinstance(node, Num):
+            return np.asarray(node.value, dtype=float)
+        if isinstance(node, Var):
+            return np.asarray(coords[f"{node.part}{node.index}"], dtype=float)
+        if isinstance(node, Neg):
+            return -ev(node.arg)
+        if isinstance(node, Bin):
+            l, r = ev(node.left), ev(node.right)
+            if node.op == "+":
+                return l + r
+            if node.op == "-":
+                return l - r
+            if node.op == "*":
+                return l * r
+            bad = r == 0.0
+            if np.any(bad):
+                fail("division by zero", bad)
+            return l / r
+        if isinstance(node, Pow):
+            base = ev(node.base)
+            if node.exponent < 0 and np.any(base == 0.0):
+                fail("zero raised to a negative power", base == 0.0)
+            if node.exponent != int(node.exponent) and np.any(base < 0.0):
+                fail("negative base with fractional exponent", base < 0.0)
+            return np.power(base, node.exponent)
+        if isinstance(node, Call):
+            arg = ev(node.arg)
+            if node.func == "log":
+                bad = arg <= 0.0
+                if np.any(bad):
+                    fail("log of a non-positive value", bad)
+            return FUNCTIONS[node.func](arg)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    with np.errstate(over="ignore"):
+        return np.broadcast_to(ev(e), shape)

@@ -404,6 +404,19 @@ def test_flow_csv_records_why_attempts_were_rejected(tmp_path, capsys):
     assert {row[4] for row in rows if row[3] != "0"} >= {"step error"}
 
 
+def test_failed_flow_writes_its_rows(bump_spec, tmp_path, capsys):
+    # the step cap ends the flow with exit 2; the accepted steps up to it
+    # are written with the columns of a converged flow
+    outdir = tmp_path / "ff"
+    code, out = run(capsys, "flow", "--spec", bump_spec, "--max-steps", "3", "--out", str(outdir))
+    assert code == 2
+    assert "step cap 3 exceeded" in out
+    header, *rows = (outdir / "history.csv").read_text().strip().splitlines()
+    assert header == "t,dt,ricci_norm,rejected,reason"
+    assert len(rows) == 4
+    assert rows[0].startswith("0,0,")
+
+
 def test_flow_converges_on_a_two_axis_metric(tmp_path, capsys):
     # g varies in x1 and x2, where the spectral Hessian is not Hermitian at
     # the Nyquist wavenumber; the flow takes its Hermitian part

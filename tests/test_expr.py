@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +22,8 @@ from hermweb.expr import (
     variables,
 )
 from hermweb.grid import PeriodicGrid
+
+from helpers import scanning_evaluate_on
 
 
 def ev(text, n=2, **coords):
@@ -194,21 +199,73 @@ def test_evaluate_on_grid_shapes():
     assert f.values.shape == grid.shape
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "exp(1000)",
-        "1e999",
-        "1 / 2.225073858507e-311",
-        "2.225073858507e-311^-1.0",
-        "(10^200)^2",
-        "sin(exp(800) * x1)",
-    ],
-)
-def test_evaluate_rejects_non_finite_values(text):
+_NON_FINITE = [
+    ("exp(1000)", "exp(1000.0)"),
+    ("1e999", "inf"),
+    ("1 / 2.225073858507e-311", "1.0 / 2.225073858507e-311"),
+    ("2.225073858507e-311^-1.0", "2.225073858507e-311^-1.0"),
+    ("(10^200)^2", "(10.0^200.0)^2.0"),
+    ("sin(exp(800) * x1)", "exp(800.0)"),
+    # the value the overflow feeds is finite (1 / inf is 0) or NaN (0 * inf)
+    ("1 / exp(1000)", "exp(1000.0)"),
+    ("1 / 1e999", "inf"),
+    ("0 * exp(800)^2", "exp(800.0)"),
+]
+
+
+@pytest.mark.parametrize("text, culprit", _NON_FINITE, ids=[text for text, _ in _NON_FINITE])
+def test_evaluate_rejects_non_finite_values(text, culprit):
     grid = PeriodicGrid(2, (8, 8, 1, 1))
-    with pytest.raises(ExprDomainError, match="non-finite"):
+    message = re.escape(f"non-finite value of {culprit!r} at point (x1=0, x2=0, y1=0, y2=0)")
+    with pytest.raises(ExprDomainError, match=message):
         evaluate(parse(text, 2), grid)
+
+
+@pytest.mark.parametrize("text", ["1 + 0.5*cos(2*pi*x1) / exp(y1) - log(2 + x2)^-1.5", "exp(-1000)", "1e-320 * 1e-10"])
+def test_a_valid_expression_is_evaluated_without_a_finiteness_scan(monkeypatch, text):
+    # the trapped walk scans nothing; an underflow to 0 is no trap, so it
+    # does not rerun the walk with the scan either
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *args, **kwargs: calls.append(1) or isfinite(*args, **kwargs))
+    value = evaluate_on(parse(text, 2), PeriodicGrid(2, (8, 8, 8, 1)).coordinates())
+    assert calls == []
+    assert isfinite(value).all()
+
+
+def test_underflow_to_zero_is_not_an_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = evaluate(parse("exp(-1000)", 2), PeriodicGrid(2, (8, 8, 1, 1))).values
+    assert np.array_equal(value, np.zeros((8, 8, 1, 1)))
+
+
+_near_double_range = st.builds(
+    Num, st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 700.0, 1e300, 1e308, float("inf")])
+)
+
+
+def _node_with_log(children):
+    return st.one_of(_node(children), st.builds(Call, st.just("log"), children))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ast, st.recursive(st.one_of(_leaf, _near_double_range), _node_with_log, max_leaves=25)))
+@example(Bin("/", Num(1.0), Num(float("inf"))))
+@example(Bin("*", Num(0.0), Pow(Call("exp", Num(800.0)), 2.0)))
+@example(Call("log", Bin("-", Var("x", 1), Var("x", 1))))
+def test_evaluate_on_matches_the_scanning_evaluator(ast):
+    # byte-identical values, or the same error for the same subexpression
+    # and point
+    coords = PeriodicGrid(2, (8, 8, 8, 1)).coordinates()
+    outcomes = []
+    for evaluator in (evaluate_on, scanning_evaluate_on):
+        try:
+            value = evaluator(ast, coords)
+            outcomes.append((value.shape, value.tobytes()))
+        except ExprDomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(

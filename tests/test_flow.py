@@ -192,6 +192,21 @@ def test_dt_underflow_names_its_cause(monkeypatch):
         run_flow(g, tol=1e-7, dt0=default_dt(GRID), max_steps=1000)
     assert info.value.state.t == 0.0
     assert np.array_equal(info.value.state.g.g, g.g)
+    # no step was accepted: the history holds the initial row alone
+    assert [(h.t, h.dt, h.rejected) for h in info.value.history] == [(0.0, 0.0, 0)]
+
+
+def test_step_cap_error_carries_the_history_up_to_the_cap():
+    # a failed flow keeps its rows, as a failed solve keeps its residuals
+    g = bump_metric(GRID)
+    with pytest.raises(FlowError, match="step cap 3 exceeded") as info:
+        run_flow(g, tol=1e-7, dt0=default_dt(GRID), max_steps=3)
+    history = info.value.history
+    assert len(history) == 3 + 1
+    assert history[-1].t == info.value.state.t
+    assert history[-1].ricci_norm == info.value.state.ricci_norm
+    _, full = run_flow(g, tol=1e-7, dt0=default_dt(GRID), max_steps=1000)
+    assert history == full[:4]
 
 
 def test_run_flow_rejects_bad_tol():

@@ -89,6 +89,21 @@ def test_coordinates_cover_unit_cell():
     assert grid.coordinate(1).ravel().tolist() == [0.0]
 
 
+def test_coordinates_share_one_read_only_table_per_grid():
+    # each call returns a fresh dict over the same cached arrays
+    grid = PeriodicGrid(3, (8, 1, 16, 1, 1, 8))
+    first, second = grid.coordinates(), grid.coordinates()
+    assert first is not second
+    assert list(first) == ["x1", "y1", "x2", "y2", "x3", "y3"]
+    assert all(first[k] is second[k] for k in first)
+    for a, (part, i) in enumerate([("x", 1), ("x", 2), ("x", 3), ("y", 1), ("y", 2), ("y", 3)]):
+        assert np.array_equal(first[f"{part}{i}"], grid.coordinate(a))
+    with pytest.raises(ValueError):
+        first["x1"][0, 0, 0, 0, 0, 0] = 0.5
+    del first["y2"]
+    assert list(grid.coordinates()) == list(second)
+
+
 def test_wavenumbers_fft_order():
     grid = PeriodicGrid(2, (8, 1, 1, 1))
     k = grid.wavenumbers(0).ravel()
