@@ -12,7 +12,7 @@ Grammar (EBNF, also published in docs/expression-grammar.md):
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than * /,
 which bind tighter than + -.  Binary + - * / are left associative; the
-exponent of ^ must be a (possibly negated) numeric literal.
+exponent of ^ must be a (possibly negated) finite numeric literal.
 
 evaluate_on walks the AST with numpy's overflow, divide and invalid traps on
 and scans its subexpressions for finiteness only when it reruns the walk to
@@ -176,6 +176,8 @@ class _Parser:
             kind, val, off = self.peek()
             if kind != "num":
                 raise ExprSyntaxError("exponent must be a numeric literal", off)
+            if not math.isfinite(val):
+                raise ExprSyntaxError("exponent literal beyond the double range", off)
             self.advance()
             return Pow(base, sign * val)
         return base

@@ -73,7 +73,7 @@ class StepRejected(FlowError):
     """A step lost positivity; run_flow retries it with half the time step."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Potential:
     """g = g0 + Hess psi, with the stack of g0 and the half spectra the next
     step starts from; the stack of g is that of FlowState.g."""
@@ -86,7 +86,7 @@ class _Potential:
     coefficients: tuple[float, np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowState:
     t: float
     g: HermitianMetricField
@@ -94,7 +94,7 @@ class FlowState:
     # max |g - g_c| of the step that made this state
     correction: float = 0.0
     # a state built without it restarts the potential at g0 = g
-    potential: _Potential | None = field(default=None, repr=False, compare=False)
+    potential: _Potential | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

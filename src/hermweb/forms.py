@@ -34,7 +34,7 @@ def sort_sign(idx: tuple[int, ...]):
     return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormField:
     """(p,q)-form with complex coefficient arrays per multi-index pair."""
 

@@ -109,7 +109,7 @@ class PeriodicGrid:
         return k.reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Complex-valued field sampled on a PeriodicGrid: GridError unless its
     values have the grid's shape and are finite."""

@@ -152,7 +152,7 @@ class SolverConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MASolution:
     phi: ScalarField
     b: float

@@ -6,11 +6,12 @@ as stacks (from_stack), and every metric hermweb derives is built from one.
 ricci_tensor and ricci_norm read the flow's real Hessian stack of log det g.
 classify and solve_ma3's Kahler check build no form: the residuals of the
 metric classes are linear in g and in adj g, the matrix of omega^{n-1}, and
-come from real transforms of their stacks (_complex_residuals).  The Kahler
-check (kahler_excess) is the exact max of classify's Kahler residual, from
-one real transform pair of the stack of g.  The forms
-(fundamental_form, chern_ricci, bott_chern_defect) remain for callers and
-as the tests' oracle.
+come from real transforms of their stacks (_complex_residuals).  CLASSES
+names the classes once; every layer from the spectra to ClassReport keys
+its residuals by those names.  The Kahler check (kahler_excess) is the
+exact max of classify's Kahler residual, from one real transform pair of
+the stack of g.  The forms (fundamental_form, chern_ricci,
+bott_chern_defect) remain for callers and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def hermitian_defect(g: np.ndarray) -> float:
     return float(max(2.0 * np.abs(g[..., diag, diag].imag).max(), upper.max(initial=0.0)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class HermitianMetricField:
     """Hermitian positive definite coefficient field g[..., i, j] = g_{i jbar},
     held as its read-only real stack (smallmat's layout).  The complex field g
@@ -72,7 +73,8 @@ class HermitianMetricField:
     The constructor HermitianMetricField(grid, g) checks a complex field from
     outside and keeps the stack of its Hermitian part; from_stack checks a
     stack from outside (a spec section's).  Every metric hermweb derives is
-    built from its stack by _unchecked."""
+    built from its stack by _unchecked.  Equality is identity, as for every
+    dataclass of hermweb that holds arrays."""
 
     grid: PeriodicGrid
     stack: np.ndarray = field(repr=False)
@@ -245,52 +247,29 @@ def parallel_section_check(g: HermitianMetricField, ell: int) -> ParallelSection
     return ParallelSectionReport(ell, residual, float(np.max(np.sqrt(np.abs(grad2)))))
 
 
+# the metric classes of classify, in the order of its report
+CLASSES = ("kahler", "balanced", "gauduchon", "strongly_gauduchon", "astheno_kahler")
+
+
 @dataclass(frozen=True)
 class ClassReport:
-    """Residual norms and flags for the standard metric classes."""
+    """Residual norms and flags for the metric classes: residuals maps each
+    name of CLASSES, in that order, to its max-norm, None for the vacuous
+    astheno-Kahler test of n = 2."""
 
     tolerance: float
-    kahler_residual: float
-    balanced_residual: float
-    gauduchon_residual: float
-    strongly_gauduchon_residual: float
-    astheno_residual: float | None  # None marks the vacuous n < 3 case
+    residuals: dict[str, float | None] = field(hash=False)
 
-    @property
-    def kahler(self) -> bool:
-        return self.kahler_residual <= self.tolerance
-
-    @property
-    def balanced(self) -> bool:
-        return self.balanced_residual <= self.tolerance
-
-    @property
-    def gauduchon(self) -> bool:
-        return self.gauduchon_residual <= self.tolerance
-
-    @property
-    def strongly_gauduchon(self) -> bool:
-        return self.strongly_gauduchon_residual <= self.tolerance
-
-    @property
-    def astheno_kahler(self) -> bool:
-        return True if self.astheno_residual is None else self.astheno_residual <= self.tolerance
+    def flag(self, name: str) -> bool:
+        residual = self.residuals[name]
+        return residual is None or residual <= self.tolerance
 
     def as_dict(self) -> dict:
-        out = {
-            "tolerance": self.tolerance,
-            "kahler": {"residual": self.kahler_residual, "flag": self.kahler},
-            "balanced": {"residual": self.balanced_residual, "flag": self.balanced},
-            "gauduchon": {"residual": self.gauduchon_residual, "flag": self.gauduchon},
-            "strongly_gauduchon": {
-                "residual": self.strongly_gauduchon_residual,
-                "flag": self.strongly_gauduchon,
-            },
-        }
-        if self.astheno_residual is None:
-            out["astheno_kahler"] = {"residual": None, "flag": True, "vacuous": True}
-        else:
-            out["astheno_kahler"] = {"residual": self.astheno_residual, "flag": self.astheno_kahler}
+        out = {"tolerance": self.tolerance}
+        for name in CLASSES:
+            out[name] = {"residual": self.residuals[name], "flag": self.flag(name)}
+            if self.residuals[name] is None:
+                out[name]["vacuous"] = True
         return out
 
 
@@ -309,12 +288,13 @@ def _matrix_spectra(R: np.ndarray) -> np.ndarray:
     return G
 
 
-def _complex_residuals(R: np.ndarray, grid: PeriodicGrid, classes: bool) -> list[np.ndarray]:
+def _complex_residuals(R: np.ndarray, grid: PeriodicGrid, classes: bool) -> dict[str, np.ndarray]:
     """The spectra at k and at -k, [field, 0 or 1, k], of the complex
-    residual fields of the metric-class tests, one array per test, from the
-    rfft_active half spectra R[row, k] of the stack rows of g (Kahler only)
-    or of g and Lambda = adj g, the matrix of omega^{n-1}, with the
-    wavenumbers k of the half spectrum flattened.
+    residual fields of the metric-class tests, keyed by the names of CLASSES,
+    from the rfft_active half spectra R[row, k] of the stack rows of g
+    (Kahler only) or of g and Lambda = adj g, the matrix of omega^{n-1},
+    with the wavenumbers k of the half spectrum flattened.  For n = 2 there
+    is no balanced or astheno-Kahler entry.
 
     With s_i the symbol of d/dz_i, c_i = -conj(s_i) that of d/dzbar_i and
     fac = (n-1)!, the fields are, up to unimodular constants, the
@@ -342,35 +322,35 @@ def _complex_residuals(R: np.ndarray, grid: PeriodicGrid, classes: bool) -> list
         D_ij -= t
     kahler = D.reshape((-1,) + D.shape[2:])
     if not classes:
-        return [kahler]
+        return {"kahler": kahler}
     c = -np.conj(s)
     B = math.factorial(n - 1) * np.einsum("l...,kl...->k...", s, _matrix_spectra(R[n * n :]))
     gauduchon = np.einsum("k...,k...->...", c, B)[None]
     sg = np.conj(s) * (-_inverse_laplacian_symbol(grid).reshape(-1) * gauduchon)
     if n == 2:
-        return [kahler, gauduchon, sg]
+        return {"kahler": kahler, "gauduchon": gauduchon, "strongly_gauduchon": sg}
     astheno = np.stack([c[l] * D[:, k] - c[k] * D[:, l] for l, k in pairs], axis=1)
-    return [kahler, B, gauduchon, sg, astheno.reshape(kahler.shape)]
+    return dict(zip(CLASSES, (kahler, B, gauduchon, sg, astheno.reshape(kahler.shape))))
 
 
-def _residual_spectra(S: np.ndarray, grid: PeriodicGrid, classes: bool) -> list[np.ndarray]:
+def _residual_spectra(S: np.ndarray, grid: PeriodicGrid, classes: bool) -> dict[str, np.ndarray]:
     """The spectra X[field, 0 or 1, *half spectrum] of _complex_residuals
     for the metric with real stack S, from one rfft_active batched over the
     stack rows of g (and adj g)."""
     R = rfft_active(np.concatenate([S, smallmat.stack_adjugate(S)]) if classes else S, grid, 1)
     spectra = _complex_residuals(R.reshape(len(R), -1), grid, classes)
-    return [X.reshape(X.shape[:2] + R.shape[1:]) for X in spectra]
+    return {name: X.reshape(X.shape[:2] + R.shape[1:]) for name, X in spectra.items()}
 
 
-def _max_moduli(spectra: list[np.ndarray], grid: PeriodicGrid) -> list[float]:
-    """Per array X of _residual_spectra, the max-modulus of its residual
-    fields, overwriting X: per array one irfft_active batched over twice the
-    real and imaginary parts of its fields, whose half spectra are
-    X(k) + conj X(-k) and (X(k) - conj X(-k)) / i.  A batch per test stays
-    small: on a 2-vCPU host one batch of all 50 rows of n = 3 on 16^3 made
-    classify about 50 % slower in the inspect workload's loop."""
-    maxima = []
-    for X in spectra:
+def _max_moduli(spectra: dict[str, np.ndarray], grid: PeriodicGrid) -> dict[str, float]:
+    """Per array X of _residual_spectra, under its name, the max-modulus of
+    its residual fields, overwriting X: per array one irfft_active batched
+    over twice the real and imaginary parts of its fields, whose half
+    spectra are X(k) + conj X(-k) and (X(k) - conj X(-k)) / i.  A batch per
+    test stays small: on a 2-vCPU host one batch of all 50 rows of n = 3 on
+    16^3 made classify about 50 % slower in the inspect workload's loop."""
+    maxima = {}
+    for name, X in spectra.items():
         # in place, as every fresh array of this size costs page faults
         at, neg = X[:, 0], X[:, 1]
         np.conjugate(neg, out=neg)
@@ -381,7 +361,7 @@ def _max_moduli(spectra: list[np.ndarray], grid: PeriodicGrid) -> list[float]:
         parts = irfft_active(X.reshape((2 * len(X),) + X.shape[2:]), grid, 1).reshape(len(X), 2, -1)
         parts *= parts
         parts[:, 0] += parts[:, 1]
-        maxima.append(0.5 * float(np.sqrt(parts[:, 0].max())))
+        maxima[name] = 0.5 * float(np.sqrt(parts[:, 0].max()))
     return maxima
 
 
@@ -390,12 +370,12 @@ def kahler_excess(S: np.ndarray, grid: PeriodicGrid, tol: float) -> float | None
     max|del omega| like classify's Kahler residual; otherwise that max.
     The residual fields come from one rfft_active of S and one irfft_active
     of their spectra."""
-    (d_omega,) = _max_moduli(_residual_spectra(S, grid, False), grid)
+    d_omega = _max_moduli(_residual_spectra(S, grid, False), grid)["kahler"]
     return d_omega if d_omega > tol else None
 
 
 def classify(g: HermitianMetricField, tol: float) -> ClassReport:
-    """Kahler / balanced / Gauduchon / strongly Gauduchon / astheno flags.
+    """The residual and flag of each class of CLASSES.
 
     The residuals are the max-norms of the fields of _complex_residuals, from
     the real stacks of g and adj g: real transforms only, no form.  For a
@@ -407,12 +387,9 @@ def classify(g: HermitianMetricField, tol: float) -> ClassReport:
     if not (np.isfinite(tol) and tol > 0):
         raise MetricError(f"tolerance must be finite and positive, got {tol}")
     maxima = _max_moduli(_residual_spectra(g.stack, g.grid, True), g.grid)
-    if g.n == 3:
-        kahler, balanced, gauduchon, sg, astheno = maxima
-    else:
-        kahler, gauduchon, sg = maxima
-        balanced, astheno = kahler, None
-    return ClassReport(tol, kahler, balanced, gauduchon, sg, astheno)
+    if g.n == 2:
+        maxima.update(balanced=maxima["kahler"], astheno_kahler=None)
+    return ClassReport(tol, {name: maxima[name] for name in CLASSES})
 
 
 def bott_chern_defect(a: FormField) -> np.ndarray:

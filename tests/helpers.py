@@ -35,7 +35,7 @@ import numpy as np
 
 from hermweb.forms import FormField, exterior_d, sort_sign, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
-from hermweb.metric import ClassReport, HermitianMetricField, MetricError, ricci_tensor
+from hermweb.metric import CLASSES, ClassReport, HermitianMetricField, MetricError, ricci_tensor
 from hermweb.models import DEGREE1_FD, DEGREE2_FD, OFFSETS, hopf_metric_matrix
 from hermweb import ma, smallmat
 from hermweb.expr import FUNCTIONS, Bin, Call, ExprDomainError, Neg, Num, Pow, Var, to_source
@@ -215,7 +215,7 @@ def classify_forms(g: HermitianMetricField, tol: float = 1e-8) -> ClassReport:
     gauduchon = exterior_d(d_pow[1])[0].max_norm()
     sg = sg_defect_projection(d_pow[1])
     astheno = exterior_d(d_omega[1])[0].max_norm() if n == 3 else None
-    return ClassReport(tol, kahler, balanced, gauduchon, sg, astheno)
+    return ClassReport(tol, dict(zip(CLASSES, (kahler, balanced, gauduchon, sg, astheno))))
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_criterion_05_form_type_n3(capsys):
     c.require("ricci_flat_output", ricci_norm(solb.metric_out), 1e-5)
     omega_out2 = wedge_power(solb.metric_out.fundamental_form(), 2)
     c.require("balanced_residual", d_max_norm(omega_out2), 1e-6)
-    gauduchon_ok = classify(solb.metric_out, 1e-6).gauduchon
+    gauduchon_ok = classify(solb.metric_out, 1e-6).flag("gauduchon")
     c.require("gauduchon_flag", 0.0 if gauduchon_ok else 1.0, 0.5)
     c.finish()
 

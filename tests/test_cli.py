@@ -502,6 +502,14 @@ def test_non_finite_metric_expression_exits_1(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_an_exponent_literal_beyond_the_double_range_exits_1(tmp_path, capsys):
+    p = tmp_path / "exponent.hwspec"
+    p.write_text(BUMP.replace("g[1][1] = 1 + 0.5*cos(2*pi*x2)", "g[1][1] = 2 + cos(2*pi*x2)^1e999"), encoding="utf-8")
+    assert main(["ricci", "--spec", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: metric.g[1][1]: exponent literal beyond the double range at offset 17\n"
+
+
 def test_grid_override(bump_spec, capsys):
     code, out = run(capsys, "classify", "--spec", bump_spec, "--grid", "1,16,1,1")
     assert code == 0

@@ -116,6 +116,15 @@ def test_rejects(bad):
         parse(bad, 2)
 
 
+@pytest.mark.parametrize("text, offset", [("x2^1e999", 3), ("x2^-1e999", 4), ("(1 + x1)^2.5E+400", 9)])
+def test_rejects_an_exponent_literal_beyond_the_double_range(text, offset):
+    # evaluation would ask int() of an infinite exponent; a base literal
+    # beyond the range stays a domain error of the evaluation (_NON_FINITE)
+    with pytest.raises(ExprSyntaxError, match="exponent literal beyond the double range") as err:
+        parse(text, 2)
+    assert err.value.offset == offset
+
+
 def test_depth_limit():
     deep = "(" * 100 + "1" + ")" * 100
     with pytest.raises(ExprSyntaxError):
@@ -202,6 +211,7 @@ def test_evaluate_on_grid_shapes():
 _NON_FINITE = [
     ("exp(1000)", "exp(1000.0)"),
     ("1e999", "inf"),
+    ("1e999*x1", "inf"),
     ("1 / 2.225073858507e-311", "1.0 / 2.225073858507e-311"),
     ("2.225073858507e-311^-1.0", "2.225073858507e-311^-1.0"),
     ("(10^200)^2", "(10.0^200.0)^2.0"),

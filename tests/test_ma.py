@@ -515,11 +515,11 @@ def test_solve_ma3_preserves_balanced():
     target = base + wedge(ddbar(ScalarField(GRID3, chi.astype(np.complex128))), omega0)
     g = hodge_root(target)
     rep_in = classify(g, 1e-8)
-    assert rep_in.balanced
+    assert rep_in.flag("balanced")
     sol = solve_ma3(g, identity_metric(GRID3), ricci_potential(g))
     rep_out = classify(sol.metric_out, 1e-6)
-    assert rep_out.balanced
-    assert rep_out.gauduchon
+    assert rep_out.flag("balanced")
+    assert rep_out.flag("gauduchon")
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +720,7 @@ def test_kahler_check_bound_is_at_least_the_kahler_residual(n, sizes):
     rng = np.random.default_rng(sum(sizes))
     for kmax in (1, 2, 4) * 2:
         g = random_metric(grid, rng, amp=0.1, kmax=kmax)
-        exact = classify(g, 1.0).kahler_residual
+        exact = classify(g, 1.0).residuals["kahler"]
         assert exact > 1e-3
         assert kahler_excess(g.stack, grid, 2.0 * exact) is None
         assert kahler_excess(g.stack, grid, exact) is None
@@ -762,7 +762,7 @@ def test_constant_reference_is_accepted_without_a_transform(monkeypatch):
     # at k = 0, where every derivative symbol is zero, so solve_ma3 runs no
     # Kahler check
     g0 = constant_metric(GRID3, CONSTANT_G0)
-    assert classify(g0, 1.0).kahler_residual == 0.0
+    assert classify(g0, 1.0).residuals["kahler"] == 0.0
     g = random_metric(GRID3, np.random.default_rng(21), amp=0.05, kmax=1)
     F = ricci_potential(g)
     calls = count_transforms(monkeypatch)
@@ -780,7 +780,7 @@ def test_reference_constant_but_at_one_point_is_checked(monkeypatch):
     calls = count_transforms(monkeypatch)
     d_omega0 = kahler_excess(S, GRID3, KAHLER_TOL)
     assert calls == ["rfft_active", "irfft_active"]
-    assert d_omega0 == pytest.approx(classify(HermitianMetricField.from_stack(GRID3, S), 1.0).kahler_residual, rel=1e-12)
+    assert d_omega0 == pytest.approx(classify(HermitianMetricField.from_stack(GRID3, S), 1.0).residuals["kahler"], rel=1e-12)
     assert d_omega0 > 1e-3
     g = identity_metric(GRID3)
     with pytest.raises(MetricError, match="not Kahler"):

@@ -7,10 +7,13 @@ from hermweb import grid as grid_module
 from hermweb import metric as metric_module
 from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge, wedge_power
 from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
-from hermweb.ma import hodge_root
+from hermweb.flow import flow_state
+from hermweb.ma import MASolution, hodge_root
 from hermweb.smallmat import hermitian_from_stack
 from hermweb.specfile import loads as hermweb_loads
 from hermweb.metric import (
+    CLASSES,
+    ClassReport,
     HermitianMetricField,
     MetricError,
     bott_chern_defect,
@@ -175,8 +178,18 @@ def test_g_is_assembled_on_first_read_and_kept_read_only(build, monkeypatch):
     assert metric.g is g
 
 
-def test_metric_equality_compares_the_stack():
-    assert [f.name for f in dataclasses.fields(HermitianMetricField) if f.compare] == ["grid", "stack"]
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ or __hash__ would meet arrays, whose truth value is
+    # ambiguous: two metrics, fields, forms, solutions, flow states and
+    # potentials built alike compare and hash as distinct objects
+    def build():
+        g = identity_metric(GRID2)
+        phi = ScalarField(GRID2, np.zeros(GRID2.shape))
+        state = flow_state(g)
+        return [g, phi, g.fundamental_form(), MASolution(phi, 0.0, [0.0], g), state, state.potential]
+
+    for a, b in zip(build(), build()):
+        assert a == a and a != b and len({a, b}) == 2, type(a).__name__
 
 
 def test_from_stack_checks_the_stack():
@@ -212,8 +225,8 @@ def test_identity_metric_is_flat_and_kahler():
     assert ricci_norm(g) < 1e-14
     assert np.max(np.abs(log_det(g))) < 1e-14
     rep = classify(g, 1e-10)
-    assert rep.kahler and rep.balanced and rep.gauduchon and rep.strongly_gauduchon
-    assert rep.astheno_kahler and rep.astheno_residual is None  # vacuous for n = 2
+    assert all(rep.flag(name) for name in CLASSES)
+    assert rep.residuals["astheno_kahler"] is None  # vacuous for n = 2
 
 
 def test_fundamental_form_round_trip():
@@ -464,11 +477,49 @@ def test_parallel_section_rejects_ell_zero():
         parallel_section_check(identity_metric(GRID2), 0)
 
 
+def _items(d):
+    return [(k, _items(v) if isinstance(v, dict) else v) for k, v in d.items()]
+
+
+@pytest.mark.parametrize(
+    "residuals, layout",
+    [
+        (
+            (0.5, 0.5, 2.0, 1e-9, None),
+            [
+                ("tolerance", 1e-8),
+                ("kahler", [("residual", 0.5), ("flag", False)]),
+                ("balanced", [("residual", 0.5), ("flag", False)]),
+                ("gauduchon", [("residual", 2.0), ("flag", False)]),
+                ("strongly_gauduchon", [("residual", 1e-9), ("flag", True)]),
+                ("astheno_kahler", [("residual", None), ("flag", True), ("vacuous", True)]),
+            ],
+        ),
+        (
+            (0.5, 1e-8, 2.0, 0.25, 3.0),
+            [
+                ("tolerance", 1e-8),
+                ("kahler", [("residual", 0.5), ("flag", False)]),
+                ("balanced", [("residual", 1e-8), ("flag", True)]),
+                ("gauduchon", [("residual", 2.0), ("flag", False)]),
+                ("strongly_gauduchon", [("residual", 0.25), ("flag", False)]),
+                ("astheno_kahler", [("residual", 3.0), ("flag", False)]),
+            ],
+        ),
+    ],
+    ids=["n2", "n3"],
+)
+def test_class_report_layout(residuals, layout):
+    # the order and keys of classify's report, which the benchmark's
+    # inspect oracle parses: a residual at the tolerance sets its flag
+    assert _items(ClassReport(1e-8, dict(zip(CLASSES, residuals))).as_dict()) == layout
+
+
 def test_classify_bump_is_non_kahler():
     rep = classify(bump_metric(GRID2), 1e-8)
-    assert not rep.kahler
-    assert not rep.balanced  # balanced = Kahler for n = 2
-    assert rep.kahler_residual > 1e-2
+    assert not rep.flag("kahler")
+    assert not rep.flag("balanced")  # balanced = Kahler for n = 2
+    assert rep.residuals["kahler"] > 1e-2
     d = rep.as_dict()
     assert d["kahler"]["flag"] is False
     assert d["astheno_kahler"]["vacuous"] is True
@@ -482,22 +533,12 @@ def test_sg_defect_matches_the_pinv_oracle(n, sizes):
     g = random_metric(grid, np.random.default_rng(21), amp=0.1)
     want = sg_defect_pinv(wedge_power(g.fundamental_form(), n - 1))
     assert want > 1e-2
-    assert classify(g, 1e-8).strongly_gauduchon_residual == pytest.approx(want, rel=1e-12)
+    assert classify(g, 1e-8).residuals["strongly_gauduchon"] == pytest.approx(want, rel=1e-12)
 
 
 # the grids of the metric-class oracle tests: x axes only, three x and two y
 # axes, one complex direction collapsed, and x and y axes for n = 2
 CLASS_GRIDS = [(3, (16, 16, 16, 1, 1, 1)), (3, (8, 8, 8, 8, 1, 8)), (2, (64, 64, 1, 1)), (2, (16, 16, 8, 8))]
-
-
-def residuals(rep):
-    return [
-        rep.kahler_residual,
-        rep.balanced_residual,
-        rep.gauduchon_residual,
-        rep.strongly_gauduchon_residual,
-        rep.astheno_residual,
-    ]
 
 
 def class_test_metric(kind, grid):
@@ -529,21 +570,23 @@ def test_classify_matches_the_form_oracle(n, sizes, kind):
     # of a second spectral derivative are compared with that floor
     grid = PeriodicGrid(n, sizes)
     g = class_test_metric(kind, grid)
-    got, want = residuals(classify(g, 1e-8)), residuals(classify_forms(g))
+    got, want = classify(g, 1e-8).residuals, classify_forms(g).residuals
     if kind == "identity":
-        assert got == [0.0] * 4 + ([0.0] if n == 3 else [None])
+        assert got == dict(zip(CLASSES, [0.0] * 4 + ([0.0] if n == 3 else [None])))
         return
+    names = CLASSES
     if n == 2:
-        assert got[4] is want[4] is None and got[1] == got[0]
-        got, want = got[:4], want[:4]
+        assert got["astheno_kahler"] is want["astheno_kahler"] is None and got["balanced"] == got["kahler"]
+        names = CLASSES[:4]
     floor = 1e-13 * max(np.max(np.abs(s)) for s in _z_symbols(grid)) ** 2 * np.max(np.abs(g.g))
-    assert got == pytest.approx(want, rel=1e-12, abs=floor)
+    for name in names:
+        assert got[name] == pytest.approx(want[name], rel=1e-12, abs=floor), name
     if kind == "random":
-        assert min(want) > 1e-3
+        assert min(want[name] for name in names) > 1e-3
     elif kind == "kahler":
-        assert max(want) < floor
+        assert max(want[name] for name in names) < floor
     else:
-        assert want[0] > 1e-3 and want[1] < floor
+        assert want["kahler"] > 1e-3 and want["balanced"] < floor
 
 
 def test_classify_reads_the_del_parts_at_nyquist_modes():
@@ -556,11 +599,12 @@ def test_classify_reads_the_del_parts_at_nyquist_modes():
     omega = g.fundamental_form()
     del_omega, _ = exterior_d(omega)
     del_pow, dbar_pow = exterior_d(wedge_power(omega, 2))
-    rep, oracle = classify(g, 1e-8), classify_forms(g)
-    assert rep.kahler_residual == pytest.approx(del_omega.max_norm(), rel=1e-12)
-    assert rep.balanced_residual == pytest.approx(del_pow.max_norm(), rel=1e-12)
+    got, want = classify(g, 1e-8).residuals, classify_forms(g).residuals
+    assert got["kahler"] == pytest.approx(del_omega.max_norm(), rel=1e-12)
+    assert got["balanced"] == pytest.approx(del_pow.max_norm(), rel=1e-12)
     assert abs(dbar_pow.max_norm() - del_pow.max_norm()) > 1e-6 * del_pow.max_norm()
-    assert residuals(rep)[2:] == pytest.approx(residuals(oracle)[2:], rel=1e-12)
+    for name in CLASSES[2:]:
+        assert got[name] == pytest.approx(want[name], rel=1e-12), name
 
 
 @pytest.mark.parametrize("n,sizes", [(2, (32, 32, 1, 1)), (3, (16, 16, 16, 1, 1, 1))])
@@ -569,7 +613,7 @@ def test_classify_makes_one_real_transform_and_one_inverse_per_class(n, sizes, m
     # the residual fields of each class test (Kahler, [balanced,] Gauduchon,
     # strongly Gauduchon[, astheno-Kahler]), no complex FFT and no form
     g = random_metric(PeriodicGrid(n, sizes), np.random.default_rng(8), amp=0.1)
-    want = residuals(classify_forms(g))
+    want = classify_forms(g).residuals
     calls = []
     for name in ("fftn", "ifftn"):
         fn = getattr(np.fft, name)
@@ -580,11 +624,10 @@ def test_classify_makes_one_real_transform_and_one_inverse_per_class(n, sizes, m
     monkeypatch.setattr(FormField, "__post_init__", lambda self: calls.append("FormField"))
     rep = classify(g, 1e-8)
     assert calls == ["rfft_active"] + ["irfft_active"] * (5 if n == 3 else 3)
-    got = residuals(rep)
-    if n == 2:
-        got, want = got[:4], want[:4]
-    assert min(want) > 1e-3
-    assert got == pytest.approx(want, rel=1e-12)
+    names = CLASSES if n == 3 else CLASSES[:4]
+    assert min(want[name] for name in names) > 1e-3
+    for name in names:
+        assert rep.residuals[name] == pytest.approx(want[name], rel=1e-12), name
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
@@ -599,11 +642,11 @@ def test_classify_gauduchon_conformal_metric_n2():
     # not automatically Gauduchon; but the flat metric scaled by a constant is.
     g = HermitianMetricField(GRID2, 2.5 * identity_metric(GRID2).g)
     rep = classify(g, 1e-10)
-    assert rep.gauduchon and rep.kahler
+    assert rep.flag("gauduchon") and rep.flag("kahler")
 
 
 def test_classify_n3_astheno_not_vacuous():
     grid = PeriodicGrid(3, (16, 16, 1, 1, 1, 1))
     rep = classify(identity_metric(grid), 1e-10)
-    assert rep.astheno_kahler
-    assert rep.astheno_residual is not None and rep.astheno_residual < 1e-12
+    assert rep.flag("astheno_kahler")
+    assert rep.residuals["astheno_kahler"] is not None and rep.residuals["astheno_kahler"] < 1e-12

@@ -41,7 +41,7 @@ def test_flat_spec_loads_and_classifies():
     assert spec.sizes == (8, 8, 1, 1)
     g = spec.build_metric()
     rep = classify(g, 1e-10)
-    assert rep.kahler and rep.balanced and rep.gauduchon
+    assert rep.flag("kahler") and rep.flag("balanced") and rep.flag("gauduchon")
 
 
 def test_bump_spec_with_comments_and_pairs():
@@ -49,7 +49,7 @@ def test_bump_spec_with_comments_and_pairs():
     g = spec.build_metric()
     x2 = spec.build_grid().coordinate(1)
     assert np.allclose(g.g[..., 0, 0], 1 + 0.5 * np.cos(2 * np.pi * x2))
-    assert not classify(g, 1e-8).kahler
+    assert not classify(g, 1e-8).flag("kahler")
 
 
 def test_conjugate_symmetry_fills_lower_triangle():
