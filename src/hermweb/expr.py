@@ -275,7 +275,8 @@ def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
 
     Raises ExprDomainError at the first point where a subexpression leaves
     its domain or is not finite (overflow in exp or ^, division by a
-    subnormal, a literal too large for a double).
+    subnormal, a literal too large for a double, an exponent that is not
+    finite).
 
     The AST is walked once with numpy's overflow, divide and invalid traps
     on and no finiteness scan: from finite coordinates and literals only a
@@ -328,6 +329,9 @@ def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
             return l / r
         if isinstance(node, Pow):
             base = ev(node.base)
+            # an AST built by hand may carry one; x1^inf would be 0 on [0, 1)
+            if not math.isfinite(node.exponent):
+                fail(f"exponent of {to_source(node)!r} is not finite", True)
             if node.exponent < 0 and np.any(base == 0.0):
                 fail("zero raised to a negative power", base == 0.0)
             if node.exponent != int(node.exponent) and np.any(base < 0.0):
@@ -352,7 +356,7 @@ def evaluate_on(e, coords: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def evaluate(e, grid):
-    """Evaluate an AST on a PeriodicGrid, returning a ScalarField."""
+    """Evaluate an AST on a PeriodicGrid, returning a real ScalarField."""
     from .grid import ScalarField
 
     return ScalarField(grid, evaluate_on(e, grid.coordinates()))

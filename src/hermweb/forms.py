@@ -66,9 +66,7 @@ class FormField:
         """Coefficient on dz^I wedge dzbar^J; I, J need not be sorted."""
         sI, sgI = sort_sign(tuple(I))
         sJ, sgJ = sort_sign(tuple(J))
-        if sI is None or sJ is None:
-            return np.zeros(self.grid.shape, dtype=np.complex128)
-        arr = self.coeffs.get((sI, sJ))
+        arr = None if sI is None or sJ is None else self.coeffs.get((sI, sJ))
         if arr is None:
             return np.zeros(self.grid.shape, dtype=np.complex128)
         return sgI * sgJ * arr
@@ -146,7 +144,7 @@ def wedge_power(a: FormField, k: int) -> FormField:
 
 
 def ddbar(f: ScalarField) -> FormField:
-    """sqrt(-1) del dbar f as a (1,1)-form; real when f is real."""
+    """sqrt(-1) del dbar f as a (1,1)-form, a real form since f is real."""
     H = hessian_values(f.values, f.grid)
     n = f.grid.n
     coeffs = {((i,), (j,)): 1j * H[..., i, j] for i in range(n) for j in range(n)}

@@ -5,7 +5,9 @@ value array axis order is (x_1, ..., x_n, y_1, ..., y_n).  Axes with size 1
 are "collapsed": fields do not vary along them and derivatives there are
 identically zero.  The coordinate arrays are built once per grid, read-only,
 in a cached table (_coordinate_table) like the grid's Fourier tables;
-coordinates() hands out a fresh dict over them.
+coordinates() hands out a fresh dict over them.  A ScalarField (phi, F, the
+Ricci potential) is real: its values are read-only float64, and complex
+values enter only when every imaginary part is exactly 0.
 
 The form layer's complex derivatives (hessian_values, for ddbar, and
 exterior_d) are ifftn(symbol * fftn(f)) over the active axes, with the
@@ -111,25 +113,29 @@ class PeriodicGrid:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Complex-valued field sampled on a PeriodicGrid: GridError unless its
-    values have the grid's shape and are finite."""
+    """Real field sampled on a PeriodicGrid, its values read-only float64:
+    GridError unless the values have the grid's shape, are finite and, when
+    complex, have every imaginary part exactly 0."""
 
     grid: PeriodicGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128)
+        v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             raise GridError(f"value shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.isfinite(v).all():
-            at = tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
-            raise GridError(f"field value {v[at]} at index {at} is not finite")
+        # finiteness first over the whole field, then the imaginary parts
+        for bad, what in ((~np.isfinite(v), "is not finite"), (np.imag(v) != 0, "has an imaginary part")):
+            if bad.any():
+                at = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise GridError(f"field value {v[at]} at index {at} {what}")
+        v = np.array(np.real(v), dtype=np.float64)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 
-def constant_field(grid: PeriodicGrid, value: complex) -> ScalarField:
-    return ScalarField(grid, np.full(grid.shape, value, dtype=np.complex128))
+def constant_field(grid: PeriodicGrid, value: float) -> ScalarField:
+    return ScalarField(grid, np.full(grid.shape, value))
 
 
 def from_function(grid: PeriodicGrid, fn) -> ScalarField:

@@ -200,10 +200,9 @@ def form_to_matrix(phi: FormField) -> np.ndarray:
     n = phi.grid.n
     if (phi.p, phi.q) != (n - 1, n - 1):
         raise MetricError(f"need an ({n - 1},{n - 1})-form")
-    table = _duality_table(n)
     lam = np.empty(phi.grid.shape + (n, n), dtype=np.complex128)
     fac = FACTORIAL[n - 1]
-    for (k, l), (K, L, s) in table.items():
+    for (k, l), (K, L, s) in _duality_table(n).items():
         lam[..., k, l] = phi.coefficient(K, L) / (s * fac)
     return lam
 
@@ -505,7 +504,7 @@ def _newton_loop(grid, cfg, lhs_fn, coefficients_fn, phi0, F, detg):
     MASolution's residual_history, trace, linear_iterations and
     linear_rtols.
     """
-    eF_detg = np.exp(F.values.real) * detg
+    eF_detg = np.exp(F.values) * detg
 
     def residual(H, b):  # (R, state), or None for an inadmissible H
         trial = lhs_fn(H)

@@ -190,7 +190,7 @@ def ricci_norm(g: HermitianMetricField) -> float:
 def ricci_potential(g: HermitianMetricField) -> ScalarField:
     """Mean-zero real F with sqrt(-1) del dbar F = Ric(omega) on the torus."""
     L = log_det(g)
-    return ScalarField(g.grid, -(L - np.mean(L)).astype(np.complex128))
+    return ScalarField(g.grid, -(L - np.mean(L)))
 
 
 def conformal_flatten(g: HermitianMetricField) -> HermitianMetricField:
@@ -200,8 +200,8 @@ def conformal_flatten(g: HermitianMetricField) -> HermitianMetricField:
 
 
 def _conformal_rescaling(g: HermitianMetricField, F: ScalarField) -> HermitianMetricField:
-    """exp(F/n) g for a real F, checked positive definite."""
-    S = np.exp(F.values.real / g.n) * g.stack
+    """exp(F/n) g, checked positive definite."""
+    S = np.exp(F.values / g.n) * g.stack
     if not is_positive_definite(S):
         raise MetricError("conformal rescaling is not positive definite at some grid point")
     return HermitianMetricField._unchecked(g.grid, S)
@@ -402,8 +402,4 @@ def bott_chern_defect(a: FormField) -> np.ndarray:
     if d_max_norm(a) > CLOSED_TOL * max(1.0, a.max_norm()):
         raise MetricError(f"form is not closed to tolerance {CLOSED_TOL:g}")
     n = a.grid.n
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = np.mean(a.coefficient((i,), (j,))) / 1j
-    return out
+    return np.array([[np.mean(a.coefficient((i,), (j,))) / 1j for j in range(n)] for i in range(n)])

@@ -4,19 +4,23 @@ binary field dumps.
 A field dump (version 1) is a 32-byte header (magic, version, n, the six
 axis sizes with 0 past 2n) followed by each grid point's value as a
 little-endian (re, im) pair of doubles in C order, which is numpy's "<c16"
-layout.  dump_field writes the array it is given, broadcast to its grid;
-load_field checks the header, the payload length and finiteness."""
+layout.  dump_field writes the array it is given, broadcast to its grid; a
+real array, such as a ScalarField's values (phi, F, the Ricci potential),
+is written with +0.0 imaginary parts.  load_field checks the header, the
+payload length and finiteness, and returns the dump's grid and its values
+as written, complex, not a ScalarField: the flow's g_ij dumps are complex."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import struct
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
-from .grid import PeriodicGrid, ScalarField
+from .grid import PeriodicGrid
 
 MAGIC = b"HWFLD\x00\x00\x00"
 DUMP_VERSION = 1
@@ -75,7 +79,11 @@ def dump_field(path, grid: PeriodicGrid, values) -> None:
     Path(path).write_bytes(header + np.broadcast_to(values, grid.shape).astype("<c16").tobytes())
 
 
-def load_field(path) -> ScalarField:
+# a dump's PeriodicGrid and its read-only complex128 values of the grid's shape
+FieldDump = namedtuple("FieldDump", ["grid", "values"])
+
+
+def load_field(path) -> FieldDump:
     """Read a dump written by dump_field; ValueError on a malformed file."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
@@ -94,4 +102,4 @@ def load_field(path) -> ScalarField:
     values = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
     if not np.isfinite(values).all():
         raise ValueError("field dump holds non-finite values")
-    return ScalarField(grid, values.reshape(grid.shape))
+    return FieldDump(grid, values.reshape(grid.shape))

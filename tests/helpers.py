@@ -18,7 +18,7 @@ and the flat-Laplacian solve on complex spectra.  The last section holds
 small cross-checks that the package itself never calls: the (p,q) basis
 keys, d/dz_i and d/dzbar_i of a field read from exterior_d, the Chern
 connection of all n^2 entries of g on complex spectra, the grid mean,
-a realness test, the Hermitian part of a matrix field, the inverse of
+the Hermitian part of a matrix field, the inverse of
 fundamental_form, a uniqueness probe for the Monge-Ampere solvers, a check
 and a guard for the real stack a HermitianMetricField carries, the
 expression form of the stack adjugate, one fresh array per entry, a
@@ -303,9 +303,7 @@ def random_bandlimited(grid: PeriodicGrid, rng, amp=1.0, kmax=2, terms=5, comple
             phase = phase + 2.0 * np.pi * k * coords[name]
         c = amp * (rng.normal() + (1j * rng.normal() if complex_valued else 0.0))
         vals = vals + c * np.exp(1j * phase)
-    if not complex_valued:
-        vals = vals.real.astype(np.complex128)
-    return vals
+    return vals if complex_valued else vals.real
 
 
 def random_metric(grid: PeriodicGrid, rng, amp=0.1, kmax=2) -> HermitianMetricField:
@@ -344,10 +342,6 @@ def rk2_flow(g: HermitianMetricField, dt: float):
         R = ricci_tensor(g)
 
 
-def field(grid: PeriodicGrid, values) -> ScalarField:
-    return ScalarField(grid, np.asarray(values, dtype=np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # Complex forms of the Newton operator and its preconditioner
 # ---------------------------------------------------------------------------
@@ -355,7 +349,7 @@ def field(grid: PeriodicGrid, values) -> ScalarField:
 def complex_newton_row(grid: PeriodicGrid, K: np.ndarray, w: np.ndarray, dphi: np.ndarray, db: float) -> np.ndarray:
     """The Newton operator, w Re tr(K Hess dphi) - db w, from the full
     complex Hessian of dphi."""
-    H = hessian_values(dphi.astype(np.complex128), grid)
+    H = hessian_values(dphi, grid)
     return (w * np.einsum("...ij,...ji->...", K, H)).real - db * w
 
 
@@ -407,13 +401,9 @@ def chern_connection(g: HermitianMetricField) -> np.ndarray:
     return np.einsum("...kl,...ijl->...kij", up, dg)
 
 
-def mean(f: ScalarField) -> complex:
+def mean(f: ScalarField) -> float:
     """Arithmetic average over grid points (= torus integral, unit volume)."""
-    return complex(np.mean(f.values))
-
-
-def is_real(f: ScalarField) -> bool:
-    return bool(np.max(np.abs(f.values.imag)) <= 1e-12 * max(1.0, np.max(np.abs(f.values))))
+    return float(np.mean(f.values))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -440,8 +430,8 @@ def uniqueness_probe(solver, guess_a: np.ndarray, guess_b: np.ndarray) -> float:
     """
     sol_a = solver(guess_a)
     sol_b = solver(guess_b)
-    pa = sol_a.phi.values.real
-    pb = sol_b.phi.values.real
+    pa = sol_a.phi.values
+    pb = sol_b.phi.values
     return float(np.max(np.abs((pa - pa.mean()) - (pb - pb.mean()))))
 
 

@@ -703,9 +703,9 @@ def test_solvers_and_flow_run_on_the_axes_the_spec_reads(command, text, tmp_path
         assert results["output_ricci_max_norm"]["value"] == ricci_close(ricci_norm(sol.metric_out))
         dumps = {"phi": sol.phi.values, "F": F.values}
     for name, want in dumps.items():
-        f = load_field(out / f"{name}.fld")
-        assert f.grid == g.grid
-        assert np.max(np.abs(f.values - want)) < 1e-13
+        grid, values = load_field(out / f"{name}.fld")
+        assert grid == g.grid
+        assert np.max(np.abs(values - want)) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -751,9 +751,9 @@ def test_random_init_runs_on_the_axes_the_spec_reads(command, text, tmp_path, mo
     assert results["iterations"]["value"] == sol.iterations
     assert results["gmres_iterations"]["value"] == sum(sol.linear_iterations)
     assert results["b"]["value"] == sol.b
-    phi = load_field(out / "phi.fld")
-    assert phi.grid == whole
-    assert np.array_equal(phi.values, np.broadcast_to(sol.phi.values, whole.shape))
+    grid, phi = load_field(out / "phi.fld")
+    assert grid == whole
+    assert np.array_equal(phi, np.broadcast_to(sol.phi.values, whole.shape))
 
 
 @pytest.mark.parametrize(
@@ -812,9 +812,9 @@ def test_analysis_commands_run_on_the_axes_the_metric_reads(text, read_sizes, tm
     d = flat.det()
     assert results["output_ricci_max_norm"]["value"] == close(ricci_norm(flat))
     assert results["det_relative_spread"]["value"] == close(float(np.ptp(d) / np.mean(d)))
-    F = load_field(out / "ricci_potential.fld")
-    assert F.grid == g.grid
-    assert np.max(np.abs(F.values - hermweb.metric.ricci_potential(g).values)) < 1e-13
+    grid, F = load_field(out / "ricci_potential.fld")
+    assert grid == g.grid
+    assert np.max(np.abs(F - hermweb.metric.ricci_potential(g).values)) < 1e-13
 
 
 @pytest.mark.parametrize("text", [TWO_AXIS, BUMP3], ids=["two_axis", "bump3"])
@@ -837,9 +837,9 @@ def test_a_constant_metric_runs_on_no_active_axis(flat_spec, tmp_path, monkeypat
     out = tmp_path / "out"
     assert main(["flatten-conformal", "--spec", flat_spec, "--out", str(out)]) == 0
     capsys.readouterr()
-    F = load_field(out / "ricci_potential.fld")
-    assert F.grid.sizes == (16, 1, 16, 1)
-    assert np.all(F.values == 0.0)
+    grid, F = load_field(out / "ricci_potential.fld")
+    assert grid.sizes == (16, 1, 16, 1)
+    assert np.all(F == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -856,7 +856,8 @@ def test_the_axes_the_metric_reads_are_taken_from_the_grid_override(sizes, read_
     assert main(["flatten-conformal", "--spec", str(p), "--grid", sizes, "--out", str(out)]) == 0
     capsys.readouterr()
     assert grids == [read_sizes]
-    assert load_field(out / "ricci_potential.fld").grid.sizes == tuple(int(s) for s in sizes.split(","))
+    grid, _ = load_field(out / "ricci_potential.fld")
+    assert grid.sizes == tuple(int(s) for s in sizes.split(","))
 
 
 def test_verify_example_commands(capsys):

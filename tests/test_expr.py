@@ -125,6 +125,17 @@ def test_rejects_an_exponent_literal_beyond_the_double_range(text, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("exponent", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_exponent_is_a_domain_error(exponent):
+    # only an AST built by hand carries one, since the parser rejects the
+    # literal; x1^inf would be 0 on [0, 1) and nan sets no trap, so the
+    # exponent is tested itself
+    coords = PeriodicGrid(2, (8, 8, 1, 1)).coordinates()
+    message = re.escape(f"exponent of 'x1^{exponent!r}' is not finite at point (x1=0, x2=0, y1=0, y2=0)")
+    with pytest.raises(ExprDomainError, match=message):
+        evaluate_on(Pow(Var("x", 1), exponent), coords)
+
+
 def test_depth_limit():
     deep = "(" * 100 + "1" + ")" * 100
     with pytest.raises(ExprSyntaxError):

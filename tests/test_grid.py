@@ -26,7 +26,6 @@ from helpers import (
     fd_partial_zbar,
     hermitian_hessian_multipliers_full_grid,
     hermitian_part,
-    is_real,
     mean,
     random_bandlimited,
     spectral_partial,
@@ -76,6 +75,38 @@ def test_scalar_field_rejects_a_non_finite_value(bad):
         ScalarField(grid, imaginary)
     with pytest.raises(GridError, match=r"at index \(3, 5, 0, 0\) is not finite"):
         from_function(grid, lambda x1, x2, **_: np.where((x1 == 3 / 8) & (x2 == 5 / 8), bad, 0.0))
+    # finiteness is checked over the whole field before the imaginary parts
+    imaginary[1, 2] = 0.5j
+    with pytest.raises(GridError, match=r"at index \(3, 5, 0, 0\) is not finite"):
+        ScalarField(grid, imaginary)
+
+
+def test_scalar_field_is_real():
+    # complex values enter only with every imaginary part exactly 0, signed
+    # zeros included, and are kept as their real parts
+    grid = PeriodicGrid(2, (8, 8, 1, 1))
+    values = np.arange(64.0).reshape(grid.shape).astype(np.complex128)
+    values.imag[::2] = -0.0
+    assert np.signbit(values.imag).any()
+    f = ScalarField(grid, values)
+    assert f.values.dtype == np.float64
+    assert np.array_equal(f.values, values.real)
+    assert ScalarField(grid, np.ones(grid.shape, dtype=int)).values.dtype == np.float64
+    assert constant_field(grid, 2).values.dtype == np.float64
+
+
+def test_scalar_field_names_the_first_imaginary_part():
+    grid = PeriodicGrid(2, (8, 8, 1, 1))
+    values = np.ones(grid.shape, dtype=np.complex128)
+    values[6, 1] += 1e-300j
+    values[2, 7] -= 0.5j
+    with pytest.raises(GridError, match=r"field value \(1-0\.5j\) at index \(2, 7, 0, 0\) has an imaginary part"):
+        ScalarField(grid, values)
+    with pytest.raises(GridError, match=r"at index \(0, 0, 0, 0\) has an imaginary part"):
+        constant_field(grid, 1 + 1e-12j)
+    # exp(2 pi i x1) is real at x1 = 0
+    with pytest.raises(GridError, match=r"at index \(1, 0, 0, 0\) has an imaginary part"):
+        from_function(grid, lambda x1, **_: np.exp(2j * np.pi * x1))
 
 
 def test_coordinates_cover_unit_cell():
@@ -116,31 +147,31 @@ def test_scalar_field_is_read_only():
     f = constant_field(grid, 2.0)
     with pytest.raises(ValueError):
         f.values[0, 0, 0, 0] = 3.0
-    assert mean(f) == pytest.approx(2.0)
-    assert is_real(f)
+    assert mean(f) == 2.0
 
 
 def test_partial_z_plane_wave_exact():
     # f = exp(2 pi i x1): d/dz1 = pi i f and d/dzbar1 = pi i f since
     # d/dx = d/dz + d/dzbar and f has no y dependence.
     grid = PeriodicGrid(2, (64, 1, 64, 1))
-    f = from_function(grid, lambda **c: np.exp(2j * np.pi * c["x1"]))
-    dz, dzb = spectral_partial(f.values, grid, 1)
-    assert np.max(np.abs(dz - 1j * np.pi * f.values)) < 1e-12
-    assert np.max(np.abs(dzb - 1j * np.pi * f.values)) < 1e-12
+    f = np.broadcast_to(np.exp(2j * np.pi * grid.coordinates()["x1"]), grid.shape)
+    dz, dzb = spectral_partial(f, grid, 1)
+    assert np.max(np.abs(dz - 1j * np.pi * f)) < 1e-12
+    assert np.max(np.abs(dzb - 1j * np.pi * f)) < 1e-12
     # no dependence on the second coordinate
-    assert np.max(np.abs(spectral_partial(f.values, grid, 2)[0])) < 1e-12
+    assert np.max(np.abs(spectral_partial(f, grid, 2)[0])) < 1e-12
 
 
 def test_partial_z_mixed_wave():
     # f = exp(2 pi i (x1 + y1)): Fourier multipliers pi(ky + i kx) and
     # -pi(ky - i kx) at (kx, ky) = (1, 1).
     grid = PeriodicGrid(2, (32, 1, 32, 1))
-    f = from_function(grid, lambda **c: np.exp(2j * np.pi * (c["x1"] + c["y1"])))
-    dz, dzb = spectral_partial(f.values, grid, 1)
+    c = grid.coordinates()
+    f = np.broadcast_to(np.exp(2j * np.pi * (c["x1"] + c["y1"])), grid.shape)
+    dz, dzb = spectral_partial(f, grid, 1)
     # multiplier: pi (ky + i kx) = pi (1 + i)
-    assert np.max(np.abs(dz - np.pi * (1 + 1j) * f.values)) < 1e-12
-    assert np.max(np.abs(dzb - (-np.pi) * (1 - 1j) * f.values)) < 1e-12
+    assert np.max(np.abs(dz - np.pi * (1 + 1j) * f)) < 1e-12
+    assert np.max(np.abs(dzb - (-np.pi) * (1 - 1j) * f)) < 1e-12
 
 
 @pytest.mark.parametrize("n,sizes", [(2, (64, 64, 1, 1)), (3, (32, 1, 1, 32, 1, 1))])
@@ -202,7 +233,7 @@ def test_mean_is_translation_invariant():
     vals = random_bandlimited(grid, rng)
     m = mean(ScalarField(grid, vals))
     rolled = np.roll(vals, 5, axis=0)
-    assert mean(ScalarField(grid, rolled)) == pytest.approx(complex(m), abs=1e-13)
+    assert mean(ScalarField(grid, rolled)) == pytest.approx(m, abs=1e-13)
 
 
 # the five grids of test_hermitian_hessian_is_hermitian_part_of_hessian

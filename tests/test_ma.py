@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse.linalg as scipy_linalg
 
 from hermweb.forms import FormField, d_max_norm, ddbar, wedge, wedge_power
-from hermweb.grid import PeriodicGrid, ScalarField, hermitian_hessian_stack, hessian_values
+from hermweb.grid import GridError, PeriodicGrid, ScalarField, hermitian_hessian_stack, hessian_values
 from hermweb.metric import (
     HermitianMetricField,
     MetricError,
@@ -76,7 +76,7 @@ def constant_metric(grid, mat) -> HermitianMetricField:
 def hessian_reference(grid, rng) -> HermitianMetricField:
     """A Kahler reference I + Hess f that varies over the grid."""
     f = random_bandlimited(grid, rng, amp=0.01, kmax=1).real
-    return HermitianMetricField(grid, identity_metric(grid).g + hermitian_part(hessian_values(f.astype(np.complex128), grid)))
+    return HermitianMetricField(grid, identity_metric(grid).g + hermitian_part(hessian_values(f, grid)))
 
 
 # a constant reference that is not the identity, with a complex g12
@@ -171,11 +171,11 @@ def manufactured_problem(grid, rng, amp=0.05):
     g = random_metric(grid, rng, amp=amp, kmax=1)
     phi_star = random_bandlimited(grid, rng, amp=amp / 10.0, kmax=1).real
     phi_star -= phi_star.mean()
-    H = hessian_values(phi_star.astype(np.complex128), grid)
+    H = hessian_values(phi_star, grid)
     gt = HermitianMetricField(grid, g.g + H)
     b_star = -0.35
     F = np.log(gt.det().real / g.det().real) - b_star
-    return g, ScalarField(grid, F.astype(np.complex128)), phi_star, b_star
+    return g, ScalarField(grid, F), phi_star, b_star
 
 
 def two_bump_problem():
@@ -188,7 +188,21 @@ def two_bump_problem():
     g[..., 0, 0] = 1 + 0.6 * np.cos(2 * np.pi * x2)
     g[..., 1, 1] = 1 + 0.6 * np.cos(2 * np.pi * x1)
     F = np.broadcast_to(3 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2), grid.shape)
-    return HermitianMetricField(grid, g), ScalarField(grid, F.astype(np.complex128))
+    return HermitianMetricField(grid, g), ScalarField(grid, F)
+
+
+def test_an_F_with_an_imaginary_part_never_reaches_solve_ma2():
+    # the solve reads F's values as they are, so an imaginary part is stopped
+    # where F is built instead of being dropped without a word; an F whose
+    # imaginary parts are all exactly 0 is its real part, bit for bit
+    g, F = two_bump_problem()
+    x2 = g.grid.coordinate(g.grid.axis_of("x", 2))
+    with pytest.raises(GridError, match=r"at index \(0, 1, 0, 0\) has an imaginary part"):
+        ScalarField(g.grid, F.values + 0.5j * np.sin(2 * np.pi * x2))
+    cfg = SolverConfig(tolerance=1e-8)
+    sol, zero_imaginary = (solve_ma2(g, f, cfg) for f in (F, ScalarField(g.grid, F.values + 0j)))
+    assert zero_imaginary.phi.values.dtype == np.float64
+    assert zero_imaginary.phi.values.tobytes() == sol.phi.values.tobytes() and zero_imaginary.b == sol.b
 
 
 def test_solve_ma2_manufactured():
@@ -196,7 +210,7 @@ def test_solve_ma2_manufactured():
     rng = np.random.default_rng(0)
     g, F, phi_star, b_star = manufactured_problem(grid, rng)
     sol = solve_ma2(g, F)
-    err = np.max(np.abs(sol.phi.values.real - phi_star))
+    err = np.max(np.abs(sol.phi.values - phi_star))
     assert err < 1e-10
     assert abs(sol.b - b_star) < 1e-10
     assert sol.residual_history[-1] < 1e-11
@@ -212,7 +226,7 @@ def test_solve_ma2_residual_verifiable():
     sol = solve_ma2(g, F)
     H = hessian_values(sol.phi.values, grid)
     lhs = HermitianMetricField(grid, g.g + H).det().real
-    rhs = np.exp(F.values.real + sol.b) * g.det().real
+    rhs = np.exp(F.values + sol.b) * g.det().real
     assert np.max(np.abs(lhs - rhs)) < 1e-10
     assert ricci_norm(sol.metric_out) < 1e-8
 
@@ -236,7 +250,7 @@ def test_solve_ma2_line_search_keeps_the_hessian_of_phi():
     sol = solve_ma2(g, F)
     assert min(step for *_, step in sol.trace[1:]) < 1.0
     assert sol.residual_history[-1] <= SolverConfig().tolerance
-    H = hermitian_hessian_stack(sol.phi.values.real, g.grid)
+    H = hermitian_hessian_stack(sol.phi.values, g.grid)
     carried = hermitian_stack(sol.metric_out.g) - hermitian_stack(g.g)
     assert np.max(np.abs(carried - H)) <= 1e-12 * np.max(np.abs(H))
 
@@ -353,19 +367,19 @@ def ma3_manufactured(grid, rng, amp=0.04, g0=None):
     phi_star = random_bandlimited(grid, rng, amp=amp / 10.0, kmax=1).real
     phi_star -= phi_star.mean()
     omega = g.fundamental_form()
-    correction = wedge(ddbar(ScalarField(grid, phi_star.astype(np.complex128))), g0.fundamental_form())
+    correction = wedge(ddbar(ScalarField(grid, phi_star)), g0.fundamental_form())
     target = wedge_power(omega, n - 1) + correction
     gt = hodge_root(target)
     b_star = 0.21
     F = np.log(gt.det().real / g.det().real) - b_star
-    return g, g0, ScalarField(grid, F.astype(np.complex128)), phi_star, b_star
+    return g, g0, ScalarField(grid, F), phi_star, b_star
 
 
 def test_solve_ma3_manufactured():
     rng = np.random.default_rng(5)
     g, g0, F, phi_star, b_star = ma3_manufactured(GRID3, rng)
     sol = solve_ma3(g, g0, F)
-    assert np.max(np.abs(sol.phi.values.real - phi_star)) < 1e-9
+    assert np.max(np.abs(sol.phi.values - phi_star)) < 1e-9
     assert abs(sol.b - b_star) < 1e-9
 
 
@@ -378,7 +392,7 @@ def test_solve_ma3_manufactured_non_identity_reference():
     rng = np.random.default_rng(8)
     g, g0, F, phi_star, b_star = ma3_manufactured(GRID3, rng, g0=constant_metric(GRID3, G0))
     sol = solve_ma3(g, g0, F)
-    assert np.max(np.abs(sol.phi.values.real - phi_star)) < 1e-9
+    assert np.max(np.abs(sol.phi.values - phi_star)) < 1e-9
     assert abs(sol.b - b_star) < 1e-9
 
 
@@ -389,9 +403,9 @@ def test_lambda_matches_form_path():
     rng = np.random.default_rng(9)
     g = random_metric(grid, rng, amp=0.1, kmax=1)
     g0 = random_metric(grid, rng, amp=0.1, kmax=1)
-    phi = random_bandlimited(grid, rng, amp=0.05, kmax=2).real.astype(np.complex128)
+    phi = random_bandlimited(grid, rng, amp=0.05, kmax=2)
     S0 = hermitian_stack(g0.g)
-    M = ma_module._polarised_adjugate(hermitian_hessian_stack(phi.real, grid), S0, stack_adjugate(S0))
+    M = ma_module._polarised_adjugate(hermitian_hessian_stack(phi, grid), S0, stack_adjugate(S0))
     lam = hermitian_from_stack(stack_adjugate(hermitian_stack(g.g)) + M / 2)
     oracle = form_to_matrix(
         wedge_power(g.fundamental_form(), 2) + wedge(ddbar(ScalarField(grid, phi)), g0.fundamental_form())
@@ -447,7 +461,7 @@ def kahler_reference_plus(grid, d_omega0):
     Kahler, and eps scaled so that the form oracle's max|d omega0| is
     d_omega0 (0 gives the Kahler I + Hess f)."""
     f = random_bandlimited(grid, np.random.default_rng(12), amp=0.003, kmax=1).real
-    g0 = np.eye(3) + hermitian_part(hessian_values(f.astype(np.complex128), grid))
+    g0 = np.eye(3) + hermitian_part(hessian_values(f, grid))
     P = np.cos(2 * np.pi * grid.coordinate(grid.axis_of("x", 2)))
     eps = d_omega0 / d_max_norm(FormField(grid, 1, 1, {((0,), (0,)): 1j * P}))
     g0[..., 0, 0] += eps * P
@@ -484,7 +498,7 @@ def test_solve_ma3_with_a_non_constant_kahler_reference(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
     sol = solve_ma3(g, g0, F)
     assert calls == []
-    assert np.max(np.abs(sol.phi.values.real - phi_star)) < 1e-9
+    assert np.max(np.abs(sol.phi.values - phi_star)) < 1e-9
     assert abs(sol.b - b_star) < 1e-9
 
 
@@ -512,7 +526,7 @@ def test_solve_ma3_preserves_balanced():
     chi = random_bandlimited(GRID3, rng, amp=0.004, kmax=1).real
     omega0 = identity_metric(GRID3).fundamental_form()
     base = wedge_power(omega0, 2).scaled(0.5)
-    target = base + wedge(ddbar(ScalarField(GRID3, chi.astype(np.complex128))), omega0)
+    target = base + wedge(ddbar(ScalarField(GRID3, chi)), omega0)
     g = hodge_root(target)
     rep_in = classify(g, 1e-8)
     assert rep_in.flag("balanced")
@@ -855,7 +869,7 @@ def test_constant_reference_table_solves_as_the_direct_path(G0, monkeypatch):
     assert np.max(np.abs(table.phi.values - direct.phi.values)) <= 1e-14
     assert abs(table.b - direct.b) <= 1e-14
     assert np.max(np.abs(table.metric_out.stack - direct.metric_out.stack)) <= 1e-14
-    assert np.max(np.abs(table.phi.values.real - phi_star)) < 1e-9
+    assert np.max(np.abs(table.phi.values - phi_star)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

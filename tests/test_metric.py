@@ -6,7 +6,7 @@ import pytest
 from hermweb import grid as grid_module
 from hermweb import metric as metric_module
 from hermweb.forms import FormField, d_max_norm, ddbar, exterior_d, wedge, wedge_power
-from hermweb.grid import PeriodicGrid, ScalarField, _z_symbols, hessian_values
+from hermweb.grid import GridError, PeriodicGrid, ScalarField, _z_symbols, hessian_values
 from hermweb.flow import flow_state
 from hermweb.ma import MASolution, hodge_root
 from hermweb.smallmat import hermitian_from_stack
@@ -370,7 +370,7 @@ def test_stack_built_metrics_equal_the_constructors(build):
     n = g.n
     eye = np.zeros(g.grid.shape + (n, n), dtype=np.complex128)
     eye[..., range(n), range(n)] = 1.0
-    F = ricci_potential(g).values.real
+    F = ricci_potential(g).values
     pairs = [
         (identity_metric(g.grid), HermitianMetricField(g.grid, eye)),
         (conformal_flatten(g), HermitianMetricField(g.grid, np.exp(F / n)[..., None, None] * g.g)),
@@ -394,6 +394,20 @@ def test_conformal_flatten_fixes_flat_metric():
     assert np.max(np.abs(flat.g - g.g)) < 1e-13
 
 
+def test_conformal_rescaling_never_sees_an_imaginary_part():
+    # the Ricci potential is real, and a complex potential with a nonzero
+    # imaginary part is stopped where it is built, before the rescaling
+    # could drop that part
+    g = random_metric(GRID2, np.random.default_rng(6))
+    F = ricci_potential(g)
+    assert F.values.dtype == np.float64
+    x1 = GRID2.coordinate(0)
+    with pytest.raises(GridError, match=r"at index \(1, 0, 0, 0\) has an imaginary part"):
+        ScalarField(GRID2, F.values + 0.5j * np.sin(2 * np.pi * x1))
+    rescaled = metric_module._conformal_rescaling(g, ScalarField(GRID2, F.values + 0j))
+    assert rescaled.stack.tobytes() == conformal_flatten(g).stack.tobytes()
+
+
 def test_ricci_potential_properties():
     rng = np.random.default_rng(5)
     g = random_metric(GRID2, rng)
@@ -402,7 +416,7 @@ def test_ricci_potential_properties():
     # F = -(log det g - mean log det g)
     ld = log_det(g).real
     expected = -(ld - ld.mean())
-    assert np.max(np.abs(F.values.real - expected)) < 1e-12
+    assert np.max(np.abs(F.values - expected)) < 1e-12
     # i del dbar F = Ric
     assert (ddbar(F) - chern_ricci(g)).max_norm() < 1e-10
 
@@ -552,10 +566,10 @@ def class_test_metric(kind, grid):
         return identity_metric(grid)
     chi = random_bandlimited(grid, rng, amp=0.01 if kind == "kahler" else 0.004, kmax=1).real
     if kind == "kahler":
-        hess = hermitian_part(hessian_values(chi.astype(np.complex128), grid))
+        hess = hermitian_part(hessian_values(chi, grid))
         return HermitianMetricField(grid, identity_metric(grid).g + hess)
     omega0 = identity_metric(grid).fundamental_form()
-    target = wedge_power(omega0, 2).scaled(0.5) + wedge(ddbar(ScalarField(grid, chi.astype(np.complex128))), omega0)
+    target = wedge_power(omega0, 2).scaled(0.5) + wedge(ddbar(ScalarField(grid, chi)), omega0)
     return hodge_root(target)
 
 

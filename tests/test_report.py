@@ -3,7 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from hermweb.cli import _default_dt
+from hermweb.flow import run_flow
 from hermweb.grid import PeriodicGrid
+from hermweb.metric import ricci_potential
 from hermweb.report import (
     MAGIC,
     dump_field,
@@ -13,6 +16,8 @@ from hermweb.report import (
     sha256_digest,
     write_csv,
 )
+
+from helpers import random_metric
 
 
 def test_format_value():
@@ -61,6 +66,35 @@ def test_field_dump_round_trip(tmp_path):
     back = load_field(path)
     assert back.grid == grid
     assert np.array_equal(back.values, vals)
+
+
+def test_a_scalar_field_dump_has_positive_zero_imaginary_parts(tmp_path):
+    # a ScalarField is real, so its dump, as the CLI writes the Ricci
+    # potential, phi and F, holds its values and +0.0 imaginary parts
+    grid = PeriodicGrid(2, (8, 8, 1, 1))
+    F = ricci_potential(random_metric(grid, np.random.default_rng(2)))
+    path = tmp_path / "ricci_potential.fld"
+    dump_field(path, grid, F.values)
+    back_grid, back = load_field(path)
+    assert back_grid == grid
+    assert back.dtype == np.complex128 and back.shape == grid.shape
+    assert back.real.tobytes() == F.values.tobytes()
+    assert back.imag.tobytes() == bytes(8 * grid.num_points)
+
+
+def test_a_flow_g12_dump_round_trips_complex(tmp_path):
+    # the flow dumps each entry of its final metric, and an off-diagonal
+    # entry is complex: load_field returns its values as written
+    grid = PeriodicGrid(2, (8, 8, 1, 1))
+    final, _ = run_flow(random_metric(grid, np.random.default_rng(3)), 1e-4, _default_dt(grid), 10_000)
+    g12 = final.g.g[..., 0, 1]
+    assert np.abs(g12.imag).max() > 0.1
+    path = tmp_path / "g_12.fld"
+    dump_field(path, grid, g12)
+    back_grid, back = load_field(path)
+    assert back_grid == grid
+    assert back.tobytes() == np.ascontiguousarray(g12).tobytes()
+    assert not back.flags.writeable
 
 
 def interleaved(values) -> bytes:

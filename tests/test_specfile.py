@@ -76,7 +76,7 @@ F = 0.01 * sin(2*pi*x1)
     ref = spec.build_reference(grid)
     assert np.allclose(ref.g[..., 0, 0], 2.0)
     F = spec.build_F(grid)
-    assert np.allclose(F.values.real, 0.01 * np.sin(2 * np.pi * grid.coordinate(0)) * np.ones(grid.shape))
+    assert np.allclose(F.values, 0.01 * np.sin(2 * np.pi * grid.coordinate(0)) * np.ones(grid.shape))
 
 
 def test_build_reference_none_when_absent():
